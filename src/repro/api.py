@@ -17,8 +17,8 @@ Two documented entry points cover the common uses of the library:
   (``workers=4``), sharded (``shard="1/4"``) and cached
   (``cache_dir=...``).
 
-Cross-cutting configuration (backend, workers, certification, fault
-plan, observability) lives in one typed object: pass
+Cross-cutting configuration (workers, certification, fault plan,
+observability) lives in one typed object: pass
 ``session=``:class:`repro.session.Session` instead of repeating the
 kwargs; explicit keyword arguments still win over the session's fields.
 
@@ -60,10 +60,8 @@ def run(
     source: Optional[Source] = None,
     *,
     session: Optional[Session] = None,
-    backend: Optional[str] = None,
     certify: Optional[bool] = None,
     root: Optional[ProcessorId] = None,
-    method: Optional[str] = None,
 ) -> SyncResult:
     """Synchronize one source of views optimally; the library's front door.
 
@@ -80,19 +78,14 @@ def run(
     if source is None:
         raise TypeError("repro.run() needs a source of views")
     cfg = session if session is not None else Session()
-    backend = backend if backend is not None else cfg.backend
     root = root if root is not None else cfg.root
-    method = method if method is not None else (cfg.method or "karp")
     certify = (
         certify
         if certify is not None
         else (cfg.certify if cfg.certify is not None else True)
     )
     views = resolve_source(source, processors=system.processors)
-    synchronizer = ClockSynchronizer(
-        system, root=root, method=method, backend=backend
-    )
-    result = synchronizer.from_views(views)
+    result = ClockSynchronizer(system, root=root).from_views(views)
     if certify:
         verify_certificate(result)
     return result
@@ -108,7 +101,6 @@ def sweep(
     workers: Optional[int] = None,
     shard: Union[Shard, str, None] = None,
     cache_dir: Optional[str] = None,
-    backend: Optional[str] = None,
     results_dir: Optional[str] = None,
     executor: Optional[str] = None,
 ) -> Table:
@@ -126,13 +118,12 @@ def sweep(
     :mod:`repro.runner.merge`).  The table is byte-identical for any
     worker count, and the union of all shards equals the full sweep.
 
-    ``session=`` supplies defaults for ``backend``, ``workers``,
-    ``certify`` and the per-cell fault plan; explicit keywords win.
+    ``session=`` supplies defaults for ``workers``, ``certify`` and the
+    per-cell fault plan; explicit keywords win.
     """
     from repro.workloads.campaign import Campaign
 
     cfg = session if session is not None else Session()
-    backend = backend if backend is not None else cfg.backend
     workers = workers if workers is not None else cfg.workers
     certify = (
         certify
@@ -153,7 +144,6 @@ def sweep(
         workers=workers,
         shard=shard,
         cache_dir=cache_dir,
-        backend=backend,
         results_dir=results_dir,
         executor=executor,
     )

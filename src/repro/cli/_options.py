@@ -2,11 +2,10 @@
 
 One home for the flags that used to be re-declared per subcommand: the
 observability group (``--trace-out/--metrics-out/--flow-out/
---log-level/--log-jsonl/--timings``), ``--faults``, ``--workers`` and
-``--backend``.  The behaviour behind the flags lives in
-:mod:`repro.session` (:class:`~repro.session.ObsOptions` /
-:class:`~repro.session.Session`); this module only does argparse
-wiring and small print helpers.
+--log-level/--log-jsonl/--timings``), ``--faults`` and ``--workers``.
+The behaviour behind the flags lives in :mod:`repro.session`
+(:class:`~repro.session.ObsOptions` / :class:`~repro.session.Session`);
+this module only does argparse wiring and small print helpers.
 """
 
 from __future__ import annotations
@@ -93,17 +92,6 @@ def add_workers_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="campaign worker processes (default: REPRO_WORKERS or 1)",
-    )
-
-
-def add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    from repro.engine import AUTO_BACKEND, available_backends
-
-    parser.add_argument(
-        "--backend",
-        choices=[AUTO_BACKEND] + available_backends(),
-        default=None,
-        help="matrix engine backend (default: auto-select by system size)",
     )
 
 

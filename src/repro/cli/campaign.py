@@ -7,7 +7,6 @@ import sys
 from typing import List, Optional
 
 from repro.cli._options import (
-    add_backend_argument,
     add_faults_argument,
     add_obs_arguments,
     add_workers_argument,
@@ -198,7 +197,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             workers=args.workers,
             shard=args.shard,
             cache_dir=cache_dir,
-            backend=args.backend,
             cell_timeout=args.cell_timeout,
             retries=args.retries,
             retry_backoff=args.retry_backoff,
@@ -380,7 +378,6 @@ def register(sub) -> None:
         "--retry-backoff", type=float, default=0.0, metavar="SECONDS",
         help="sleep SECONDS * attempt between retry rounds",
     )
-    add_backend_argument(p_campaign)
     add_obs_arguments(p_campaign)
     telemetry = p_campaign.add_argument_group(
         "fleet telemetry",

@@ -16,7 +16,6 @@ import json
 import sys
 
 from repro.cli._options import (
-    add_backend_argument,
     add_obs_arguments,
     observability,
 )
@@ -173,7 +172,7 @@ def _cmd_live_replay(args: argparse.Namespace) -> int:
             ),
         )
         system = live_system(topology)
-        result = repro.run(system, args.log, backend=args.backend)
+        result = repro.run(system, args.log)
         print(f"observations: {len(log)}")
         print(f"precision:    {result.precision:.6g}  (= A^max, certified)")
         print("corrections:")
@@ -345,7 +344,6 @@ def register(sub) -> None:
         "(the offline half of the replay-equality contract)",
     )
     p_replay.add_argument("log", metavar="LOG.jsonl", help="probe log file")
-    add_backend_argument(p_replay)
     add_obs_arguments(p_replay, timings=False)
     p_replay.set_defaults(func=_cmd_live_replay)
 

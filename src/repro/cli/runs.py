@@ -6,7 +6,6 @@ import argparse
 import sys
 
 from repro.cli._options import (
-    add_backend_argument,
     add_faults_argument,
     add_obs_arguments,
     build_scenario,
@@ -41,7 +40,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         sim = NetworkSimulator(system, samplers, starts, seed=7, faults=faults)
         alpha = sim.run(probe_automata(topo, probe_schedule(3, 20.0, 5.0)))
 
-        synchronizer = ClockSynchronizer(system, backend=args.backend)
+        synchronizer = ClockSynchronizer(system)
         try:
             result = synchronizer.from_execution(alpha)
         except InconsistentViewsError as exc:
@@ -140,7 +139,7 @@ def _cmd_sync_trace(args: argparse.Namespace) -> int:
             )
             print("  synchronizing the remaining links only:")
         else:
-            synchronizer = ClockSynchronizer(system, backend=args.backend)
+            synchronizer = ClockSynchronizer(system)
             result = synchronizer.from_views(views)
             verify_certificate(result)
             if args.timings:
@@ -198,7 +197,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 def register_demo(sub) -> None:
     p_demo = sub.add_parser("demo", help="run the quickstart demo")
     add_faults_argument(p_demo)
-    add_backend_argument(p_demo)
     add_obs_arguments(p_demo)
     p_demo.set_defaults(func=_cmd_demo)
 
@@ -250,6 +248,5 @@ def register_sync_trace(sub) -> None:
     )
     p_sync.add_argument("system", help="path to system.json")
     p_sync.add_argument("trace", help="path to trace.json")
-    add_backend_argument(p_sync)
     add_obs_arguments(p_sync)
     p_sync.set_defaults(func=_cmd_sync_trace)

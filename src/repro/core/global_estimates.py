@@ -18,11 +18,11 @@ claimed delay assumptions, which we surface as
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 from repro._types import Edge, INF, ProcessorId, Time
 from repro.graphs.digraph import WeightedDigraph
-from repro.graphs.shortest_paths import NegativeCycleError, all_pairs_shortest_paths
+from repro.graphs.shortest_paths import NegativeCycleError, floyd_warshall
 
 
 class InconsistentViewsError(ValueError):
@@ -52,7 +52,7 @@ def shift_graph(
 
 
 def global_shift_estimates(
-    processors, mls_tilde: Mapping[Edge, Time], backend: Optional[str] = None
+    processors, mls_tilde: Mapping[Edge, Time]
 ) -> Dict[Tuple[ProcessorId, ProcessorId], Time]:
     """``ms~(p, q)`` for every ordered pair of processors.
 
@@ -60,23 +60,12 @@ def global_shift_estimates(
     ``q`` can be shifted arbitrarily far from ``p`` and the system cannot
     bound their mutual precision on this execution.
 
-    ``backend`` routes the computation through a matrix engine
-    (``"numpy"`` for the vectorized min-plus closure); the default
-    ``None`` keeps the original dict/digraph path below, which *is* the
-    reference ``"python"`` engine.
+    This dict/digraph version is the scalar reference (the ``"python"``
+    engine); the production path is the numpy engine's min-plus closure.
     """
-    if backend is not None and backend != "python":
-        # Imported lazily: the engine's reference backend wraps this module.
-        from repro.engine import ProcessorIndex, create_engine
-
-        index = ProcessorIndex(processors)
-        engine = create_engine(backend, len(index))
-        ms_matrix = engine.global_estimates(index.matrix(mls_tilde))
-        return index.pairs(ms_matrix)
-
     graph = shift_graph(processors, mls_tilde)
     try:
-        dist = all_pairs_shortest_paths(graph)
+        dist = floyd_warshall(graph)
     except NegativeCycleError as exc:
         raise InconsistentViewsError(
             "local shift estimates contain a negative cycle; the observed "

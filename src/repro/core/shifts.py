@@ -28,17 +28,8 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro._types import INF, ProcessorId, Time
 from repro.graphs.digraph import WeightedDigraph
-from repro.graphs.howard import maximum_cycle_mean_howard
 from repro.graphs.karp import maximum_cycle_mean
-from repro.graphs.karp_numpy import maximum_cycle_mean_numpy
 from repro.graphs.shortest_paths import NegativeCycleError, bellman_ford
-
-#: Available maximum-cycle-mean backends for SHIFTS step 1.
-CYCLE_MEAN_METHODS = {
-    "karp": maximum_cycle_mean,
-    "karp-numpy": maximum_cycle_mean_numpy,
-    "howard": maximum_cycle_mean_howard,
-}
 
 
 class UnboundedPrecisionError(ValueError):
@@ -79,25 +70,16 @@ def shifts(
     processors: Sequence[ProcessorId],
     ms_tilde: Mapping[Tuple[ProcessorId, ProcessorId], Time],
     root: Optional[ProcessorId] = None,
-    method: str = "karp",
 ) -> ShiftsOutcome:
     """Run SHIFTS over all processors; see module docstring.
 
-    ``method`` selects the cycle-mean backend for step 1: ``"karp"`` (the
-    paper's choice, deterministic ``O(n * m)``) or ``"howard"`` (policy
-    iteration; usually faster on the dense ``ms~`` graphs, see the
-    ablation benchmark).  Both return identical results.
+    This dict/digraph version is the scalar reference that the matrix
+    engine (:mod:`repro.engine.numpy_backend`) is tested against.
 
     Raises :class:`UnboundedPrecisionError` when any ordered pair's
     estimate is infinite (use the synchronizer facade for per-component
     treatment).
     """
-    if method not in CYCLE_MEAN_METHODS:
-        raise ValueError(
-            f"unknown cycle-mean method {method!r}; "
-            f"choose from {sorted(CYCLE_MEAN_METHODS)}"
-        )
-    cycle_mean_fn = CYCLE_MEAN_METHODS[method]
     processors = list(processors)
     if not processors:
         raise ValueError("no processors")
@@ -131,7 +113,7 @@ def shifts(
         for q in processors:
             if p != q:
                 ms_graph.add_edge(p, q, ms_tilde[(p, q)])
-    cycle_result = cycle_mean_fn(ms_graph)
+    cycle_result = maximum_cycle_mean(ms_graph)
     assert cycle_result.mean is not None  # complete graph with n >= 2 has cycles
     a_max = cycle_result.mean
 

@@ -25,9 +25,8 @@ from repro.core.estimates import (
     partial_estimated_delays,
 )
 from repro.core.precision import rho_bar
-from repro.core.shifts import CYCLE_MEAN_METHODS
 from repro.delays.system import System
-from repro.engine import ProcessorIndex, create_engine, resolve_backend_name
+from repro.engine import DEFAULT_BACKEND, ProcessorIndex, create_engine
 from repro.model.execution import Execution
 from repro.model.views import View
 from repro.obs.recorder import get_recorder
@@ -177,15 +176,14 @@ class ClockSynchronizer:
     """Computes optimal corrections for a fixed system ``(G, A)``.
 
     The synchronizer is stateless across calls; each call processes one
-    set of views (one execution) independently.  ``backend`` selects the
-    matrix engine (``"python"``, ``"numpy"``, or ``None``/``"auto"`` to
-    pick by system size); ``method`` selects the cycle-mean algorithm of
-    SHIFTS step 1.  Both are validated eagerly, so a typo fails here
-    rather than deep inside the first synchronization.
+    set of views (one execution) independently.  ``backend`` names the
+    matrix engine: ``"numpy"`` (the default, at every system size) or
+    ``"python"``, the dict/digraph reference oracle.  It is validated
+    eagerly, so a typo fails here rather than deep inside the first
+    synchronization.
 
-    Options (``root``, ``method``, ``backend``) are keyword-only
-    (DESIGN.md section 9); passing them positionally raises
-    ``TypeError`` -- the one-release deprecation shim has been removed.
+    Options (``root``, ``backend``) are keyword-only (DESIGN.md section
+    9); passing them positionally raises ``TypeError``.
     """
 
     def __init__(
@@ -193,22 +191,14 @@ class ClockSynchronizer:
         system: System,
         *,
         root: Optional[ProcessorId] = None,
-        method: str = "karp",
-        backend: Optional[str] = None,
+        backend: str = DEFAULT_BACKEND,
     ):
         self._system = system
         if root is not None and root not in system.processors:
             raise ValueError(f"root {root!r} is not a processor of the system")
-        if method not in CYCLE_MEAN_METHODS:
-            raise ValueError(
-                f"unknown cycle-mean method {method!r}; "
-                f"choose from {sorted(CYCLE_MEAN_METHODS)}"
-            )
         self._root = root
-        self._method = method
         self._index = ProcessorIndex(system.processors)
-        self._backend = resolve_backend_name(backend, len(self._index))
-        self._engine = create_engine(self._backend)
+        self._engine = create_engine(backend)
 
     @property
     def system(self) -> System:
@@ -217,8 +207,8 @@ class ClockSynchronizer:
 
     @property
     def backend(self) -> str:
-        """Resolved name of the matrix engine in use."""
-        return self._backend
+        """Name of the matrix engine in use."""
+        return self._engine.name
 
     @property
     def engine(self):
@@ -258,7 +248,7 @@ class ClockSynchronizer:
         with recorder.span(
             "pipeline.from_views",
             processors=len(self._index),
-            backend=self._backend,
+            backend=self._engine.name,
         ):
             degraded: Optional[DegradedResult] = None
             with recorder.span("pipeline.local_estimates"):
@@ -331,10 +321,7 @@ class ClockSynchronizer:
                 if len(component) == 1 and len(self._index) > 1:
                     isolated.append(component[0])
                 outcome = engine.shifts(
-                    ms_matrix,
-                    rows=rows,
-                    root_row=index.row(root),
-                    method=self._method,
+                    ms_matrix, rows=rows, root_row=index.row(root)
                 )
                 for row, value in zip(rows, outcome.corrections):
                     corrections[index.processor(row)] = float(value)

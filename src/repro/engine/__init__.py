@@ -9,12 +9,12 @@ substrate:
 * :class:`~repro.engine.base.SyncEngine` -- the stage interface, with
   per-stage timing/counter hooks in
   :class:`~repro.engine.stats.EngineStats`;
-* :mod:`~repro.engine.python_backend` -- the seed dict/digraph code as
-  the reference backend;
 * :mod:`~repro.engine.numpy_backend` -- vectorized kernels plus the
   incremental single-edge closure update used by the online extension;
-* :mod:`~repro.engine.registry` -- backend registry and size-based
-  ``"auto"`` dispatch.
+  the production path at every system size;
+* :mod:`~repro.engine.python_backend` -- the dict/digraph code as the
+  reference oracle the numpy engine is tested against;
+* :mod:`~repro.engine.registry` -- the two backends by name.
 
 See DESIGN.md section "Engine layer" for the matrix layout and the
 invariants the backends are tested against.
@@ -25,12 +25,9 @@ from repro.engine.index import ProcessorIndex
 from repro.engine.numpy_backend import NumpyEngine
 from repro.engine.python_backend import PythonEngine
 from repro.engine.registry import (
-    AUTO_BACKEND,
-    NUMPY_BACKEND_THRESHOLD,
+    DEFAULT_BACKEND,
     available_backends,
     create_engine,
-    register_backend,
-    resolve_backend_name,
 )
 from repro.engine.stats import EngineStats
 
@@ -40,11 +37,8 @@ __all__ = [
     "ProcessorIndex",
     "NumpyEngine",
     "PythonEngine",
-    "AUTO_BACKEND",
-    "NUMPY_BACKEND_THRESHOLD",
+    "DEFAULT_BACKEND",
     "available_backends",
     "create_engine",
-    "register_backend",
-    "resolve_backend_name",
     "EngineStats",
 ]

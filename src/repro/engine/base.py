@@ -30,7 +30,7 @@ from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.shifts import CYCLE_MEAN_METHODS, UnboundedPrecisionError
+from repro.core.shifts import UnboundedPrecisionError
 from repro.engine.stats import EngineStats
 from repro.obs.metrics import MetricsRegistry
 
@@ -93,7 +93,6 @@ class SyncEngine(ABC):
         ms_matrix: np.ndarray,
         rows: Optional[Sequence[int]] = None,
         root_row: Optional[int] = None,
-        method: str = "karp",
     ) -> EngineShifts:
         """SHIFTS over ``rows`` of the ``ms~`` matrix (default: all rows).
 
@@ -102,11 +101,6 @@ class SyncEngine(ABC):
         synchronization component at a time to avoid it.
         """
         _check_square(ms_matrix)
-        if method not in CYCLE_MEAN_METHODS:
-            raise ValueError(
-                f"unknown cycle-mean method {method!r}; "
-                f"choose from {sorted(CYCLE_MEAN_METHODS)}"
-            )
         row_list = list(range(len(ms_matrix))) if rows is None else list(rows)
         if not row_list:
             raise ValueError("no rows")
@@ -121,16 +115,14 @@ class SyncEngine(ABC):
                     corrections=np.zeros(1), a_max=0.0, cycle_rows=None
                 )
             sub = ms_matrix[np.ix_(row_list, row_list)]
-            infinite = [
-                (row_list[i], row_list[j])
-                for i in range(len(row_list))
-                for j in range(len(row_list))
-                if i != j and not np.isfinite(sub[i, j])
-            ]
-            if infinite:
-                raise UnboundedPrecisionError(infinite)
+            finite = np.isfinite(sub)
+            np.fill_diagonal(finite, True)
+            if not finite.all():
+                raise UnboundedPrecisionError(
+                    [(row_list[i], row_list[j]) for i, j in np.argwhere(~finite)]
+                )
             root_local = row_list.index(root_row)
-            result = self._shifts(sub, root_local, method)
+            result = self._shifts(sub, root_local)
             corrections = result.corrections
             if corrections[root_local] != 0.0:
                 # Pin x_root to exactly 0 (the nudged Bellman--Ford can
@@ -179,9 +171,7 @@ class SyncEngine(ABC):
         """Row components, each sorted ascending, ordered by first row."""
 
     @abstractmethod
-    def _shifts(
-        self, sub: np.ndarray, root_local: int, method: str
-    ) -> EngineShifts:
+    def _shifts(self, sub: np.ndarray, root_local: int) -> EngineShifts:
         """SHIFTS on an all-finite submatrix; cycle in *local* indices."""
 
     def _incremental(

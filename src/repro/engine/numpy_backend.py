@@ -22,7 +22,9 @@ all pairs.  For a batch of decreases applied in sequence this is exact:
 a shortest path uses each decreased edge at most once (paths are simple
 when no negative cycle exists), so relaxing edges one at a time covers
 every new path, and a batch-created negative cycle surfaces as a negative
-diagonal entry.
+diagonal entry.  Exact in real arithmetic, that is: the repair adds path
+segments in a different order from Floyd--Warshall, so in floats it can
+differ from a batch recompute in the last bits (DESIGN.md section 14).
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ import numpy as np
 
 from repro.core.global_estimates import InconsistentViewsError
 from repro.engine.base import EngineShifts, SyncEngine
-from repro.graphs.digraph import WeightedDigraph
-from repro.graphs.howard import maximum_cycle_mean_howard
 
 INF = float("inf")
 _TOL = 1e-9
@@ -97,8 +97,9 @@ def karp_max_cycle_mean_matrix(weights: np.ndarray) -> Optional[float]:
     n = len(weights)
     if n < 2:
         return None
-    # Negate to reuse Karp's *minimum* recurrence; kill self-loops.
-    w = -weights.astype(float, copy=True)
+    # Negate to reuse Karp's *minimum* recurrence (absent edges stay
+    # inf); kill self-loops.
+    w = np.where(np.isfinite(weights), -weights, INF)
     np.fill_diagonal(w, INF)
 
     levels = np.full((n + 1, n), INF)
@@ -148,7 +149,7 @@ def _critical_cycle_matrix(
     and return any cycle of the tight subgraph.
     """
     n = len(weights)
-    shifted = -weights.astype(float, copy=True) + mean
+    shifted = np.where(np.isfinite(weights), mean - weights, INF)
     np.fill_diagonal(shifted, INF)
 
     h = None
@@ -250,29 +251,11 @@ class NumpyEngine(SyncEngine):
             components.append([int(j) for j in members])
         return components
 
-    def _shifts(
-        self, sub: np.ndarray, root_local: int, method: str
-    ) -> EngineShifts:
-        n = len(sub)
-
+    def _shifts(self, sub: np.ndarray, root_local: int) -> EngineShifts:
         # Step 1: A^max, the maximum cycle mean of the complete submatrix.
-        if method == "howard":
-            graph = WeightedDigraph()
-            for i in range(n):
-                graph.add_node(i)
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        graph.add_edge(i, j, float(sub[i, j]))
-            result = maximum_cycle_mean_howard(graph)
-            a_max = result.mean
-            cycle = list(result.cycle) if result.cycle else None
-        else:  # "karp" and "karp-numpy" share the matrix recurrence
-            a_max = karp_max_cycle_mean_matrix(sub)
-            cycle = None
+        a_max = karp_max_cycle_mean_matrix(sub)
         assert a_max is not None  # complete graph with n >= 2 has cycles
-        if cycle is None:
-            cycle = _critical_cycle_matrix(sub, a_max)
+        cycle = _critical_cycle_matrix(sub, a_max)
 
         # Step 2: corrections as distances under w = A^max - ms~, with the
         # same nudge ladder as the reference backend for float-rounded

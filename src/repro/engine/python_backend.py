@@ -1,10 +1,9 @@
 """Reference backend: the original dict/digraph pipeline behind matrices.
 
-This backend exists for two reasons: it is the *semantics oracle* the
-numpy backend is property-tested against (see
-``tests/test_engine_parity.py``), and it keeps small systems on the exact
-code path the seed reproduction shipped with -- scalar Floyd--Warshall /
-Johnson for GLOBAL ESTIMATES, Tarjan for components, and
+This backend is the *semantics oracle* the numpy backend is
+property-tested against (see ``tests/test_engine_parity.py``); no
+production path selects it.  It runs the scalar code: Floyd--Warshall
+for GLOBAL ESTIMATES, Tarjan for components, and
 :func:`repro.core.shifts.shifts` (Karp + Bellman--Ford on
 :class:`~repro.graphs.digraph.WeightedDigraph`) for SHIFTS.  Matrix rows
 double as node ids, so the translation layer is a thin dict build.
@@ -63,17 +62,13 @@ class PythonEngine(SyncEngine):
         components.sort(key=lambda scc: scc[0])
         return components
 
-    def _shifts(
-        self, sub: np.ndarray, root_local: int, method: str
-    ) -> EngineShifts:
+    def _shifts(self, sub: np.ndarray, root_local: int) -> EngineShifts:
         n = len(sub)
         local = list(range(n))
         ms_dict: Dict[Tuple[int, int], float] = {
             (i, j): float(sub[i, j]) for i in local for j in local
         }
-        outcome = reference_shifts(
-            local, ms_dict, root=root_local, method=method
-        )
+        outcome = reference_shifts(local, ms_dict, root=root_local)
         corrections = np.array([outcome.corrections[i] for i in local])
         cycle = (
             tuple(outcome.critical_cycle)

@@ -1,32 +1,21 @@
-"""Backend registry and automatic backend selection.
+"""The two engine backends, by name.
 
-Two backends ship with the reproduction:
-
-* ``"python"`` -- the dict/digraph reference implementation (the seed
-  code path, kept as the semantics oracle);
-* ``"numpy"`` -- dense vectorized kernels, the default for systems with
-  at least :data:`NUMPY_BACKEND_THRESHOLD` processors.
-
-``backend=None`` (or ``"auto"``) picks by size: below the threshold the
-constant-factor overhead of array construction outweighs the win, and
-small systems stay bit-identical to the seed pipeline.  Additional
-backends (sharded, GPU, ...) can be registered at runtime with
-:func:`register_backend`.
+* ``"numpy"`` -- dense vectorized kernels, the production path at every
+  system size (the default everywhere a backend can be named);
+* ``"python"`` -- the dict/digraph reference implementation, kept only
+  as the semantics oracle the numpy engine is tested against.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.engine.base import SyncEngine
 from repro.engine.numpy_backend import NumpyEngine
 from repro.engine.python_backend import PythonEngine
 
-#: Systems with at least this many processors default to the numpy engine.
-NUMPY_BACKEND_THRESHOLD = 12
-
-#: Alias accepted everywhere a backend name is: pick by system size.
-AUTO_BACKEND = "auto"
+#: The production backend.
+DEFAULT_BACKEND = NumpyEngine.name
 
 _FACTORIES: Dict[str, Callable[[], SyncEngine]] = {
     PythonEngine.name: PythonEngine,
@@ -35,52 +24,19 @@ _FACTORIES: Dict[str, Callable[[], SyncEngine]] = {
 
 
 def available_backends() -> List[str]:
-    """Registered backend names, sorted."""
+    """Backend names, sorted."""
     return sorted(_FACTORIES)
 
 
-def register_backend(
-    name: str, factory: Callable[[], SyncEngine], overwrite: bool = False
-) -> None:
-    """Register a new engine factory under ``name``.
-
-    Refuses to silently shadow an existing backend unless ``overwrite``.
-    """
-    if name == AUTO_BACKEND:
-        raise ValueError(f"{AUTO_BACKEND!r} is reserved for size dispatch")
-    if name in _FACTORIES and not overwrite:
-        raise ValueError(f"backend {name!r} already registered")
-    _FACTORIES[name] = factory
-
-
-def resolve_backend_name(
-    backend: Optional[str] = None, n: Optional[int] = None
-) -> str:
-    """Concrete backend name for a requested backend and system size."""
-    if backend is None or backend == AUTO_BACKEND:
-        if n is not None and n >= NUMPY_BACKEND_THRESHOLD:
-            return NumpyEngine.name
-        return PythonEngine.name
-    if backend not in _FACTORIES:
+def create_engine(backend: str = DEFAULT_BACKEND) -> SyncEngine:
+    """Instantiate the named engine; unknown names raise ``ValueError``."""
+    factory = _FACTORIES.get(backend)
+    if factory is None:
         raise ValueError(
             f"unknown engine backend {backend!r}; "
-            f"choose from {available_backends()} (or {AUTO_BACKEND!r})"
+            f"choose from {available_backends()}"
         )
-    return backend
+    return factory()
 
 
-def create_engine(
-    backend: Optional[str] = None, n: Optional[int] = None
-) -> SyncEngine:
-    """Instantiate an engine; ``backend=None``/``"auto"`` selects by size."""
-    return _FACTORIES[resolve_backend_name(backend, n)]()
-
-
-__all__ = [
-    "AUTO_BACKEND",
-    "NUMPY_BACKEND_THRESHOLD",
-    "available_backends",
-    "register_backend",
-    "resolve_backend_name",
-    "create_engine",
-]
+__all__ = ["DEFAULT_BACKEND", "available_backends", "create_engine"]

@@ -41,43 +41,6 @@ def _time_stages(n: int, seed: int = 0):
     }
 
 
-def _backend_table(quick: bool) -> Table:
-    """SHIFTS cycle-mean backends head to head on the same ms~ matrices."""
-    import time
-
-    from repro.core.estimates import local_shift_estimates
-    from repro.core.global_estimates import global_shift_estimates
-    from repro.core.shifts import CYCLE_MEAN_METHODS
-
-    table = Table(
-        title="E9b: SHIFTS backend ablation on the same ms~ matrices",
-        headers=["n"] + [f"{m} (s)" for m in sorted(CYCLE_MEAN_METHODS)],
-    )
-    sizes = [16, 32] if quick else [16, 32, 64]
-    for n in sizes:
-        scenario = bounded_uniform(ring(n), lb=1.0, ub=3.0, probes=2, seed=0)
-        alpha = scenario.run()
-        mls = local_shift_estimates(scenario.system, alpha.views())
-        processors = list(scenario.system.processors)
-        ms = global_shift_estimates(processors, mls)
-        row = [n]
-        reference = None
-        for method in sorted(CYCLE_MEAN_METHODS):
-            t0 = time.perf_counter()
-            outcome = shifts(processors, ms, method=method)
-            row.append(time.perf_counter() - t0)
-            if reference is None:
-                reference = outcome.precision
-            else:
-                assert abs(outcome.precision - reference) < 1e-7
-        table.add_row(*row)
-    table.add_note(
-        "all backends return identical precisions (asserted); howard and "
-        "karp-numpy trade Python-loop time for iteration/array work"
-    )
-    return table
-
-
 def _engine_table(quick: bool) -> Table:
     """Matrix engines head to head on the full estimates->shifts pipeline."""
     from repro.core.synchronizer import ClockSynchronizer
@@ -156,7 +119,7 @@ def run(quick: bool = False) -> List[Table]:
                 f"empirical growth exponent ~ n^{exponent:.2f} "
                 f"(SHIFTS dominates; Karp on the complete ms~ graph is O(n^3))"
             )
-    return [table, _backend_table(quick), _engine_table(quick)]
+    return [table, _engine_table(quick)]
 
 
 __all__ = ["run"]

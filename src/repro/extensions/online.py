@@ -12,7 +12,10 @@ observation that actually changes a statistic.
 Two useful consequences, both tested:
 
 * *streaming == batch*: after ingesting an execution message-by-message
-  the result is identical to the batch pipeline on the full views;
+  the result equals the batch pipeline on the full views -- in real
+  arithmetic; in floats it can differ in the last bits (measured on
+  heterogeneous systems, never on the live service's lower-bound-only
+  model; see :mod:`repro.live.replay`);
 * *monotonicity*: precision never degrades as observations arrive
   (new extremes only shrink the admissible-shift intervals), so callers
   can safely publish corrections at any moment.
@@ -30,6 +33,7 @@ from repro.core.global_estimates import InconsistentViewsError
 from repro.core.synchronizer import ClockSynchronizer, SyncResult
 from repro.delays.base import DirectionStats, PairTiming
 from repro.delays.system import System
+from repro.engine import DEFAULT_BACKEND
 from repro.model.views import View
 from repro.obs.recorder import get_recorder
 
@@ -41,15 +45,17 @@ class OnlineSynchronizer:
     per directed edge -- exactly what a receiver can compute locally from
     a timestamped message (Lemma 6.1).
 
-    On engines with an incremental path (the numpy backend), a refresh
-    after a few new observations does not redo GLOBAL ESTIMATES from
-    scratch: since new extremes only *tighten* ``mls~``, the cached
-    ``ms~`` closure is repaired by relaxing paths through the improved
-    entries only.  The ``streaming == batch`` invariant is unaffected --
-    the incremental closure is exact (see
-    :mod:`repro.engine.numpy_backend`) -- and is property-tested.
+    On the numpy engine (the default) a refresh after a few new
+    observations does not redo GLOBAL ESTIMATES from scratch: since new
+    extremes only *tighten* ``mls~``, the cached ``ms~`` closure is
+    repaired by relaxing paths through the improved entries only.  The
+    repair is exact in real arithmetic (see
+    :mod:`repro.engine.numpy_backend`); in floats it can differ from a
+    batch recompute in the last bits on heterogeneous systems (DESIGN.md
+    section 14).  The ``"python"`` reference engine has no incremental
+    path and recomputes.
 
-    ``method`` and ``backend`` are validated eagerly at construction (via
+    ``backend`` is validated eagerly at construction (via
     :class:`~repro.core.synchronizer.ClockSynchronizer`), so a typo fails
     here rather than at the first :meth:`result` call.
 
@@ -76,12 +82,12 @@ class OnlineSynchronizer:
     """
 
     def __init__(self, system: System, root: Optional[ProcessorId] = None,
-                 method: str = "karp", backend: Optional[str] = None,
+                 backend: str = DEFAULT_BACKEND,
                  *, reject_outliers: bool = False,
                  fallback: bool = False) -> None:
         self._system = system
         self._synchronizer = ClockSynchronizer(
-            system, root=root, method=method, backend=backend
+            system, root=root, backend=backend
         )
         self._stats: Dict[Edge, DirectionStats] = {}
         self._observations = 0

@@ -4,19 +4,16 @@ The two graph computations at the heart of the paper's pipeline live here:
 
 * :func:`~repro.graphs.karp.maximum_cycle_mean` -- the optimal precision
   ``A^max`` of SHIFTS step 1 (Karp 1978, cited in Section 4.4);
-* :func:`~repro.graphs.shortest_paths.bellman_ford` and friends -- the
-  distance computations of SHIFTS step 2 and GLOBAL ESTIMATES.
+* :func:`~repro.graphs.shortest_paths.bellman_ford` and
+  :func:`~repro.graphs.shortest_paths.floyd_warshall` -- the distance
+  computations of SHIFTS step 2 and GLOBAL ESTIMATES.
+
+These dict/digraph routines are the scalar reference oracle; the
+production pipeline runs the matrix kernels of
+:mod:`repro.engine.numpy_backend`.
 """
 
 from repro.graphs.digraph import Node, WeightedDigraph
-from repro.graphs.howard import (
-    maximum_cycle_mean_howard,
-    minimum_cycle_mean_howard,
-)
-from repro.graphs.karp_numpy import (
-    maximum_cycle_mean_numpy,
-    minimum_cycle_mean_numpy,
-)
 from repro.graphs.karp import (
     CycleMeanResult,
     cycle_mean,
@@ -27,12 +24,8 @@ from repro.graphs.karp import (
 )
 from repro.graphs.shortest_paths import (
     NegativeCycleError,
-    all_pairs_shortest_paths,
     bellman_ford,
-    dijkstra,
     floyd_warshall,
-    johnson,
-    reconstruct_path,
 )
 from repro.graphs.topology import (
     Topology,
@@ -49,10 +42,6 @@ from repro.graphs.topology import (
 __all__ = [
     "Node",
     "WeightedDigraph",
-    "maximum_cycle_mean_howard",
-    "minimum_cycle_mean_howard",
-    "maximum_cycle_mean_numpy",
-    "minimum_cycle_mean_numpy",
     "CycleMeanResult",
     "cycle_mean",
     "cycle_weight",
@@ -60,12 +49,8 @@ __all__ = [
     "maximum_cycle_mean",
     "minimum_cycle_mean",
     "NegativeCycleError",
-    "all_pairs_shortest_paths",
     "bellman_ford",
-    "dijkstra",
     "floyd_warshall",
-    "johnson",
-    "reconstruct_path",
     "Topology",
     "binary_tree",
     "complete",

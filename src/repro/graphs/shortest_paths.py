@@ -9,17 +9,16 @@ Both halves of the paper's pipeline are shortest-path computations:
 * SHIFTS step 2: corrections are distances under ``w(p,q) = A^max - ms~``,
   again negative-capable but provably free of negative cycles.
 
-We provide Bellman--Ford (single source), Floyd--Warshall (dense
-all-pairs, the natural fit for the complete ``ms~`` graph) and Johnson's
-reweighting (sparse all-pairs), plus binary Dijkstra for the non-negative
-case.  All raise :class:`NegativeCycleError` when the precondition fails,
+These scalar routines are the reference oracle: Bellman--Ford (single
+source) and Floyd--Warshall (all pairs).  The production path runs the
+same computations as matrix kernels in :mod:`repro.engine.numpy_backend`.
+Both raise :class:`NegativeCycleError` when the precondition fails,
 because in this code base a negative cycle always means a bug or an
 inadmissible execution -- never a valid answer.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, List, Optional, Tuple
 
 from repro.graphs.digraph import Node, WeightedDigraph
@@ -72,14 +71,8 @@ def bellman_ford(
                 changed = True
         if not changed:
             break
-    else:
-        # Ran all n-1 rounds with changes; a further improvement means a
-        # reachable negative cycle.
-        for u, v, w in edges:
-            if dist[u] != INF and dist[u] + w < dist[v] - 1e-9:
-                raise NegativeCycleError(_trace_cycle(parent, v, len(nodes)))
-    # Even when we broke early we still verify, cheaply, that no edge is
-    # violated beyond tolerance (guards against float drift).
+    # An edge still violated beyond tolerance after n-1 rounds means a
+    # reachable negative cycle (and guards against float drift).
     for u, v, w in edges:
         if dist[u] != INF and dist[u] + w < dist[v] - 1e-9:
             raise NegativeCycleError(_trace_cycle(parent, v, len(nodes)))
@@ -104,50 +97,6 @@ def _trace_cycle(
         return None
     cycle.reverse()
     return cycle
-
-
-def reconstruct_path(
-    parent: Dict[Node, Node], source: Node, target: Node
-) -> List[Node]:
-    """Rebuild the path ``source -> ... -> target`` from parent pointers."""
-    if target == source:
-        return [source]
-    path = [target]
-    v = target
-    while v in parent:
-        v = parent[v]
-        path.append(v)
-        if v == source:
-            path.reverse()
-            return path
-    raise KeyError(f"{target!r} not reachable from {source!r}")
-
-
-def dijkstra(
-    graph: WeightedDigraph, source: Node
-) -> Tuple[Dict[Node, float], Dict[Node, Node]]:
-    """Single-source distances for non-negative weights (binary heap)."""
-    dist: Dict[Node, float] = {v: INF for v in graph.nodes}
-    parent: Dict[Node, Node] = {}
-    dist[source] = 0.0
-    pq: List[Tuple[float, int, Node]] = [(0.0, 0, source)]
-    tie = 0
-    done = set()
-    while pq:
-        d, _, u = heapq.heappop(pq)
-        if u in done:
-            continue
-        done.add(u)
-        for v, w in graph.successors(u).items():
-            if w < 0:
-                raise ValueError("dijkstra requires non-negative weights")
-            cand = d + w
-            if cand < dist[v]:
-                dist[v] = cand
-                parent[v] = u
-                tie += 1
-                heapq.heappush(pq, (cand, tie, v))
-    return dist, parent
 
 
 def floyd_warshall(graph: WeightedDigraph) -> Dict[Node, Dict[Node, float]]:
@@ -185,102 +134,8 @@ def floyd_warshall(graph: WeightedDigraph) -> Dict[Node, Dict[Node, float]]:
     return dist
 
 
-def floyd_warshall_numpy(graph: WeightedDigraph) -> Dict[Node, Dict[Node, float]]:
-    """Floyd--Warshall with numpy row/column broadcasting per pivot.
-
-    Same semantics as :func:`floyd_warshall` (including
-    :class:`NegativeCycleError` on negative self-distances) but the inner
-    double loop becomes one vectorized ``minimum`` per pivot --
-    substantially faster on the dense graphs GLOBAL ESTIMATES sees when
-    the communication graph is rich.
-    """
-    import numpy as np
-
-    nodes = graph.nodes
-    n = len(nodes)
-    if n == 0:
-        return {}
-    index = {node: i for i, node in enumerate(nodes)}
-    dist = np.full((n, n), INF)
-    np.fill_diagonal(dist, 0.0)
-    for u, v, w in graph.edges():
-        i, j = index[u], index[v]
-        if w < dist[i, j]:
-            dist[i, j] = w
-    for k in range(n):
-        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
-    if (np.diagonal(dist) < -1e-9).any():
-        raise NegativeCycleError()
-    return {
-        u: {v: float(dist[index[u], index[v]]) for v in nodes} for u in nodes
-    }
-
-
-def johnson(graph: WeightedDigraph) -> Dict[Node, Dict[Node, float]]:
-    """All-pairs distances via reweighting: Bellman--Ford once, then Dijkstra.
-
-    Preferable to Floyd--Warshall on sparse graphs (the communication
-    graph ``G`` in GLOBAL ESTIMATES is typically sparse).
-    """
-    aug = WeightedDigraph()
-    for node in graph.nodes:
-        aug.add_node(node)
-    for u, v, w in graph.edges():
-        aug.add_edge(u, v, w)
-    virtual = ("__johnson_virtual__",)
-    aug.add_node(virtual)
-    for node in graph.nodes:
-        aug.add_edge(virtual, node, 0.0)
-
-    h, _ = bellman_ford(aug, virtual)
-
-    reweighted = WeightedDigraph()
-    for node in graph.nodes:
-        reweighted.add_node(node)
-    for u, v, w in graph.edges():
-        rw = w + h[u] - h[v]
-        # Clamp tiny negatives introduced by float rounding.
-        if -1e-9 < rw < 0:
-            rw = 0.0
-        reweighted.add_edge(u, v, rw)
-
-    out: Dict[Node, Dict[Node, float]] = {}
-    for source in graph.nodes:
-        dist, _ = dijkstra(reweighted, source)
-        out[source] = {
-            v: (d - h[source] + h[v] if d != INF else INF)
-            for v, d in dist.items()
-        }
-    return out
-
-
-def all_pairs_shortest_paths(
-    graph: WeightedDigraph, dense_threshold: float = 0.5
-) -> Dict[Node, Dict[Node, float]]:
-    """All-pairs distances, choosing a backend by size and density.
-
-    Small graphs use the scalar Floyd--Warshall (no array overhead);
-    large dense graphs the numpy variant; large sparse graphs Johnson.
-    """
-    n = graph.number_of_nodes()
-    if n == 0:
-        return {}
-    m = graph.number_of_edges()
-    density = m / max(1, n * (n - 1))
-    if n <= 8:
-        return floyd_warshall(graph)
-    if density >= dense_threshold:
-        return floyd_warshall_numpy(graph) if n > 24 else floyd_warshall(graph)
-    return johnson(graph)
-
-
 __all__ = [
     "NegativeCycleError",
     "bellman_ford",
-    "dijkstra",
     "floyd_warshall",
-    "floyd_warshall_numpy",
-    "johnson",
-    "all_pairs_shortest_paths",
-    "reconstruct_path",
 ]

@@ -48,7 +48,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.live.clock import LiveClock
 from repro.live.trace import views_from_probes
-from repro.live.transport import SERVER_ID, LossyNetwork, SegmentChannel
+from repro.live.transport import (
+    SERVER_ID,
+    LossyNetwork,
+    SegmentChannel,
+    enlarge_receive_buffer,
+)
 from repro.live.wire import (
     Probe,
     Report,
@@ -113,6 +118,7 @@ class ProbePeer(asyncio.DatagramProtocol):
 
     def connection_made(self, transport) -> None:  # pragma: no cover - glue
         self._transport = transport
+        enlarge_receive_buffer(transport)
         if self.config.transport is not None:
             self._channel = SegmentChannel(
                 self.config.processor,

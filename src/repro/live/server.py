@@ -50,7 +50,12 @@ from repro.core.synchronizer import SyncResult
 from repro.delays.system import System, UnknownLinkError
 from repro.extensions.online import OnlineSynchronizer
 from repro.live.trace import ProbeLog
-from repro.live.transport import SERVER_ID, LossyNetwork, SegmentChannel
+from repro.live.transport import (
+    SERVER_ID,
+    LossyNetwork,
+    SegmentChannel,
+    enlarge_receive_buffer,
+)
 from repro.live.wire import (
     Correction,
     Query,
@@ -97,8 +102,6 @@ class CorrectionServer(asyncio.DatagramProtocol):
         *,
         freshness: float = DEFAULT_FRESHNESS,
         root: Optional[WireId] = None,
-        method: str = "karp",
-        backend: Optional[str] = None,
         reject_outliers: bool = True,
         fallback: bool = True,
         keep_answers: bool = True,
@@ -113,8 +116,6 @@ class CorrectionServer(asyncio.DatagramProtocol):
         self._online = OnlineSynchronizer(
             system,
             root=root,
-            method=method,
-            backend=backend,
             reject_outliers=reject_outliers,
             fallback=fallback,
         )
@@ -143,6 +144,7 @@ class CorrectionServer(asyncio.DatagramProtocol):
 
     def connection_made(self, transport) -> None:  # pragma: no cover - glue
         self._transport = transport
+        enlarge_receive_buffer(transport)
         if self._transport_config is not None:
             self._channel = SegmentChannel(
                 self._server_id,

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+import socket
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -68,6 +69,31 @@ LIVE_TRANSPORT_CONFIG = TransportConfig(
     window=64,
     max_retries=8,
 )
+
+
+#: Receive buffer asked for on every peer and server socket.  The Linux
+#: default (~208 KB) holds roughly 150 small datagrams: well under a
+#: tenth of a second of a 4-peer cluster probing every 5 ms.  A short
+#: event-loop stall then overflows it, and the retransmissions of the
+#: dropped segments keep it overflowing for seconds.
+RECEIVE_BUFFER_BYTES = 4 << 20
+
+
+def enlarge_receive_buffer(transport: asyncio.BaseTransport) -> None:
+    """Ask for a :data:`RECEIVE_BUFFER_BYTES` receive buffer on the socket.
+
+    The kernel caps the request at ``net.core.rmem_max``; a platform
+    that refuses it keeps its default buffer.
+    """
+    sock = transport.get_extra_info("socket")
+    if sock is None:
+        return
+    try:
+        sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_RCVBUF, RECEIVE_BUFFER_BYTES
+        )
+    except OSError:
+        get_recorder().count("live.rcvbuf_refused")
 
 
 class LossyNetwork:
@@ -295,7 +321,9 @@ class SegmentChannel:
 
 __all__ = [
     "LIVE_TRANSPORT_CONFIG",
+    "RECEIVE_BUFFER_BYTES",
     "SERVER_ID",
     "LossyNetwork",
     "SegmentChannel",
+    "enlarge_receive_buffer",
 ]

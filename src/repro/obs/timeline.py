@@ -224,8 +224,6 @@ def replay_online(
     alpha,
     timeline: Optional[Timeline] = None,
     root=None,
-    method: str = "karp",
-    backend: Optional[str] = None,
     per_pair: bool = False,
     corrupt_at: Optional[int] = None,
     corrupt_delta: float = 0.0,
@@ -261,9 +259,7 @@ def replay_online(
     from repro.core.precision import realized_spread
     from repro.extensions.online import OnlineSynchronizer
 
-    online = OnlineSynchronizer(
-        system, root=root, method=method, backend=backend
-    )
+    online = OnlineSynchronizer(system, root=root)
     timeline = timeline if timeline is not None else Timeline()
     result = ReplayResult(online=online, timeline=timeline)
 

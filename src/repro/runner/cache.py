@@ -5,7 +5,7 @@ cell's result is stored under a sha256 digest of *what determines the
 result* -- the full system ``(G, A)`` (via the canonical
 :func:`~repro.analysis.system_io.system_to_dict` encoding), the per-link
 sampler specifications, the start times, the scenario name, the seed and
-the execution options (certification, backend).  Identical inputs hash
+the certification option.  Identical inputs hash
 identically across processes and sessions, so a cache directory shared
 between shard runners or CI jobs deduplicates work with no coordination.
 
@@ -34,7 +34,8 @@ log = get_logger("repro.runner.cache")
 #: Bump on any change to the key derivation or the stored record shape.
 #: 2: fault plans became part of the cell identity (``faults`` key).
 #: 3: cell records carry the ``degraded`` flag.
-CACHE_VERSION = 3
+#: 4: the ``backend`` key was dropped (one engine at every size).
+CACHE_VERSION = 4
 
 
 def cell_cache_key(task: CellTask) -> Optional[str]:
@@ -65,7 +66,6 @@ def cell_cache_key(task: CellTask) -> Optional[str]:
         "builder": task.spec.builder,
         "seed": task.spec.seed,
         "certify": task.certify,
-        "backend": task.backend or "auto",
         # The scenario name already encodes the plan's name+seed (see
         # Scenario.with_faults), but the full serialized plan makes two
         # distinct plans with the same label hash differently.

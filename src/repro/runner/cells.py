@@ -7,7 +7,7 @@ campaigns embarrassingly parallel.  This module defines
 
 * :class:`CellSpec` -- the identity of a cell (what to run);
 * :class:`CellTask` -- a spec plus how to run it (builder callable,
-  certification and backend options);
+  certification option);
 * :class:`CellResult` -- the typed outcome (precision, ``rho_bar``,
   realized spread, per-stage timings, cache provenance) that campaigns
   and :func:`repro.sweep` return instead of ad-hoc tuples;
@@ -25,7 +25,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Tuple, Union
 
 from repro.core.optimality import verify_certificate
 from repro.core.precision import realized_spread
@@ -66,7 +66,6 @@ class CellTask:
     spec: CellSpec
     build: CellBuilder
     certify: bool = True
-    backend: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -79,12 +78,13 @@ class CellResult:
     corrected-clock spread of the simulated execution, and ``sound``
     whether the realized spread stayed within the claimed precision.
     ``timings`` holds the engine's per-stage seconds for this cell;
-    ``seconds`` is the cell's wall-clock time.  ``cache_hit`` marks
-    results restored from the content-addressed cache (their timings are
-    the original run's).  ``degraded`` marks results the pipeline
-    produced in degraded mode (fault-injected runs with isolated
-    processors or root substitutions; see
-    :class:`~repro.core.synchronizer.DegradedResult`).
+    ``seconds`` is the cell's wall-clock time.  ``backend`` records the
+    engine name -- ``numpy`` for every cell now; the field stays so older
+    shard files still load.  ``cache_hit`` marks results restored from
+    the content-addressed cache (their timings are the original run's).
+    ``degraded`` marks results the pipeline produced in degraded mode
+    (fault-injected runs with isolated processors or root substitutions;
+    see :class:`~repro.core.synchronizer.DegradedResult`).
     """
 
     scenario: str
@@ -197,9 +197,7 @@ def execute_cell(task: CellTask) -> CellOutcome:
         recorder.observers = list(ambient.observers)
     with recording(recorder):
         alpha = scenario.run()
-        synchronizer = ClockSynchronizer(
-            scenario.system, backend=task.backend
-        )
+        synchronizer = ClockSynchronizer(scenario.system)
         result = synchronizer.from_execution(alpha)
         if task.certify:
             verify_certificate(result)

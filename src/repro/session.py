@@ -1,8 +1,8 @@
 """Typed run configuration: :class:`Session` and :class:`ObsOptions`.
 
 Before this module the same bundle of knobs -- observability exports,
-engine backend, worker count, fault plan -- was re-declared as loose
-kwargs by :func:`repro.run`, :func:`repro.sweep`,
+worker count, fault plan -- was re-declared as loose kwargs by
+:func:`repro.run`, :func:`repro.sweep`,
 :meth:`Campaign.run <repro.workloads.campaign.Campaign.run>` and five
 CLI subcommands, each copy drifting slightly.  These two dataclasses
 are the single home:
@@ -11,8 +11,8 @@ are the single home:
   it.  :meth:`ObsOptions.activate` installs a recorder for a ``with``
   block and performs the exports on exit (the exact behaviour the CLI's
   private ``_observability`` helper used to implement).
-* :class:`Session` -- everything else a run shares: backend, pipeline
-  root/method, certification, worker count, fault plan.  Pass one
+* :class:`Session` -- everything else a run shares: pipeline root,
+  certification, worker count, fault plan.  Pass one
   ``session=`` to :func:`repro.run` / :func:`repro.sweep` instead of
   repeating the kwargs.
 
@@ -152,18 +152,16 @@ class ObsOptions:
 class Session:
     """The cross-cutting configuration of one run, sweep, or service.
 
-    One object replaces the backend/workers/faults/obs kwargs that used
+    One object replaces the workers/faults/obs kwargs that used
     to be threaded separately through every entry point.  Fields left
     at ``None`` defer to each call site's own default, so a partially
     filled session composes with explicit keyword overrides (explicit
     wins).
     """
 
-    backend: Optional[str] = None          #: matrix engine backend
     workers: Optional[int] = None          #: campaign worker processes
     certify: Optional[bool] = None         #: verify optimality certificates
     root: Optional[ProcessorId] = None     #: correction gauge processor
-    method: Optional[str] = None           #: cycle-detection method
     #: a :class:`~repro.faults.plan.FaultPlan` or a path to one.
     faults: Union[object, str, Path, None] = None
     obs: ObsOptions = field(default_factory=ObsOptions)
@@ -172,7 +170,6 @@ class Session:
     def from_args(cls, args, *, force_obs: bool = False) -> "Session":
         """Build a session from the shared CLI flags."""
         return cls(
-            backend=getattr(args, "backend", None),
             workers=getattr(args, "workers", None),
             faults=getattr(args, "faults", None),
             obs=ObsOptions.from_args(args, force=force_obs),

@@ -151,12 +151,7 @@ class Campaign:
             clone.add(name, with_fault_plan(builder, plan))
         return clone
 
-    def tasks(
-        self,
-        topologies: Sequence[Topology],
-        *,
-        backend: Optional[str] = None,
-    ) -> List[CellTask]:
+    def tasks(self, topologies: Sequence[Topology]) -> List[CellTask]:
         """The full grid as executable cells, in canonical order.
 
         Canonical order is builders outer, topologies inner, seeds
@@ -175,7 +170,6 @@ class Campaign:
                             ),
                             build=builder,
                             certify=self._certify,
-                            backend=backend,
                         )
                     )
         return cells
@@ -187,7 +181,6 @@ class Campaign:
         workers: Optional[int] = None,
         shard: Union[Shard, str, None] = None,
         cache_dir: Optional[str] = None,
-        backend: Optional[str] = None,
         cell_timeout: Optional[float] = None,
         retries: int = 0,
         retry_backoff: float = 0.0,
@@ -208,7 +201,7 @@ class Campaign:
         :func:`~repro.workloads.parallel.run_campaign`).
         """
         return run_campaign(
-            self.tasks(topologies, backend=backend),
+            self.tasks(topologies),
             workers=workers,
             shard=shard,
             cache_dir=cache_dir,
@@ -229,7 +222,6 @@ class Campaign:
         workers: Optional[int] = None,
         shard: Union[Shard, str, None] = None,
         cache_dir: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> List[CampaignCell]:
         """Execute the full sweep and return per-cell aggregated results.
 
@@ -242,7 +234,6 @@ class Campaign:
             workers=workers,
             shard=shard,
             cache_dir=cache_dir,
-            backend=backend,
         )
         return self.group_results(outcome.results)
 
@@ -286,7 +277,6 @@ class Campaign:
         workers: Optional[int] = None,
         shard: Union[Shard, str, None] = None,
         cache_dir: Optional[str] = None,
-        backend: Optional[str] = None,
         results_dir: Union[str, Path, None] = None,
         bounded_memory: bool = False,
         executor: Optional[str] = None,
@@ -299,7 +289,6 @@ class Campaign:
             workers=workers,
             shard=shard,
             cache_dir=cache_dir,
-            backend=backend,
             results_dir=results_dir,
             bounded_memory=bounded_memory,
             executor=executor,

@@ -80,11 +80,6 @@ class TestRun:
         with pytest.raises(TypeError):
             repro.run(system, alpha, "numpy")  # noqa: too many positionals
 
-    def test_explicit_backend_is_used(self):
-        system, alpha = simulate()
-        result = repro.run(system, alpha, backend="python")
-        assert result.precision == repro.run(system, alpha).precision
-
 
 class TestSweep:
     def test_returns_summary_table(self):

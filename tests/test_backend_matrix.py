@@ -1,16 +1,16 @@
-"""Cross-backend matrix: every cycle-mean backend, every delay model.
+"""Cross-backend matrix: both engine backends, every delay model.
 
-The ``method=`` knob must be purely a performance choice: for each
-scenario family, all three backends must produce certified results with
-identical precision and equally optimal corrections.
+For each scenario family the numpy engine (the production path) and the
+python reference engine must produce certified results with identical
+precision and equally optimal corrections.
 """
 
 import pytest
 
 from repro.core.optimality import verify_certificate
 from repro.core.precision import rho_bar
-from repro.core.shifts import CYCLE_MEAN_METHODS
 from repro.core.synchronizer import ClockSynchronizer
+from repro.engine import available_backends
 from repro.graphs.topology import ring
 from repro.workloads.scenarios import (
     bounded_uniform,
@@ -30,16 +30,18 @@ SCENARIOS = {
 
 
 @pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
-@pytest.mark.parametrize("method", sorted(CYCLE_MEAN_METHODS))
-def test_backend_certified_on_every_model(scenario_name, method):
+@pytest.mark.parametrize("backend", available_backends())
+def test_backend_certified_on_every_model(scenario_name, backend):
     scenario = SCENARIOS[scenario_name]()
     alpha = scenario.run()
-    result = ClockSynchronizer(scenario.system, method=method).from_execution(
-        alpha
-    )
+    result = ClockSynchronizer(
+        scenario.system, backend=backend
+    ).from_execution(alpha)
     verify_certificate(result)
-    # Cross-check precision against the default backend.
-    reference = ClockSynchronizer(scenario.system).from_execution(alpha)
+    # Cross-check precision against the reference backend.
+    reference = ClockSynchronizer(
+        scenario.system, backend="python"
+    ).from_execution(alpha)
     assert result.precision == pytest.approx(reference.precision, abs=1e-9)
     # Both correction sets are optimal under the same ms~.
     assert rho_bar(reference.ms_tilde, result.corrections) == pytest.approx(

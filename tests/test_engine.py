@@ -1,7 +1,7 @@
 """Unit tests for the matrix engine layer (repro.engine).
 
-Covers the ProcessorIndex row mapping, the EngineStats hooks, the
-backend registry, the numpy kernels against their graph-code oracles,
+Covers the ProcessorIndex row mapping, the EngineStats hooks, backend
+selection by name (numpy at every size), the numpy kernels against their graph-code oracles,
 the shared argument validation of the engine base class, and the
 incremental closure update of the numpy backend.
 """
@@ -14,18 +14,16 @@ import pytest
 from repro._types import INF
 from repro.core.global_estimates import InconsistentViewsError
 from repro.core.shifts import UnboundedPrecisionError
+from repro.core.synchronizer import ClockSynchronizer
+from repro.delays.bounds import BoundedDelay
+from repro.delays.system import System
 from repro.engine import (
-    AUTO_BACKEND,
-    NUMPY_BACKEND_THRESHOLD,
     NumpyEngine,
     ProcessorIndex,
     PythonEngine,
     available_backends,
     create_engine,
-    register_backend,
-    resolve_backend_name,
 )
-from repro.engine import registry
 from repro.engine.numpy_backend import (
     bellman_ford_matrix,
     has_negative_diagonal,
@@ -35,7 +33,8 @@ from repro.engine.numpy_backend import (
 from repro.engine.stats import EngineStats
 from repro.graphs.digraph import WeightedDigraph
 from repro.graphs.karp import maximum_cycle_mean
-from repro.graphs.shortest_paths import all_pairs_shortest_paths, bellman_ford
+from repro.graphs.shortest_paths import bellman_ford, floyd_warshall
+from repro.graphs.topology import complete, ring
 
 
 def potentials_matrix(rng, n, density=1.0, lo=0.0, hi=4.0):
@@ -157,38 +156,24 @@ class TestRegistry:
     def test_available_backends(self):
         assert available_backends() == ["numpy", "python"]
 
-    def test_auto_selects_by_size(self):
-        assert resolve_backend_name(None, NUMPY_BACKEND_THRESHOLD) == "numpy"
-        assert (
-            resolve_backend_name(None, NUMPY_BACKEND_THRESHOLD - 1) == "python"
-        )
-        assert resolve_backend_name(AUTO_BACKEND, 100) == "numpy"
-        assert resolve_backend_name(None, None) == "python"
-        assert resolve_backend_name("python", 100) == "python"
+    @pytest.mark.parametrize("n", [1, 2, 4, 11, 12])
+    def test_numpy_at_every_size(self, n):
+        topology = complete(n) if n < 3 else ring(n)
+        system = System.uniform(topology, BoundedDelay.symmetric(1.0, 3.0))
+        assert ClockSynchronizer(system).backend == "numpy"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            resolve_backend_name("cuda")
+        system = System.uniform(ring(4), BoundedDelay.symmetric(1.0, 3.0))
+        for name in ("auto", "cuda"):
+            with pytest.raises(ValueError, match="unknown engine backend"):
+                create_engine(name)
+            with pytest.raises(ValueError, match="unknown engine backend"):
+                ClockSynchronizer(system, backend=name)
 
     def test_create_engine(self):
         assert isinstance(create_engine("python"), PythonEngine)
         assert isinstance(create_engine("numpy"), NumpyEngine)
-        assert isinstance(create_engine(None, 100), NumpyEngine)
-
-    def test_register_backend_guards(self):
-        with pytest.raises(ValueError, match="reserved"):
-            register_backend(AUTO_BACKEND, PythonEngine)
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("python", PythonEngine)
-
-    def test_register_custom_backend(self):
-        register_backend("custom-test", PythonEngine)
-        try:
-            assert "custom-test" in available_backends()
-            assert resolve_backend_name("custom-test") == "custom-test"
-            assert isinstance(create_engine("custom-test"), PythonEngine)
-        finally:
-            registry._FACTORIES.pop("custom-test", None)
+        assert isinstance(create_engine(), NumpyEngine)
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +194,7 @@ class TestKernels:
             for j in range(n):
                 if i != j and np.isfinite(mls[i, j]):
                     graph.add_edge(i, j, mls[i, j])
-        dist = all_pairs_shortest_paths(graph)
+        dist = floyd_warshall(graph)
         closure = min_plus_closure(mls)
         for i in range(n):
             for j in range(n):
@@ -273,11 +258,6 @@ class TestEngineValidation:
     def test_non_square_rejected(self, engine_cls):
         with pytest.raises(ValueError, match="square"):
             engine_cls().global_estimates(np.zeros((2, 3)))
-
-    def test_unknown_method_rejected(self, engine_cls):
-        ms = np.zeros((2, 2))
-        with pytest.raises(ValueError, match="cycle-mean method"):
-            engine_cls().shifts(ms, method="fancy")
 
     def test_bad_rows_rejected(self, engine_cls):
         ms = np.zeros((3, 3))

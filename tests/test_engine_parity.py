@@ -94,7 +94,7 @@ def assert_engines_agree(mls):
 def test_random_system_parity(seed):
     """~50 random instances: dense, sparse, and multi-block shapes."""
     rng = random.Random(seed)
-    n = rng.randint(2, 14)
+    n = rng.randint(1, 14)
     blocks = 1 if seed % 3 else rng.randint(1, min(3, n))
     density = rng.uniform(0.4, 1.0)
     assert_engines_agree(random_mls_matrix(rng, n, density, blocks))

@@ -95,11 +95,9 @@ class TestExperimentShapes:
         assert means[0] >= means[-1]
 
     def test_e9_reports_timings(self):
-        stages, backends, engines = run_experiment("E9", quick=True)
+        stages, engines = run_experiment("E9", quick=True)
         for row in stages.rows:
             assert row[-1] > 0  # total time positive
-        for row in backends.rows:
-            assert all(cell > 0 for cell in row[1:])
         for row in engines.rows:
             assert all(cell > 0 for cell in row[1:])  # times and speedup
 

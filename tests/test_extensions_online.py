@@ -81,10 +81,6 @@ class TestNumpyIncrementalPath:
         with pytest.raises(ValueError, match="unknown engine backend"):
             OnlineSynchronizer(scenario.system, backend="cuda")
 
-    def test_method_validated_eagerly(self, scenario):
-        with pytest.raises(ValueError, match="cycle-mean method"):
-            OnlineSynchronizer(scenario.system, method="fancy")
-
 
 class TestIncrementalBehaviour:
     def test_precision_monotone_in_observations(self, scenario):

@@ -28,6 +28,7 @@ from repro.analysis.system_io import load_system
 from repro.analysis.trace import load_execution
 from repro.core.optimality import verify_certificate
 from repro.core.synchronizer import ClockSynchronizer
+from repro.engine import available_backends
 
 DATA = Path(__file__).parent / "data"
 
@@ -76,13 +77,13 @@ class TestGoldenTrace:
 
     def test_all_backends_agree_on_golden_instance(self, archive):
         system, alpha = archive
-        for method in ("karp", "karp-numpy", "howard"):
-            result = ClockSynchronizer(system, method=method).from_execution(
-                alpha
-            )
+        for backend in available_backends():
+            result = ClockSynchronizer(
+                system, backend=backend
+            ).from_execution(alpha)
             assert result.precision == pytest.approx(
                 PINNED_PRECISION, abs=1e-9
-            ), method
+            ), backend
 
 
 BIAS_PINNED_PRECISION = 0.12685070296264667

@@ -1,24 +1,43 @@
-"""Tests for the numpy Karp backend (repro.graphs.karp_numpy)."""
+"""Tests for the numpy Karp kernel the engine runs
+(repro.engine.numpy_backend.karp_max_cycle_mean_matrix), cross-checked
+against the scalar Karp reference (repro.graphs.karp)."""
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.graphs.digraph import WeightedDigraph
-from repro.graphs.karp import cycle_mean, minimum_cycle_mean
-from repro.graphs.karp_numpy import (
-    maximum_cycle_mean_numpy,
-    minimum_cycle_mean_numpy,
+from repro.engine.numpy_backend import (
+    _critical_cycle_matrix,
+    karp_max_cycle_mean_matrix,
 )
+from repro.graphs.digraph import WeightedDigraph
+from repro.graphs.karp import cycle_mean, maximum_cycle_mean
+
+INF = float("inf")
 
 
-def random_graph(rng, n, density=0.4):
+def to_matrix(g: WeightedDigraph) -> np.ndarray:
+    """Dense weight matrix of ``g`` (nodes 0..n-1); ``inf`` = no edge."""
+    n = g.number_of_nodes()
+    m = np.full((n, n), INF)
+    for u, v, w in g.edges():
+        m[u, v] = w
+    return m
+
+
+def random_strong_graph(rng, n, density=0.4):
+    """Random digraph made strongly connected by a Hamiltonian ring.
+
+    The matrix kernel walks from row 0 and so assumes strong
+    connectivity -- which every all-finite ms~ submatrix has.
+    """
     g = WeightedDigraph()
     for i in range(n):
         g.add_node(i)
     for u in range(n):
         for v in range(n):
-            if u != v and rng.random() < density:
+            if u != v and (v == (u + 1) % n or rng.random() < density):
                 g.add_edge(u, v, rng.uniform(-5.0, 5.0))
     return g
 
@@ -28,28 +47,31 @@ class TestKnownInstances:
         g = WeightedDigraph.from_edges(
             [(0, 1, 2.0), (1, 0, 4.0), (1, 2, 1.0), (2, 0, 3.0)]
         )
-        assert minimum_cycle_mean_numpy(g).mean == pytest.approx(2.0)
-        assert maximum_cycle_mean_numpy(g).mean == pytest.approx(3.0)
+        assert karp_max_cycle_mean_matrix(to_matrix(g)) == pytest.approx(3.0)
 
     def test_acyclic(self):
         g = WeightedDigraph.from_edges([(0, 1, 1.0), (1, 2, 1.0)])
-        assert minimum_cycle_mean_numpy(g).is_acyclic
+        assert karp_max_cycle_mean_matrix(to_matrix(g)) is None
 
     def test_empty(self):
-        assert minimum_cycle_mean_numpy(WeightedDigraph()).is_acyclic
+        assert karp_max_cycle_mean_matrix(np.zeros((0, 0))) is None
+        assert karp_max_cycle_mean_matrix(np.zeros((1, 1))) is None
 
     def test_self_loop(self):
+        """The diagonal is ignored: ms~ digraphs have no self-loops."""
         g = WeightedDigraph.from_edges(
-            [(0, 0, -7.0), (0, 1, 1.0), (1, 0, 1.0)]
+            [(0, 0, 7.0), (0, 1, 1.0), (1, 0, 1.0)]
         )
-        assert minimum_cycle_mean_numpy(g).mean == pytest.approx(-7.0)
+        assert karp_max_cycle_mean_matrix(to_matrix(g)) == pytest.approx(1.0)
 
     def test_witness_achieves_mean(self):
         g = WeightedDigraph.from_edges(
             [(0, 1, 2.0), (1, 0, 4.0), (1, 2, 1.0), (2, 0, 3.0)]
         )
-        result = minimum_cycle_mean_numpy(g)
-        assert cycle_mean(g, result.cycle) == pytest.approx(result.mean)
+        weights = to_matrix(g)
+        mean = karp_max_cycle_mean_matrix(weights)
+        cycle = _critical_cycle_matrix(weights, mean)
+        assert cycle_mean(g, cycle) == pytest.approx(mean)
 
 
 class TestCrossValidation:
@@ -57,27 +79,30 @@ class TestCrossValidation:
     def test_matches_scalar_karp(self, seed):
         rng = random.Random(seed)
         for _ in range(30):
-            g = random_graph(rng, rng.randrange(2, 10))
-            a = minimum_cycle_mean(g)
-            b = minimum_cycle_mean_numpy(g)
-            if a.is_acyclic:
-                assert b.is_acyclic
-            else:
-                assert b.mean == pytest.approx(a.mean, abs=1e-9)
+            g = random_strong_graph(rng, rng.randrange(2, 10))
+            weights = to_matrix(g)
+            mean = karp_max_cycle_mean_matrix(weights)
+            assert mean == pytest.approx(
+                maximum_cycle_mean(g).mean, abs=1e-9
+            )
+            cycle = _critical_cycle_matrix(weights, mean)
+            assert cycle_mean(g, cycle) == pytest.approx(mean, abs=1e-9)
 
     def test_dense_large(self):
         rng = random.Random(9)
-        g = random_graph(rng, 30, density=1.0)
-        a = minimum_cycle_mean(g)
-        b = minimum_cycle_mean_numpy(g)
-        assert b.mean == pytest.approx(a.mean, abs=1e-9)
+        g = random_strong_graph(rng, 30, density=1.0)
+        assert karp_max_cycle_mean_matrix(to_matrix(g)) == pytest.approx(
+            maximum_cycle_mean(g).mean, abs=1e-9
+        )
 
 
 class TestShiftsBackend:
     def test_registered_and_consistent(self):
-        from repro.core.shifts import CYCLE_MEAN_METHODS, shifts
+        """The numpy engine's SHIFTS agrees with the scalar reference."""
+        from repro.core.shifts import shifts
+        from repro.engine import NumpyEngine, available_backends
 
-        assert "karp-numpy" in CYCLE_MEAN_METHODS
+        assert "numpy" in available_backends()
         ms = {
             (0, 1): 2.0,
             (1, 2): 2.0,
@@ -86,6 +111,9 @@ class TestShiftsBackend:
             (2, 1): 0.0,
             (0, 2): 0.0,
         }
-        a = shifts([0, 1, 2], ms, method="karp")
-        b = shifts([0, 1, 2], ms, method="karp-numpy")
-        assert b.precision == pytest.approx(a.precision)
+        matrix = np.zeros((3, 3))
+        for (p, q), value in ms.items():
+            matrix[p, q] = value
+        reference = shifts([0, 1, 2], ms)
+        engine = NumpyEngine().shifts(matrix)
+        assert engine.a_max == pytest.approx(reference.precision)

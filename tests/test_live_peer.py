@@ -30,7 +30,7 @@ class FakeTransport:
         self.sent.append((data, addr))
 
     def get_extra_info(self, name):
-        return ("127.0.0.1", 12345)
+        return ("127.0.0.1", 12345) if name == "sockname" else None
 
     def close(self):
         pass

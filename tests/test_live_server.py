@@ -16,16 +16,20 @@ import asyncio
 
 import pytest
 
+from repro.extensions.online import OnlineSynchronizer
 from repro.graphs.topology import complete
 from repro.live.cluster import ClusterConfig, LiveCluster, live_system
 from repro.live.replay import replay_cut, verify_replay_equality
+from repro.live.trace import ProbeLog
 from repro.live.server import (
     CorrectionServer,
     start_client,
     start_correction_server,
 )
 from repro.live.wire import Query, Report, encode
+from repro.model.events import MessageReceiveEvent
 from repro.obs.recorder import Recorder, recording
+from repro.workloads.scenarios import lower_bound_only
 
 
 def make_reports(rounds=4, n=3, spacing=1.0):
@@ -386,3 +390,59 @@ class TestClusterEndToEnd:
         [answer] = asyncio.run(scenario())
         assert answer.qid == 7 and answer.client == 2
         assert answer.status == "ok"
+
+
+def execution_reports(alpha):
+    """One probe-log record per delivered message, in delivery order."""
+    send_clock, recv_clock = {}, {}
+    for view in alpha.views().values():
+        for step in view.steps:
+            for event in step.sends:
+                send_clock[event.message.uid] = step.clock_time
+            if isinstance(step.interrupt, MessageReceiveEvent):
+                recv_clock[step.interrupt.message.uid] = step.clock_time
+    records = sorted(
+        alpha.message_records().values(),
+        key=lambda r: (r.receive_real_time, r.message.uid),
+    )
+    return [
+        Report(
+            sender=r.message.sender,
+            receiver=r.message.receiver,
+            seq=r.message.uid,
+            send_clock=send_clock[r.message.uid],
+            recv_clock=recv_clock[r.message.uid],
+        )
+        for r in records
+    ]
+
+
+class TestStreamingReplayContract:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_every_refresh_equals_batch_on_its_prefix(self, seed):
+        """The live server's model on the numpy engine: each refresh of
+        the incrementally repaired closure is float-equal to the batch
+        pipeline over the probe log's prefix -- the replay audit's
+        contract, with no tolerance."""
+        scenario = lower_bound_only(
+            complete(4), 0.0, 1.0, probes=6, seed=seed
+        )
+        system = scenario.system
+        online = OnlineSynchronizer(system)
+        log = ProbeLog()
+        refreshes = 0
+        for report in execution_reports(scenario.run()):
+            log.append(report)
+            if not online.observe_timestamps(
+                report.sender, report.receiver,
+                report.send_clock, report.recv_clock,
+            ):
+                continue
+            streamed = online.result()
+            batch = replay_cut(log, system, len(log))
+            assert streamed.corrections == batch.corrections
+            assert streamed.precision == batch.precision
+            refreshes += 1
+        assert refreshes > 0
+        counters = online.synchronizer.engine.stats.counters
+        assert counters.get("incremental_update.calls", 0) > 0

@@ -10,16 +10,25 @@ ISSUE requirements covered here:
   reports an unresponsive peer unreachable instead of hanging;
 * a real loopback cluster under >= 20% injected datagram loss plus
   reordering still serves replay-audited corrections with **zero lost
-  observations** -- the tentpole's live acceptance criterion.
+  observations** -- the tentpole's live acceptance criterion;
+* peer and server sockets are bound with a receive buffer large enough
+  that the kernel does not drop a busy cluster's datagrams.
 """
 
 import asyncio
+import socket
+from pathlib import Path
 
 import pytest
 
-from repro.live.cluster import run_smoke
+from repro.graphs.topology import complete
+from repro.live.clock import LiveClock
+from repro.live.cluster import live_system, run_smoke
+from repro.live.peer import PeerConfig, start_peer
+from repro.live.server import start_correction_server
 from repro.live.transport import (
     LIVE_TRANSPORT_CONFIG,
+    RECEIVE_BUFFER_BYTES,
     SERVER_ID,
     LossyNetwork,
     SegmentChannel,
@@ -253,3 +262,38 @@ class TestLossySmoke:
         assert len(sent) == counters["passed"]
         with pytest.raises(ValueError):
             LossyNetwork(loss=1.0)
+
+
+def _granted_receive_buffer() -> int:
+    """The buffer the kernel grants for a RECEIVE_BUFFER_BYTES request.
+
+    Linux caps the request at ``net.core.rmem_max`` (and reports double
+    the capped value); other platforms grant it as asked.
+    """
+    try:
+        rmem_max = int(Path("/proc/sys/net/core/rmem_max").read_text())
+    except OSError:
+        return RECEIVE_BUFFER_BYTES
+    return min(RECEIVE_BUFFER_BYTES, rmem_max)
+
+
+class TestReceiveBuffer:
+    def test_server_and_peer_sockets_get_the_large_buffer(self):
+        async def scenario():
+            server = await start_correction_server(live_system(complete(2)))
+            peer = await start_peer(
+                PeerConfig(processor=0, clock=LiveClock(0.0, epoch=0.0))
+            )
+            try:
+                return [
+                    endpoint._transport.get_extra_info("socket").getsockopt(
+                        socket.SOL_SOCKET, socket.SO_RCVBUF
+                    )
+                    for endpoint in (server, peer)
+                ]
+            finally:
+                server.close()
+                await peer.stop()
+
+        for size in asyncio.run(scenario()):
+            assert size >= _granted_receive_buffer()

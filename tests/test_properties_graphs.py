@@ -15,12 +15,7 @@ from repro.graphs.karp import (
     maximum_cycle_mean,
     minimum_cycle_mean,
 )
-from repro.graphs.shortest_paths import (
-    NegativeCycleError,
-    bellman_ford,
-    floyd_warshall,
-    johnson,
-)
+from repro.graphs.shortest_paths import NegativeCycleError, bellman_ford
 
 # Integer-valued weights keep float arithmetic exact, so "negative cycle"
 # means the same thing to our tolerance-based detector (which deliberately
@@ -114,19 +109,3 @@ class TestShortestPathProperties:
             dist, _ = bellman_ford(g, 0)
             for node, d in expected.items():
                 assert abs(dist[node] - d) < 1e-7
-
-    @given(digraphs())
-    @settings(max_examples=40, deadline=None)
-    def test_johnson_matches_floyd_warshall(self, g):
-        try:
-            fw = floyd_warshall(g)
-        except NegativeCycleError:
-            return  # covered by the bellman-ford property
-        jo = johnson(g)
-        for u in g.nodes:
-            for v in g.nodes:
-                a, b = fw[u][v], jo[u][v]
-                if a == float("inf") or b == float("inf"):
-                    assert a == b
-                else:
-                    assert abs(a - b) < 1e-6

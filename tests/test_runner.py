@@ -176,7 +176,6 @@ class TestResultCache:
     def test_key_sensitive_to_options_and_topology(self):
         base = cell_cache_key(make_task())
         assert base != cell_cache_key(make_task(certify=False))
-        assert base != cell_cache_key(make_task(backend="python"))
         assert base != cell_cache_key(make_task(topology=ring(5)))
 
     def test_key_sensitive_to_sampler_not_builder_name(self):

@@ -68,11 +68,11 @@ class TestObsOptions:
 
 class TestSession:
     def test_merged_explicit_wins(self):
-        session = Session(backend="python", workers=2)
-        merged = session.merged(backend="numpy")
-        assert merged.backend == "numpy"
+        session = Session(certify=False, workers=2)
+        merged = session.merged(certify=True)
+        assert merged.certify is True
         assert merged.workers == 2
-        assert session.backend == "python"  # original untouched
+        assert session.certify is False  # original untouched
 
     def test_merged_rejects_unknown_field(self):
         with pytest.raises(TypeError, match="no field"):
@@ -94,7 +94,7 @@ class TestSession:
         base = repro.run(scenario.system, execution)
         via_session = repro.run(
             scenario.system, execution,
-            session=Session(backend="python", method="karp"),
+            session=Session(certify=True),
         )
         assert via_session.corrections == base.corrections
         assert via_session.precision == base.precision
@@ -105,7 +105,7 @@ class TestSession:
 
         table = repro.sweep(
             {"bounded": builder}, [ring(3)], seeds=(0,),
-            session=Session(backend="python", workers=1),
+            session=Session(certify=True, workers=1),
         )
         assert len(table.rows) == 1
 
