@@ -102,16 +102,14 @@ def sweep(
     shard: Union[Shard, str, None] = None,
     cache_dir: Optional[str] = None,
     results_dir: Optional[str] = None,
-    executor: Optional[str] = None,
 ) -> Table:
     """Run a campaign grid and summarise it as one table.
 
     The grid is (builders x topologies x seeds); every cell simulates,
     synchronizes and (by default) certifies one execution.  ``workers``
-    fans cells out over a process pool (``executor="async"`` overlaps
-    them on an event loop instead, for I/O-bound cells), ``shard="i/m"``
-    runs one deterministic slice of the grid, and ``cache_dir`` skips
-    cells an earlier run already solved.  ``results_dir`` streams every
+    fans cells out over a process pool, ``shard="i/m"`` runs one
+    deterministic slice of the grid, and ``cache_dir`` skips cells an
+    earlier run already solved.  ``results_dir`` streams every
     completed cell to a durable JSONL shard as it finishes, making the
     invocation resumable after a crash and its output mergeable with
     other shards via ``repro campaign merge`` (see
@@ -145,7 +143,6 @@ def sweep(
         shard=shard,
         cache_dir=cache_dir,
         results_dir=results_dir,
-        executor=executor,
     )
 
 

@@ -29,11 +29,10 @@ Installed as ``repro-clocksync`` (see pyproject) and runnable as
     repro-clocksync serve --peers 4 --serve-metrics 9109
 
 ``campaign`` runs a preset sweep grid on the sharded campaign runner:
-``--workers`` fans cells out over a process pool (``--executor async``
-overlaps them on an event loop instead), ``--shard i/m`` runs one
-deterministic slice of the grid (the union of all ``m`` shards is the
-full sweep), and ``--cache-dir``/``--resume`` skip cells an earlier run
-already solved.  ``--results-dir`` streams every completed cell to a
+``--workers`` fans cells out over a process pool, ``--shard i/m`` runs
+one deterministic slice of the grid (the union of all ``m`` shards is
+the full sweep), and ``--cache-dir``/``--resume`` skip cells an earlier
+run already solved.  ``--results-dir`` streams every completed cell to a
 durable JSONL shard file as it finishes -- a killed invocation re-run
 with the same ``--results-dir`` resumes from its last durable cell, and
 ``campaign merge DIR...`` fuses any number of shard streams back into
@@ -78,7 +77,7 @@ Fault injection (DESIGN.md section 10): ``faults`` writes or validates a
 :mod:`repro.faults` plan file; ``demo``, ``monitor`` and ``campaign``
 accept ``--faults PLAN.json`` to inject that plan into every simulated
 run.  ``campaign`` additionally accepts ``--cell-timeout``/``--retries``
-/``--retry-backoff``, which switch it onto the robust runner: failing
+/``--retry-backoff``, which turn on the quarantine policy: failing
 cells are retried and ultimately quarantined (and reported) instead of
 aborting the sweep.
 

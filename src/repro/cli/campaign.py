@@ -202,7 +202,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             retry_backoff=args.retry_backoff,
             results_dir=args.results_dir,
             bounded_memory=args.bounded_memory,
-            executor=args.executor,
             cache_max_entries=args.cache_max_entries,
             heartbeat_interval=(
                 args.heartbeat_interval
@@ -300,7 +299,7 @@ def register(sub) -> None:
     p_campaign.add_argument(
         "--preset", choices=["demo", "e9c", "chaos"], default="demo",
         help="which campaign grid to run (default: demo; 'chaos' is a "
-        "small chaos-injected grid for exercising the robust runner "
+        "small chaos-injected grid for exercising the quarantine policy "
         "and telemetry)",
     )
     p_campaign.add_argument(
@@ -346,11 +345,6 @@ def register(sub) -> None:
         "--results-dir); the table is built from running aggregates",
     )
     streaming.add_argument(
-        "--executor", choices=["process", "async"], default=None,
-        help="cell fan-out: 'process' pool (default; CPU-bound cells) "
-        "or 'async' event loop + threads (I/O-bound cells)",
-    )
-    streaming.add_argument(
         "--cache-max-entries", type=int, default=None, metavar="N",
         help="bound --cache-dir to N entries (LRU-by-mtime eviction)",
     )
@@ -362,7 +356,7 @@ def register(sub) -> None:
     add_faults_argument(p_campaign)
     robust = p_campaign.add_argument_group(
         "robustness",
-        "any of these switches the sweep onto the robust runner: failing "
+        "any of these turns on the quarantine policy: failing "
         "cells are retried, then quarantined and reported instead of "
         "aborting the campaign",
     )

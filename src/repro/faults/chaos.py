@@ -67,8 +67,8 @@ def chaos_bounded_builder(topology: Topology, seed: int) -> Scenario:
     """The E9c bounded workload, with env-scheduled misbehaviour.
 
     Crash/hang/flaky behaviour triggers *before* the scenario is built,
-    so it hits whichever process executes the cell (a pool worker under
-    the process executor).
+    so it hits whichever process executes the cell (a pool worker when
+    the campaign runs on more than one worker).
     """
     if seed in _env_seeds(CRASH_ENV):
         os.kill(os.getpid(), signal.SIGKILL)

@@ -8,8 +8,8 @@ delay models or theorems, only about *cells* -- independent
   (:mod:`repro.runner.sharding`),
 * skip solved ones via a content-addressed result cache
   (:mod:`repro.runner.cache`),
-* fan the rest out over a process pool, an asyncio loop, or inline
-  (:mod:`repro.runner.executor`),
+* fan the rest out over a process pool or run them inline, under one
+  quarantine policy (:mod:`repro.runner.executor`),
 * stream every completion to a durable, resumable JSONL shard
   (:mod:`repro.runner.sink`),
 * fuse independently produced shards back into the canonical
@@ -35,16 +35,11 @@ from repro.runner.cells import (
     write_cell_results_jsonl,
 )
 from repro.runner.executor import (
-    AsyncExecutor,
     CellFailure,
     CellTimeoutError,
-    ProcessExecutor,
-    RobustProcessExecutor,
-    RobustSequentialExecutor,
-    SequentialExecutor,
     WORKERS_ENV,
-    create_executor,
     default_workers,
+    execute_cells,
     guard_cell,
     resolve_workers,
     set_default_workers,
@@ -93,7 +88,6 @@ from repro.runner.sink import (
 )
 
 __all__ = [
-    "AsyncExecutor",
     "CACHE_VERSION",
     "CellBuilder",
     "CellFailure",
@@ -112,26 +106,22 @@ __all__ = [
     "MergeError",
     "MergeReport",
     "MergedCampaign",
-    "ProcessExecutor",
     "ResultCache",
     "ResultSink",
-    "RobustProcessExecutor",
-    "RobustSequentialExecutor",
     "STATE_COMPLETE",
     "STATE_DEAD",
     "STATE_RUNNING",
     "STATE_STALLED",
     "STATE_UNKNOWN",
-    "SequentialExecutor",
     "Shard",
     "ShardStatus",
     "SinkRecovery",
     "WORKERS_ENV",
     "cell_cache_key",
     "collect_fleet_status",
-    "create_executor",
     "default_workers",
     "execute_cell",
+    "execute_cells",
     "filter_shard",
     "find_manifests",
     "fleet_status_lines",

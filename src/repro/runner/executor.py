@@ -1,55 +1,53 @@
-"""Cell executors: sequential, multiprocessing pools, and asyncio.
+"""The cell executor: one streaming fan-out with one quarantine policy.
 
-Every executor takes an ordered list of :class:`~repro.runner.cells.CellTask`
-and exposes two views of the same run:
+:func:`execute_cells` takes an ordered list of
+:class:`~repro.runner.cells.CellTask` and yields ``(index, outcome)``
+pairs in *completion* order, so callers (the streaming campaign runner,
+its JSONL result sink) can durably persist and release each result the
+moment it exists instead of holding the whole grid in memory.
 
-* :meth:`execute` -- the legacy barrier API: all outcomes, in *input*
-  order, whatever the completion order was;
-* :meth:`execute_iter` -- the streaming API: ``(index, outcome)`` pairs
-  yielded in *completion* order, so callers (the streaming campaign
-  runner, its JSONL result sink) can durably persist and release each
-  result the moment it exists instead of holding the whole grid in
-  memory.
+It has two dispatch branches, chosen from what the call can observe:
 
-``execute`` is implemented on top of ``execute_iter`` for every
-executor, so the two can never disagree.
+* **in process** when ``workers == 1``, or when the batch has one cell
+  and no quarantine (a pool costs ~worker-startup per run; under
+  quarantine a lone cell -- typically a retry -- still gets a worker, so
+  a crash stays contained).  This is the one branch where the observing
+  process *is* the executing process, so it alone reports
+  ``progress.cell_started``;
+* **a process pool** (:class:`concurrent.futures.ProcessPoolExecutor`)
+  otherwise.  Under the ``fork`` start method the task list is
+  inherited by the workers at fork time, so builders may be closures or
+  lambdas; under ``spawn`` (the fallback where ``fork`` is missing) the
+  tasks travel by pickle, which requires module-level builders -- the
+  error message says so when it bites.  The futures pool *detects* a
+  worker dying mid-task (SIGKILL, OOM) and raises ``BrokenProcessPool``
+  instead of hanging forever.
 
-The sequential executor is the fallback (and the right choice for tests
-and tiny grids: a pool costs ~worker-startup per run).  The process
-executor fans cells out over ``multiprocessing``; on platforms with the
-``fork`` start method the task list is inherited by the workers at fork
-time, so builders may be closures or lambdas.  Under ``spawn`` the tasks
-travel by pickle instead, which requires module-level builders -- the
-error message says so when it bites.  The asyncio executor
-(:class:`AsyncExecutor`) overlaps cells on one process via an event
-loop plus worker threads -- the seam I/O-bound cells (live-runtime
-probes, network-backed scenarios) plug into.
+``quarantine`` is the one robustness policy, applied identically on
+both branches by :func:`guard_cell`: a failing cell degrades to a typed
+:class:`CellFailure` instead of aborting the sweep.  Without it the
+cell's own exception propagates unchanged, and a dead worker raises
+``BrokenProcessPool``.  With it, cells left unresolved by a broken pool
+are re-run one at a time in fresh single-worker pools, so exactly the
+culprit cells are reported as ``crash`` failures and every innocent
+bystander still completes.  ``timeout`` is a per-cell wall-clock budget
+enforced by ``SIGALRM`` inside whichever process runs the cell.
 
-Robustness (per-cell timeout, failure quarantine) is one shared wrapper,
-:func:`guard_cell`, layered identically over all three families: the
-robust executors degrade a failing cell to a typed
-:class:`CellFailure` instead of aborting (or hanging) the sweep.
-
-Worker-level telemetry goes to the ambient recorder (no-op unless
-observability is enabled): a ``campaign.execute`` span around the fan
-out, a ``campaign.cell.seconds`` latency histogram, a
-``campaign.queue.depth`` histogram sampling the number of cells still
-pending at each completion, and progress gauges
-(``campaign.cells.total`` / ``campaign.cells.completed``) so any
-exporter -- not just heartbeat files -- can derive progress.
-
-Every ``execute_iter`` also accepts an optional ``progress`` listener
-(anything with ``cell_started(key)`` / ``cell_finished(seconds)``,
-typically a :class:`~repro.runner.heartbeat.HeartbeatWriter`): the
-fleet-liveness hook.  Start visibility is inherently executor-shaped --
-only executors that run cells in the observing process (sequential
-variants) can report ``cell_started``; pool parents only see
-completions.
+Telemetry goes to the ambient recorder (no-op unless observability is
+enabled) and to ``registry``: a ``campaign.execute`` span around the
+fan out, and for every settled cell -- result or failure, whatever the
+branch -- exactly one ``campaign.cell.seconds`` observation, one
+``campaign.queue.depth`` sample of the cells still pending, and one
+``campaign.cells.completed`` increment, so any exporter -- not just
+heartbeat files -- can derive progress.  ``progress`` is an optional
+listener (anything with ``cell_started(key)`` /
+``cell_finished(seconds)``, typically a
+:class:`~repro.runner.heartbeat.HeartbeatWriter`): the fleet-liveness
+hook.
 """
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures
 import multiprocessing
 import os
@@ -59,15 +57,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import get_recorder
@@ -87,11 +77,11 @@ WORKERS_ENV = "REPRO_WORKERS"
 
 _default_workers: Optional[int] = None
 
-#: Fork-inherited task list for pool workers (see ``ProcessExecutor``).
+#: Pool worker state: the task list (fork-inherited, or shipped by the
+#: initializer under spawn), the per-cell budget and the policy.
 _WORKER_TASKS: Optional[Sequence[CellTask]] = None
-
-#: Per-cell wall-clock budget enforced inside robust workers (seconds).
 _WORKER_TIMEOUT: Optional[float] = None
+_WORKER_QUARANTINE = False
 
 
 class CellTimeoutError(RuntimeError):
@@ -231,7 +221,7 @@ def _observe_completion(
     seconds: float,
     progress=None,
 ) -> None:
-    """Record one cell completion into ``registry`` and ``progress``."""
+    """Record one settled cell into ``registry`` and ``progress``."""
     if registry is not None:
         registry.histogram(
             "campaign.queue.depth", boundaries=QUEUE_DEPTH_BUCKETS
@@ -243,10 +233,10 @@ def _observe_completion(
 
 
 # ----------------------------------------------------------------------
-# The shared robustness wrapper: timeout + failure quarantine
+# The quarantine policy: timeout + failure degradation
 # ----------------------------------------------------------------------
 
-#: One executed-or-failed entry per input task, in input order.
+#: One executed-or-failed entry per input task.
 RobustOutcome = Union[CellOutcome, CellFailure]
 
 
@@ -266,11 +256,10 @@ def guard_cell(
 ) -> RobustOutcome:
     """Run one cell, degrading any failure to a :class:`CellFailure`.
 
-    The single quarantine policy every robust executor (sequential,
-    process pool, asyncio) shares: a :class:`CellTimeoutError` becomes a
+    The quarantine policy: a :class:`CellTimeoutError` becomes a
     ``timeout`` failure, any other exception an ``error`` failure, and
-    nothing short of worker death (which only process pools can contain,
-    as a ``crash``) propagates.
+    nothing short of worker death (which only the pool can contain, as
+    a ``crash``) propagates.
     """
     try:
         return run()
@@ -309,564 +298,256 @@ def _cell_alarm(timeout: Optional[float]) -> Iterator[None]:
         signal.signal(signal.SIGALRM, previous)
 
 
-def run_cell_with_budget(
-    task: CellTask, timeout: Optional[float]
-) -> CellOutcome:
-    """Execute one cell under the in-process SIGALRM budget (if usable)."""
-    with _cell_alarm(timeout):
-        return execute_cell(task)
+def _run_one(
+    task: CellTask, timeout: Optional[float], quarantine: bool
+) -> Tuple[RobustOutcome, float]:
+    """One cell under the budget and policy; returns (outcome, seconds).
 
-
-# ----------------------------------------------------------------------
-# Executor base: execute() is always the barrier view of execute_iter()
-# ----------------------------------------------------------------------
-
-class _ExecutorBase:
-    """Shared barrier API: collect the stream back into input order."""
-
-    workers = 1
-    #: Whether this executor degrades failures to :class:`CellFailure`
-    #: (robust) instead of propagating them (plain).
-    robust = False
-
-    def execute_iter(
-        self,
-        tasks: Sequence[CellTask],
-        registry: Optional[MetricsRegistry] = None,
-        progress=None,
-    ):
-        raise NotImplementedError
-
-    def execute(
-        self,
-        tasks: Sequence[CellTask],
-        registry: Optional[MetricsRegistry] = None,
-        progress=None,
-    ) -> List:
-        out: List[Optional[RobustOutcome]] = [None] * len(tasks)
-        for index, outcome in self.execute_iter(
-            tasks, registry=registry, progress=progress
-        ):
-            out[index] = outcome
-        assert all(o is not None for o in out)
-        return out  # type: ignore[return-value]
-
-
-class SequentialExecutor(_ExecutorBase):
-    """Runs cells one by one in this process (fallback + test executor)."""
-
-    workers = 1
-
-    def _run_one(self, task: CellTask):
-        """One cell; the robust subclass overrides this with the guard."""
-        return execute_cell(task)
-
-    def execute_iter(
-        self,
-        tasks: Sequence[CellTask],
-        registry: Optional[MetricsRegistry] = None,
-        progress=None,
-    ) -> Iterator[Tuple[int, RobustOutcome]]:
-        recorder = get_recorder()
-        _observe_batch(registry, len(tasks))
-        with recorder.span(
-            "campaign.execute",
-            workers=1,
-            cells=len(tasks),
-            robust=self.robust,
-        ):
-            pending = len(tasks)
-            for index, task in enumerate(tasks):
-                started = time.perf_counter()
-                if progress is not None:
-                    # Sequential execution is the one place the
-                    # observing process *is* the executing process, so
-                    # the heartbeat can carry the in-flight cell.
-                    progress.cell_started(task.spec.key)
-                with recorder.span(
-                    "campaign.cell",
-                    scenario=task.spec.scenario_key,
-                    seed=task.spec.seed,
-                ):
-                    outcome = self._run_one(task)
-                pending -= 1
-                _observe_completion(
-                    registry,
-                    pending,
-                    time.perf_counter() - started,
-                    progress,
-                )
-                yield index, outcome
-
-
-class RobustSequentialExecutor(SequentialExecutor):
-    """In-process execution that degrades failures to :class:`CellFailure`.
-
-    Exactly :class:`SequentialExecutor` with :func:`guard_cell` around
-    each cell (the shared quarantine wrapper) plus the in-process alarm
-    budget.  A cell that kills the *process* cannot be contained here
-    (there is only one process); use :class:`RobustProcessExecutor` with
-    ``workers >= 2`` for crash isolation.
+    The same function runs the cell on both branches -- inline, and in
+    a pool worker's main thread, where the SIGALRM budget applies to
+    whatever the cell does, including sleeping.
     """
 
-    robust = True
+    def run() -> CellOutcome:
+        with _cell_alarm(timeout):
+            return execute_cell(task)
 
-    def __init__(self, timeout: Optional[float] = None) -> None:
-        self._timeout = timeout
+    started = time.perf_counter()
+    outcome = guard_cell(task, run) if quarantine else run()
+    return outcome, time.perf_counter() - started
 
-    def _run_one(self, task: CellTask) -> RobustOutcome:
-        return guard_cell(
-            task, lambda: run_cell_with_budget(task, self._timeout)
-        )
-
-
-# ----------------------------------------------------------------------
-# Process pools
-# ----------------------------------------------------------------------
 
 def _worker_init(
-    tasks: Optional[Sequence[CellTask]], timeout: Optional[float] = None
+    tasks: Optional[Sequence[CellTask]],
+    timeout: Optional[float],
+    quarantine: bool,
 ) -> None:
-    """Pool initializer: tasks under spawn (inherited under fork) + budget."""
-    global _WORKER_TASKS, _WORKER_TIMEOUT
+    """Pool initializer: tasks under spawn (inherited under fork) + policy."""
+    global _WORKER_TASKS, _WORKER_TIMEOUT, _WORKER_QUARANTINE
     if tasks is not None:
         _WORKER_TASKS = tasks
     _WORKER_TIMEOUT = timeout
+    _WORKER_QUARANTINE = quarantine
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
 
 
-def _run_indexed(index: int):
-    """Execute one task by index; returns (index, outcome, seconds).
+def _exit_with_parent() -> None:
+    """Pool worker watchdog: exit as soon as the parent process is gone.
 
-    Pool workers run tasks in their main thread, so the SIGALRM-based
-    budget (when armed by the robust pool) applies to whatever the cell
-    does -- including sleeping.
+    An idle futures-pool worker blocks on a queue whose write end it
+    holds itself, so a campaign killed mid-run (``kill -9`` of a shard,
+    then ``--resume``) would otherwise leave its workers behind forever.
+    SIGALRM is blocked here so the cell budget always interrupts the
+    main thread, which runs the cell.
     """
+    if hasattr(signal, "pthread_sigmask"):
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
+    multiprocessing.parent_process().join()
+    os._exit(1)
+
+
+def _run_indexed(index: int) -> Tuple[RobustOutcome, float]:
+    """Pool worker entry: execute the inherited task at ``index``."""
     assert _WORKER_TASKS is not None, "worker pool not initialized"
-    started = time.perf_counter()
-    outcome = run_cell_with_budget(_WORKER_TASKS[index], _WORKER_TIMEOUT)
-    return index, outcome, time.perf_counter() - started
-
-
-class ProcessExecutor(_ExecutorBase):
-    """Fans cells out over a ``multiprocessing`` pool.
-
-    Results stream back via ``imap_unordered`` (so queue-depth telemetry
-    and the result sink see real completion order); :meth:`execute`
-    reassembles them into input order.  Exceptions raised by a cell
-    propagate to the caller, as they do in the sequential executor.
-    """
-
-    def __init__(
-        self, workers: int, start_method: Optional[str] = None
-    ) -> None:
-        if workers < 2:
-            raise ValueError(
-                f"ProcessExecutor needs >= 2 workers, got {workers} "
-                f"(use SequentialExecutor for 1)"
-            )
-        self.workers = workers
-        self._start_method = resolve_start_method(start_method)
-
-    def execute_iter(
-        self,
-        tasks: Sequence[CellTask],
-        registry: Optional[MetricsRegistry] = None,
-        progress=None,
-    ) -> Iterator[Tuple[int, CellOutcome]]:
-        global _WORKER_TASKS
-        if not tasks:
-            return
-        recorder = get_recorder()
-        _observe_batch(registry, len(tasks))
-        context = multiprocessing.get_context(self._start_method)
-        task_list = list(tasks)
-        # Under fork the children inherit the module global; under spawn
-        # the initializer ships a pickled copy instead.
-        initargs = (
-            (None, None)
-            if self._start_method == "fork"
-            else (task_list, None)
-        )
-        _WORKER_TASKS = task_list
-        try:
-            with recorder.span(
-                "campaign.execute",
-                workers=self.workers,
-                cells=len(task_list),
-                start_method=self._start_method,
-            ):
-                with context.Pool(
-                    processes=self.workers,
-                    initializer=_worker_init,
-                    initargs=initargs,
-                ) as pool:
-                    pending = len(task_list)
-                    for index, outcome, seconds in pool.imap_unordered(
-                        _run_indexed, range(len(task_list)), chunksize=1
-                    ):
-                        pending -= 1
-                        _observe_completion(
-                            registry, pending, seconds, progress
-                        )
-                        yield index, outcome
-        except (AttributeError, pickle.PicklingError) as exc:
-            # Unpicklable builder (lambda/closure) under spawn.
-            raise RuntimeError(
-                "campaign builders must be picklable (module-level "
-                "functions) to run under the 'spawn' start method; "
-                "use workers=1 or define the builder at module scope"
-            ) from exc
-        finally:
-            _WORKER_TASKS = None
-
-
-class RobustProcessExecutor(_ExecutorBase):
-    """A process pool that survives worker death and contains hung cells.
-
-    Built on :class:`concurrent.futures.ProcessPoolExecutor`, which --
-    unlike ``multiprocessing.Pool.imap_unordered`` -- *detects* a worker
-    dying mid-task (SIGKILL, OOM) and fails the pending futures with
-    ``BrokenProcessPool`` instead of hanging forever.  Cells left
-    unresolved by a broken pool are then re-run one at a time in fresh
-    single-worker pools, so exactly the culprit cells are reported as
-    ``crash`` failures and every innocent bystander still completes.
-
-    Per-cell timeouts run *inside* the worker via ``SIGALRM``, so a
-    timed-out cell fails cheaply without killing its worker; the
-    resulting :class:`CellTimeoutError` crosses back and is degraded by
-    the same ladder as :func:`guard_cell`.
-    """
-
-    robust = True
-
-    def __init__(
-        self,
-        workers: int,
-        timeout: Optional[float] = None,
-        start_method: Optional[str] = None,
-    ) -> None:
-        if workers < 2:
-            raise ValueError(
-                f"RobustProcessExecutor needs >= 2 workers, got {workers} "
-                f"(use RobustSequentialExecutor for 1)"
-            )
-        self.workers = workers
-        self._timeout = timeout
-        self._start_method = resolve_start_method(start_method)
-
-    def _initargs(self, task_list: List[CellTask]):
-        tasks = None if self._start_method == "fork" else task_list
-        return (tasks, self._timeout)
-
-    @staticmethod
-    def _resolve(future, task: CellTask):
-        """(outcome, seconds) from one future, quarantining like guard_cell.
-
-        ``BrokenProcessPool`` deliberately propagates: which task killed
-        the worker is not knowable here, so the caller must re-run the
-        unresolved cells in isolation.
-        """
-        try:
-            _, outcome, seconds = future.result()
-            return outcome, seconds
-        except BrokenProcessPool:
-            raise
-        except Exception as exc:  # noqa: BLE001
-            return guard_cell(task, _reraise(exc)), None
-
-    def execute_iter(
-        self,
-        tasks: Sequence[CellTask],
-        registry: Optional[MetricsRegistry] = None,
-        progress=None,
-    ) -> Iterator[Tuple[int, RobustOutcome]]:
-        global _WORKER_TASKS
-        if not tasks:
-            return
-        recorder = get_recorder()
-        _observe_batch(registry, len(tasks))
-        context = multiprocessing.get_context(self._start_method)
-        task_list = list(tasks)
-        _WORKER_TASKS = task_list
-        unresolved: List[int] = []
-        try:
-            with recorder.span(
-                "campaign.execute",
-                workers=self.workers,
-                cells=len(task_list),
-                start_method=self._start_method,
-                robust=True,
-            ):
-                with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=context,
-                    initializer=_worker_init,
-                    initargs=self._initargs(task_list),
-                ) as pool:
-                    futures = {
-                        pool.submit(_run_indexed, i): i
-                        for i in range(len(task_list))
-                    }
-                    pending = len(task_list)
-                    for future in concurrent.futures.as_completed(futures):
-                        i = futures[future]
-                        try:
-                            outcome, seconds = self._resolve(
-                                future, task_list[i]
-                            )
-                        except BrokenProcessPool:
-                            # Some worker died; re-run the unresolved
-                            # cells in isolation below.
-                            unresolved.append(i)
-                            pending -= 1
-                            continue
-                        pending -= 1
-                        if seconds is not None:
-                            _observe_completion(
-                                registry, pending, seconds, progress
-                            )
-                        elif progress is not None:
-                            progress.cell_finished(None)
-                        yield i, outcome
-                for i in sorted(unresolved):
-                    yield i, self._run_isolated(
-                        context, task_list, i, registry, progress
-                    )
-        finally:
-            _WORKER_TASKS = None
-
-    def _run_isolated(
-        self,
-        context,
-        task_list: List[CellTask],
-        index: int,
-        registry: Optional[MetricsRegistry],
-        progress=None,
-    ) -> RobustOutcome:
-        """Re-run one cell in a fresh single-worker pool.
-
-        If the pool breaks again, *this* cell is the culprit and is
-        reported as a ``crash``; otherwise the cell was an innocent
-        casualty of a sibling's crash and completes normally.
-        """
-        global _WORKER_TASKS
-        _WORKER_TASKS = task_list
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=1,
-                mp_context=context,
-                initializer=_worker_init,
-                initargs=self._initargs(task_list),
-            ) as pool:
-                future = pool.submit(_run_indexed, index)
-                try:
-                    outcome, seconds = self._resolve(
-                        future, task_list[index]
-                    )
-                except BrokenProcessPool:
-                    if progress is not None:
-                        progress.cell_finished(None)
-                    return _failure(
-                        task_list[index],
-                        "crash",
-                        "worker process died while executing this cell",
-                    )
-                if seconds is not None:
-                    _observe_completion(registry, 0, seconds, progress)
-                elif progress is not None:
-                    progress.cell_finished(None)
-                return outcome
-        finally:
-            _WORKER_TASKS = None
-
-
-def _reraise(exc: BaseException) -> Callable[[], CellOutcome]:
-    """A thunk re-raising ``exc`` (feeds pool exceptions to guard_cell)."""
-
-    def raise_it() -> CellOutcome:
-        raise exc
-
-    return raise_it
+    return _run_one(_WORKER_TASKS[index], _WORKER_TIMEOUT, _WORKER_QUARANTINE)
 
 
 # ----------------------------------------------------------------------
-# Asyncio executor (I/O-bound cells, live-runtime seam)
+# The executor
 # ----------------------------------------------------------------------
 
-class AsyncExecutor(_ExecutorBase):
-    """Overlaps cells on one process via an event loop + worker threads.
-
-    Built for I/O-bound cells -- live-runtime probes, network-backed
-    scenarios -- where a process pool buys nothing but fork overhead:
-    up to ``workers`` cells run concurrently via ``asyncio.to_thread``
-    behind a semaphore, and completions stream back through the same
-    ``execute_iter`` contract (completion order, queue-depth telemetry)
-    as the pools.  Cell telemetry stays per-cell: the recorder slot is
-    a ``ContextVar`` and ``to_thread`` copies the caller's context, so
-    concurrent cells each record into their own registry.
-
-    With ``robust=True`` failures degrade to :class:`CellFailure`
-    through the shared :func:`guard_cell` ladder.  ``timeout`` marks a
-    cell *failed* after its budget but cannot kill its thread (there is
-    no cross-thread SIGALRM); the cell's thread runs to completion in
-    the background, which is the honest trade for I/O-bound work.
-    CPU-bound grids should stay on the process executors.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        timeout: Optional[float] = None,
-        robust: bool = False,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(
-                f"AsyncExecutor needs >= 1 workers, got {workers}"
-            )
-        self.workers = workers
-        self._timeout = timeout
-        self.robust = robust
-
-    def execute_iter(
-        self,
-        tasks: Sequence[CellTask],
-        registry: Optional[MetricsRegistry] = None,
-        progress=None,
-    ) -> Iterator[Tuple[int, RobustOutcome]]:
-        if not tasks:
-            return
-        recorder = get_recorder()
-        _observe_batch(registry, len(tasks))
-        task_list = list(tasks)
-        loop = asyncio.new_event_loop()
-        semaphore = asyncio.Semaphore(self.workers)
-
-        async def run_one(index: int):
-            async with semaphore:
-                started = time.perf_counter()
-                work = asyncio.to_thread(execute_cell, task_list[index])
-                if self._timeout is not None:
-                    try:
-                        outcome = await asyncio.wait_for(
-                            work, self._timeout
-                        )
-                    except asyncio.TimeoutError:
-                        raise CellTimeoutError(
-                            "cell exceeded its wall-clock budget"
-                        ) from None
-                else:
-                    outcome = await work
-                return outcome, time.perf_counter() - started
-
-        futures = {
-            loop.create_task(run_one(i)): i for i in range(len(task_list))
-        }
-        not_done = set(futures)
-        abort: Optional[BaseException] = None
-        try:
-            with recorder.span(
-                "campaign.execute",
-                workers=self.workers,
-                cells=len(task_list),
-                executor="async",
-                robust=self.robust,
-            ):
-                pending = len(task_list)
-                while not_done:
-                    done, not_done = loop.run_until_complete(
-                        asyncio.wait(
-                            not_done,
-                            return_when=asyncio.FIRST_COMPLETED,
-                        )
-                    )
-                    for future in done:
-                        index = futures[future]
-                        task = task_list[index]
-                        seconds = None
-                        if self.robust:
-                            outcome = guard_cell(
-                                task, lambda f=future: f.result()[0]
-                            )
-                            if not isinstance(outcome, CellFailure):
-                                outcome, seconds = future.result()
-                        else:
-                            try:
-                                outcome, seconds = future.result()
-                            except BaseException as exc:
-                                abort = exc
-                                raise
-                        pending -= 1
-                        _observe_completion(
-                            registry,
-                            pending,
-                            0.0 if seconds is None else seconds,
-                            progress,
-                        )
-                        yield index, outcome
-        finally:
-            if not_done:
-                # Error path: cancel what never started (cells blocked
-                # on the semaphore respond immediately); cells already
-                # running in threads finish before the loop closes.
-                for future in not_done:
-                    future.cancel()
-                loop.run_until_complete(
-                    asyncio.gather(*not_done, return_exceptions=True)
-                )
-            loop.run_until_complete(loop.shutdown_default_executor())
-            loop.close()
-            if abort is not None:
-                del abort
-
-
-def create_executor(
+def execute_cells(
+    tasks: Sequence[CellTask],
     workers: Optional[int] = None,
     *,
-    cells: Optional[int] = None,
-    kind: Optional[str] = None,
     timeout: Optional[float] = None,
-    robust: bool = False,
-):
-    """The right executor for the job.
+    quarantine: bool = False,
+    registry: Optional[MetricsRegistry] = None,
+    progress=None,
+    start_method: Optional[str] = None,
+) -> Iterator[Tuple[int, RobustOutcome]]:
+    """Run ``tasks``; yield ``(index, CellOutcome | CellFailure)`` as each settles.
 
-    ``workers`` resolves via defaults/env; ``cells`` (when known) lets a
-    one-cell batch skip pool startup; ``kind`` is ``"process"`` (default)
-    or ``"async"``; ``robust``/``timeout`` select the quarantining
-    variants (see :func:`guard_cell`).
+    ``workers`` resolves via :func:`resolve_workers`; one worker, or one
+    cell without quarantine, runs in process, anything else on a process
+    pool started with :func:`resolve_start_method` (``start_method``
+    overrides it).
+    ``timeout`` is the per-cell budget; ``quarantine`` degrades failures
+    to :class:`CellFailure` (see the module docstring).  Outcomes are
+    identical on both branches; only completion order and wall-clock
+    seconds differ.
     """
+    task_list = list(tasks)
+    if not task_list:
+        return
     count = resolve_workers(workers)
-    if kind not in (None, "process", "async"):
-        raise ValueError(
-            f"unknown executor kind {kind!r}; choose 'process' or 'async'"
+    _observe_batch(registry, len(task_list))
+    if count == 1 or (len(task_list) == 1 and not quarantine):
+        yield from _in_process(
+            task_list, timeout, quarantine, registry, progress
         )
-    if kind == "async":
-        return AsyncExecutor(count, timeout=timeout, robust=robust)
-    pool_worthy = count > 1 and (cells is None or cells > 1)
-    if robust:
-        if pool_worthy:
-            return RobustProcessExecutor(count, timeout=timeout)
-        return RobustSequentialExecutor(timeout=timeout)
-    if pool_worthy:
-        return ProcessExecutor(count)
-    return SequentialExecutor()
+    else:
+        yield from _pooled(
+            task_list, count, resolve_start_method(start_method),
+            timeout, quarantine, registry, progress,
+        )
+
+
+def _in_process(
+    task_list: Sequence[CellTask],
+    timeout: Optional[float],
+    quarantine: bool,
+    registry: Optional[MetricsRegistry],
+    progress,
+) -> Iterator[Tuple[int, RobustOutcome]]:
+    recorder = get_recorder()
+    with recorder.span(
+        "campaign.execute",
+        workers=1,
+        cells=len(task_list),
+        quarantine=quarantine,
+    ):
+        pending = len(task_list)
+        for index, task in enumerate(task_list):
+            if progress is not None:
+                progress.cell_started(task.spec.key)
+            with recorder.span(
+                "campaign.cell",
+                scenario=task.spec.scenario_key,
+                seed=task.spec.seed,
+            ):
+                outcome, seconds = _run_one(task, timeout, quarantine)
+            pending -= 1
+            _observe_completion(registry, pending, seconds, progress)
+            yield index, outcome
+
+
+@contextmanager
+def _pool(
+    task_list: Sequence[CellTask],
+    workers: int,
+    start_method: str,
+    timeout: Optional[float],
+    quarantine: bool,
+) -> Iterator[concurrent.futures.ProcessPoolExecutor]:
+    """A futures pool whose workers see ``task_list`` and the policy.
+
+    Under fork the children inherit the module global; under spawn the
+    initializer ships a pickled copy instead.  On an early exit (a cell
+    raised, the consumer stopped) queued cells are cancelled, so only
+    the cells already running are waited for.
+    """
+    global _WORKER_TASKS
+    shipped = None if start_method == "fork" else task_list
+    _WORKER_TASKS = task_list
+    pool = concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context(start_method),
+        initializer=_worker_init,
+        initargs=(shipped, timeout, quarantine),
+    )
+    try:
+        yield pool
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+        _WORKER_TASKS = None
+
+
+def _submit(pool, indices: Sequence[int]) -> dict:
+    """Submit cells by index; explain an unpicklable builder under spawn."""
+    try:
+        return {pool.submit(_run_indexed, i): i for i in indices}
+    except (AttributeError, pickle.PicklingError) as exc:
+        raise RuntimeError(
+            "campaign builders must be picklable (module-level "
+            "functions) to run under the 'spawn' start method; "
+            "use workers=1 or define the builder at module scope"
+        ) from exc
+
+
+def _pooled(
+    task_list: Sequence[CellTask],
+    workers: int,
+    start_method: str,
+    timeout: Optional[float],
+    quarantine: bool,
+    registry: Optional[MetricsRegistry],
+    progress,
+) -> Iterator[Tuple[int, RobustOutcome]]:
+    recorder = get_recorder()
+    pending = len(task_list)
+    unresolved = []
+    with recorder.span(
+        "campaign.execute",
+        workers=workers,
+        cells=len(task_list),
+        start_method=start_method,
+        quarantine=quarantine,
+    ):
+        with _pool(
+            task_list, workers, start_method, timeout, quarantine
+        ) as pool:
+            futures = _submit(pool, range(len(task_list)))
+            for future in concurrent.futures.as_completed(futures):
+                index = futures[future]
+                try:
+                    outcome, seconds = future.result()
+                except BrokenProcessPool:
+                    if not quarantine:
+                        raise
+                    # Some worker died; which cell killed it is not
+                    # knowable here, so re-run the unresolved cells in
+                    # isolation below.
+                    unresolved.append(index)
+                    continue
+                pending -= 1
+                _observe_completion(registry, pending, seconds, progress)
+                yield index, outcome
+        for index in sorted(unresolved):
+            outcome, seconds = _run_isolated(
+                task_list, index, start_method, timeout
+            )
+            pending -= 1
+            _observe_completion(registry, pending, seconds, progress)
+            yield index, outcome
+
+
+def _run_isolated(
+    task_list: Sequence[CellTask],
+    index: int,
+    start_method: str,
+    timeout: Optional[float],
+) -> Tuple[RobustOutcome, float]:
+    """Re-run one cell in a fresh single-worker pool.
+
+    If the pool breaks again, *this* cell is the culprit and is reported
+    as a ``crash``; otherwise the cell was an innocent casualty of a
+    sibling's crash and completes normally.
+    """
+    started = time.perf_counter()
+    with _pool(task_list, 1, start_method, timeout, True) as pool:
+        (future,) = _submit(pool, [index])
+        try:
+            return future.result()
+        except BrokenProcessPool:
+            failure = _failure(
+                task_list[index],
+                "crash",
+                "worker process died while executing this cell",
+            )
+            return failure, time.perf_counter() - started
 
 
 __all__ = [
-    "AsyncExecutor",
     "CellFailure",
     "CellTimeoutError",
-    "ProcessExecutor",
     "QUEUE_DEPTH_BUCKETS",
     "RobustOutcome",
-    "RobustProcessExecutor",
-    "RobustSequentialExecutor",
-    "SequentialExecutor",
     "WORKERS_ENV",
-    "create_executor",
     "default_workers",
+    "execute_cells",
     "guard_cell",
     "resolve_start_method",
     "resolve_workers",
-    "run_cell_with_budget",
     "set_default_workers",
 ]

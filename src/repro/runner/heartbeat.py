@@ -13,7 +13,7 @@ sidecar next to its sink, carrying
   hits, resumed cells, resident high-water),
 * an EWMA cell-throughput estimate and the ETA derived from it,
 * the currently executing cell and how long it has been running
-  (sequential executors only -- a pool parent cannot see starts).
+  (in-process execution only -- a pool parent cannot see starts).
 
 Beats are **event-driven, not timed**: the writer only touches disk
 from the runner's own progress callbacks (cell started / finished /
@@ -201,12 +201,12 @@ def read_heartbeat(path: Union[str, Path]) -> Optional[Heartbeat]:
 class HeartbeatWriter:
     """Emits atomic heartbeat sidecars from the runner's progress hooks.
 
-    The writer is the shared *progress listener* every executor accepts
-    (``execute_iter(..., progress=writer)``):
+    The writer is the *progress listener* the executor accepts
+    (``execute_cells(..., progress=writer)``):
 
     * :meth:`cell_started` / :meth:`cell_finished` come from the
-      executor (start visibility only where the executing process is
-      the observing process);
+      executor (start visibility only on its in-process branch, where
+      the executing process is the observing process);
     * :meth:`set_progress` carries the campaign runner's authoritative
       absolute counters (which survive retries and count resumed and
       cache-restored cells -- per-completion increments would not);
@@ -308,14 +308,14 @@ class HeartbeatWriter:
         self.beat(force=True)
 
     def cell_started(self, key: Sequence) -> None:
-        """An executor started one cell (sequential executors only)."""
+        """The executor started one cell (in-process branch only)."""
         with self._lock:
             self._current = (str(key[0]), str(key[1]), int(key[2]))
             self._current_started = self._monotonic()
         self.beat()
 
     def cell_finished(self, seconds: Optional[float] = None) -> None:
-        """An executor saw one cell complete; updates the EWMA rate."""
+        """The executor saw one cell settle; updates the EWMA rate."""
         with self._lock:
             now = self._monotonic()
             if self._last_finish is not None:

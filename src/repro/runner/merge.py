@@ -229,7 +229,7 @@ def merge_shards(
             registry.merge_snapshot(snapshot)
             executed += 1
     # Progress metrics are gauges (point-in-time truths, set not
-    # summed), matching what run_campaign and the executors emit, so a
+    # summed), matching what run_campaign and the executor emit, so a
     # scrape of a merged registry and of a live run read the same way.
     registry.gauge("campaign.cells.total").set(len(grid))
     registry.gauge("campaign.cells.completed").set(len(results))

@@ -186,7 +186,6 @@ class Campaign:
         retry_backoff: float = 0.0,
         results_dir: Union[str, Path, None] = None,
         bounded_memory: bool = False,
-        executor: Optional[str] = None,
         cache_max_entries: Optional[int] = None,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
     ) -> CampaignOutcome:
@@ -210,7 +209,6 @@ class Campaign:
             retry_backoff=retry_backoff,
             results_dir=results_dir,
             bounded_memory=bounded_memory,
-            executor=executor,
             cache_max_entries=cache_max_entries,
             heartbeat_interval=heartbeat_interval,
         )
@@ -279,7 +277,6 @@ class Campaign:
         cache_dir: Optional[str] = None,
         results_dir: Union[str, Path, None] = None,
         bounded_memory: bool = False,
-        executor: Optional[str] = None,
         cache_max_entries: Optional[int] = None,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
     ) -> Table:
@@ -291,7 +288,6 @@ class Campaign:
             cache_dir=cache_dir,
             results_dir=results_dir,
             bounded_memory=bounded_memory,
-            executor=executor,
             cache_max_entries=cache_max_entries,
             heartbeat_interval=heartbeat_interval,
         )

@@ -12,20 +12,23 @@
 3. **Cache** -- look the remaining cells up in the content-addressed
    :class:`~repro.runner.cache.ResultCache` (when a ``cache_dir`` is
    given) and skip solved ones;
-4. **Execute** -- fan the misses out over an executor
-   (:func:`~repro.runner.executor.create_executor`: process pool,
-   asyncio, or inline) and *stream* completions back: each result is
-   appended -- fsync'd -- to the sink the moment it exists;
+4. **Execute** -- fan the misses out with
+   :func:`~repro.runner.executor.execute_cells` (a process pool, or
+   inline for one worker) and *stream* completions back: each result
+   is appended -- fsync'd -- to the sink the moment it exists.  Every
+   attempt is one call; with ``cell_timeout`` or ``retries`` the calls
+   quarantine failures, and the cells that failed are retried in the
+   next attempt;
 5. **Merge** -- fold each cell's metrics snapshot into one campaign
    registry *in canonical grid order* (gauges are last-write-wins, so
    merge order is the determinism contract), buffering only the
    out-of-order prefix, not the whole grid.
 
 Determinism contract: the results -- and any table built from them --
-are byte-identical for any ``workers`` count and any executor kind, and
-the union of all ``m`` shards equals the unsharded run (the merge
-pipeline of :mod:`repro.runner.merge` re-fuses shard streams into
-exactly that).  Only wall-clock series (``*.seconds``) may differ.
+are byte-identical for any ``workers`` count, and the union of all
+``m`` shards equals the unsharded run (the merge pipeline of
+:mod:`repro.runner.merge` re-fuses shard streams into exactly that).
+Only wall-clock series (``*.seconds``) may differ.
 
 Memory contract: with ``bounded_memory=True`` (requires a sink) the
 runner holds O(1) ``CellResult`` objects whatever the grid size --
@@ -47,7 +50,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import get_recorder
 from repro.runner.cache import ResultCache, cell_cache_key
 from repro.runner.cells import CellResult, CellTask
-from repro.runner.executor import CellFailure, create_executor, resolve_workers
+from repro.runner.executor import CellFailure, execute_cells, resolve_workers
 from repro.runner.heartbeat import DEFAULT_HEARTBEAT_INTERVAL, HeartbeatWriter
 from repro.runner.sharding import Shard, in_shard, parse_shard
 from repro.runner.sink import ResultSink
@@ -192,7 +195,6 @@ def run_campaign(
     results_dir: Union[str, Path, None] = None,
     sink: Optional[ResultSink] = None,
     bounded_memory: bool = False,
-    executor: Optional[str] = None,
     cache_max_entries: Optional[int] = None,
     heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
 ) -> CampaignOutcome:
@@ -208,17 +210,14 @@ def run_campaign(
     * ``bounded_memory=True`` (requires a sink) drops each
       ``CellResult`` after persisting + aggregating it: the outcome
       carries only ``aggregates`` and the manifest;
-    * ``executor`` picks the fan-out kind: ``None``/``"process"`` for
-      the process pool (CPU-bound cells), ``"async"`` for the asyncio
-      executor (I/O-bound cells);
     * streaming runs additionally emit an atomic
       ``heartbeat-i-of-m.json`` liveness sidecar next to the sink (one
       write per ``heartbeat_interval`` seconds, event-driven so a hung
       cell stops the beats) -- what ``campaign status``/``watch`` and
       :mod:`repro.runner.status` read.
 
-    Robustness (all off by default, preserving the exact legacy
-    behavior where any cell failure propagates):
+    Robustness (all off by default, when any cell failure propagates
+    and a dead pool worker raises ``BrokenProcessPool``):
 
     * ``cell_timeout`` bounds each cell's wall-clock seconds;
     * ``retries`` re-runs failed cells up to that many extra times,
@@ -234,7 +233,7 @@ def run_campaign(
         shard = parse_shard(shard)
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
-    robust = cell_timeout is not None or retries > 0
+    quarantine = cell_timeout is not None or retries > 0
     worker_count = resolve_workers(workers)
 
     all_tasks = list(tasks)
@@ -273,7 +272,7 @@ def run_campaign(
     )
     merged = MetricsRegistry()
     # The grid-wide total goes in before any executor batch runs, so
-    # the executors' batch-size fallback never overrides it.
+    # the executor's batch-size fallback never overrides it.
     merged.gauge("campaign.cells.total").set(n)
     recorder = get_recorder()
 
@@ -358,7 +357,7 @@ def run_campaign(
         workers=worker_count,
         shard="-" if shard is None else f"{shard[0]}/{shard[1]}",
         cached=cache is not None,
-        robust=robust,
+        quarantine=quarantine,
         streaming=sink is not None,
     ):
         for position, (grid_index, task) in enumerate(selected):
@@ -390,79 +389,54 @@ def run_campaign(
             else:
                 misses.append((position, grid_index, task, key))
 
-        if misses and not robust:
-            runner = create_executor(
-                worker_count, cells=len(misses), kind=executor
-            )
-            for batch_index, outcome in runner.execute_iter(
-                [task for _, _, task, _ in misses],
+        pending = misses
+        for attempt in range(retries + 1):
+            if not pending:
+                break
+            if attempt > 0:
+                retried_positions.update(p for p, _, _, _ in pending)
+                if retry_backoff > 0:
+                    time.sleep(retry_backoff * attempt)
+            still_failing: List[Tuple[int, int, CellTask, Optional[str]]] = []
+            for batch_index, outcome in execute_cells(
+                [task for _, _, task, _ in pending],
+                worker_count,
+                timeout=cell_timeout,
+                quarantine=quarantine,
                 registry=merged,
                 progress=heartbeat,
             ):
-                position, _, _, key = misses[batch_index]
+                entry = pending[batch_index]
+                position, _, _, key = entry
+                if isinstance(outcome, CellFailure):
+                    failures[position] = replace(outcome, attempts=attempt + 1)
+                    still_failing.append(entry)
+                    continue
+                failures.pop(position, None)
                 if cache is not None:
                     cache.put(key, outcome.result)
                 settle(position, outcome.result, outcome.metrics, write_sink=True)
-        elif misses:
-            pending = list(misses)
-            for attempt in range(retries + 1):
-                if attempt > 0:
-                    retried_positions.update(p for p, _, _, _ in pending)
-                    if retry_backoff > 0:
-                        time.sleep(retry_backoff * attempt)
-                runner = create_executor(
-                    worker_count,
-                    cells=len(pending),
-                    kind=executor,
-                    timeout=cell_timeout,
-                    robust=True,
-                )
-                still_failing: List[Tuple[int, int, CellTask, Optional[str]]] = []
-                for batch_index, outcome in runner.execute_iter(
-                    [task for _, _, task, _ in pending],
-                    registry=merged,
-                    progress=heartbeat,
-                ):
-                    entry = pending[batch_index]
-                    position, _, _, key = entry
-                    if isinstance(outcome, CellFailure):
-                        failures[position] = replace(
-                            outcome, attempts=attempt + 1
-                        )
-                        still_failing.append(entry)
-                        continue
-                    failures.pop(position, None)
-                    if cache is not None:
-                        cache.put(key, outcome.result)
-                    settle(
-                        position, outcome.result, outcome.metrics,
-                        write_sink=True,
-                    )
-                pending = still_failing
-                if not pending:
-                    break
-            for position in sorted(failures):
-                if position in recovered_failures:
-                    continue
-                failure = failures[position]
-                if sink is not None:
-                    sink.append_failure(grid_index_of[position], failure)
-                ready[position] = None
-                recorder.emit(
-                    "campaign.cell.quarantined", failure=failure.to_json()
-                )
-                log_event(
-                    "warning",
-                    "campaign.cell.quarantined",
-                    logger="repro.workloads.parallel",
-                    scenario=failure.scenario,
-                    topology=failure.topology,
-                    seed=failure.seed,
-                    kind=failure.kind,
-                    attempts=failure.attempts,
-                )
-            note_progress()
-            advance_merge()
+            pending = still_failing
+        for position in sorted(failures):
+            if position in recovered_failures:
+                continue
+            failure = failures[position]
+            if sink is not None:
+                sink.append_failure(grid_index_of[position], failure)
+            ready[position] = None
+            recorder.emit("campaign.cell.quarantined", failure=failure.to_json())
+            log_event(
+                "warning",
+                "campaign.cell.quarantined",
+                logger="repro.workloads.parallel",
+                scenario=failure.scenario,
+                topology=failure.topology,
+                seed=failure.seed,
+                kind=failure.kind,
+                attempts=failure.attempts,
+            )
+        note_progress()
+        advance_merge()
 
     assert merge_state["next"] == n, "metrics fold did not drain"
     quarantined = tuple(failures[p] for p in sorted(failures))

@@ -79,26 +79,6 @@ class TestWorkerCountInvariance:
         ]
 
 
-class TestExecutorKindInvariance:
-    def test_async_executor_matches_sequential(self):
-        campaign = make_campaign()
-        seq = campaign.run_results(TOPOLOGIES, workers=1)
-        overlapped = campaign.run_results(
-            TOPOLOGIES, workers=3, executor="async"
-        )
-        assert [r.fingerprint() for r in overlapped.results] == [
-            r.fingerprint() for r in seq.results
-        ]
-        assert deterministic_metrics(overlapped.registry) == \
-            deterministic_metrics(seq.registry)
-
-    def test_async_table_byte_identical(self):
-        campaign = make_campaign()
-        assert campaign.run(
-            TOPOLOGIES, workers=3, executor="async"
-        ).format() == campaign.run(TOPOLOGIES, workers=1).format()
-
-
 class TestShardInvariance:
     @pytest.mark.parametrize("count", [2, 4])
     def test_shard_union_equals_full_run(self, count):

@@ -1,4 +1,4 @@
-"""Tests for the runner layer: cells, sharding, cache, executors, shims."""
+"""Tests for the runner layer: cells, sharding, cache, executor, shims."""
 
 import math
 import pickle
@@ -9,19 +9,14 @@ import pytest
 from repro.graphs import line, ring
 from repro.obs.metrics import MetricsRegistry, registry_from_snapshot
 from repro.runner import (
-    AsyncExecutor,
     CellFailure,
     CellResult,
     CellSpec,
     CellTask,
-    ProcessExecutor,
     ResultCache,
-    RobustProcessExecutor,
-    RobustSequentialExecutor,
-    SequentialExecutor,
     cell_cache_key,
-    create_executor,
     execute_cell,
+    execute_cells,
     filter_shard,
     in_shard,
     parse_shard,
@@ -251,26 +246,28 @@ class TestResultCache:
         assert cache.evicted_entries == 0
 
 
+def in_input_order(stream):
+    """Outcomes of an ``execute_cells`` stream, back in input order."""
+    return [outcome for _, outcome in sorted(stream, key=lambda p: p[0])]
+
+
 class TestExecutors:
     def test_sequential_preserves_order(self):
         tasks = [make_task(seed=s) for s in range(3)]
         registry = MetricsRegistry()
-        outcomes = SequentialExecutor().execute(tasks, registry=registry)
-        assert [o.result.seed for o in outcomes] == [0, 1, 2]
+        stream = list(execute_cells(tasks, 1, registry=registry))
+        assert [index for index, _ in stream] == [0, 1, 2]
+        assert [o.result.seed for _, o in stream] == [0, 1, 2]
         depth = registry.get("campaign.queue.depth")
         assert depth is not None and depth.count == 3
 
     def test_process_pool_matches_sequential(self):
         tasks = [make_task(seed=s) for s in range(4)]
-        sequential = SequentialExecutor().execute(tasks)
-        pooled = ProcessExecutor(2).execute(tasks)
+        sequential = in_input_order(execute_cells(tasks, 1))
+        pooled = in_input_order(execute_cells(tasks, 2))
         assert [o.result.fingerprint() for o in pooled] == [
             o.result.fingerprint() for o in sequential
         ]
-
-    def test_process_executor_rejects_single_worker(self):
-        with pytest.raises(ValueError, match=">= 2 workers"):
-            ProcessExecutor(1)
 
     def test_resolve_workers_precedence(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV, raising=False)
@@ -301,71 +298,37 @@ def raising_builder(topology, seed):
     raise RuntimeError(f"cell (seed={seed}) is broken")
 
 
-class TestAsyncExecutor:
-    def test_matches_sequential_fingerprints(self):
-        tasks = [make_task(seed=s) for s in range(4)]
-        sequential = SequentialExecutor().execute(tasks)
-        overlapped = AsyncExecutor(3).execute(tasks)
-        assert [o.result.fingerprint() for o in overlapped] == [
-            o.result.fingerprint() for o in sequential
-        ]
+class TestQuarantinePolicy:
+    """One policy on both dispatch branches: without quarantine the
+    cell's own exception propagates; with it the cell degrades to a
+    typed ``error`` failure and the others complete."""
 
-    def test_queue_depth_telemetry_flows(self):
-        registry = MetricsRegistry()
-        AsyncExecutor(2).execute(
-            [make_task(seed=s) for s in range(3)], registry=registry
-        )
-        depth = registry.get("campaign.queue.depth")
-        assert depth is not None and depth.count == 3
-
-    def test_robust_quarantines_raising_cells(self):
+    def broken_batch(self):
         broken = CellTask(
             spec=CellSpec(builder="broken", topology=ring(4), seed=7),
             build=raising_builder,
         )
-        outcomes = AsyncExecutor(2, robust=True).execute(
-            [make_task(seed=0), broken]
+        return [make_task(seed=0), broken, make_task(seed=1)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_plain_run_propagates_cell_error(self, workers):
+        with pytest.raises(RuntimeError, match="is broken"):
+            list(execute_cells(self.broken_batch(), workers))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_quarantine_degrades_to_failure(self, workers):
+        outcomes = in_input_order(
+            execute_cells(self.broken_batch(), workers, quarantine=True)
         )
-        assert isinstance(outcomes[0].result, CellResult)
+        assert [o.result.seed for o in (outcomes[0], outcomes[2])] == [0, 1]
         failure = outcomes[1]
         assert isinstance(failure, CellFailure)
         assert failure.kind == "error"
         assert failure.key == ("broken", "ring-4", 7)
-        assert "broken" in failure.message
+        assert "is broken" in failure.message
 
-    def test_non_robust_propagates_errors(self):
-        broken = CellTask(
-            spec=CellSpec(builder="broken", topology=ring(4), seed=7),
-            build=raising_builder,
-        )
-        with pytest.raises(RuntimeError, match="is broken"):
-            AsyncExecutor(2).execute([make_task(seed=0), broken])
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            AsyncExecutor(0)
-
-
-class TestCreateExecutor:
-    def test_dispatch_table(self):
-        cases = [
-            (dict(workers=1), SequentialExecutor),
-            (dict(workers=4, cells=1), SequentialExecutor),
-            (dict(workers=4, cells=8), ProcessExecutor),
-            (dict(workers=1, robust=True), RobustSequentialExecutor),
-            (dict(workers=4, cells=8, robust=True), RobustProcessExecutor),
-            (dict(workers=1, kind="async"), AsyncExecutor),
-            (dict(workers=4, cells=1, kind="async"), AsyncExecutor),
-        ]
-        for kwargs, expected in cases:
-            workers = kwargs.pop("workers")
-            assert isinstance(
-                create_executor(workers, **kwargs), expected
-            ), (workers, kwargs)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor kind"):
-            create_executor(2, kind="threads")
+    def test_empty_batch_yields_nothing(self):
+        assert list(execute_cells([], 2)) == []
 
 
 class TestKeywordOnlyEnforced:

@@ -2,15 +2,22 @@
 
 Worker death, hung cells, transient failures and cache corruption must
 degrade to quarantined/retried cells and counters -- never to a hung
-``imap_unordered`` or an aborted sweep.  The misbehaving cells come from
+pool or an aborted sweep.  The misbehaving cells come from
 :mod:`repro.faults.chaos`, whose builders read their schedule from
 environment variables (so they misbehave inside pool workers too).
 """
 
 import json
+import os
 import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.faults.chaos import (
     CHAOS_DIR_ENV,
@@ -23,17 +30,90 @@ from repro.faults.chaos import (
 from repro.graphs.topology import ring
 from repro.runner.cache import CACHE_VERSION, ResultCache, cell_cache_key
 from repro.runner.cells import CellSpec, CellTask
+from repro.obs.metrics import MetricsRegistry
 from repro.runner.executor import (
     CellFailure,
-    ProcessExecutor,
-    RobustProcessExecutor,
-    RobustSequentialExecutor,
-    SequentialExecutor,
+    execute_cells,
     resolve_start_method,
 )
 from repro.workloads.parallel import run_campaign
 
 HAS_SIGALRM = hasattr(signal, "SIGALRM")
+PROC = Path("/proc")
+
+#: A two-worker chaos campaign over seeds 0-2, run in a child process by
+#: the tests that need to survive, watch or kill the whole run.  argv[1]
+#: holds extra run_campaign options as JSON; the quarantined cells are
+#: printed as [seed, kind, attempts] rows.
+CHAOS_CAMPAIGN = """
+import json, sys
+from repro.faults.chaos import chaos_bounded_builder
+from repro.graphs.topology import ring
+from repro.runner.cells import CellSpec, CellTask
+from repro.workloads.parallel import run_campaign
+outcome = run_campaign([
+    CellTask(
+        spec=CellSpec(builder="chaos-bounded", topology=ring(4), seed=seed),
+        build=chaos_bounded_builder,
+    )
+    for seed in (0, 1, 2)
+], workers=2, **json.loads(sys.argv[1]))
+print(json.dumps([[f.seed, f.kind, f.attempts] for f in outcome.quarantined]))
+"""
+
+
+def run_chaos_campaign(options, **chaos):
+    """CHAOS_CAMPAIGN in a child process under a bounded wait."""
+    try:
+        return subprocess.run(
+            [sys.executable, "-c", CHAOS_CAMPAIGN, json.dumps(options)],
+            env=child_env(**chaos),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"chaos campaign {options} hung")
+
+
+def child_env(**chaos):
+    env = dict(os.environ, **chaos)
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    return env
+
+
+def proc_stat(pid):
+    """(state, ppid) of ``pid`` from /proc, or None once it is gone."""
+    try:
+        text = (PROC / str(pid) / "stat").read_text()
+    except OSError:
+        return None
+    state, ppid = text.rsplit(")", 1)[1].split()[:2]
+    return state, int(ppid)
+
+
+def is_alive(pid):
+    stat = proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def live_children(parent):
+    found = []
+    for entry in PROC.iterdir():
+        stat = proc_stat(entry.name) if entry.name.isdigit() else None
+        if stat is not None and stat[0] != "Z" and stat[1] == parent:
+            found.append(int(entry.name))
+    return found
+
+
+def wait_for(probe, seconds):
+    """Poll ``probe`` until it returns something truthy or time runs out."""
+    deadline = time.monotonic() + seconds
+    while True:
+        found = probe()
+        if found or time.monotonic() > deadline:
+            return found
+        time.sleep(0.05)
 
 
 def chaos_tasks(seeds, certify=True):
@@ -47,6 +127,12 @@ def chaos_tasks(seeds, certify=True):
         )
         for seed in seeds
     ]
+
+
+def run_cells(tasks, workers, **options):
+    """``execute_cells`` outcomes, back in input order."""
+    stream = execute_cells(tasks, workers, **options)
+    return [outcome for _, outcome in sorted(stream, key=lambda p: p[0])]
 
 
 def clean_env(monkeypatch):
@@ -77,8 +163,8 @@ class TestSpawnPath:
         """Module-level builders travel by pickle under spawn."""
         clean_env(monkeypatch)
         tasks = chaos_tasks([0, 1])
-        sequential = SequentialExecutor().execute(tasks)
-        spawned = ProcessExecutor(2, start_method="spawn").execute(tasks)
+        sequential = run_cells(tasks, 1)
+        spawned = run_cells(tasks, 2, start_method="spawn")
         # Fingerprints exclude wall-clock seconds, which legitimately
         # differ between runs.
         assert [o.result.fingerprint() for o in spawned] == [
@@ -88,11 +174,22 @@ class TestSpawnPath:
     def test_robust_executor_spawn_path(self, monkeypatch):
         clean_env(monkeypatch)
         tasks = chaos_tasks([0, 1])
-        outcomes = RobustProcessExecutor(
-            2, start_method="spawn"
-        ).execute(tasks)
+        outcomes = run_cells(
+            tasks, 2, quarantine=True, start_method="spawn"
+        )
         assert not any(isinstance(o, CellFailure) for o in outcomes)
         assert [o.result.seed for o in outcomes] == [0, 1]
+
+    def test_unpicklable_builder_is_explained(self):
+        tasks = [
+            CellTask(
+                spec=CellSpec(builder="local", topology=ring(4), seed=seed),
+                build=lambda topology, seed: None,
+            )
+            for seed in (0, 1)
+        ]
+        with pytest.raises(RuntimeError, match="must be picklable"):
+            run_cells(tasks, 2, start_method="spawn")
 
 
 class TestWorkerDeath:
@@ -102,7 +199,7 @@ class TestWorkerDeath:
         clean_env(monkeypatch)
         monkeypatch.setenv(CRASH_ENV, "1")
         tasks = chaos_tasks([0, 1, 2])
-        outcomes = RobustProcessExecutor(2).execute(tasks)
+        outcomes = run_cells(tasks, 2, quarantine=True)
         kinds = [
             o.kind if isinstance(o, CellFailure) else "ok" for o in outcomes
         ]
@@ -116,12 +213,64 @@ class TestWorkerDeath:
         monkeypatch.setenv(CRASH_ENV, "0")
         (outcome,) = [
             o
-            for o in RobustProcessExecutor(2).execute(chaos_tasks([0, 3]))
+            for o in run_cells(chaos_tasks([0, 3]), 2, quarantine=True)
             if isinstance(o, CellFailure)
         ]
         record = outcome.to_json()
         assert record["type"] == "campaign.cell.failure"
         assert record["kind"] == "crash"
+
+    def test_crash_settles_every_cell_once(self, monkeypatch):
+        clean_env(monkeypatch)
+        monkeypatch.setenv(CRASH_ENV, "1")
+        registry = MetricsRegistry()
+        run_cells(chaos_tasks([0, 1, 2]), 2, quarantine=True,
+                  registry=registry)
+        assert registry.get("campaign.queue.depth").count == 3
+        assert registry.get("campaign.cell.seconds").count == 3
+        assert registry.get("campaign.cells.completed").value == 3
+
+    def test_plain_run_fails_instead_of_hanging(self, monkeypatch):
+        """Without quarantine a dead worker fails the run with
+        BrokenProcessPool.  The run happens in a child process under a
+        bounded wait, so a hang fails this test instead of wedging the
+        suite."""
+        clean_env(monkeypatch)
+        child = run_chaos_campaign({}, **{CRASH_ENV: "1"})
+        assert child.returncode != 0
+        assert "BrokenProcessPool" in child.stderr
+
+    def test_retried_crash_stays_contained(self, monkeypatch):
+        """The retry of a lone crashed cell still runs in a pool worker,
+        so its second crash is quarantined instead of killing the run."""
+        clean_env(monkeypatch)
+        child = run_chaos_campaign({"retries": 1}, **{CRASH_ENV: "1"})
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout) == [[1, "crash", 2]]
+
+    @pytest.mark.skipif(not PROC.is_dir(), reason="needs /proc")
+    def test_killed_parent_leaves_no_workers(self, monkeypatch):
+        """SIGKILL of a campaign mid-run (a killed shard) must not leave
+        its pool workers behind."""
+        clean_env(monkeypatch)
+        env = child_env(**{HANG_ENV: "0,1,2", HANG_SECONDS_ENV: "60"})
+        parent = subprocess.Popen(
+            [sys.executable, "-c", CHAOS_CAMPAIGN, "{}"], env=env
+        )
+        try:
+            workers = wait_for(lambda: live_children(parent.pid), 30)
+            assert len(workers) == 2
+        finally:
+            parent.kill()
+            parent.wait()
+        left = wait_for(
+            lambda: not any(is_alive(pid) for pid in workers), 10
+        )
+        if not left:
+            for pid in workers:
+                if is_alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+        assert left, "pool workers outlived their killed parent"
 
 
 @pytest.mark.skipif(not HAS_SIGALRM, reason="needs SIGALRM")
@@ -130,8 +279,8 @@ class TestTimeouts:
         clean_env(monkeypatch)
         monkeypatch.setenv(HANG_ENV, "0")
         monkeypatch.setenv(HANG_SECONDS_ENV, "30")
-        outcomes = RobustSequentialExecutor(timeout=0.3).execute(
-            chaos_tasks([0, 1])
+        outcomes = run_cells(
+            chaos_tasks([0, 1]), 1, timeout=0.3, quarantine=True
         )
         assert isinstance(outcomes[0], CellFailure)
         assert outcomes[0].kind == "timeout"
@@ -141,8 +290,8 @@ class TestTimeouts:
         clean_env(monkeypatch)
         monkeypatch.setenv(HANG_ENV, "1")
         monkeypatch.setenv(HANG_SECONDS_ENV, "30")
-        outcomes = RobustProcessExecutor(2, timeout=0.5).execute(
-            chaos_tasks([0, 1, 2])
+        outcomes = run_cells(
+            chaos_tasks([0, 1, 2]), 2, timeout=0.5, quarantine=True
         )
         kinds = [
             o.kind if isinstance(o, CellFailure) else "ok" for o in outcomes
@@ -154,11 +303,26 @@ class TestErrors:
     def test_raising_cell_is_quarantined_as_error(self, monkeypatch):
         clean_env(monkeypatch)
         monkeypatch.setenv(FLAKY_ENV, "0")  # no CHAOS_DIR: raises every time
-        outcomes = RobustSequentialExecutor().execute(chaos_tasks([0, 1]))
+        outcomes = run_cells(chaos_tasks([0, 1]), 1, quarantine=True)
         assert isinstance(outcomes[0], CellFailure)
         assert outcomes[0].kind == "error"
         assert "FlakyCellError" in outcomes[0].message
         assert not isinstance(outcomes[1], CellFailure)
+
+
+class TestSettledCellTelemetry:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_settled_cell_observed_once(self, monkeypatch, workers):
+        """A quarantined cell is observed like a completed one, on both
+        dispatch branches."""
+        clean_env(monkeypatch)
+        monkeypatch.setenv(FLAKY_ENV, "3")  # no CHAOS_DIR: raises every time
+        outcome = run_campaign(
+            chaos_tasks([0, 1, 2, 3]), workers=workers, cell_timeout=30
+        )
+        assert [f.seed for f in outcome.quarantined] == [3]
+        for name in ("campaign.queue.depth", "campaign.cell.seconds"):
+            assert outcome.registry.get(name).count == 4, name
 
 
 class TestCampaignRetry:
