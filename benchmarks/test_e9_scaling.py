@@ -53,12 +53,9 @@ def test_e9_engine_backends(capsys):
     ``BenchReport`` instead of the old bare list.  The claims are
     unchanged: the numpy engine must beat the reference dict/digraph
     engine by at least 5x at n=64 (measured ~10x; the bound leaves CI
-    headroom), both backends must agree on A^max to 1e-7, and the
-    legacy row shape must still load through ``load_engine_baseline``
-    so the overhead guards keyed on ``numpy_seconds`` never notice.
+    headroom), and both backends must agree on A^max to 1e-7.
     """
     from repro.bench import (
-        load_engine_baseline,
         run_suite,
         validate_bench_file,
         write_bench_report,
@@ -81,15 +78,16 @@ def test_e9_engine_backends(capsys):
     write_bench_report(out, report)
     assert validate_bench_file(out) == len(report.results)
 
-    rows = load_engine_baseline(out)
+    speedups = {}
     with capsys.disabled():
         print()
-        for n in sorted(rows):
-            entry = rows[n]
+        for n in (8, 16, 32, 64):
+            python = by_key[f"engine.pipeline[backend=python,n={n}]"].wall.min
+            numpy = by_key[f"engine.pipeline[backend=numpy,n={n}]"].wall.min
+            speedups[n] = python / numpy
             print(
-                f"n={n:>3}  python {entry['python_seconds']:.5f}s  "
-                f"numpy {entry['numpy_seconds']:.5f}s  "
-                f"speedup {entry['speedup']:.1f}x"
+                f"n={n:>3}  python {python:.5f}s  numpy {numpy:.5f}s  "
+                f"speedup {speedups[n]:.1f}x"
             )
 
-    assert rows[64]["speedup"] >= 5.0
+    assert speedups[64] >= 5.0

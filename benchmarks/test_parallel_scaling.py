@@ -4,8 +4,7 @@ Runs the E9c campaign (bounded rings, sizes 8..64) at 1, 2 and 4
 workers and archives ``BENCH_parallel.json`` as a schema'd
 :class:`~repro.bench.BenchReport` (``campaign.scaling`` results keyed
 by worker count, ``campaign.streaming`` by runner mode, honest
-grid/cpu/target facts in ``meta``; the legacy dict shape still loads
-through ``load_parallel_baseline``).  The seed set is widened
+grid/cpu/target facts in ``meta``).  The seed set is widened
 to 16 per cell so the grid carries enough serial work (~1s) to amortize
 pool startup -- with E9c's default 3 seeds the whole grid solves in
 ~0.2s and any pool would lose to its own fork overhead.  Two distinct

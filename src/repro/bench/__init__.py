@@ -13,7 +13,7 @@ not printouts.  The pieces:
   tracemalloc, an instrumented pass for histogram percentiles + spans);
 * :mod:`repro.bench.schema` -- versioned ``BenchResult``/``BenchReport``
   records with an environment fingerprint, document + JSONL-history
-  serialization, a validator, and legacy-format loader shims;
+  serialization, and a validator;
 * :mod:`repro.bench.baseline` -- noise-aware regression comparison
   (median AND floor must both move beyond tolerance) with same-machine
   enforcement by default;
@@ -77,8 +77,6 @@ from repro.bench.schema import (
     EnvFingerprint,
     SampleStats,
     append_history,
-    load_engine_baseline,
-    load_parallel_baseline,
     read_bench_report,
     read_history,
     validate_bench_file,
@@ -112,8 +110,6 @@ __all__ = [
     "comparison_table",
     "environment_lines",
     "load_default_workloads",
-    "load_engine_baseline",
-    "load_parallel_baseline",
     "memory_table",
     "percentiles_table",
     "read_bench_report",

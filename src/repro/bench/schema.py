@@ -16,10 +16,7 @@ Two serialized forms share one record shape (following the
   run (``BENCH_history.jsonl``); the cross-PR bench trajectory.
 
 ``validate_bench_file`` re-reads what the writers produced and is run
-by tests and the CI ``perf`` job.  :func:`load_engine_baseline` is the
-compatibility shim for the pre-schema era: it reads both the legacy
-bare-list ``BENCH_engine.json`` and the new report form into one shape,
-so overhead guards written against the old file keep working.
+by tests and the CI ``perf`` job.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 PathLike = Union[str, Path]
 
@@ -335,8 +332,7 @@ def read_bench_report(path: PathLike) -> BenchReport:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise BenchSchemaError(
-            f"{path}: not a bench report document (legacy list format? "
-            f"use load_engine_baseline for that)"
+            f"{path}: not a bench report document"
         )
     return BenchReport.from_json(data)
 
@@ -387,7 +383,7 @@ def validate_bench_file(path: PathLike) -> int:
     if stripped.startswith("["):
         raise BenchSchemaError(
             f"{path}: legacy bare-list format (pre-schema); regenerate "
-            f"with the bench harness or load via load_engine_baseline"
+            f"with the bench harness"
         )
     if stripped.startswith("{") and "\n{" not in text.strip():
         reports = [BenchReport.from_json(json.loads(text))]
@@ -421,77 +417,6 @@ def _validate_report(path: PathLike, report: BenchReport) -> None:
                 )
 
 
-# ----------------------------------------------------------------------
-# Legacy-format shims
-# ----------------------------------------------------------------------
-
-def load_engine_baseline(path: PathLike) -> Dict[int, Dict[str, float]]:
-    """``BENCH_engine.json`` rows keyed by ``n``, whatever the format.
-
-    The legacy file was a bare list of ``{"n", "python_seconds",
-    "numpy_seconds", "precision", "speedup"}`` rows; the schema'd file
-    is a :class:`BenchReport` whose ``engine.pipeline`` results carry
-    backend/n params.  Both load into the legacy row shape, so the
-    overhead guards (and anything else keyed on ``n``) never notice
-    the migration.
-    """
-    data = json.loads(Path(path).read_text())
-    if isinstance(data, list):  # legacy bare list
-        return {int(row["n"]): dict(row) for row in data}
-    report = BenchReport.from_json(data)
-    rows: Dict[int, Dict[str, float]] = {}
-    for result in report.results:
-        if result.name != "engine.pipeline":
-            continue
-        n = int(result.params["n"])
-        backend = str(result.params["backend"])
-        row = rows.setdefault(n, {"n": n})
-        row[f"{backend}_seconds"] = result.wall.min
-        if "precision" in result.extra:
-            row["precision"] = float(result.extra["precision"])
-    for row in rows.values():
-        if "python_seconds" in row and "numpy_seconds" in row:
-            row["speedup"] = row["python_seconds"] / row["numpy_seconds"]
-    return rows
-
-
-def load_parallel_baseline(path: PathLike) -> Dict[str, object]:
-    """``BENCH_parallel.json`` in the legacy dict shape, whatever the format.
-
-    Legacy was a hand-rolled ``{"grid", "cpu", "runs", ...}`` dict; the
-    schema'd file is a :class:`BenchReport` with ``campaign.scaling``
-    (params: workers) and ``campaign.streaming`` (params: mode) results
-    plus the grid/cpu/target fields in ``meta``.
-    """
-    data = json.loads(Path(path).read_text())
-    if isinstance(data, dict) and data.get("record") != REPORT_RECORD:
-        return data  # legacy shape
-    report = BenchReport.from_json(data)
-    runs = []
-    streaming_runs = []
-    for result in report.results:
-        if result.name == "campaign.scaling":
-            runs.append({
-                "workers": int(result.params["workers"]),
-                "seconds": result.wall.min,
-                **result.extra,
-            })
-        elif result.name == "campaign.streaming":
-            streaming_runs.append({
-                "mode": str(result.params["mode"]),
-                "seconds": result.wall.min,
-                **result.extra,
-            })
-    out: Dict[str, object] = dict(report.meta)
-    out["runs"] = sorted(runs, key=lambda r: r["workers"])
-    if streaming_runs:
-        out["streaming"] = {
-            "table_identical": report.meta.get("table_identical", True),
-            "runs": streaming_runs,
-        }
-    return out
-
-
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "BenchReport",
@@ -500,8 +425,6 @@ __all__ = [
     "EnvFingerprint",
     "SampleStats",
     "append_history",
-    "load_engine_baseline",
-    "load_parallel_baseline",
     "read_bench_report",
     "read_history",
     "validate_bench_file",

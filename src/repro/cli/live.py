@@ -27,14 +27,20 @@ def _cmd_live_smoke(args: argparse.Namespace) -> int:
 
         async def drive() -> dict:
             from repro.live.cluster import ClusterConfig, LiveCluster
+            from repro.live.transport import LossyNetwork
 
+            net = (
+                LossyNetwork(
+                    loss=args.loss, reorder=args.reorder, seed=args.net_seed
+                )
+                if args.loss or args.reorder
+                else None
+            )
             cluster = LiveCluster(ClusterConfig(
                 peers=args.peers,
                 interval=args.interval,
                 freshness=args.freshness,
-                reliable=not args.no_reliable,
-                loss=args.loss,
-                reorder=args.reorder,
+                net=net,
                 net_seed=args.net_seed,
             ))
             async with cluster:
@@ -101,21 +107,20 @@ def _cmd_live_smoke(args: argparse.Namespace) -> int:
             print(f"latency:      p50 {p50 * 1e6:.0f}us  "
                   f"p99 {p99 * 1e6:.0f}us")
             transport = summary["transport"]
-            if transport.get("enabled"):
-                totals = transport["totals"]
-                print(f"transport:    {totals.get('handed', 0):.0f} handed  "
-                      f"{totals.get('retransmits', 0):.0f} retransmits  "
-                      f"{totals.get('give_ups', 0):.0f} give-ups  "
-                      f"{transport['lost_observations']} lost"
-                      + ("" if transport["drained"] else "  (DRAIN TIMEOUT)"))
-                if "net" in transport:
-                    net = transport["net"]
-                    print(f"injected:     {net['dropped']} drops  "
-                          f"{net['delayed']} delays  "
-                          f"{net['passed']} passed")
-                if transport["unreachable"]:
-                    print(f"unreachable:  "
-                          f"{', '.join(transport['unreachable'])}")
+            totals = transport["totals"]
+            print(f"transport:    {totals.get('handed', 0):.0f} handed  "
+                  f"{totals.get('retransmits', 0):.0f} retransmits  "
+                  f"{totals.get('give_ups', 0):.0f} give-ups  "
+                  f"{transport['lost_observations']} lost"
+                  + ("" if transport["drained"] else "  (DRAIN TIMEOUT)"))
+            if "net" in transport:
+                net = transport["net"]
+                print(f"injected:     {net['dropped']} drops  "
+                      f"{net['delayed']} delays  "
+                      f"{net['passed']} passed")
+            if transport["unreachable"]:
+                print(f"unreachable:  "
+                      f"{', '.join(transport['unreachable'])}")
             print(replay.describe())
             if summary["realized_spread"] is not None:
                 print(f"realized spread vs ground truth: "
@@ -131,16 +136,15 @@ def _cmd_live_smoke(args: argparse.Namespace) -> int:
                   f"{args.min_qps:g} threshold", file=sys.stderr)
             return 1
         transport = summary["transport"]
-        if transport.get("enabled"):
-            if not transport["drained"]:
-                print("FAIL: transport did not drain within "
-                      f"{args.drain_timeout:g}s", file=sys.stderr)
-                return 1
-            if transport["lost_observations"] > 0:
-                print(f"FAIL: {transport['lost_observations']} observations "
-                      "lost in transit (neither delivered nor surfaced)",
-                      file=sys.stderr)
-                return 1
+        if not transport["drained"]:
+            print("FAIL: transport did not drain within "
+                  f"{args.drain_timeout:g}s", file=sys.stderr)
+            return 1
+        if transport["lost_observations"] > 0:
+            print(f"FAIL: {transport['lost_observations']} observations "
+                  "lost in transit (neither delivered nor surfaced)",
+                  file=sys.stderr)
+            return 1
     return 0
 
 
@@ -317,11 +321,6 @@ def register(sub) -> None:
         help="seed for loss injection and retransmit jitter (default 0)",
     )
     p_smoke.add_argument(
-        "--no-reliable", action="store_true",
-        help="speak the raw datagram protocol instead of the reliable "
-        "transport (loss then costs observations)",
-    )
-    p_smoke.add_argument(
         "--drain-timeout", type=float, default=10.0, metavar="SECONDS",
         help="max wait for in-flight retransmissions to settle before "
         "the accounting audit (default 10)",
@@ -352,7 +351,8 @@ def register_serve(sub) -> None:
     p_serve = sub.add_parser(
         "serve",
         help="run a correction server: ingest peer probe reports over "
-        "UDP, answer correction queries at high QPS",
+        "the reliable transport (framed UDP segments), answer correction "
+        "queries at high QPS",
     )
     p_serve.add_argument(
         "--host", default="127.0.0.1",

@@ -2,7 +2,8 @@
 
 * :mod:`repro.extensions.leader` -- the leader-based distributed protocol
   the paper sketches as an open question, implemented as simulator
-  automata with tree routing and sufficient-statistics reports.
+  automata with tree routing and sufficient-statistics reports
+  (optionally over the shared reliable transport, surviving loss).
 * :mod:`repro.extensions.drift` -- drifting clocks with periodic
   resynchronization (the Kopetz--Ochsenreiter regime of footnote 1).
 * :mod:`repro.extensions.external_time` -- anchoring corrected clocks to
@@ -48,14 +49,6 @@ from repro.extensions.probabilistic import (
     derive_bounded_system,
     probabilistic_synchronize,
 )
-from repro.extensions.reliable_leader import (
-    AssignAck,
-    ReliableLeaderSyncAutomaton,
-    ReliableNodeState,
-    ReportAck,
-    reliable_corrections_from_execution,
-    reliable_leader_automata,
-)
 from repro.extensions.windowed_bias import (
     TimedObservation,
     WindowedBias,
@@ -73,12 +66,6 @@ __all__ = [
     "UniformDelayDistribution",
     "derive_bounded_system",
     "probabilistic_synchronize",
-    "AssignAck",
-    "ReliableLeaderSyncAutomaton",
-    "ReliableNodeState",
-    "ReportAck",
-    "reliable_corrections_from_execution",
-    "reliable_leader_automata",
     "TimedObservation",
     "WindowedBias",
     "observations_from_views",

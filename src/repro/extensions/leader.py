@@ -24,11 +24,27 @@ corrections are optimal w.r.t. the *probe phase* only; the report and
 assignment messages themselves carry extra timing information that a
 centralized observer of the full execution could additionally exploit.
 Experiment E10 quantifies that gap.
+
+The paper's delivery system never loses a message, and by default
+neither does this protocol's: one lost report or assignment deadlocks
+it.  With a :class:`~repro.transport.TransportConfig`, reports and
+assignments ride the shared reliable transport
+(:class:`~repro.transport.ReliableTransport`) hop by hop along the
+routing tree: its frames are ordinary simulator messages, retransmit
+deadlines are ordinary timers, and a give-up leaves the affected
+processors unassigned, which :func:`corrections_from_execution` reports
+as :class:`ProtocolIncomplete`.  Probes stay raw sends: a retransmitted
+probe's delay would be emergent and could break the ``[lb, ub]``
+assumptions the leader's ``mls~`` relies on.  The machine lives in the
+immutable per-step :class:`NodeState` and is copied before every
+transition that touches it, so automata can be reused across runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from collections import deque
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro._types import ProcessorId, Time
@@ -39,6 +55,14 @@ from repro.graphs.topology import Topology
 from repro.model.events import Event, MessageReceiveEvent, StartEvent, TimerEvent
 from repro.model.execution import Execution
 from repro.sim.processor import Automaton, Send, SetTimer, Transition
+from repro.transport import (
+    AckSegment,
+    DataSegment,
+    Deliver,
+    Emit,
+    ReliableTransport,
+    TransportConfig,
+)
 
 
 # ----------------------------------------------------------------------
@@ -144,6 +168,13 @@ class NodeState:
     reports: Tuple[Report, ...] = ()
     correction: Optional[Time] = None
     assigned: bool = False
+    #: reliable-transport endpoint (``None`` on the lossless protocol);
+    #: never mutated in place -- transitions copy it first.
+    transport: Optional[ReliableTransport] = field(default=None, repr=False)
+
+
+#: Payloads routed toward a target: ``(target, payload)`` pairs.
+Routed = Sequence[Tuple[ProcessorId, Any]]
 
 
 class LeaderSyncAutomaton(Automaton):
@@ -152,7 +183,9 @@ class LeaderSyncAutomaton(Automaton):
     Every processor probes its neighbours at ``probe_times`` and reports
     inbound statistics toward the leader at ``report_time``; the leader
     additionally runs the optimal pipeline once all reports arrive and
-    distributes corrections.
+    distributes corrections.  With a ``transport`` config, reports and
+    assignments ride a :class:`~repro.transport.ReliableTransport` per
+    processor (see the module docstring).
     """
 
     def __init__(
@@ -163,6 +196,7 @@ class LeaderSyncAutomaton(Automaton):
         probe_times: Sequence[Time],
         report_time: Time,
         next_hop: Mapping[ProcessorId, ProcessorId],
+        transport: Optional[TransportConfig] = None,
     ) -> None:
         if report_time <= max(probe_times):
             raise ValueError("report_time must come after the last probe")
@@ -174,11 +208,9 @@ class LeaderSyncAutomaton(Automaton):
         self._report_time = report_time
         self._next_hop = dict(next_hop)
         self._n = len(system.topology.nodes)
+        self._transport = transport
 
     # -- helpers -------------------------------------------------------
-
-    def _route(self, target: ProcessorId, payload: Any) -> Send:
-        return Send(to=self._next_hop[target], payload=payload)
 
     def _make_report(self, state: NodeState) -> Report:
         by_sender: Dict[ProcessorId, List[Time]] = {}
@@ -211,7 +243,9 @@ class LeaderSyncAutomaton(Automaton):
     # -- Automaton interface -------------------------------------------
 
     def initial_state(self) -> NodeState:
-        return NodeState()
+        if self._transport is None:
+            return NodeState()
+        return NodeState(transport=ReliableTransport(self._me, self._transport))
 
     def on_interrupt(
         self, state: NodeState, clock_time: Time, event: Event
@@ -222,7 +256,15 @@ class LeaderSyncAutomaton(Automaton):
             return Transition.to(state, timers=timers)
 
         if isinstance(event, TimerEvent):
-            if state.probes_sent < len(self._probe_times):
+            # A timer event carries the exact clock time its SetTimer
+            # named (``clock_time`` is real - start and need not round-
+            # trip), so protocol timers are told from retransmit timers
+            # by whether protocol work is due at that named time.
+            due = event.clock_time
+            if (
+                state.probes_sent < len(self._probe_times)
+                and due >= self._probe_times[state.probes_sent]
+            ):
                 sends = tuple(
                     Send(
                         to=n,
@@ -238,16 +280,15 @@ class LeaderSyncAutomaton(Automaton):
                     replace(state, probes_sent=state.probes_sent + 1),
                     sends=sends,
                 )
-            # Report timer.
-            report = self._make_report(state)
-            if self._me == self._leader:
-                return self._absorb_report(
-                    replace(state, reported=True), report
-                )
-            return Transition.to(
-                replace(state, reported=True),
-                sends=(self._route(self._leader, report),),
-            )
+            now = max(clock_time, due)
+            if not state.reported and due >= self._report_time:
+                report = self._make_report(state)
+                state = replace(state, reported=True)
+                if self._me == self._leader:
+                    return self._ship(now, *self._absorb_report(state, report))
+                return self._ship(now, state, ((self._leader, report),))
+            # A retransmission deadline of the reliable transport.
+            return self._ship(now, state, feed=lambda m: m.on_timer(now))
 
         if isinstance(event, MessageReceiveEvent):
             payload = event.message.payload
@@ -255,44 +296,95 @@ class LeaderSyncAutomaton(Automaton):
                 delay_estimate = clock_time - payload.send_clock
                 obs = state.observations + ((payload.origin, delay_estimate),)
                 return Transition.to(replace(state, observations=obs))
-            if isinstance(payload, Report):
-                if self._me == self._leader:
-                    return self._absorb_report(state, payload)
-                return Transition.to(
-                    state, sends=(self._route(self._leader, payload),)
+            if isinstance(payload, (DataSegment, AckSegment)):
+                return self._ship(
+                    clock_time, state,
+                    feed=lambda m: m.on_frame(payload, clock_time),
                 )
-            if isinstance(payload, Assign):
-                if payload.target == self._me:
-                    return Transition.to(
-                        replace(
-                            state,
-                            correction=payload.correction,
-                            assigned=True,
-                        )
-                    )
-                return Transition.to(
-                    state, sends=(self._route(payload.target, payload),)
-                )
+            return self._ship(clock_time, *self._on_payload(state, payload))
         return Transition.to(state)
 
-    def _absorb_report(self, state: NodeState, report: Report) -> Transition:
+    def _on_payload(
+        self, state: NodeState, payload: Any
+    ) -> Tuple[NodeState, Routed]:
+        """Handle one delivered Report/Assign: absorb it or pass it on."""
+        if isinstance(payload, Report):
+            if self._me == self._leader:
+                return self._absorb_report(state, payload)
+            return state, ((self._leader, payload),)
+        if isinstance(payload, Assign):
+            if payload.target == self._me:
+                return (
+                    replace(state, correction=payload.correction, assigned=True),
+                    (),
+                )
+            return state, ((payload.target, payload),)
+        return state, ()
+
+    def _absorb_report(
+        self, state: NodeState, report: Report
+    ) -> Tuple[NodeState, Routed]:
         reports = state.reports + (report,)
         new_state = replace(state, reports=reports)
         if len(reports) < self._n:
-            return Transition.to(new_state)
+            return new_state, ()
         result = self._leader_compute(reports)
-        sends = tuple(
-            self._route(target, Assign(target=target, correction=x))
+        assigns = tuple(
+            (target, Assign(target=target, correction=x))
             for target, x in sorted(result.corrections.items(), key=lambda kv: repr(kv[0]))
             if target != self._me
         )
-        return Transition.to(
+        return (
             replace(
                 new_state,
                 correction=result.corrections[self._me],
                 assigned=True,
             ),
-            sends=sends,
+            assigns,
+        )
+
+    def _ship(
+        self, now: Time, state: NodeState, routed: Routed = (), feed=None
+    ) -> Transition:
+        """Send ``routed`` payloads one hop along the tree toward their
+        targets, plainly or through a copy of the state's transport.
+
+        ``feed`` applies a frame or timer input to the copied machine
+        first; payloads it delivers re-enter :meth:`_on_payload`, and
+        whatever those route onward rides the same machine.
+        """
+        if state.transport is None:
+            sends = tuple(
+                Send(to=self._next_hop[target], payload=payload)
+                for target, payload in routed
+            )
+            return Transition.to(state, sends=sends)
+        machine = copy.deepcopy(state.transport)
+        actions = deque(feed(machine) if feed is not None else ())
+        for target, payload in routed:
+            actions.extend(machine.send(self._next_hop[target], payload, now))
+        sends: List[Send] = []
+        while actions:
+            action = actions.popleft()
+            if isinstance(action, Emit):
+                sends.append(Send(to=action.frame.dst, payload=action.frame))
+            elif isinstance(action, Deliver):
+                state, onward = self._on_payload(state, action.payload)
+                for target, payload in onward:
+                    actions.extend(
+                        machine.send(self._next_hop[target], payload, now)
+                    )
+            # PeerUnreachable: its payloads never arrive, so their
+            # targets stay unassigned (ProtocolIncomplete downstream).
+        deadline = machine.next_timeout()
+        # A deadline at or before ``now`` is already armed and pending.
+        timers = (
+            (SetTimer(deadline),)
+            if deadline is not None and deadline > now + 1e-12
+            else ()
+        )
+        return Transition.to(
+            replace(state, transport=machine), sends=tuple(sends), timers=timers
         )
 
 
@@ -306,8 +398,14 @@ def leader_automata(
     leader: ProcessorId,
     probe_times: Sequence[Time],
     report_time: Time,
+    transport: Optional[TransportConfig] = None,
 ) -> Dict[ProcessorId, LeaderSyncAutomaton]:
-    """Build the full set of protocol automata for ``system``."""
+    """Build the full set of protocol automata for ``system``.
+
+    ``transport=None`` is the paper's lossless protocol; a config makes
+    reports and assignments ride the reliable transport, which survives
+    message loss (see the module docstring).
+    """
     routing = tree_routing(system.topology, leader)
     return {
         p: LeaderSyncAutomaton(
@@ -317,6 +415,7 @@ def leader_automata(
             probe_times=probe_times,
             report_time=report_time,
             next_hop=routing[p],
+            transport=transport,
         )
         for p in system.topology.nodes
     }

@@ -14,6 +14,12 @@ upper bound the pipeline leans entirely on the bidirectional-traffic
 estimates of Section 6 (Theorem 6.4's ``~A^max``), which is exactly the
 regime live probing produces.
 
+Every peer and the server own a
+:class:`~repro.live.transport.SegmentChannel`: probes and reports always
+ride the reliable transport (there is no raw-datagram mode), and a
+:class:`~repro.live.transport.LossyNetwork` in ``net`` injects loss and
+reordering in front of every frame they send.
+
 Because the cluster injects the clock offsets, ground truth is
 available: a peer with offset ``c`` has paper start time ``S = -c``,
 so :func:`~repro.core.precision.realized_spread` scores the served
@@ -47,15 +53,11 @@ from repro.live.server import (
     start_client,
     start_correction_server,
 )
-from repro.live.transport import (
-    LIVE_TRANSPORT_CONFIG,
-    LossyNetwork,
-    SegmentChannel,
-)
+from repro.live.transport import LossyNetwork, SegmentChannel
 from repro.live.wire import Correction, WireId
 from repro.obs.recorder import Recorder, get_recorder, recording
 from repro.obs.report import quantile
-from repro.transport import TransportConfig, aggregate_stats
+from repro.transport import aggregate_stats
 
 
 def live_system(topology: Topology) -> System:
@@ -89,18 +91,10 @@ class ClusterConfig:
     host: str = "127.0.0.1"
     #: probe graph; default: complete graph on ``peers`` processors.
     topology: Optional[Topology] = None
-    #: run probes/reports over the reliable transport (the default);
-    #: ``False`` restores the original raw-datagram protocol.
-    reliable: bool = True
-    #: injected datagram loss probability (0 = honest loopback).
-    loss: float = 0.0
-    #: injected reordering probability for surviving datagrams.
-    reorder: float = 0.0
-    #: seed for the loss injection and the retransmit jitter streams.
+    #: injected datagram loss/reordering (``None`` = honest loopback).
+    net: Optional[LossyNetwork] = None
+    #: seed for the retransmit jitter streams.
     net_seed: Any = 0
-    #: transport tuning; ``None`` = :data:`LIVE_TRANSPORT_CONFIG` when
-    #: ``reliable``.
-    transport: Optional[TransportConfig] = None
     #: server-side silent-peer threshold (seconds); ``None`` = off.
     peer_timeout: Optional[float] = None
 
@@ -145,20 +139,6 @@ class LiveCluster:
                 f"{len(self.topology.nodes)} processors"
             )
         self.system = live_system(self.topology)
-        self.transport_config: Optional[TransportConfig] = (
-            (self.config.transport or LIVE_TRANSPORT_CONFIG)
-            if self.config.reliable
-            else None
-        )
-        self._net: Optional[LossyNetwork] = (
-            LossyNetwork(
-                loss=self.config.loss,
-                reorder=self.config.reorder,
-                seed=self.config.net_seed,
-            )
-            if (self.config.loss or self.config.reorder)
-            else None
-        )
         epoch = time.monotonic()
         self.clocks: Dict[WireId, LiveClock] = {
             p: LiveClock(offset, epoch=epoch)
@@ -182,10 +162,9 @@ class LiveCluster:
             self.system,
             host=host,
             freshness=self.config.freshness,
-            transport_config=self.transport_config,
             transport_seed=self.config.net_seed,
             peer_timeout=self.config.peer_timeout,
-            net=self._net,
+            net=self.config.net,
         )
         # Bind all peers first: ephemeral ports exist only after binding.
         for p in self.topology.nodes:
@@ -196,9 +175,8 @@ class LiveCluster:
                     interval=self.config.interval,
                     report_address=self.server.address,
                     rounds=self.config.rounds,
-                    transport=self.transport_config,
                     transport_seed=self.config.net_seed,
-                    net=self._net,
+                    net=self.config.net,
                 ),
                 host=host,
             )
@@ -304,17 +282,15 @@ class LiveCluster:
         ok = True
         for peer in self.peers.values():
             ok = await peer.drain(timeout) and ok
-        if self.server is not None and self.server.channel is not None:
+        if self.server is not None:
             ok = await self.server.channel.drain(timeout) and ok
         return ok
 
     def _channels(self) -> Dict[WireId, SegmentChannel]:
         channels: Dict[WireId, SegmentChannel] = {
-            p: peer.channel
-            for p, peer in self.peers.items()
-            if peer.channel is not None
+            p: peer.channel for p, peer in self.peers.items()
         }
-        if self.server is not None and self.server.channel is not None:
+        if self.server is not None:
             channels[SERVER_ID] = self.server.channel
         return channels
 
@@ -358,11 +334,6 @@ class LiveCluster:
 
     def transport_summary(self) -> dict:
         """The smoke summary's ``transport`` section."""
-        if self.transport_config is None:
-            summary: dict = {"enabled": False}
-            if self._net is not None:
-                summary["net"] = self._net.counters()
-            return summary
         channels = self._channels()
         totals: Dict[str, float] = {}
         for channel in channels.values():
@@ -372,7 +343,6 @@ class LiveCluster:
                 totals[name] = totals.get(name, 0) + value
         per_link = self.transport_accounting()
         summary = {
-            "enabled": True,
             "totals": totals,
             "per_link": per_link,
             "lost_observations": sum(e["lost"] for e in per_link.values()),
@@ -384,8 +354,8 @@ class LiveCluster:
                 }
             ),
         }
-        if self._net is not None:
-            summary["net"] = self._net.counters()
+        if self.config.net is not None:
+            summary["net"] = self.config.net.counters()
         return summary
 
     # -- audits ------------------------------------------------------------
@@ -417,9 +387,7 @@ async def run_smoke(
     interval: float = 0.01,
     freshness: float = DEFAULT_FRESHNESS,
     concurrency: int = 8,
-    reliable: bool = True,
-    loss: float = 0.0,
-    reorder: float = 0.0,
+    net: Optional[LossyNetwork] = None,
     net_seed: Any = 0,
     drain_timeout: float = 10.0,
 ) -> dict:
@@ -438,9 +406,7 @@ async def run_smoke(
             peers=peers,
             interval=interval,
             freshness=freshness,
-            reliable=reliable,
-            loss=loss,
-            reorder=reorder,
+            net=net,
             net_seed=net_seed,
         )
     )

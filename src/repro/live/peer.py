@@ -7,12 +7,25 @@ receives, turning the pair of clock reads into one observation --
 exactly the estimated delay ``d~`` of Lemma 6.1, produced by real
 datagrams instead of the discrete-event simulator.
 
+Probes and reports always ride the reliable transport
+(:mod:`repro.live.transport`, :data:`LIVE_TRANSPORT_CONFIG`): each is
+framed in an acked, retransmitted :class:`~repro.live.wire.Seg`, so
+datagram *loss* costs a backed-off retransmission instead of a lost
+observation, and a peer that stops acking is flagged unreachable rather
+than silently ignored.  The probe's ``send_clock`` is read once at
+hand-off and rides inside the frame unchanged -- a retransmitted probe
+therefore yields a genuine (if large) delay estimate for the *emergent*
+delay, which the ``lower_bounds_only(0)`` loopback model admits.  There
+is no raw path: an unframed probe is outside input and is dropped.
+
 Transport faults degrade, never crash (the live analogue of the PR 5
 screening path):
 
 * torn / corrupt datagrams fail the wire CRC and are dropped
   (``live.peer.datagrams_invalid``);
-* duplicated datagrams are deduplicated first-delivery-wins on
+* raw (unframed) probes and every other non-transport datagram are
+  dropped (``live.peer.datagrams_unexpected``);
+* duplicated probes are deduplicated first-delivery-wins on
   ``(sender, seq)`` (``live.peer.probes_duplicate``), matching the
   view-level semantics of
   :meth:`repro.model.views.View.receive_clock_times`;
@@ -20,19 +33,6 @@ screening path):
   min/max statistics;
 * probes from unknown senders are dropped
   (``live.peer.probes_unknown``).
-
-With a :class:`~repro.transport.TransportConfig` in the
-:class:`PeerConfig`, probes and reports additionally ride the reliable
-transport (:mod:`repro.live.transport`): each is framed in an acked,
-retransmitted :class:`~repro.live.wire.Seg`, so datagram *loss* costs a
-backed-off retransmission instead of a lost observation, and a peer
-that stops acking is flagged unreachable rather than silently ignored.
-The probe's ``send_clock`` is read once at hand-off and rides inside
-the frame unchanged -- a retransmitted probe therefore yields a
-genuine (if large) delay estimate for the *emergent* delay, which the
-``lower_bounds_only(0)`` loopback model admits.  Without a transport
-config the peer speaks the original raw-datagram protocol (and still
-understands raw probes from legacy peers either way).
 
 Each accepted probe becomes a :class:`~repro.live.wire.Report` that the
 peer accumulates locally (so its own views can be rebuilt via
@@ -62,10 +62,9 @@ from repro.live.wire import (
     WireError,
     WireId,
     decode,
-    encode,
 )
 from repro.obs.recorder import get_recorder
-from repro.transport import ChannelStats, TransportConfig
+from repro.transport import ChannelStats
 
 Address = Tuple[str, int]
 
@@ -85,8 +84,6 @@ class PeerConfig:
     report_address: Optional[Address] = None
     #: stop probing after this many rounds (``None`` = until stopped).
     rounds: Optional[int] = None
-    #: reliable-transport tuning; ``None`` = legacy raw datagrams.
-    transport: Optional[TransportConfig] = None
     #: seed for the transport's retransmit-jitter stream.
     transport_seed: Any = 0
     #: wire id of the server's transport endpoint (report channel).
@@ -110,7 +107,13 @@ class ProbePeer(asyncio.DatagramProtocol):
         self._task: Optional[asyncio.Task] = None
         self._seen: set = set()
         self._records: List[Report] = []
-        self._channel: Optional[SegmentChannel] = None
+        self._channel = SegmentChannel(
+            config.processor,
+            sendto=self._sendto,
+            on_deliver=self._transport_deliver,
+            on_unreachable=self._peer_unreachable,
+            seed=config.transport_seed,
+        )
         self.unreachable_peers: set = set()
         self.rounds_sent = 0
 
@@ -119,20 +122,11 @@ class ProbePeer(asyncio.DatagramProtocol):
     def connection_made(self, transport) -> None:  # pragma: no cover - glue
         self._transport = transport
         enlarge_receive_buffer(transport)
-        if self.config.transport is not None:
-            self._channel = SegmentChannel(
-                self.config.processor,
-                sendto=self._raw_sendto,
-                on_deliver=self._transport_deliver,
-                on_unreachable=self._peer_unreachable,
-                config=self.config.transport,
-                seed=self.config.transport_seed,
-            )
 
     def error_received(self, exc: OSError) -> None:
         get_recorder().count("live.peer.transport_errors")
 
-    def _raw_sendto(self, data: bytes, addr: Address) -> None:
+    def _sendto(self, data: bytes, addr: Address) -> None:
         if self._transport is None:
             return
         if self.config.net is not None:
@@ -150,16 +144,10 @@ class ProbePeer(asyncio.DatagramProtocol):
             recorder.count("live.peer.datagrams_invalid")
             return
         if isinstance(message, (Seg, SegAck)):
-            if self._channel is None:
-                recorder.count("live.peer.datagrams_unexpected")
-                return
             self._channel.on_datagram(message, addr, recv_clock)
-            return
-        if not isinstance(message, Probe):
+        else:
+            # Unframed probes included: outside input, never trusted.
             recorder.count("live.peer.datagrams_unexpected")
-            return
-        # Raw probe (legacy peer, or transport disabled).
-        self._accept_probe(message, recv_clock)
 
     def _transport_deliver(
         self, payload: Any, src: WireId, recv_clock: float
@@ -198,13 +186,10 @@ class ProbePeer(asyncio.DatagramProtocol):
         self._records.append(report)
         recorder.count("live.peer.probes_received")
         if self.config.report_address is not None:
-            if self._channel is not None:
-                self._channel.register_peer(
-                    self.config.server_id, self.config.report_address
-                )
-                self._channel.send(self.config.server_id, report)
-            elif self._transport is not None:
-                self._raw_sendto(encode(report), self.config.report_address)
+            self._channel.register_peer(
+                self.config.server_id, self.config.report_address
+            )
+            self._channel.send(self.config.server_id, report)
         if self._on_report is not None:
             self._on_report(report)
 
@@ -243,11 +228,8 @@ class ProbePeer(asyncio.DatagramProtocol):
                 seq=seq,
                 send_clock=self.config.clock.reading(),
             )
-            if self._channel is not None:
-                self._channel.register_peer(neighbor, address)
-                self._channel.send(neighbor, probe)
-            else:
-                self._raw_sendto(encode(probe), address)
+            self._channel.register_peer(neighbor, address)
+            self._channel.send(neighbor, probe)
 
     def pause_probing(self) -> None:
         """Stop launching new probe rounds; keep the socket (and any
@@ -258,8 +240,6 @@ class ProbePeer(asyncio.DatagramProtocol):
 
     async def drain(self, timeout: float = 5.0) -> bool:
         """Wait for the reliable channels to empty; True when idle."""
-        if self._channel is None:
-            return True
         return await self._channel.drain(timeout)
 
     async def stop(self) -> None:
@@ -271,8 +251,7 @@ class ProbePeer(asyncio.DatagramProtocol):
                 await task
             except asyncio.CancelledError:
                 pass
-        if self._channel is not None:
-            self._channel.close()
+        self._channel.close()
         if self._transport is not None:
             self._transport.close()
             self._transport = None
@@ -287,14 +266,12 @@ class ProbePeer(asyncio.DatagramProtocol):
         return self._transport.get_extra_info("sockname")[:2]
 
     @property
-    def channel(self) -> Optional[SegmentChannel]:
-        """The reliable-transport endpoint (``None`` on the raw path)."""
+    def channel(self) -> SegmentChannel:
+        """The reliable-transport endpoint probes and reports ride."""
         return self._channel
 
     def transport_stats(self) -> Dict[WireId, ChannelStats]:
-        """Per-peer transport counters (empty on the raw path)."""
-        if self._channel is None:
-            return {}
+        """Per-peer transport counters."""
         return self._channel.stats_by_peer()
 
     @property

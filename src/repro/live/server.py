@@ -3,7 +3,11 @@
 A :class:`CorrectionServer` is a UDP endpoint with two duties:
 
 * **ingest** -- peers forward :class:`~repro.live.wire.Report`
-  observations; each admitted one feeds the
+  observations over the reliable transport
+  (:class:`~repro.live.transport.SegmentChannel`, framed in acked,
+  retransmitted :class:`~repro.live.wire.Seg` datagrams); an unframed
+  report is outside input and is dropped
+  (``live.server.datagrams_unexpected``).  Each admitted one feeds the
   :class:`~repro.extensions.online.OnlineSynchronizer` (O(1) statistic
   update, Lemma 6.2/6.5) and is appended to the durable
   :class:`~repro.live.trace.ProbeLog` in ingestion order;
@@ -68,7 +72,7 @@ from repro.live.wire import (
     encode,
 )
 from repro.obs.recorder import get_recorder
-from repro.transport import TransportConfig, aggregate_stats
+from repro.transport import aggregate_stats
 
 Address = Tuple[str, int]
 
@@ -106,7 +110,6 @@ class CorrectionServer(asyncio.DatagramProtocol):
         fallback: bool = True,
         keep_answers: bool = True,
         time_fn=time.monotonic,
-        transport_config: Optional[TransportConfig] = None,
         transport_seed: Any = 0,
         server_id: WireId = SERVER_ID,
         peer_timeout: Optional[float] = None,
@@ -129,12 +132,15 @@ class CorrectionServer(asyncio.DatagramProtocol):
         self._keep_answers = keep_answers
         self._answers: List[Correction] = []
         self._transport: Optional[asyncio.DatagramTransport] = None
-        self._transport_config = transport_config
-        self._transport_seed = transport_seed
-        self._server_id = server_id
         self._peer_timeout = peer_timeout
         self._net = net
-        self._channel: Optional[SegmentChannel] = None
+        self._channel = SegmentChannel(
+            server_id,
+            sendto=self._sendto,
+            on_deliver=self._transport_deliver,
+            on_unreachable=self._peer_unreachable,
+            seed=transport_seed,
+        )
         self._last_heard: Dict[WireId, float] = {}
         self.unreachable_peers: set = set()
         self.queries_served = 0
@@ -145,17 +151,8 @@ class CorrectionServer(asyncio.DatagramProtocol):
     def connection_made(self, transport) -> None:  # pragma: no cover - glue
         self._transport = transport
         enlarge_receive_buffer(transport)
-        if self._transport_config is not None:
-            self._channel = SegmentChannel(
-                self._server_id,
-                sendto=self._raw_sendto,
-                on_deliver=self._transport_deliver,
-                on_unreachable=self._peer_unreachable,
-                config=self._transport_config,
-                seed=self._transport_seed,
-            )
 
-    def _raw_sendto(self, data: bytes, addr: Address) -> None:
+    def _sendto(self, data: bytes, addr: Address) -> None:
         if self._transport is None:
             return
         if self._net is not None:
@@ -188,18 +185,14 @@ class CorrectionServer(asyncio.DatagramProtocol):
         except WireError:
             recorder.count("live.server.datagrams_invalid")
             return
-        if isinstance(message, Report):
-            self._ingest(message)
-        elif isinstance(message, Query):
+        if isinstance(message, Query):
             asyncio.get_running_loop().create_task(
                 self._answer(message, addr, started)
             )
         elif isinstance(message, (Seg, SegAck)):
-            if self._channel is None:
-                recorder.count("live.server.datagrams_unexpected")
-                return
             self._channel.on_datagram(message, addr, self._time_fn())
         else:
+            # Unframed reports included: outside input, never trusted.
             recorder.count("live.server.datagrams_unexpected")
 
     # -- ingest ------------------------------------------------------------
@@ -207,7 +200,7 @@ class CorrectionServer(asyncio.DatagramProtocol):
     def _ingest(self, report: Report) -> None:
         recorder = get_recorder()
         # Liveness: the forwarding peer (the report's receiver) just
-        # spoke, whether the report arrived raw or framed.
+        # spoke.
         self._last_heard[report.receiver] = self._time_fn()
         key = (report.sender, report.receiver, report.seq)
         if key in self._seen:
@@ -371,8 +364,8 @@ class CorrectionServer(asyncio.DatagramProtocol):
         return tuple(self._answers)
 
     @property
-    def channel(self) -> Optional[SegmentChannel]:
-        """The reliable-transport endpoint (``None`` on the raw path)."""
+    def channel(self) -> SegmentChannel:
+        """The reliable-transport endpoint peers report through."""
         return self._channel
 
     def silent_peers(self) -> List[WireId]:
@@ -405,7 +398,7 @@ class CorrectionServer(asyncio.DatagramProtocol):
         """
         in_fallback = self._online.in_fallback
         cached = self._cached
-        payload = {
+        return {
             "status": (
                 "degraded" if in_fallback
                 else ("ok" if cached is not None and cached.result is not None
@@ -421,16 +414,11 @@ class CorrectionServer(asyncio.DatagramProtocol):
             "unreachable_peers": sorted(
                 repr(p) for p in self.unreachable_peers
             ),
+            "transport": aggregate_stats(self._channel.stats_by_peer()),
         }
-        if self._channel is not None:
-            payload["transport"] = aggregate_stats(
-                self._channel.stats_by_peer()
-            )
-        return payload
 
     def close(self) -> None:
-        if self._channel is not None:
-            self._channel.close()
+        self._channel.close()
         if self._transport is not None:
             self._transport.close()
             self._transport = None

@@ -224,7 +224,8 @@ class SegmentChannel:
 
         ``recv_clock`` is the endpoint clock reading captured when the
         datagram arrived -- it rides through to ``on_deliver`` so a
-        framed probe is timestamped exactly like a raw one.
+        framed probe is timestamped at arrival, not after the transport
+        bookkeeping.
         """
         if isinstance(message, Seg):
             self._addrs[message.src] = addr

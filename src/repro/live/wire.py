@@ -6,7 +6,9 @@ truncated or bit-flipped datagram is *detected and dropped* instead of
 poisoning a peer's statistics -- the live analogue of the PR 5
 screening path: transport faults degrade coverage, never correctness.
 
-Six message kinds cross the wire:
+Six message kinds are defined.  Peers and the server exchange
+``probe`` and ``report`` bodies only inside ``seg`` frames; a bare one
+is rejected on arrival.
 
 * ``probe`` -- a peer's timestamped beacon: ``sender`` read its clock
   at ``send_clock`` and sent sequence number ``seq``.  The receiver

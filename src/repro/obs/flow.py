@@ -59,7 +59,7 @@ class FlowRecord:
     """One message's complete lifecycle, as seen by the outside observer.
 
     ``delay``/``arrival_time``/``receive_clock`` are ``None`` for
-    messages lost to configured link loss (status ``"dropped"``) -- the
+    messages lost to an injected fault (status ``"dropped"``) -- the
     model's permanent "in flight" state.  ``held`` marks messages the
     delivery system parked until the receiver's start instant; for those
     ``delay`` includes the holding time (it *is* the model's ``d(m)``).

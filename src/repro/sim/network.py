@@ -83,7 +83,8 @@ class RunSummary:
     messages_sent: int = 0
     #: Messages whose receive event fired.
     messages_delivered: int = 0
-    #: Messages dropped by configured link loss.
+    #: Messages lost in transit (injected loss or link-down, or a
+    #: crashed receiver).
     messages_dropped: int = 0
     #: High-water mark of the future-event list.
     peak_queue_depth: int = 0
@@ -133,28 +134,25 @@ class NetworkSimulator:
     start_times:
         Real start time ``S_p`` per processor.
     seed:
-        Seed for the run's private RNG (delay draws and loss).
-    loss:
-        Optional per-link message-loss probability (keyed by canonical
-        link, applied independently per message in either direction).
-        A lost message appears in the sender's history as sent but is
-        never delivered -- exactly the model's "in flight" state, so the
-        execution stays well formed.  The paper's delivery system "does
-        not lose messages"; losing them anyway is how the test-suite
-        probes graceful degradation (fewer observations, never wrong
-        answers).
+        Seed for the run's private RNG (delay draws).
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan` executed by a
-        per-run :class:`~repro.faults.injector.FaultInjector`.  Loss,
-        link-down and crash faults keep the execution well formed (more
-        "in flight" messages, fewer steps); duplicate delivery marks
-        the execution's extra receives (first delivery wins in the
-        records); timestamp corruption may make the execution violate
-        the delay assumptions -- since that violation is known-injected,
-        the post-run admissibility check downgrades from a hard
-        :class:`SimulationError` to a ``sim.faults.inadmissible``
-        telemetry event plus :attr:`RunSummary.inadmissible`, and the
-        theorem monitors are expected to flag the corrupted estimates.
+        per-run :class:`~repro.faults.injector.FaultInjector`; it is the
+        simulator's only loss model.  The paper's delivery system "does
+        not lose messages"; losing them anyway is how the test-suite
+        probes graceful degradation (fewer observations, never wrong
+        answers).  A lost message appears in the sender's history as
+        sent but is never delivered -- exactly the model's "in flight"
+        state -- so loss, link-down and crash faults keep the execution
+        well formed (more "in flight" messages, fewer steps).  Duplicate
+        delivery marks the execution's extra receives (first delivery
+        wins in the records); timestamp corruption may make the
+        execution violate the delay assumptions -- since that violation
+        is known-injected, the post-run admissibility check downgrades
+        from a hard :class:`SimulationError` to a
+        ``sim.faults.inadmissible`` telemetry event plus
+        :attr:`RunSummary.inadmissible`, and the theorem monitors are
+        expected to flag the corrupted estimates.
     """
 
     def __init__(
@@ -164,7 +162,6 @@ class NetworkSimulator:
         start_times: Mapping[ProcessorId, Time],
         seed: int = 0,
         config: Optional[SimulationConfig] = None,
-        loss: Optional[Mapping[Tuple[ProcessorId, ProcessorId], float]] = None,
         faults: Optional[FaultPlan] = None,
     ) -> None:
         self._system = system
@@ -178,21 +175,6 @@ class NetworkSimulator:
             # links/processors are configuration errors.
             self._faults.validate_for(system)
         self._last_fault_log: Optional[FaultLog] = None
-
-        self._loss: Dict[Tuple[ProcessorId, ProcessorId], float] = {}
-        links = set(system.topology.links)
-        for link, probability in (loss or {}).items():
-            if link not in links:
-                raise SimulationError(
-                    f"loss probability given for non-canonical or unknown "
-                    f"link {link!r}"
-                )
-            if not 0.0 <= probability <= 1.0:
-                raise SimulationError(
-                    f"loss probability for {link!r} must be in [0, 1], "
-                    f"got {probability}"
-                )
-            self._loss[link] = probability
 
         links = set(system.topology.links)
         resolved: Dict[Tuple[ProcessorId, ProcessorId], DelaySampler] = {}
@@ -430,7 +412,7 @@ class NetworkSimulator:
                     p, entry.real_time
                 ):
                     # Fail-silent: the message is dropped at a crashed
-                    # receiver (in flight forever, like link loss).
+                    # receiver (in flight forever, like injected loss).
                     summary.crash_suppressed += 1
                     summary.messages_dropped += 1
                     injector.record(
@@ -545,9 +527,9 @@ class NetworkSimulator:
     ) -> bool:
         """Sample a delay for ``message`` and schedule its receive event.
 
-        Returns ``False`` when the message was lost in transit (configured
-        link loss or an injected loss/link-down fault), ``True`` when a
-        receive event was scheduled.  An injected drop still *burns* the
+        Returns ``False`` when the message was lost in transit (an
+        injected loss/link-down fault), ``True`` when a receive event was
+        scheduled.  An injected drop still *burns* the
         delay draw the benign run would have made, so a fault plan never
         perturbs the delays of the messages it leaves alone (surviving
         traffic is byte-identical to the fault-free run, message for
@@ -588,13 +570,6 @@ class NetworkSimulator:
                     "message.flow", record=self._flow_record(message, send_time, link)
                 )
             return False  # injected drop: sent, never received
-        loss = self._loss.get(link, 0.0)
-        if loss and rng.random() < loss:
-            if emit_flow:
-                recorder.emit(
-                    "message.flow", record=self._flow_record(message, send_time, link)
-                )
-            return False  # lost in transit: sent, never received
         delay = sampler.sample(rng, direction)
         if delay < 0:
             raise SimulationError(

@@ -45,16 +45,21 @@ class TestExecutionStatistics:
         assert stats.duration == pytest.approx(13.0 - 1.0)
 
     def test_lossy_simulation_stats(self):
+        from repro.faults import FaultPlan, MessageLoss
         from repro.sim.network import NetworkSimulator
         from repro.sim.protocols import probe_automata, probe_schedule
 
         scenario = bounded_uniform(ring(4), lb=1.0, ub=3.0, seed=1)
+        dead = scenario.topology.links[0]
         sim = NetworkSimulator(
             scenario.system,
             scenario.samplers,
             scenario.start_times,
             seed=1,
-            loss={scenario.topology.links[0]: 1.0},
+            faults=FaultPlan(faults=tuple(
+                MessageLoss(rate=1.0, edge=edge)
+                for edge in (dead, dead[::-1])
+            )),
         )
         alpha = sim.run(
             dict(

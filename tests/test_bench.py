@@ -17,8 +17,6 @@ from repro.bench import (
     append_history,
     compare_reports,
     compare_results,
-    load_engine_baseline,
-    load_parallel_baseline,
     read_bench_report,
     read_history,
     render_report,
@@ -155,7 +153,7 @@ class TestValidator:
     def test_legacy_bare_list_rejected_with_pointer(self, tmp_path):
         path = tmp_path / "legacy.json"
         path.write_text(json.dumps([{"n": 64, "numpy_seconds": 0.005}]))
-        with pytest.raises(BenchSchemaError, match="load_engine_baseline"):
+        with pytest.raises(BenchSchemaError, match="bench harness"):
             validate_bench_file(path)
 
     def test_duplicate_result_keys_rejected(self, tmp_path):
@@ -178,64 +176,6 @@ class TestValidator:
         path.write_text("")
         with pytest.raises(BenchSchemaError, match="empty"):
             validate_bench_file(path)
-
-
-class TestLegacyShims:
-    def test_engine_rows_from_legacy_list(self, tmp_path):
-        path = tmp_path / "BENCH_engine.json"
-        path.write_text(json.dumps([
-            {"n": 64, "python_seconds": 0.05, "numpy_seconds": 0.005,
-             "precision": 1.25, "speedup": 10.0},
-        ]))
-        rows = load_engine_baseline(path)
-        assert rows[64]["numpy_seconds"] == 0.005
-        assert rows[64]["speedup"] == 10.0
-
-    def test_engine_rows_from_report(self, tmp_path):
-        results = [
-            _result(
-                name="engine.pipeline",
-                params={"backend": backend, "n": 64},
-                wall=(0.004, 0.005) if backend == "numpy" else (0.04, 0.05),
-                extra={"precision": 1.25},
-            )
-            for backend in ("python", "numpy")
-        ] + [_result(name="sim.run", params={"n": 16})]
-        path = write_bench_report(tmp_path / "e.json", _report(results))
-        rows = load_engine_baseline(path)
-        assert set(rows) == {64}
-        assert rows[64]["numpy_seconds"] == 0.004  # wall.min
-        assert rows[64]["python_seconds"] == 0.04
-        assert rows[64]["speedup"] == pytest.approx(10.0)
-        assert rows[64]["precision"] == 1.25
-
-    def test_parallel_legacy_dict_passes_through(self, tmp_path):
-        legacy = {"grid": {"preset": "e9c"}, "runs": [{"workers": 1}]}
-        path = tmp_path / "BENCH_parallel.json"
-        path.write_text(json.dumps(legacy))
-        assert load_parallel_baseline(path) == legacy
-
-    def test_parallel_rows_from_report(self, tmp_path):
-        results = [
-            _result(
-                name="campaign.scaling", params={"workers": w},
-                wall=(0.5 / w,), extra={"cells": 64, "speedup": float(w)},
-            )
-            for w in (4, 1, 2)
-        ] + [
-            _result(
-                name="campaign.streaming", params={"mode": "in_memory"},
-                wall=(0.5,), extra={"cells": 64},
-            ),
-        ]
-        report = _report(results)
-        report.meta = {"cpu": {"effective": 4}, "target_met": True}
-        path = write_bench_report(tmp_path / "p.json", report)
-        out = load_parallel_baseline(path)
-        assert [r["workers"] for r in out["runs"]] == [1, 2, 4]
-        assert out["runs"][0]["seconds"] == 0.5
-        assert out["cpu"] == {"effective": 4}
-        assert out["streaming"]["runs"][0]["mode"] == "in_memory"
 
 
 class TestRegistry:

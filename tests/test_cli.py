@@ -411,6 +411,12 @@ class TestLiveCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["live"])
 
+    def test_live_smoke_has_no_raw_datagram_mode(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["live", "smoke", "--no-reliable"])
+        assert exc.value.code == 2
+        assert "--no-reliable" in capsys.readouterr().err
+
     def test_live_smoke_audits_and_reports(self, tmp_path, capsys):
         log_out = tmp_path / "probes.jsonl"
         assert main([

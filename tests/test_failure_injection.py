@@ -15,6 +15,7 @@ from repro.core.synchronizer import ClockSynchronizer
 from repro.delays.bounds import BoundedDelay, no_bounds
 from repro.delays.distributions import Constant, UniformDelay
 from repro.delays.system import System
+from repro.faults import FaultPlan, MessageLoss
 from repro.graphs.topology import line, ring
 from repro.model.events import Event, StartEvent, TimerEvent
 from repro.sim.network import NetworkSimulator, SimulationError
@@ -170,7 +171,10 @@ class TestPartialTraffic:
         samplers = {link: UniformDelay(1.0, 3.0) for link in topo.links}
         sim = NetworkSimulator(
             system, samplers, {p: 0.5 * p for p in topo.nodes}, seed=1,
-            loss={topo.links[0]: 1.0},
+            faults=FaultPlan(faults=tuple(
+                MessageLoss(rate=1.0, edge=edge)
+                for edge in (topo.links[0], topo.links[0][::-1])
+            )),
         )
         alpha = sim.run(
             dict(probe_automata(topo, probe_schedule(3, 5.0, 2.0)))

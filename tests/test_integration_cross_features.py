@@ -1,7 +1,8 @@
 """Cross-feature integration tests: features composed together.
 
 Each test exercises a combination the individual suites don't: the
-reliable protocol on heterogeneous systems, diagnosis over archived
+leader protocol over the reliable transport on heterogeneous systems,
+diagnosis over archived
 traces, online synchronization of lossy runs, campaigns over asymmetric
 scenarios -- the way a downstream user would actually mix the pieces.
 """
@@ -15,13 +16,12 @@ from repro.analysis.system_io import load_system, save_system
 from repro.analysis.trace import load_execution, save_execution
 from repro.core.precision import realized_spread, rho_bar
 from repro.core.synchronizer import ClockSynchronizer
+from repro.extensions.leader import corrections_from_execution, leader_automata
 from repro.extensions.online import OnlineSynchronizer
-from repro.extensions.reliable_leader import (
-    reliable_corrections_from_execution,
-    reliable_leader_automata,
-)
+from repro.faults import FaultPlan, MessageLoss
 from repro.graphs.topology import grid, ring
 from repro.sim.network import NetworkSimulator
+from repro.transport import TransportConfig
 from repro.workloads.campaign import Campaign
 from repro.workloads.scenarios import (
     asymmetric_bounded,
@@ -33,30 +33,33 @@ from repro.workloads.scenarios import (
 class TestReliableProtocolOnHeterogeneousSystems:
     def test_mixed_assumptions_with_loss(self):
         scenario = heterogeneous(ring(5), seed=9)
-        automata = reliable_leader_automata(
+        automata = leader_automata(
             scenario.system, leader=0, probe_times=[12.0, 16.0],
-            report_time=60.0, retry_interval=20.0, max_retries=6,
+            report_time=60.0,
+            transport=TransportConfig(
+                rto_initial=20.0, rto_max=160.0, max_retries=6
+            ),
         )
-        loss = {link: 0.2 for link in scenario.topology.links}
         sim = NetworkSimulator(
             scenario.system, scenario.samplers, scenario.start_times,
-            seed=4, loss=loss,
+            seed=4, faults=FaultPlan(faults=(MessageLoss(rate=0.2),)),
         )
         alpha = sim.run(automata)
-        corrections = reliable_corrections_from_execution(alpha)
+        corrections = corrections_from_execution(alpha)
         full = ClockSynchronizer(scenario.system).from_execution(alpha)
         spread = realized_spread(alpha.start_times(), corrections)
         assert spread <= rho_bar(full.ms_tilde, corrections) + 1e-9
 
     def test_grid_topology(self):
         scenario = bounded_uniform(grid(2, 3), lb=1.0, ub=3.0, seed=2)
-        automata = reliable_leader_automata(
-            scenario.system, leader=0, probe_times=[12.0], report_time=40.0
+        automata = leader_automata(
+            scenario.system, leader=0, probe_times=[12.0], report_time=40.0,
+            transport=TransportConfig(rto_initial=7.0, rto_max=56.0),
         )
         sim = NetworkSimulator(
             scenario.system, scenario.samplers, scenario.start_times, seed=2
         )
-        corrections = reliable_corrections_from_execution(sim.run(automata))
+        corrections = corrections_from_execution(sim.run(automata))
         assert len(corrections) == 6
 
 
@@ -93,10 +96,9 @@ class TestArchivedDiagnosis:
 class TestOnlineWithLoss:
     def test_online_sync_of_lossy_run(self):
         scenario = bounded_uniform(ring(5), lb=1.0, ub=3.0, probes=6, seed=3)
-        loss = {link: 0.5 for link in scenario.topology.links}
         sim = NetworkSimulator(
             scenario.system, scenario.samplers, scenario.start_times,
-            seed=3, loss=loss,
+            seed=3, faults=FaultPlan(faults=(MessageLoss(rate=0.5),)),
         )
         from repro.sim.protocols import probe_automata, probe_schedule
 

@@ -4,6 +4,8 @@ ISSUE requirements covered here:
 
 * two peers exchanging probes over real loopback UDP sockets produce
   the Lemma 6.1 observations (both clock reads per probe);
+* probes arrive framed in transport segments; a raw (unframed) probe
+  is outside input and is dropped, never recorded;
 * torn, duplicated and reordered datagrams degrade coverage via drop
   counters -- they never crash a peer and never corrupt observations;
 * accepted observations are forwarded to the configured report address
@@ -16,7 +18,7 @@ import pytest
 
 from repro.live.clock import LiveClock, ManualClock
 from repro.live.peer import PeerConfig, ProbePeer, start_peer
-from repro.live.wire import Probe, Query, Report, decode, encode
+from repro.live.wire import Probe, Query, Report, Seg, decode, encode
 from repro.obs.recorder import Recorder, recording
 
 
@@ -48,11 +50,20 @@ def make_peer(**overrides):
     return peer
 
 
+def framed(probe, seg_seq=None):
+    """``probe`` as a peer sends it: inside a transport segment (by
+    default numbered like the probe itself)."""
+    return encode(Seg(
+        src=probe.sender, dst="q",
+        seq=probe.seq if seg_seq is None else seg_seq, inner=probe,
+    ))
+
+
 class TestDegradation:
     def test_accepted_probe_becomes_observation(self):
         peer = make_peer()
         probe = Probe(sender="p", seq=0, send_clock=9.5)
-        peer.datagram_received(encode(probe), ("127.0.0.1", 1))
+        peer.datagram_received(framed(probe), ("127.0.0.1", 1))
         assert peer.records == (
             Report(sender="p", receiver="q", seq=0, send_clock=9.5,
                    recv_clock=10.0),
@@ -61,7 +72,7 @@ class TestDegradation:
 
     def test_torn_datagram_dropped_counted(self):
         peer = make_peer()
-        data = encode(Probe(sender="p", seq=0, send_clock=9.5))
+        data = framed(Probe(sender="p", seq=0, send_clock=9.5))
         with recording(Recorder()) as rec:
             peer.datagram_received(data[:10], ("127.0.0.1", 1))
             peer.datagram_received(b"\xff garbage", ("127.0.0.1", 1))
@@ -71,14 +82,16 @@ class TestDegradation:
         ).value == 2
 
     def test_duplicate_first_delivery_wins(self):
+        # Fresh segment numbers: the copies get past the transport's own
+        # duplicate suppression, so the probe-level dedupe is what acts.
         peer = make_peer()
-        early = encode(Probe(sender="p", seq=0, send_clock=9.5))
-        late = encode(Probe(sender="p", seq=0, send_clock=9.9))
+        early = Probe(sender="p", seq=0, send_clock=9.5)
+        late = Probe(sender="p", seq=0, send_clock=9.9)
         with recording(Recorder()) as rec:
-            peer.datagram_received(early, ("127.0.0.1", 1))
+            peer.datagram_received(framed(early, 0), ("127.0.0.1", 1))
             peer.config.clock.advance(1.0)
-            peer.datagram_received(late, ("127.0.0.1", 1))
-            peer.datagram_received(early, ("127.0.0.1", 1))
+            peer.datagram_received(framed(late, 1), ("127.0.0.1", 1))
+            peer.datagram_received(framed(early, 2), ("127.0.0.1", 1))
         assert len(peer.records) == 1
         assert peer.records[0].send_clock == 9.5  # first delivery kept
         assert rec.registry.counter(
@@ -89,7 +102,7 @@ class TestDegradation:
         peer = make_peer()
         for seq in (2, 0, 1):  # arrival order != sequence order
             peer.datagram_received(
-                encode(Probe(sender="p", seq=seq, send_clock=9.0 + seq)),
+                framed(Probe(sender="p", seq=seq, send_clock=9.0 + seq)),
                 ("127.0.0.1", 1),
             )
         assert sorted(r.seq for r in peer.records) == [0, 1, 2]
@@ -98,7 +111,7 @@ class TestDegradation:
         peer = make_peer()
         with recording(Recorder()) as rec:
             peer.datagram_received(
-                encode(Probe(sender="stranger", seq=0, send_clock=1.0)),
+                framed(Probe(sender="stranger", seq=0, send_clock=1.0)),
                 ("127.0.0.1", 9),
             )
         assert peer.records == ()
@@ -115,20 +128,43 @@ class TestDegradation:
             "live.peer.datagrams_unexpected"
         ).value == 1
 
+    def test_raw_probe_rejected(self):
+        peer = make_peer()
+        with recording(Recorder()) as rec:
+            peer.datagram_received(
+                encode(Probe(sender="p", seq=0, send_clock=9.5)),
+                ("127.0.0.1", 1),
+            )
+        assert peer.records == ()
+        assert rec.registry.counter(
+            "live.peer.datagrams_unexpected"
+        ).value == 1
+        assert peer._transport.sent == []  # not even acked
+
     def test_accepted_report_forwarded(self):
-        peer = make_peer(report_address=("127.0.0.1", 777))
-        peer.datagram_received(
-            encode(Probe(sender="p", seq=0, send_clock=9.0)),
-            ("127.0.0.1", 1),
-        )
-        [(data, addr)] = peer._transport.sent
-        assert addr == ("127.0.0.1", 777)
-        assert decode(data) == peer.records[0]
+        async def scenario():
+            # Forwarding arms a retransmit timer: needs a running loop.
+            peer = make_peer(report_address=("127.0.0.1", 777))
+            peer.datagram_received(
+                framed(Probe(sender="p", seq=0, send_clock=9.0)),
+                ("127.0.0.1", 1),
+            )
+            peer.channel.close()
+            return peer
+
+        peer = asyncio.run(scenario())
+        [data] = [
+            data for data, addr in peer._transport.sent
+            if addr == ("127.0.0.1", 777)
+        ]
+        forwarded = decode(data)
+        assert isinstance(forwarded, Seg)
+        assert forwarded.inner == peer.records[0]
 
     def test_views_cover_received_traffic(self):
         peer = make_peer()
         peer.datagram_received(
-            encode(Probe(sender="p", seq=0, send_clock=9.0)),
+            framed(Probe(sender="p", seq=0, send_clock=9.0)),
             ("127.0.0.1", 1),
         )
         views = peer.views()

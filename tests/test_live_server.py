@@ -8,8 +8,9 @@ ISSUE requirements covered here:
 * concurrent clients are answered, query bursts coalesce onto a
   single-flight refresh (the ``live.server.coalesced`` counter), and
   the freshness bound limits how stale a served cut can be;
-* transport and ingest defects (torn datagrams, duplicate reports,
-  unknown edges, unknown clients) degrade via counters, never crash.
+* transport and ingest defects (torn datagrams, unframed reports,
+  duplicate reports, unknown edges, unknown clients) degrade via
+  counters, never crash.
 """
 
 import asyncio
@@ -99,6 +100,18 @@ class TestIngest:
         assert len(server.probe_log) == 0
         assert rec.registry.counter(
             "live.server.reports_unknown_edge"
+        ).value == 1
+
+    def test_raw_report_rejected(self):
+        """An unframed report is outside input: counted, never ingested."""
+        server = make_server()
+        [report] = make_reports(rounds=1)[:1]
+        with recording(Recorder()) as rec:
+            server.datagram_received(encode(report), ("127.0.0.1", 1))
+        assert server.reports_ingested == 0
+        assert len(server.probe_log) == 0
+        assert rec.registry.counter(
+            "live.server.datagrams_unexpected"
         ).value == 1
 
     def test_torn_datagram_counted_not_crashing(self):

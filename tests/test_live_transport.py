@@ -215,6 +215,49 @@ class TestSegmentChannel:
         assert channel.machine.pending("ghost") == 1
 
 
+class TestDefaults:
+    def test_default_server_ingests_default_peers(self):
+        """``serve``'s server and two default peers speak one protocol:
+        after a drain, every observation the peers accepted is ingested."""
+        async def scenario():
+            server = await start_correction_server(live_system(complete(2)))
+            peers = [
+                await start_peer(PeerConfig(
+                    processor=p, clock=LiveClock(0.0, epoch=0.0),
+                    interval=0.005, rounds=20,
+                    report_address=server.address,
+                ))
+                for p in (0, 1)
+            ]
+            try:
+                peers[0].config.neighbors = {1: peers[1].address}
+                peers[1].config.neighbors = {0: peers[0].address}
+                await asyncio.wait_for(
+                    asyncio.gather(*(peer.start() for peer in peers)), 10.0
+                )
+                drained = [await peer.drain(5.0) for peer in peers]
+                drained.append(await server.channel.drain(5.0))
+                accepted = sum(peer.observation_count for peer in peers)
+                return (
+                    drained, accepted, server.reports_ingested,
+                    set(server.channel.stats_by_peer()),
+                )
+            finally:
+                for peer in peers:
+                    await peer.stop()
+                server.close()
+
+        with recording(Recorder()) as rec:
+            drained, accepted, ingested, reporters = asyncio.run(scenario())
+        assert all(drained)
+        assert accepted == 2 * 20
+        assert ingested == accepted
+        assert reporters == {0, 1}
+        assert rec.registry.counter(
+            "live.server.datagrams_unexpected"
+        ).value == 0
+
+
 class TestLossySmoke:
     def test_lossy_loopback_smoke_loses_nothing(self):
         summary = asyncio.run(run_smoke(
@@ -223,13 +266,11 @@ class TestLossySmoke:
             warmup_observations=18,
             interval=0.02,
             concurrency=4,
-            loss=0.25,
-            reorder=0.1,
+            net=LossyNetwork(loss=0.25, reorder=0.1, seed=7),
             net_seed=7,
             drain_timeout=15.0,
         ))
         transport = summary["transport"]
-        assert transport["enabled"]
         assert transport["drained"]
         assert transport["lost_observations"] == 0
         assert transport["totals"]["retransmits"] > 0

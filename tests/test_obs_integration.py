@@ -51,6 +51,7 @@ class TestSimInstrumentation:
         from repro.delays.bounds import lower_bounds_only
         from repro.delays.distributions import UniformDelay
         from repro.delays.system import System
+        from repro.faults import FaultPlan, MessageLoss
         from repro.sim.network import NetworkSimulator
         from repro.sim.protocols import probe_automata, probe_schedule
 
@@ -58,8 +59,10 @@ class TestSimInstrumentation:
         system = System.uniform(topo, lower_bounds_only(1.0))
         samplers = {link: UniformDelay(1.0, 3.0) for link in topo.links}
         starts = {p: 0.0 for p in topo.nodes}
-        loss = {link: 1.0 for link in topo.links}  # lose everything
-        sim = NetworkSimulator(system, samplers, starts, seed=1, loss=loss)
+        lose_all = FaultPlan(faults=(MessageLoss(rate=1.0),))
+        sim = NetworkSimulator(
+            system, samplers, starts, seed=1, faults=lose_all
+        )
         sim.run(probe_automata(topo, probe_schedule(2, 1.0, 1.0)))
         summary = sim.last_run_summary
         assert summary.messages_sent > 0

@@ -4,7 +4,8 @@ The paper's delivery system never loses messages; the simulator can lose
 them anyway to probe robustness: a lost message is simply "in flight
 forever", the execution stays well formed, the synchronizer sees fewer
 observations and degrades honestly (weaker precision or components,
-never wrong answers).
+never wrong answers).  Loss is a fault plan's ``MessageLoss``: a
+per-link rate becomes one fault per direction of that link.
 """
 
 import math
@@ -15,16 +16,30 @@ from repro.core.synchronizer import ClockSynchronizer
 from repro.delays.bounds import BoundedDelay
 from repro.delays.distributions import UniformDelay
 from repro.delays.system import System
+from repro.faults import FaultPlan, FaultPlanError, MessageLoss
 from repro.graphs.topology import line, ring
-from repro.sim.network import NetworkSimulator, SimulationError
+from repro.sim.network import NetworkSimulator
 from repro.sim.protocols import probe_automata, probe_schedule
+
+
+def loss_plan(loss):
+    """``{canonical link: rate}`` as a plan: one fault per direction."""
+    if not loss:
+        return None
+    return FaultPlan(faults=tuple(
+        MessageLoss(rate=rate, edge=edge)
+        for (p, q), rate in loss.items()
+        for edge in ((p, q), (q, p))
+    ))
 
 
 def lossy_run(topo, loss, seed=0, probes=3):
     system = System.uniform(topo, BoundedDelay.symmetric(1.0, 3.0))
     samplers = {link: UniformDelay(1.0, 3.0) for link in topo.links}
     starts = {p: float(p) * 0.3 for p in topo.nodes}
-    sim = NetworkSimulator(system, samplers, starts, seed=seed, loss=loss)
+    sim = NetworkSimulator(
+        system, samplers, starts, seed=seed, faults=loss_plan(loss)
+    )
     alpha = sim.run(
         dict(probe_automata(topo, probe_schedule(probes, 5.0, 2.0)))
     )
@@ -62,15 +77,12 @@ class TestLossMechanics:
         topo = ring(4)
         system = System.uniform(topo, BoundedDelay.symmetric(1.0, 3.0))
         samplers = {link: UniformDelay(1.0, 3.0) for link in topo.links}
-        with pytest.raises(SimulationError, match="loss probability"):
+        with pytest.raises(FaultPlanError, match=r"rate must be in \[0, 1\]"):
+            loss_plan({topo.links[0]: 1.5})
+        with pytest.raises(FaultPlanError, match="not a link"):
             NetworkSimulator(
                 system, samplers, {p: 0.0 for p in topo.nodes},
-                loss={topo.links[0]: 1.5},
-            )
-        with pytest.raises(SimulationError, match="non-canonical|unknown"):
-            NetworkSimulator(
-                system, samplers, {p: 0.0 for p in topo.nodes},
-                loss={(99, 100): 0.5},
+                faults=loss_plan({(99, 100): 0.5}),
             )
 
     def test_deterministic_given_seed(self):
