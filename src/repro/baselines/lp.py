@@ -29,7 +29,7 @@ from scipy.optimize import linprog
 
 from repro._types import INF, NEG_INF, ProcessorId, Time
 from repro.core.estimates import estimated_delays
-from repro.engine import ProcessorIndex
+from repro.engine.index import ProcessorIndex, pair_submatrix
 from repro.delays.base import DelayAssumption
 from repro.delays.bias import RoundTripBias, RoundTripBiasUnsigned
 from repro.delays.bounds import BoundedDelay
@@ -221,7 +221,7 @@ def lp_optimal_corrections(
     n = len(index)
     if root is None:
         root = index.processor(0)
-    ms_matrix = index.matrix(dict(ms_tilde))
+    ms_matrix = pair_submatrix(ms_tilde, index.processors)
     off_diagonal = ~np.eye(n, dtype=bool)
     p_rows, q_rows = np.nonzero(off_diagonal & np.isinf(ms_matrix))
     if len(p_rows):

@@ -40,23 +40,7 @@ def estimated_delays(
     view is missing or does not contain the send -- that would mean the
     views do not come from one execution.
     """
-    send_clocks: Dict[int, Time] = {}
-    senders: Dict[int, ProcessorId] = {}
-    for p, view in views.items():
-        for uid, clock in view.send_clock_times().items():
-            send_clocks[uid] = clock
-            senders[uid] = p
-
-    out: Dict[Edge, List[Time]] = {}
-    for q, view in views.items():
-        for uid, recv_clock in view.receive_clock_times().items():
-            if uid not in send_clocks:
-                raise IncompleteViewsError(
-                    f"{q!r} received message {uid} but no view contains its send"
-                )
-            p = senders[uid]
-            out.setdefault((p, q), []).append(recv_clock - send_clocks[uid])
-    return out
+    return _matched_delays(views, strict=True)[0]
 
 
 def partial_estimated_delays(
@@ -72,6 +56,12 @@ def partial_estimated_delays(
     sound: degraded answers are conservative, never wrong (Lemma 6.2
     direction "honest samples only tighten").
     """
+    return _matched_delays(views, strict=False)
+
+
+def _matched_delays(
+    views: Mapping[ProcessorId, View], strict: bool
+) -> Tuple[Dict[Edge, List[Time]], int]:
     send_clocks: Dict[int, Time] = {}
     senders: Dict[int, ProcessorId] = {}
     for p, view in views.items():
@@ -84,6 +74,11 @@ def partial_estimated_delays(
     for q, view in views.items():
         for uid, recv_clock in view.receive_clock_times().items():
             if uid not in send_clocks:
+                if strict:
+                    raise IncompleteViewsError(
+                        f"{q!r} received message {uid} but no view contains "
+                        "its send"
+                    )
                 orphans += 1
                 continue
             p = senders[uid]

@@ -19,11 +19,11 @@ not an assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from repro._types import ProcessorId, Time
 from repro.core.precision import rho_bar
-from repro.core.synchronizer import SyncResult
+from repro.core.synchronizer import ComponentResult, SyncResult
 
 
 class CertificateError(AssertionError):
@@ -58,45 +58,50 @@ def cycle_mean_under(
     return total / k
 
 
+def check_component(
+    result: SyncResult, component: ComponentResult, tol: float = 1e-6
+) -> Tuple[Certificate, List[str]]:
+    """Certify one synchronization component; return every problem found.
+
+    :func:`verify_certificate` raises on the first problem, and
+    :class:`~repro.obs.monitor.OptimalityMonitor` reports them all.
+    """
+    procs, claimed = component.processors, component.precision
+    corrections = {p: result.corrections[p] for p in procs}
+    achieved = rho_bar(result.ms_tilde, corrections)
+    scale = max(1.0, abs(claimed))
+    problems: List[str] = []
+    if achieved > claimed + tol * scale:
+        problems.append(
+            f"upper bound violated on component {procs!r}: corrections "
+            f"achieve rho_bar={achieved}, claimed {claimed}"
+        )
+    mean = 0.0
+    if len(procs) > 1 and component.critical_cycle is None:
+        problems.append(f"component {procs!r} has no critical cycle witness")
+    elif len(procs) > 1:
+        mean = cycle_mean_under(result.ms_tilde, component.critical_cycle)
+        if abs(mean - claimed) > tol * scale:
+            problems.append(
+                f"lower-bound witness broken: cycle mean {mean} != "
+                f"claimed precision {claimed}"
+            )
+    return Certificate(claimed, achieved, mean), problems
+
+
 def verify_certificate(result: SyncResult, tol: float = 1e-6) -> Certificate:
     """Check a result's optimality end to end; raise on any violation.
 
     Works per synchronization component (a multi-component result has
     infinite global precision by construction; each component certifies
     its own finite precision).  Returns the certificate of the worst
-    component for inspection.
+    component for inspection.  O(n^2) array work per component.
     """
     worst: Certificate = Certificate(0.0, 0.0, 0.0)
     for component in result.components:
-        procs = component.processors
-        corrections = {p: result.corrections[p] for p in procs}
-        ms_local = {
-            (p, q): result.ms_tilde[(p, q)]
-            for p in procs
-            for q in procs
-        }
-        achieved = rho_bar(ms_local, corrections)
-        scale = max(1.0, abs(component.precision))
-        if achieved > component.precision + tol * scale:
-            raise CertificateError(
-                f"upper bound violated on component {procs!r}: corrections "
-                f"achieve rho_bar={achieved}, claimed {component.precision}"
-            )
-
-        if len(procs) == 1:
-            cert = Certificate(component.precision, achieved, 0.0)
-        else:
-            if component.critical_cycle is None:
-                raise CertificateError(
-                    f"component {procs!r} has no critical cycle witness"
-                )
-            mean = cycle_mean_under(result.ms_tilde, component.critical_cycle)
-            if abs(mean - component.precision) > tol * scale:
-                raise CertificateError(
-                    f"lower-bound witness broken: cycle mean {mean} != "
-                    f"claimed precision {component.precision}"
-                )
-            cert = Certificate(component.precision, achieved, mean)
+        cert, problems = check_component(result, component, tol)
+        if problems:
+            raise CertificateError(problems[0])
         if cert.claimed_precision >= worst.claimed_precision:
             worst = cert
     return worst
@@ -123,6 +128,7 @@ def beats_or_ties(
 __all__ = [
     "CertificateError",
     "Certificate",
+    "check_component",
     "cycle_mean_under",
     "verify_certificate",
     "beats_or_ties",

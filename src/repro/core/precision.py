@@ -29,7 +29,10 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Tuple
 
+import numpy as np
+
 from repro._types import INF, ProcessorId, Time
+from repro.engine.index import pair_submatrix
 
 
 def corrected_starts(
@@ -71,22 +74,26 @@ def rho_bar(
     estimate is infinite (the adversary can shift that pair arbitrarily).
     Computable from views alone -- this is the scoring function used to
     compare SHIFTS against any other correction method on equal footing.
+
+    One array expression over the submatrix, evaluated as ``(ms - x_p) +
+    x_q`` and floored at 0: bit-identical to the scalar double loop.
     """
     processors = list(corrections)
-    if len(processors) <= 1:
+    k = len(processors)
+    if k <= 1:
         return 0.0
-    worst = 0.0
-    for p in processors:
-        for q in processors:
-            if p == q:
-                continue
-            ms = ms_tilde.get((p, q), INF)
-            if ms == INF:
-                return INF
-            value = ms - corrections[p] + corrections[q]
-            if value > worst:
-                worst = value
-    return worst
+    ms = pair_submatrix(ms_tilde, processors)
+    infinite = ms == INF
+    np.fill_diagonal(infinite, False)
+    if infinite.any():
+        return INF
+    x = np.array([corrections[p] for p in processors], dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        values = (ms - x[:, None]) + x
+    # fmax skips NaN, as the loop skips p == q and NaN values.
+    np.fill_diagonal(values, np.nan)
+    worst = float(np.fmax.reduce(values, axis=None))
+    return worst if worst > 0.0 else 0.0
 
 
 def rho_bar_true(
@@ -96,31 +103,14 @@ def rho_bar_true(
 ) -> Time:
     """Same quantity computed from ground truth ``ms`` and start times.
 
-    ``max_{p != q} (S_p - x_p - S_q + x_q + ms(p, q))``.  Must agree with
+    ``max_{p != q} (S_p - x_p - S_q + x_q + ms(p, q))``, i.e.
+    :func:`rho_bar` of the residuals ``x_p - S_p``.  Must agree with
     :func:`rho_bar` on estimates (Lemma 4.5's translation identity); the
     test-suite asserts this.
     """
-    processors = list(corrections)
-    if len(processors) <= 1:
-        return 0.0
-    worst = 0.0
-    for p in processors:
-        for q in processors:
-            if p == q:
-                continue
-            ms = ms_true.get((p, q), INF)
-            if ms == INF:
-                return INF
-            value = (
-                start_times[p]
-                - corrections[p]
-                - start_times[q]
-                + corrections[q]
-                + ms
-            )
-            if value > worst:
-                worst = value
-    return worst
+    return rho_bar(
+        ms_true, {p: x - start_times[p] for p, x in corrections.items()}
+    )
 
 
 __all__ = ["corrected_starts", "realized_spread", "rho_bar", "rho_bar_true"]

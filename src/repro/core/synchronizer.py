@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro._types import INF, ProcessorId, Time
+from repro._types import Edge, INF, ProcessorId, Time
 from repro.core.estimates import (
     local_shift_estimates,
     partial_estimated_delays,
@@ -27,6 +27,7 @@ from repro.core.estimates import (
 from repro.core.precision import rho_bar
 from repro.delays.system import System
 from repro.engine import DEFAULT_BACKEND, ProcessorIndex, create_engine
+from repro.engine.index import PairView
 from repro.model.execution import Execution
 from repro.model.views import View
 from repro.obs.recorder import get_recorder
@@ -106,13 +107,16 @@ class SyncResult:
     Theorems 4.4/4.6 it is also the best any correction function can
     guarantee, so it doubles as the instance's optimality certificate
     (witnessed by ``components[i].critical_cycle``).
+
+    ``ms_tilde`` is a read-only view over the closure matrix
+    (:class:`~repro.engine.PairView`); ``dict()`` materialises it.
     """
 
     corrections: Dict[ProcessorId, Time]
     precision: Time
     components: Tuple[ComponentResult, ...]
-    mls_tilde: Dict[Tuple[ProcessorId, ProcessorId], Time]
-    ms_tilde: Dict[Tuple[ProcessorId, ProcessorId], Time]
+    mls_tilde: Dict[Edge, Time]
+    ms_tilde: Mapping[Edge, Time]
     #: Degradation record for runs over incomplete inputs (``None`` for
     #: clean runs; see :class:`DegradedResult`).
     degraded: Optional[DegradedResult] = None
@@ -372,7 +376,7 @@ class ClockSynchronizer:
             precision=precision,
             components=tuple(component_results),
             mls_tilde=dict(mls_tilde),
-            ms_tilde=index.pairs(ms_matrix),
+            ms_tilde=PairView(ms_matrix, index),
             degraded=degraded,
         )
         if recorder.enabled and recorder.observers:

@@ -5,8 +5,8 @@ it to generate (and validate) admissible executions, and the synchronizer
 uses it to turn observed views into maximal-local-shift estimates.
 
 Assumptions are stored per *undirected* link under the link's canonical
-orientation (the orientation it has in ``topology.links``);
-:meth:`System.assumption_oriented` re-orients on demand.
+orientation (the orientation it has in ``topology.links``) and flipped
+once at construction; :meth:`System.assumption_oriented` re-orients.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ from repro._types import Edge, ProcessorId, Time
 from repro.delays.base import DelayAssumption, DirectionStats, PairTiming
 from repro.graphs.topology import Topology
 from repro.model.execution import Execution
+
+
+_SILENT = DirectionStats()  # a direction that carried no message
 
 
 class UnknownLinkError(KeyError):
@@ -44,6 +47,11 @@ class System:
             raise ValueError(
                 f"links without assumptions: {sorted(missing, key=repr)}"
             )
+        # (assumption, flipped) per link: no rebuild per mls~ formula call.
+        object.__setattr__(self, "_oriented", {
+            link: (assumption, assumption.flipped())
+            for link, assumption in self.assumptions.items()
+        })
 
     @staticmethod
     def uniform(topology: Topology, assumption: DelayAssumption) -> "System":
@@ -97,11 +105,8 @@ class System:
         self, p: ProcessorId, q: ProcessorId
     ) -> DelayAssumption:
         """The link's assumption with canonical forward direction ``p -> q``."""
-        if (p, q) in self.assumptions:
-            return self.assumptions[(p, q)]
-        if (q, p) in self.assumptions:
-            return self.assumptions[(q, p)].flipped()
-        raise UnknownLinkError(f"no link between {p!r} and {q!r}")
+        link = self.canonical_link(p, q)
+        return self._oriented[link][link != (p, q)]
 
     @property
     def processors(self) -> Tuple[ProcessorId, ...]:
@@ -131,36 +136,18 @@ class System:
         Messages on non-links make the execution inadmissible outright
         (the graph defines who may talk to whom).
         """
-        links = set(self.assumptions)
-        for record in alpha.message_records().values():
-            p, q = record.edge
-            if (p, q) not in links and (q, p) not in links:
+        delays = self.true_delays(alpha)  # one pass, not one per link
+        for p, q in delays:
+            if (p, q) not in self.assumptions and (q, p) not in self.assumptions:
                 return False
         for (p, q), assumption in self.assumptions.items():
-            forward, reverse = self.link_delays(alpha, p, q)
-            if not assumption.admits(forward, reverse):
+            if not assumption.admits(delays.get((p, q), []), delays.get((q, p), [])):
                 return False
         return True
 
     # ------------------------------------------------------------------
     # Maximal local shifts from delay statistics
     # ------------------------------------------------------------------
-
-    def pair_timing(
-        self,
-        delays: Mapping[Edge, Sequence[Time]],
-        p: ProcessorId,
-        q: ProcessorId,
-    ) -> PairTiming:
-        """Build a ``PairTiming`` oriented ``p -> q`` from per-edge delays.
-
-        ``delays`` may hold true delays or estimated delays; the caller
-        decides which world it is working in.
-        """
-        return PairTiming(
-            forward=DirectionStats.of(list(delays.get((p, q), ()))),
-            reverse=DirectionStats.of(list(delays.get((q, p), ()))),
-        )
 
     def mls_from_delays(
         self, delays: Mapping[Edge, Sequence[Time]]
@@ -172,8 +159,7 @@ class System:
         translation, Corollaries 6.3/6.6).
         """
         stats = {
-            edge: DirectionStats.of(list(values))
-            for edge, values in delays.items()
+            edge: DirectionStats.of(values) for edge, values in delays.items()
         }
         return self.mls_from_stats(stats)
 
@@ -188,15 +174,20 @@ class System:
         """
         out: Dict[Edge, Time] = {}
         for (p, q) in self.assumptions:
-            assumption = self.assumptions[(p, q)]
-            timing = PairTiming(
-                forward=stats.get((p, q), DirectionStats()),
-                reverse=stats.get((q, p), DirectionStats()),
+            out[(p, q)], out[(q, p)] = self.link_mls(
+                (p, q), stats.get((p, q), _SILENT), stats.get((q, p), _SILENT)
             )
-            mls_pq, mls_qp = assumption.mls_pair(timing)
-            out[(p, q)] = mls_pq
-            out[(q, p)] = mls_qp
         return out
+
+    def link_mls(
+        self, link: Edge, forward: DirectionStats, reverse: DirectionStats
+    ) -> Tuple[Time, Time]:
+        """``mls_pair`` of canonical ``link``, from its two directions' stats."""
+        assumption, flipped = self._oriented[link]
+        return (
+            assumption.mls_bound(PairTiming(forward, reverse)),
+            flipped.mls_bound(PairTiming(reverse, forward)),
+        )
 
     def true_delays(self, alpha: Execution) -> Dict[Edge, List[Time]]:
         """Ground-truth delays per directed edge of ``alpha``."""

@@ -21,7 +21,7 @@ invariants the backends are tested against.
 """
 
 from repro.engine.base import EngineShifts, SyncEngine
-from repro.engine.index import ProcessorIndex
+from repro.engine.index import PairView, ProcessorIndex
 from repro.engine.numpy_backend import NumpyEngine
 from repro.engine.python_backend import PythonEngine
 from repro.engine.registry import (
@@ -34,6 +34,7 @@ from repro.engine.stats import EngineStats
 __all__ = [
     "EngineShifts",
     "SyncEngine",
+    "PairView",
     "ProcessorIndex",
     "NumpyEngine",
     "PythonEngine",

@@ -4,12 +4,15 @@ Every matrix the engine layer handles is indexed by *rows*, not processor
 ids.  :class:`ProcessorIndex` is the single translation point: it fixes
 one row per processor (in first-appearance order, so roots and component
 ordering stay stable across runs) and converts between the pipeline's
-dict-of-pairs representation and dense ``numpy`` matrices.
+dict-of-pairs representation and dense ``numpy`` matrices;
+:class:`PairView` reads a matrix as a pair mapping without copying it
+into a dict.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from collections.abc import ItemsView, Mapping
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -86,20 +89,12 @@ class ProcessorIndex:
         return out
 
     def pairs(self, matrix: np.ndarray) -> Dict[Edge, Time]:
-        """Mapping over *all* ordered pairs (diagonal included) of a matrix."""
-        n = len(self._processors)
-        if matrix.shape != (n, n):
-            raise ValueError(
-                f"matrix shape {matrix.shape} does not match index size {n}"
-            )
-        procs = self._processors
-        out: Dict[Edge, Time] = {}
-        for i in range(n):
-            row = matrix[i]
-            p = procs[i]
-            for j in range(n):
-                out[(p, procs[j])] = float(row[j])
-        return out
+        """Materialise *all* ordered pairs (diagonal included) of a matrix.
+
+        The pipeline never calls this: results carry a :class:`PairView`
+        instead, and ``dict(view)`` is this same mapping.
+        """
+        return dict(PairView(matrix, self).items())
 
     def pair_rows(self, pairs: Sequence[Edge]) -> List[Tuple[int, int]]:
         """Row-space version of a sequence of ordered processor pairs."""
@@ -110,4 +105,77 @@ class ProcessorIndex:
         return f"ProcessorIndex(n={len(self._processors)})"
 
 
-__all__ = ["ProcessorIndex"]
+class _PairItems(ItemsView):
+    """Row-major items of a :class:`PairView`, one ``tolist`` per pass."""
+
+    def __iter__(self):
+        procs = self._mapping.index.processors
+        for p, row in zip(procs, self._mapping.matrix.tolist()):
+            yield from (((p, q), value) for q, value in zip(procs, row))
+
+
+class PairView(Mapping):
+    """Read-only ``{(p, q): matrix[row(p), row(q)]}`` over all ordered pairs.
+
+    Holds a non-writeable copy of ``matrix``, so it never changes.  It
+    iterates row-major over ``index.processors``: ``dict(view)`` equals
+    :meth:`ProcessorIndex.pairs`, same key order and bit-equal floats.
+    A pair naming an unknown processor raises ``KeyError``.
+    """
+
+    __slots__ = ("matrix", "index")
+
+    def __init__(self, matrix: np.ndarray, index: ProcessorIndex):
+        if matrix.shape != (len(index), len(index)):
+            raise ValueError(
+                f"matrix shape {matrix.shape} does not match index size "
+                f"{len(index)}"
+            )
+        self.matrix = np.array(matrix, dtype=float)
+        self.matrix.setflags(write=False)
+        self.index = index
+
+    def __getitem__(self, pair: Edge) -> Time:
+        try:
+            p, q = pair
+            return float(self.matrix[self.index.row(p), self.index.row(q)])
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(pair) from None
+
+    def __iter__(self) -> Iterator[Edge]:
+        procs = self.index.processors
+        return ((p, q) for p in procs for q in procs)
+
+    def __len__(self) -> int:
+        return self.matrix.size
+
+    def items(self) -> _PairItems:
+        return _PairItems(self)
+
+    def __reduce__(self):
+        return (PairView, (self.matrix, self.index))
+
+    def __repr__(self) -> str:
+        return f"PairView(n={len(self.index)})"
+
+
+def pair_submatrix(
+    pairs: Mapping[Edge, Time], processors: Sequence[ProcessorId]
+) -> np.ndarray:
+    """Read-only ``k x k`` matrix of ``pairs`` over ``processors``.
+
+    Gathered from a :class:`PairView`'s matrix; filled once from any
+    other mapping, with ``inf`` for missing pairs.
+    """
+    if isinstance(pairs, PairView) and all(p in pairs.index for p in processors):
+        rows = pairs.index.rows(processors)
+        if rows == list(range(len(pairs.index))):
+            return pairs.matrix
+        return pairs.matrix[np.ix_(rows, rows)]
+    return np.array(
+        [[pairs.get((p, q), INF) for q in processors] for p in processors],
+        dtype=float,
+    ).reshape(len(processors), len(processors))
+
+
+__all__ = ["PairView", "ProcessorIndex", "pair_submatrix"]

@@ -23,7 +23,7 @@ Two useful consequences, both tested:
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Set
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from repro._types import Edge, ProcessorId, Time
 from repro.core.estimates import estimated_delays
 from repro.core.global_estimates import InconsistentViewsError
 from repro.core.synchronizer import ClockSynchronizer, SyncResult
-from repro.delays.base import DirectionStats, PairTiming
+from repro.delays.base import DirectionStats
 from repro.delays.system import System
 from repro.engine import DEFAULT_BACKEND
 from repro.model.views import View
@@ -89,22 +89,9 @@ class OnlineSynchronizer:
         self._synchronizer = ClockSynchronizer(
             system, root=root, backend=backend
         )
-        self._stats: Dict[Edge, DirectionStats] = {}
-        self._observations = 0
-        self._cached: Optional[SyncResult] = None
-        self._last_mls_matrix: Optional[np.ndarray] = None
-        self._last_ms_matrix: Optional[np.ndarray] = None
         self._reject_outliers = reject_outliers
         self._fallback = fallback
-        self._last_good: Optional[SyncResult] = None
-        self._in_fallback = False
-        self._outliers_rejected = 0
-        self._fallbacks_served = 0
-        self._last_admitted = False
-        # Staleness bookkeeping: the observation ordinal at which each
-        # directed edge last received a sample / last changed a statistic.
-        self._edge_last_seen: Dict[Edge, int] = {}
-        self._edge_last_change: Dict[Edge, int] = {}
+        self.reset()
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -119,7 +106,7 @@ class OnlineSynchronizer:
         statistic (i.e. the next :meth:`result` will actually recompute).
         """
         # Validate that the edge exists; raises UnknownLinkError otherwise.
-        self._system.canonical_link(sender, receiver)
+        link = self._system.canonical_link(sender, receiver)
         edge = (sender, receiver)
         old = self._stats.get(edge, DirectionStats())
         new = DirectionStats(
@@ -129,9 +116,7 @@ class OnlineSynchronizer:
         )
         recorder = get_recorder()
         self._observations += 1
-        if self._reject_outliers and self._is_outlier(
-            sender, receiver, new
-        ):
+        if self._reject_outliers and self._is_outlier(link, edge, new):
             # Do not admit the sample: it would make the link's own
             # 2-cycle infeasible, which no honest observation can.
             self._outliers_rejected += 1
@@ -149,6 +134,7 @@ class OnlineSynchronizer:
         self._edge_last_seen[edge] = self._observations
         if changed:
             self._cached = None
+            self._dirty.add(link)
             self._edge_last_change[edge] = self._observations
         if recorder.enabled:
             recorder.count("online.observations")
@@ -157,10 +143,7 @@ class OnlineSynchronizer:
         return changed
 
     def _is_outlier(
-        self,
-        sender: ProcessorId,
-        receiver: ProcessorId,
-        tentative: DirectionStats,
+        self, link: Edge, edge: Edge, tentative: DirectionStats
     ) -> bool:
         """Whether admitting ``tentative`` would break the link's 2-cycle.
 
@@ -172,12 +155,9 @@ class OnlineSynchronizer:
         arrives first, later honest traffic gets rejected instead --
         screening is symmetric; :meth:`drop_edge_stats` breaks the tie.)
         """
-        assumption = self._system.assumption_oriented(sender, receiver)
-        timing = PairTiming(
-            forward=tentative,
-            reverse=self._stats.get((receiver, sender), DirectionStats()),
-        )
-        mls_pq, mls_qp = assumption.mls_pair(timing)
+        other = self._stats.get((edge[1], edge[0]), DirectionStats())
+        stats = (tentative, other) if link == edge else (other, tentative)
+        mls_pq, mls_qp = self._system.link_mls(link, *stats)
         return mls_pq + mls_qp < -1e-9
 
     def observe_timestamps(
@@ -290,6 +270,7 @@ class OnlineSynchronizer:
         self._edge_last_seen.pop(edge, None)
         if had:
             self._cached = None
+            self._last_mls = None
             self._last_mls_matrix = None
             self._last_ms_matrix = None
             get_recorder().count("online.edge_drops")
@@ -332,8 +313,7 @@ class OnlineSynchronizer:
         sync = self._synchronizer
         recorder = get_recorder()
         with recorder.span("online.refresh"):
-            mls_tilde = self._system.mls_from_stats(self._stats)
-            mls_matrix = sync.index.matrix(mls_tilde)
+            mls_tilde, mls_matrix = self._local_estimates()
             ms_matrix = None
             if self._last_ms_matrix is not None:
                 ms_matrix = self._incremental_closure(mls_matrix)
@@ -345,6 +325,9 @@ class OnlineSynchronizer:
             result = sync.from_matrices(
                 mls_tilde, mls_matrix=mls_matrix, ms_matrix=ms_matrix
             )
+            # Commit only after success, so a failed refresh stays dirty.
+            self._last_mls = mls_tilde
+            self._dirty.clear()
             self._last_mls_matrix = mls_matrix
             self._last_ms_matrix = ms_matrix
             if recorder.enabled and recorder.observers:
@@ -359,6 +342,22 @@ class OnlineSynchronizer:
                     sim_time=recorder.sim_time,
                 )
             return result
+
+    def _local_estimates(self):
+        """``mls~`` as (dict, matrix), re-deriving only the dirty links."""
+        index = self._synchronizer.index
+        if self._last_mls is None:
+            mls_tilde = self._system.mls_from_stats(self._stats)
+            return mls_tilde, index.matrix(mls_tilde)
+        mls_tilde = dict(self._last_mls)
+        mls_matrix = self._last_mls_matrix.copy()
+        for p, q in self._dirty:  # exact: each reads only its own stats
+            forward, reverse = self._system.link_mls(
+                (p, q), self.edge_stats(p, q), self.edge_stats(q, p)
+            )
+            mls_tilde[(p, q)] = mls_matrix[index.row(p), index.row(q)] = forward
+            mls_tilde[(q, p)] = mls_matrix[index.row(q), index.row(p)] = reverse
+        return mls_tilde, mls_matrix
 
     def _incremental_closure(
         self, mls_matrix: np.ndarray
@@ -393,18 +392,23 @@ class OnlineSynchronizer:
 
     def reset(self) -> None:
         """Forget all observations (e.g. after a topology/epoch change)."""
-        self._stats.clear()
+        self._stats: Dict[Edge, DirectionStats] = {}
         self._observations = 0
-        self._cached = None
-        self._last_mls_matrix = None
-        self._last_ms_matrix = None
-        self._last_good = None
+        self._cached: Optional[SyncResult] = None
+        # The last refresh's mls~ and the canonical links changed since.
+        self._last_mls: Optional[Dict[Edge, Time]] = None
+        self._dirty: Set[Edge] = set()
+        self._last_mls_matrix: Optional[np.ndarray] = None
+        self._last_ms_matrix: Optional[np.ndarray] = None
+        self._last_good: Optional[SyncResult] = None
         self._in_fallback = False
         self._outliers_rejected = 0
         self._fallbacks_served = 0
         self._last_admitted = False
-        self._edge_last_seen.clear()
-        self._edge_last_change.clear()
+        # Staleness bookkeeping: the observation ordinal at which each
+        # directed edge last received a sample / last changed a statistic.
+        self._edge_last_seen: Dict[Edge, int] = {}
+        self._edge_last_change: Dict[Edge, int] = {}
 
 
 __all__ = ["OnlineSynchronizer"]

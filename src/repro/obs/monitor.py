@@ -45,8 +45,12 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro._types import INF
-from repro.core.precision import realized_spread, rho_bar
+from repro.core.optimality import check_component
+from repro.core.precision import realized_spread
+from repro.engine.index import pair_submatrix
 from repro.obs.recorder import get_recorder
 
 #: Default numerical slack, scaled by the magnitude of the claim.
@@ -138,61 +142,64 @@ class ClosureStructureMonitor(Monitor):
     def check(
         self, system, result, execution=None, complete: bool = False
     ) -> List[Violation]:
-        out: List[Violation] = []
         ms = result.ms_tilde
-        processors = sorted(
-            {p for p, _ in ms} | {q for _, q in ms}, key=repr
+        processors = sorted({p for pair in ms for p in pair}, key=repr)
+        out = [
+            self.violation(
+                f"ms~({p!r},{p!r}) = {value:g}, expected 0",
+                processor=p,
+                value=value,
+            )
+            for p, value in ((p, ms.get((p, p), 0.0)) for p in processors)
+            if abs(value) > self.tol
+        ]
+        edges = list(result.mls_tilde)
+        direct = np.array(list(result.mls_tilde.values()), dtype=float)
+        closed = np.array([ms.get(edge, INF) for edge in edges], dtype=float)
+        out.extend(
+            self.violation(
+                f"ms~{edges[i]!r} = {closed[i]:g} exceeds direct "
+                f"mls~ = {direct[i]:g}",
+                edge=edges[i],
+                ms=float(closed[i]),
+                mls=float(direct[i]),
+            )
+            for i in np.flatnonzero(closed > direct + self._slack(direct))
         )
-        for p in processors:
-            diagonal = ms.get((p, p), 0.0)
-            if abs(diagonal) > self.tol:
-                out.append(
-                    self.violation(
-                        f"ms~({p!r},{p!r}) = {diagonal:g}, expected 0",
-                        processor=p,
-                        value=diagonal,
-                    )
+        # Triangle ms~(p,r) <= ms~(p,q) + ms~(q,r), one broadcast per
+        # pivot q; an infinite leg makes the bound inf or NaN, never hit.
+        matrix = pair_submatrix(ms, processors)
+        for q, pivot in enumerate(processors):
+            with np.errstate(invalid="ignore"):
+                via = matrix[:, q, None] + matrix[q]
+                hits = np.argwhere(matrix > via + self._slack(via))
+            out.extend(
+                self.violation(
+                    f"triangle broken: ms~({processors[i]!r},"
+                    f"{processors[j]!r}) = {matrix[i, j]:g} > "
+                    f"{matrix[i, q]:g} + {matrix[q, j]:g}",
+                    p=processors[i],
+                    q=pivot,
+                    r=processors[j],
+                    direct=float(matrix[i, j]),
+                    via=float(via[i, j]),
                 )
-        for edge, direct in result.mls_tilde.items():
-            closed = ms.get(edge, INF)
-            if closed > direct + self.tol * _scale(direct):
-                out.append(
-                    self.violation(
-                        f"ms~{edge!r} = {closed:g} exceeds direct "
-                        f"mls~ = {direct:g}",
-                        edge=edge,
-                        ms=closed,
-                        mls=direct,
-                    )
-                )
-        for p in processors:
-            for q in processors:
-                pq = ms.get((p, q), INF)
-                if pq == INF:
-                    continue
-                for r in processors:
-                    qr = ms.get((q, r), INF)
-                    if qr == INF:
-                        continue
-                    pr = ms.get((p, r), INF)
-                    bound = pq + qr
-                    if pr > bound + self.tol * _scale(bound):
-                        out.append(
-                            self.violation(
-                                f"triangle broken: ms~({p!r},{r!r}) = "
-                                f"{pr:g} > {pq:g} + {qr:g}",
-                                p=p,
-                                q=q,
-                                r=r,
-                                direct=pr,
-                                via=bound,
-                            )
-                        )
+                for i, j in hits
+            )
         return out
+
+    def _slack(self, values: np.ndarray) -> np.ndarray:
+        """``tol * _scale(v)`` elementwise."""
+        return self.tol * np.where(
+            np.isfinite(values), np.maximum(1.0, np.abs(values)), 1.0
+        )
 
 
 class OptimalityMonitor(Monitor):
-    """Corrections must achieve -- and the cycle witness certify -- ``A^max``."""
+    """Corrections must achieve -- and the cycle witness certify -- ``A^max``.
+
+    The same check as ``verify_certificate``, reporting every problem.
+    """
 
     name = "optimality"
     reference = "Theorems 4.4 / 4.6"
@@ -200,56 +207,11 @@ class OptimalityMonitor(Monitor):
     def check(
         self, system, result, execution=None, complete: bool = False
     ) -> List[Violation]:
-        out: List[Violation] = []
-        for component in result.components:
-            procs = component.processors
-            corrections = {p: result.corrections[p] for p in procs}
-            ms_local = {
-                (p, q): result.ms_tilde[(p, q)] for p in procs for q in procs
-            }
-            achieved = rho_bar(ms_local, corrections)
-            tol = self.tol * _scale(component.precision)
-            if achieved > component.precision + tol:
-                out.append(
-                    self.violation(
-                        f"corrections achieve rho_bar = {achieved:g}, "
-                        f"claimed A^max = {component.precision:g} on "
-                        f"component {procs!r}",
-                        component=procs,
-                        achieved=achieved,
-                        claimed=component.precision,
-                    )
-                )
-            if len(procs) <= 1:
-                continue
-            cycle = component.critical_cycle
-            if cycle is None:
-                out.append(
-                    self.violation(
-                        f"component {procs!r} has no critical-cycle witness",
-                        component=procs,
-                    )
-                )
-                continue
-            k = len(cycle)
-            mean = (
-                sum(
-                    result.ms_tilde[(cycle[i], cycle[(i + 1) % k])]
-                    for i in range(k)
-                )
-                / k
-            )
-            if abs(mean - component.precision) > tol:
-                out.append(
-                    self.violation(
-                        f"critical cycle mean {mean:g} != claimed "
-                        f"A^max {component.precision:g}",
-                        cycle=cycle,
-                        mean=mean,
-                        claimed=component.precision,
-                    )
-                )
-        return out
+        return [
+            self.violation(message, component=component.processors)
+            for component in result.components
+            for message in check_component(result, component, self.tol)[1]
+        ]
 
 
 class PrecisionBoundMonitor(Monitor):
