@@ -76,8 +76,8 @@ with noise-aware thresholds and exits nonzero on regression (the CI
 Fault injection (DESIGN.md section 10): ``faults`` writes or validates a
 :mod:`repro.faults` plan file; ``demo``, ``monitor`` and ``campaign``
 accept ``--faults PLAN.json`` to inject that plan into every simulated
-run.  ``campaign`` additionally accepts ``--cell-timeout``/``--retries``
-/``--retry-backoff``, which turn on the quarantine policy: failing
+run.  ``campaign`` additionally accepts ``--cell-timeout``/``--retries``,
+which turn on the quarantine policy: failing
 cells are retried and ultimately quarantined (and reported) instead of
 aborting the sweep.
 

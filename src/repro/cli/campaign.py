@@ -14,6 +14,7 @@ from repro.cli._options import (
     observability,
     print_engine_timings,
 )
+from repro.runner.status import DEFAULT_STALL_AFTER
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -32,7 +33,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return _cmd_campaign_run(args)
 
 
-def _status_sources(args: argparse.Namespace) -> Optional[List[str]]:
+def _shard_sources(args: argparse.Namespace) -> Optional[List[str]]:
+    """The positional sources, else ``--results-dir``; ``None`` after
+    printing a usage message when there are neither."""
     sources = list(args.sources)
     if not sources and args.results_dir is not None:
         sources = [args.results_dir]
@@ -54,21 +57,13 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     import json as json_module
 
     from repro.runner.merge import MergeError
-    from repro.runner.status import (
-        DEFAULT_STALL_AFTER,
-        collect_fleet_status,
-        fleet_status_lines,
-    )
+    from repro.runner.status import collect_fleet_status, fleet_status_lines
 
-    sources = _status_sources(args)
+    sources = _shard_sources(args)
     if sources is None:
         return 2
-    stall_after = (
-        args.stall_after if args.stall_after is not None
-        else DEFAULT_STALL_AFTER
-    )
     try:
-        fleet = collect_fleet_status(sources, stall_after=stall_after)
+        fleet = collect_fleet_status(sources, stall_after=args.stall_after)
     except MergeError as exc:
         print(f"status failed: {exc}", file=sys.stderr)
         return 2
@@ -85,24 +80,17 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
     import time as time_module
 
     from repro.runner.merge import MergeError
-    from repro.runner.status import (
-        DEFAULT_STALL_AFTER,
-        collect_fleet_status,
-        fleet_status_lines,
-    )
+    from repro.runner.status import collect_fleet_status, fleet_status_lines
 
-    sources = _status_sources(args)
+    sources = _shard_sources(args)
     if sources is None:
         return 2
-    stall_after = (
-        args.stall_after if args.stall_after is not None
-        else DEFAULT_STALL_AFTER
-    )
+    fleet = None
     try:
         while True:
             try:
                 fleet = collect_fleet_status(
-                    sources, stall_after=stall_after
+                    sources, stall_after=args.stall_after
                 )
             except MergeError as exc:
                 print(f"status failed: {exc}", file=sys.stderr)
@@ -115,7 +103,8 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
             time_module.sleep(args.interval)
     except KeyboardInterrupt:
         print()
-        return 0 if fleet.healthy else 1
+        # Interrupted before the first snapshot: health is unknown.
+        return 0 if fleet is not None and fleet.healthy else 1
 
 
 def _cmd_campaign_merge(args: argparse.Namespace) -> int:
@@ -123,23 +112,18 @@ def _cmd_campaign_merge(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.runner.merge import MergeError, merge_shards
-    from repro.workloads.campaign import summarize_results
+    from repro.workloads.campaign import summarize_groups
 
-    sources = list(args.sources)
-    if not sources and args.results_dir is not None:
-        sources = [args.results_dir]
-    if not sources:
-        print("campaign merge needs shard sources (directories or "
-              "manifest files), e.g.: repro-clocksync campaign merge out/",
-              file=sys.stderr)
+    sources = _shard_sources(args)
+    if sources is None:
         return 2
     try:
         merged = merge_shards(sources)
     except MergeError as exc:
         print(f"merge failed: {exc}", file=sys.stderr)
         return 2
-    table = summarize_results(
-        merged.results, seeds_per_cell=merged.seeds_per_cell
+    table = summarize_groups(
+        merged.aggregates, seeds_per_cell=merged.seeds_per_cell
     )
     table.show()
     print()
@@ -199,7 +183,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             cache_dir=cache_dir,
             cell_timeout=args.cell_timeout,
             retries=args.retries,
-            retry_backoff=args.retry_backoff,
             results_dir=args.results_dir,
             bounded_memory=args.bounded_memory,
             cache_max_entries=args.cache_max_entries,
@@ -209,12 +192,9 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
                 else DEFAULT_HEARTBEAT_INTERVAL
             ),
         )
-        if outcome.aggregates is not None:
-            table = summarize_groups(
-                outcome.aggregates, seeds_per_cell=len(campaign.seeds)
-            )
-        else:
-            table = campaign.summarize(outcome.results)
+        table = summarize_groups(
+            outcome.aggregates, seeds_per_cell=len(campaign.seeds)
+        )
         table.show()
         if args.table_out is not None:
             path = Path(args.table_out)
@@ -368,10 +348,6 @@ def register(sub) -> None:
         "--retries", type=int, default=0, metavar="N",
         help="re-run failed cells up to N extra times (default 0)",
     )
-    robust.add_argument(
-        "--retry-backoff", type=float, default=0.0, metavar="SECONDS",
-        help="sleep SECONDS * attempt between retry rounds",
-    )
     add_obs_arguments(p_campaign)
     telemetry = p_campaign.add_argument_group(
         "fleet telemetry",
@@ -389,9 +365,10 @@ def register(sub) -> None:
         "(default 5; needs --results-dir)",
     )
     telemetry.add_argument(
-        "--stall-after", type=float, default=None, metavar="SECONDS",
+        "--stall-after", type=float, default=DEFAULT_STALL_AFTER,
+        metavar="SECONDS",
         help="(status/watch) flag a shard as stalled once its heartbeat "
-        "is older than SECONDS (default 30)",
+        "is older than SECONDS (default %(default)g)",
     )
     telemetry.add_argument(
         "--json", action="store_true",

@@ -12,8 +12,8 @@ delay models or theorems, only about *cells* -- independent
   quarantine policy (:mod:`repro.runner.executor`),
 * stream every completion to a durable, resumable JSONL shard
   (:mod:`repro.runner.sink`),
-* fuse independently produced shards back into the canonical
-  single-process view (:mod:`repro.runner.merge`),
+* fold cells settled in any order, and independently produced shards,
+  into the canonical single-process view (:mod:`repro.runner.merge`),
 * emit a liveness heartbeat sidecar next to every shard stream
   (:mod:`repro.runner.heartbeat`), and
 * fuse manifests + heartbeats into a live fleet-health view with
@@ -53,6 +53,8 @@ from repro.runner.heartbeat import (
     read_heartbeat,
 )
 from repro.runner.merge import (
+    CampaignCell,
+    CampaignFold,
     MergeError,
     MergeReport,
     MergedCampaign,
@@ -82,13 +84,17 @@ from repro.runner.status import (
 from repro.runner.sink import (
     MANIFEST_VERSION,
     ResultSink,
-    SinkRecovery,
+    ShardRecords,
+    decode_stream,
     grid_fingerprint,
+    load_manifest,
     read_stream_records,
 )
 
 __all__ = [
     "CACHE_VERSION",
+    "CampaignCell",
+    "CampaignFold",
     "CellBuilder",
     "CellFailure",
     "CellOutcome",
@@ -115,10 +121,11 @@ __all__ = [
     "STATE_UNKNOWN",
     "Shard",
     "ShardStatus",
-    "SinkRecovery",
+    "ShardRecords",
     "WORKERS_ENV",
     "cell_cache_key",
     "collect_fleet_status",
+    "decode_stream",
     "default_workers",
     "execute_cell",
     "execute_cells",
@@ -129,6 +136,7 @@ __all__ = [
     "guard_cell",
     "heartbeat_path",
     "in_shard",
+    "load_manifest",
     "merge_shards",
     "parse_shard",
     "read_heartbeat",

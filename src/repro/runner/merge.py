@@ -1,20 +1,21 @@
-"""The shard merge pipeline: fuse N shard streams into one campaign.
+"""Canonical-order fusion: the campaign fold and the shard merge pipeline.
 
-Each ``--shard i/m`` invocation of a campaign leaves behind a JSONL
-stream plus a manifest (see :mod:`repro.runner.sink`).  This module
-fuses any number of them back into the canonical single-process view:
+:class:`CampaignFold` is the one place that turns cells settled in any
+order into the canonical single-process view: results in grid order
+(builders outer, topologies inner, seeds innermost), one
+:class:`~repro.obs.metrics.MetricsRegistry` folded from the per-cell
+snapshots *in grid order* (gauges are last-write-wins, so merge order
+is part of the determinism contract), and one :class:`CampaignCell` row
+per (builder, topology).  :func:`~repro.workloads.parallel.run_campaign`
+settles cells into it as they complete; :func:`merge_shards` settles
+the cells of any number of shard streams (see :mod:`repro.runner.sink`)
+into it, so a table built from either is byte-identical.
 
-* results in canonical grid order (builders outer, topologies inner,
-  seeds innermost) -- so a table built from them is byte-identical to
-  one from an unsharded :func:`~repro.workloads.parallel.run_campaign`;
-* one merged :class:`~repro.obs.metrics.MetricsRegistry`, folded from
-  the per-cell snapshots *in grid order* (gauges are last-write-wins,
-  so merge order is part of the determinism contract);
-* a :class:`MergeReport` of everything that does not add up: **gaps**
-  (grid cells no stream covers), **overlaps** (cells covered by more
-  than one stream -- benign when the duplicate results agree) and
-  **conflicts** (duplicates that *disagree*, which means the shards
-  did not actually run the same campaign).
+:func:`merge_shards` also reports everything that does not add up in a
+:class:`MergeReport`: **gaps** (grid cells no stream covers),
+**overlaps** (cells covered by more than one stream -- benign when the
+duplicate results agree) and **conflicts** (duplicates that *disagree*,
+which means the shards did not actually run the same campaign).
 
 Shards of different grids never merge: every manifest carries the full
 grid fingerprint and a mismatch raises :class:`MergeError` outright.
@@ -24,7 +25,6 @@ reported separately from gaps -- a known failure is not missing data.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -34,13 +34,101 @@ from repro.runner.cells import CellResult
 from repro.runner.executor import CellFailure
 from repro.runner.sink import (
     CellKey,
-    MANIFEST_VERSION,
+    decode_stream,
+    load_manifest,
     read_stream_records,
 )
 
 
 class MergeError(ValueError):
     """The shard set cannot be fused (grid mismatch, bad manifest, ...)."""
+
+
+@dataclass(frozen=True)
+class CampaignCell:
+    """All runs of one (builder, topology) combination, seeds in order."""
+
+    builder: str
+    topology: str
+    precisions: Tuple[float, ...]
+    realized: Tuple[float, ...]
+    certified: bool
+
+
+class CampaignFold:
+    """Folds cells settled in any order into canonical grid order.
+
+    ``specs`` holds the (builder, topology) of every grid position.
+    Each position is settled exactly once, with its result (``None``
+    for a quarantined cell) and its metrics snapshot (``None`` when it
+    did not run).  Only the out-of-order window is buffered: as soon as
+    the next position in grid order is settled, it is folded --
+    snapshot into ``registry``, result into its group row, and, with
+    ``keep_results``, into the result list.
+    """
+
+    def __init__(
+        self,
+        specs: Sequence[Tuple[str, str]],
+        *,
+        registry: MetricsRegistry,
+        keep_results: bool,
+    ) -> None:
+        self._specs = list(specs)
+        self._registry = registry
+        self._keep_results = keep_results
+        self._pending: Dict[
+            int, Tuple[Optional[CellResult], Optional[dict]]
+        ] = {}
+        self._next = 0
+        self._results: List[CellResult] = []
+        # Group order is fixed by the grid, not by completion order.
+        self._groups: Dict[
+            Tuple[str, str], List[Tuple[float, float, bool]]
+        ] = {key: [] for key in self._specs}
+
+    @property
+    def resident(self) -> int:
+        """``CellResult`` objects held right now (kept plus buffered)."""
+        return len(self._results) + len(self._pending)
+
+    def settle(
+        self,
+        position: int,
+        result: Optional[CellResult],
+        snapshot: Optional[dict],
+    ) -> None:
+        self._pending[position] = (result, snapshot)
+        while self._next in self._pending:
+            result, snapshot = self._pending.pop(self._next)
+            if snapshot:
+                self._registry.merge_snapshot(snapshot)
+            if result is not None:
+                self._groups[self._specs[self._next]].append(
+                    (result.precision, result.realized, result.sound)
+                )
+                if self._keep_results:
+                    self._results.append(result)
+            self._next += 1
+
+    def finish(
+        self,
+    ) -> Tuple[Tuple[CellResult, ...], Tuple[CampaignCell, ...]]:
+        """``(results, groups)`` in grid order; groups without results
+        (every seed quarantined or in another shard) are skipped."""
+        assert self._next == len(self._specs), "campaign fold did not drain"
+        groups = tuple(
+            CampaignCell(
+                builder=builder,
+                topology=topology,
+                precisions=tuple(row[0] for row in rows),
+                realized=tuple(row[1] for row in rows),
+                certified=all(row[2] for row in rows),
+            )
+            for (builder, topology), rows in self._groups.items()
+            if rows
+        )
+        return tuple(self._results), groups
 
 
 @dataclass
@@ -99,6 +187,8 @@ class MergedCampaign:
     registry: MetricsRegistry
     grid: List[CellKey]
     report: MergeReport
+    #: Per-(builder, topology) rows of the fused results, grid order.
+    aggregates: Tuple[CampaignCell, ...]
 
     @property
     def seeds_per_cell(self) -> int:
@@ -125,24 +215,6 @@ def find_manifests(paths: Sequence[Union[str, Path]]) -> List[Path]:
     return manifests
 
 
-def _load_manifest(path: Path) -> dict:
-    try:
-        manifest = json.loads(path.read_text())
-    except (ValueError, OSError) as exc:
-        raise MergeError(f"unreadable manifest {path}: {exc}") from exc
-    if (
-        not isinstance(manifest, dict)
-        or manifest.get("type") != "campaign.shard.manifest"
-    ):
-        raise MergeError(f"{path} is not a shard manifest")
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise MergeError(
-            f"{path}: manifest version {manifest.get('version')!r}, "
-            f"expected {MANIFEST_VERSION}"
-        )
-    return manifest
-
-
 def merge_shards(
     paths: Sequence[Union[str, Path]],
     strict: bool = False,
@@ -153,7 +225,10 @@ def merge_shards(
     :class:`MergeError` instead of returning a report to inspect.
     """
     manifest_paths = find_manifests(paths)
-    manifests = [(p, _load_manifest(p)) for p in manifest_paths]
+    try:
+        manifests = [(p, load_manifest(p)) for p in manifest_paths]
+    except ValueError as exc:
+        raise MergeError(str(exc)) from exc
 
     _, first = manifests[0]
     fingerprint = first["grid_fingerprint"]
@@ -179,33 +254,25 @@ def merge_shards(
     for path, manifest in manifests:
         stream = path.parent / manifest["data"]
         records, _ = read_stream_records(stream)
-        covered: set = set()
-        for record in records:
-            index = record.get("index")
-            if not isinstance(index, int) or not 0 <= index < len(grid):
-                continue
-            kind = record.get("type")
-            if kind == "campaign.cell":
-                try:
-                    result = CellResult.from_json(record)
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise MergeError(
-                        f"{stream}: bad cell record for index {index}: {exc}"
-                    ) from exc
-                previous = results.get(index)
-                if previous is not None and index not in covered:
-                    if previous.fingerprint() != result.fingerprint():
-                        report.conflicts.append(grid[index])
-                        continue  # keep the first; flag the disagreement
+        shard = decode_stream(records, len(grid))
+        if shard.bad:
+            # Resuming the shard re-executes a bad cell; until then the
+            # stream cannot be trusted for it.
+            raise MergeError(f"{stream}: {shard.bad[min(shard.bad)]}")
+        # The first shard to cover a cell wins; a later disagreeing
+        # duplicate is a conflict, an agreeing one a benign overlap.
+        for index, result in shard.results.items():
+            first_result = results.get(index)
+            if first_result is None:
                 results[index] = result
-                metrics[index] = record.get("metrics")
+                metrics[index] = shard.metrics[index]
                 failures.pop(index, None)
-                covered.add(index)
-            elif kind == "campaign.cell.failure":
-                if index not in results:
-                    failures[index] = CellFailure.from_json(record)
-                covered.add(index)
-        for index in covered:
+            elif first_result.fingerprint() != result.fingerprint():
+                report.conflicts.append(grid[index])
+        for index, failure in shard.failures.items():
+            if index not in results:
+                failures[index] = failure
+        for index in set(shard.results) | set(shard.failures):
             seen_in[index] = seen_in.get(index, 0) + 1
 
     for index, count in sorted(seen_in.items()):
@@ -219,15 +286,16 @@ def merge_shards(
     report.cells = len(results)
     report.quarantined = len(failures)
 
-    # Metrics fold in canonical grid order: gauges are last-write-wins,
-    # so this is what makes the merged registry match the unsharded run.
     registry = MetricsRegistry()
-    executed = 0
-    for index in sorted(results):
-        snapshot = metrics.get(index)
-        if snapshot:
-            registry.merge_snapshot(snapshot)
-            executed += 1
+    fold = CampaignFold(
+        [(builder, topology) for builder, topology, _ in grid],
+        registry=registry,
+        keep_results=True,
+    )
+    for index in range(len(grid)):
+        fold.settle(index, results.get(index), metrics.get(index))
+    fused, aggregates = fold.finish()
+    executed = sum(1 for snapshot in metrics.values() if snapshot)
     # Progress metrics are gauges (point-in-time truths, set not
     # summed), matching what run_campaign and the executor emit, so a
     # scrape of a merged registry and of a live run read the same way.
@@ -246,15 +314,18 @@ def merge_shards(
         )
 
     return MergedCampaign(
-        results=tuple(results[i] for i in sorted(results)),
+        results=fused,
         failures=tuple(failures[i] for i in sorted(failures)),
         registry=registry,
         grid=grid,
         report=report,
+        aggregates=aggregates,
     )
 
 
 __all__ = [
+    "CampaignCell",
+    "CampaignFold",
     "MergeError",
     "MergeReport",
     "MergedCampaign",

@@ -31,6 +31,10 @@ unparseable byte on, and handing back the durably completed cells so
 the runner re-executes only what was actually lost -- on top of (not
 instead of) the content-addressed result cache.
 
+This module owns the shard format: :func:`load_manifest` is the one
+manifest reader and :func:`decode_stream` the one record decoder, so
+resume, merge and status cannot disagree about what a shard holds.
+
 The manifest carries the ``grid_fingerprint`` (a sha256 over the *full*
 canonical grid, not just this shard's slice), the shard's own cell
 indices, and -- once :meth:`ResultSink.close` ran -- per-cell result
@@ -110,24 +114,86 @@ def read_stream_records(path: Union[str, Path]) -> Tuple[List[dict], int]:
     return records, pos
 
 
-@dataclass
-class SinkRecovery:
-    """What a resumed shard found durable on disk.
+def load_manifest(path: Union[str, Path]) -> dict:
+    """Read and validate one shard manifest.
 
-    Keys are canonical grid indices.  ``metrics`` holds the recovered
-    cells' registry snapshots (``None`` for cache-restored cells, which
-    never ran), so a resumed run can rebuild the merged campaign
-    registry exactly as the uninterrupted run would have.
+    Raises ``ValueError`` when the file cannot be read or parsed, is not
+    a shard manifest, or has another :data:`MANIFEST_VERSION`.
+    """
+    path = Path(path)
+    try:
+        manifest = json.loads(path.read_text())
+    except (ValueError, OSError) as exc:
+        raise ValueError(f"unreadable shard manifest {path}: {exc}") from exc
+    if (
+        not isinstance(manifest, dict)
+        or manifest.get("type") != "campaign.shard.manifest"
+    ):
+        raise ValueError(f"{path} is not a shard manifest")
+    if manifest.get("version") != MANIFEST_VERSION:
+        raise ValueError(
+            f"{path} has manifest version {manifest.get('version')!r}, "
+            f"expected {MANIFEST_VERSION}"
+        )
+    return manifest
+
+
+@dataclass
+class ShardRecords:
+    """What one shard stream holds, keyed by canonical grid index.
+
+    ``metrics`` holds the cells' registry snapshots (``None`` for
+    cache-restored cells, which never ran), so a resumed run or a merge
+    rebuilds the campaign registry exactly as the uninterrupted run
+    would have.  ``bad`` maps an index whose last record could not be
+    decoded to the decoding error.  ``truncated_bytes`` is the torn tail
+    :meth:`ResultSink.begin` cut off (0 for read-only decoding).
     """
 
     results: Dict[int, CellResult] = field(default_factory=dict)
     metrics: Dict[int, Optional[dict]] = field(default_factory=dict)
     failures: Dict[int, CellFailure] = field(default_factory=dict)
+    bad: Dict[int, str] = field(default_factory=dict)
     truncated_bytes: int = 0
 
     @property
     def cells(self) -> int:
         return len(self.results) + len(self.failures)
+
+
+def decode_stream(records: Sequence[dict], grid_size: int) -> ShardRecords:
+    """Decode one stream's records; the one rule resume and merge share.
+
+    * records without an in-range ``index`` or of another type are
+      ignored (foreign or stale);
+    * a later record for an index wins, except that a failure after a
+      success is ignored (a success supersedes an earlier failure);
+    * an undecodable record marks its index ``bad`` until a later good
+      record for the same index arrives.
+    """
+    decoded = ShardRecords()
+    for record in records:
+        index = record.get("index")
+        if not isinstance(index, int) or not 0 <= index < grid_size:
+            continue
+        kind = record.get("type")
+        if kind not in ("campaign.cell", "campaign.cell.failure") or (
+            kind == "campaign.cell.failure" and index in decoded.results
+        ):
+            continue
+        decoded.results.pop(index, None)
+        decoded.metrics.pop(index, None)
+        decoded.failures.pop(index, None)
+        decoded.bad.pop(index, None)
+        try:
+            if kind == "campaign.cell":
+                decoded.results[index] = CellResult.from_json(record)
+                decoded.metrics[index] = record.get("metrics")
+            else:
+                decoded.failures[index] = CellFailure.from_json(record)
+        except (ValueError, KeyError, TypeError) as exc:
+            decoded.bad[index] = f"bad {kind} record for index {index}: {exc}"
+    return decoded
 
 
 class ResultSink:
@@ -141,7 +207,6 @@ class ResultSink:
         sink.append_result(i, result, metrics=snapshot)   # per cell
         sink.close()              # finalize the manifest
 
-    ``fsync=False`` trades crash tolerance for speed (tests, benches).
     The sink also keeps the campaign's *resident high-water mark*: the
     runner reports how many ``CellResult`` objects it is holding at
     each completion via :meth:`note_resident`, and bounded-memory runs
@@ -152,7 +217,6 @@ class ResultSink:
         self,
         directory: Union[str, Path],
         shard: Optional[Tuple[int, int]] = None,
-        fsync: bool = True,
     ) -> None:
         self._directory = Path(directory)
         self._directory.mkdir(parents=True, exist_ok=True)
@@ -163,7 +227,6 @@ class ResultSink:
         stem = f"{index}-of-{count}"
         self._data_path = self._directory / f"shard-{stem}.jsonl"
         self._manifest_path = self._directory / f"manifest-{stem}.json"
-        self._fsync = fsync
         self._handle = None
         self._grid: List[CellKey] = []
         self._own: List[int] = []
@@ -209,7 +272,7 @@ class ResultSink:
 
     def begin(
         self, grid: Sequence[CellKey], own: Sequence[int]
-    ) -> SinkRecovery:
+    ) -> ShardRecords:
         """Open the shard stream, resuming from durable state if present.
 
         ``grid`` is the *full* campaign grid in canonical order;
@@ -227,9 +290,9 @@ class ResultSink:
         self._own = sorted(int(i) for i in own)
         self._fingerprint = grid_fingerprint(self._grid)
 
-        recovery = SinkRecovery()
+        recovery = ShardRecords()
         if self._manifest_path.exists():
-            manifest = self._load_manifest()
+            manifest = load_manifest(self._manifest_path)
             if manifest["grid_fingerprint"] != self._fingerprint:
                 raise ValueError(
                     f"{self._manifest_path} was written for a different "
@@ -246,30 +309,9 @@ class ResultSink:
         self._handle = open(self._data_path, "ab")
         return recovery
 
-    def _load_manifest(self) -> dict:
-        try:
-            manifest = json.loads(self._manifest_path.read_text())
-        except ValueError as exc:
-            raise ValueError(
-                f"unreadable shard manifest {self._manifest_path}: {exc}"
-            ) from exc
-        if (
-            not isinstance(manifest, dict)
-            or manifest.get("type") != "campaign.shard.manifest"
-        ):
-            raise ValueError(
-                f"{self._manifest_path} is not a shard manifest"
-            )
-        if manifest.get("version") != MANIFEST_VERSION:
-            raise ValueError(
-                f"{self._manifest_path} has manifest version "
-                f"{manifest.get('version')!r}, expected {MANIFEST_VERSION}"
-            )
-        return manifest
-
-    def _recover(self) -> SinkRecovery:
+    def _recover(self) -> ShardRecords:
         records, valid = read_stream_records(self._data_path)
-        recovery = SinkRecovery()
+        truncated = 0
         if self._data_path.exists():
             size = self._data_path.stat().st_size
             if valid < size:
@@ -277,33 +319,17 @@ class ResultSink:
                 # keep the stream parseable.
                 with open(self._data_path, "ab") as handle:
                     handle.truncate(valid)
-                recovery.truncated_bytes = size - valid
+                truncated = size - valid
                 log.warning(
                     "sink.recovered_torn_tail",
                     stream=str(self._data_path),
-                    truncated_bytes=recovery.truncated_bytes,
+                    truncated_bytes=truncated,
                     valid_bytes=valid,
                 )
-        for record in records:
-            index = record.get("index")
-            if not isinstance(index, int) or not 0 <= index < len(self._grid):
-                continue  # foreign or stale record; ignore
-            kind = record.get("type")
-            if kind == "campaign.cell":
-                try:
-                    result = CellResult.from_json(record)
-                except (ValueError, KeyError, TypeError):
-                    continue
-                recovery.results[index] = result
-                recovery.metrics[index] = record.get("metrics")
-                recovery.failures.pop(index, None)
-            elif kind == "campaign.cell.failure":
-                if index in recovery.results:
-                    continue  # a later success supersedes the failure
-                try:
-                    recovery.failures[index] = CellFailure.from_json(record)
-                except (ValueError, KeyError, TypeError):
-                    continue
+        # A ``bad`` index is not recovered: the runner re-executes it,
+        # and the fresh record it appends supersedes the bad one.
+        recovery = decode_stream(records, len(self._grid))
+        recovery.truncated_bytes = truncated
         for index, result in recovery.results.items():
             self._completed[index] = list(_fingerprint_json(result))
         for index in recovery.failures:
@@ -338,15 +364,13 @@ class ResultSink:
         line = json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
         self._handle.write(line)
         self._handle.flush()
-        if self._fsync:
-            os.fsync(self._handle.fileno())
+        os.fsync(self._handle.fileno())
 
     def close(self) -> Path:
         """Flush, finalize the manifest (completion markers), return it."""
         if self._handle is not None:
             self._handle.flush()
-            if self._fsync:
-                os.fsync(self._handle.fileno())
+            os.fsync(self._handle.fileno())
             self._handle.close()
             self._handle = None
         self._write_manifest(complete=True)
@@ -386,8 +410,7 @@ class ResultSink:
         with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(manifest, handle, sort_keys=True)
             handle.flush()
-            if self._fsync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         os.replace(tmp, self._manifest_path)
 
 
@@ -400,7 +423,9 @@ __all__ = [
     "CellKey",
     "MANIFEST_VERSION",
     "ResultSink",
-    "SinkRecovery",
+    "ShardRecords",
+    "decode_stream",
     "grid_fingerprint",
+    "load_manifest",
     "read_stream_records",
 ]

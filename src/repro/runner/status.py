@@ -33,7 +33,6 @@ which backs ``campaign status`` / ``campaign watch`` in the CLI and the
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import time
@@ -43,7 +42,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.runner.heartbeat import Heartbeat, heartbeat_path, read_heartbeat
 from repro.runner.merge import find_manifests
-from repro.runner.sink import MANIFEST_VERSION
+from repro.runner.sink import load_manifest
 
 #: Heartbeat/evidence age (seconds) beyond which a shard counts as stalled.
 DEFAULT_STALL_AFTER = 30.0
@@ -241,21 +240,6 @@ def _heartbeat_age(
     return wall_age
 
 
-def _read_manifest(path: Path) -> Optional[dict]:
-    """Tolerant manifest load: status never raises on one bad shard."""
-    try:
-        manifest = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if (
-        not isinstance(manifest, dict)
-        or manifest.get("type") != "campaign.shard.manifest"
-        or manifest.get("version") != MANIFEST_VERSION
-    ):
-        return None
-    return manifest
-
-
 def shard_status(
     manifest_path: Union[str, Path],
     *,
@@ -265,8 +249,9 @@ def shard_status(
 ) -> ShardStatus:
     """Fuse one shard's manifest, heartbeat, and stream tail."""
     path = Path(manifest_path)
-    manifest = _read_manifest(path)
-    if manifest is None:
+    try:
+        manifest = load_manifest(path)
+    except ValueError:  # status never raises on one bad shard
         return ShardStatus(
             manifest=str(path),
             shard=(0, 0),
@@ -399,8 +384,9 @@ def collect_fleet_status(
     for path, status in zip(manifest_paths, shards):
         if status.state == STATE_UNKNOWN:
             continue
-        manifest = _read_manifest(Path(path))
-        if manifest is None:
+        try:
+            manifest = load_manifest(path)
+        except ValueError:
             continue
         grid_cells = max(grid_cells, len(manifest.get("grid", [])))
         owned.update(int(i) for i in manifest.get("own", []))

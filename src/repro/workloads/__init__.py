@@ -6,13 +6,8 @@ from repro.workloads.campaign import (
     CampaignCell,
     ScenarioBuilder,
     summarize_groups,
-    summarize_results,
 )
-from repro.workloads.parallel import (
-    CampaignOutcome,
-    GroupAggregate,
-    run_campaign,
-)
+from repro.workloads.parallel import CampaignOutcome, run_campaign
 from repro.workloads.scenarios import (
     Scenario,
     asymmetric_bounded,
@@ -28,7 +23,6 @@ __all__ = [
     "CampaignCell",
     "CampaignOutcome",
     "CellResult",
-    "GroupAggregate",
     "ScenarioBuilder",
     "Scenario",
     "asymmetric_bounded",
@@ -39,5 +33,4 @@ __all__ = [
     "round_trip_bias",
     "run_campaign",
     "summarize_groups",
-    "summarize_results",
 ]

@@ -29,15 +29,16 @@ raise ``TypeError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.metrics import summarize
 from repro.analysis.reporting import Table
 from repro.graphs.topology import Topology
+from repro.obs.metrics import MetricsRegistry
 from repro.runner.cells import CellResult, CellSpec, CellTask
 from repro.runner.heartbeat import DEFAULT_HEARTBEAT_INTERVAL
+from repro.runner.merge import CampaignCell, CampaignFold
 from repro.runner.sharding import Shard
 from repro.workloads.parallel import CampaignOutcome, run_campaign
 from repro.workloads.scenarios import Scenario
@@ -46,28 +47,15 @@ from repro.workloads.scenarios import Scenario
 ScenarioBuilder = Callable[[Topology, int], Scenario]
 
 
-@dataclass(frozen=True)
-class CampaignCell:
-    """All runs of one (builder, topology) combination."""
-
-    builder: str
-    topology: str
-    precisions: Tuple[float, ...]
-    realized: Tuple[float, ...]
-    certified: bool
-
-
 def summarize_groups(
-    groups: Sequence["CampaignCell"], *, seeds_per_cell: int
+    groups: Sequence[CampaignCell], *, seeds_per_cell: int
 ) -> Table:
-    """The campaign summary table from pre-grouped (builder, topology) cells.
+    """The campaign summary table from (builder, topology) rows.
 
-    Accepts anything field-compatible with :class:`CampaignCell`
-    (notably :class:`repro.workloads.parallel.GroupAggregate`, the
-    bounded-memory runner's aggregate rows), so streamed, merged and
-    in-memory campaigns all render through one code path -- which is
-    what makes ``campaign merge`` output byte-identical to a
-    single-process run.
+    In-memory, bounded-memory and merged campaigns all build their rows
+    with :class:`~repro.runner.merge.CampaignFold` and render them here
+    -- which is what makes ``campaign merge`` output byte-identical to
+    a single-process run.
     """
     table = Table(
         title=f"Campaign ({seeds_per_cell} seeds per cell)",
@@ -95,15 +83,6 @@ def summarize_groups(
         "(and every certificate verified)"
     )
     return table
-
-
-def summarize_results(
-    results: Sequence[CellResult], *, seeds_per_cell: int
-) -> Table:
-    """The campaign summary table for raw cell results (grid order)."""
-    return summarize_groups(
-        Campaign.group_results(results), seeds_per_cell=seeds_per_cell
-    )
 
 
 class Campaign:
@@ -183,7 +162,6 @@ class Campaign:
         cache_dir: Optional[str] = None,
         cell_timeout: Optional[float] = None,
         retries: int = 0,
-        retry_backoff: float = 0.0,
         results_dir: Union[str, Path, None] = None,
         bounded_memory: bool = False,
         cache_max_entries: Optional[int] = None,
@@ -191,11 +169,11 @@ class Campaign:
     ) -> CampaignOutcome:
         """Execute the sweep; returns typed cell results + merged metrics.
 
-        ``cell_timeout``/``retries``/``retry_backoff`` enable the robust
-        runner: failing cells are retried and ultimately quarantined on
-        the outcome instead of aborting the sweep.  ``results_dir``
-        streams every completed cell to a durable JSONL shard (and makes
-        the invocation resumable); ``bounded_memory`` additionally drops
+        ``cell_timeout``/``retries`` enable the robust runner: failing
+        cells are retried and ultimately quarantined on the outcome
+        instead of aborting the sweep.  ``results_dir`` streams every
+        completed cell to a durable JSONL shard (and makes the
+        invocation resumable); ``bounded_memory`` additionally drops
         results after streaming them (see
         :func:`~repro.workloads.parallel.run_campaign`).
         """
@@ -206,98 +184,41 @@ class Campaign:
             cache_dir=cache_dir,
             cell_timeout=cell_timeout,
             retries=retries,
-            retry_backoff=retry_backoff,
             results_dir=results_dir,
             bounded_memory=bounded_memory,
             cache_max_entries=cache_max_entries,
             heartbeat_interval=heartbeat_interval,
         )
-
-    def run_cells(
-        self,
-        topologies: Sequence[Topology],
-        *,
-        workers: Optional[int] = None,
-        shard: Union[Shard, str, None] = None,
-        cache_dir: Optional[str] = None,
-    ) -> List[CampaignCell]:
-        """Execute the full sweep and return per-cell aggregated results.
-
-        One :class:`CampaignCell` per (builder, topology) pair, seeds
-        aggregated, in canonical order.  Under sharding, pairs whose
-        seeds all live in other shards are omitted.
-        """
-        outcome = self.run_results(
-            topologies,
-            workers=workers,
-            shard=shard,
-            cache_dir=cache_dir,
-        )
-        return self.group_results(outcome.results)
 
     @staticmethod
     def group_results(
         results: Sequence[CellResult],
     ) -> List[CampaignCell]:
         """Aggregate per-seed results into per-(builder, topology) cells."""
-        grouped: "dict[Tuple[str, str], List[CellResult]]" = {}
-        order: List[Tuple[str, str]] = []
-        for result in results:
-            key = (result.scenario, result.topology)
-            if key not in grouped:
-                grouped[key] = []
-                order.append(key)
-            grouped[key].append(result)
-        cells: List[CampaignCell] = []
-        for builder, topology in order:
-            group = grouped[(builder, topology)]
-            cells.append(
-                CampaignCell(
-                    builder=builder,
-                    topology=topology,
-                    precisions=tuple(r.precision for r in group),
-                    realized=tuple(r.realized for r in group),
-                    certified=all(r.sound for r in group),
-                )
-            )
-        return cells
+        fold = CampaignFold(
+            [(r.scenario, r.topology) for r in results],
+            registry=MetricsRegistry(),
+            keep_results=False,
+        )
+        for position, result in enumerate(results):
+            fold.settle(position, result, None)
+        return list(fold.finish()[1])
 
     def summarize(self, results: Sequence[CellResult]) -> Table:
         """The campaign summary table for already-computed results."""
-        return summarize_results(
-            results, seeds_per_cell=len(self._seeds)
+        return summarize_groups(
+            self.group_results(results), seeds_per_cell=len(self._seeds)
         )
 
-    def run(
-        self,
-        topologies: Sequence[Topology],
-        *,
-        workers: Optional[int] = None,
-        shard: Union[Shard, str, None] = None,
-        cache_dir: Optional[str] = None,
-        results_dir: Union[str, Path, None] = None,
-        bounded_memory: bool = False,
-        cache_max_entries: Optional[int] = None,
-        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-    ) -> Table:
-        """Execute the sweep and summarise it as one table."""
-        outcome = self.run_results(
-            topologies,
-            workers=workers,
-            shard=shard,
-            cache_dir=cache_dir,
-            results_dir=results_dir,
-            bounded_memory=bounded_memory,
-            cache_max_entries=cache_max_entries,
-            heartbeat_interval=heartbeat_interval,
+    def run(self, topologies: Sequence[Topology], **options) -> Table:
+        """Execute the sweep and summarise it as one table.
+
+        ``options`` are those of :meth:`run_results`.
+        """
+        outcome = self.run_results(topologies, **options)
+        return summarize_groups(
+            outcome.aggregates, seeds_per_cell=len(self._seeds)
         )
-        if outcome.aggregates is not None:
-            # Bounded-memory run: the results were streamed to disk and
-            # dropped; the aggregates carry exactly the table's inputs.
-            return summarize_groups(
-                outcome.aggregates, seeds_per_cell=len(self._seeds)
-            )
-        return self.summarize(outcome.results)
 
 
 __all__ = [
@@ -306,5 +227,4 @@ __all__ = [
     "CellResult",
     "ScenarioBuilder",
     "summarize_groups",
-    "summarize_results",
 ]

@@ -6,7 +6,7 @@
 1. **Shard** -- keep only the cells owned by ``shard`` (``"i/m"``),
    partitioned by the stable (scenario, seed) hash of
    :mod:`repro.runner.sharding`;
-2. **Resume** -- when a ``results_dir``/``sink`` is given, recover every
+2. **Resume** -- when a ``results_dir`` is given, recover every
    cell already durable in the shard's JSONL stream
    (:mod:`repro.runner.sink`) and re-execute only what is missing;
 3. **Cache** -- look the remaining cells up in the content-addressed
@@ -19,10 +19,11 @@
    attempt is one call; with ``cell_timeout`` or ``retries`` the calls
    quarantine failures, and the cells that failed are retried in the
    next attempt;
-5. **Merge** -- fold each cell's metrics snapshot into one campaign
-   registry *in canonical grid order* (gauges are last-write-wins, so
-   merge order is the determinism contract), buffering only the
-   out-of-order prefix, not the whole grid.
+5. **Fold** -- settle every cell into the
+   :class:`~repro.runner.merge.CampaignFold`, which folds metrics
+   snapshots, results and per-(builder, topology) rows *in canonical
+   grid order* (gauges are last-write-wins, so merge order is the
+   determinism contract), buffering only the out-of-order window.
 
 Determinism contract: the results -- and any table built from them --
 are byte-identical for any ``workers`` count, and the union of all
@@ -30,8 +31,8 @@ are byte-identical for any ``workers`` count, and the union of all
 :mod:`repro.runner.merge` re-fuses shard streams into exactly that).
 Only wall-clock series (``*.seconds``) may differ.
 
-Memory contract: with ``bounded_memory=True`` (requires a sink) the
-runner holds O(1) ``CellResult`` objects whatever the grid size --
+Memory contract: with ``bounded_memory=True`` (requires ``results_dir``)
+the runner holds O(1) ``CellResult`` objects whatever the grid size --
 each result is persisted, folded into the per-(builder, topology)
 aggregates, and dropped.  The sink's ``resident_high_water`` counter
 asserts this.
@@ -52,65 +53,9 @@ from repro.runner.cache import ResultCache, cell_cache_key
 from repro.runner.cells import CellResult, CellTask
 from repro.runner.executor import CellFailure, execute_cells, resolve_workers
 from repro.runner.heartbeat import DEFAULT_HEARTBEAT_INTERVAL, HeartbeatWriter
+from repro.runner.merge import CampaignCell, CampaignFold
 from repro.runner.sharding import Shard, in_shard, parse_shard
 from repro.runner.sink import ResultSink
-
-
-@dataclass(frozen=True)
-class GroupAggregate:
-    """Per-(builder, topology) aggregate of a bounded-memory run.
-
-    Field-compatible with :class:`repro.workloads.campaign.CampaignCell`
-    so :func:`repro.workloads.campaign.summarize_groups` renders either.
-    """
-
-    builder: str
-    topology: str
-    precisions: Tuple[float, ...]
-    realized: Tuple[float, ...]
-    certified: bool
-
-
-class _GroupAccumulator:
-    """Folds streamed results into canonical-order group aggregates."""
-
-    def __init__(self, specs: Sequence[Tuple[str, str]]) -> None:
-        # Group order is fixed by the grid, not by completion order.
-        self._order: List[Tuple[str, str]] = []
-        self._entries: Dict[Tuple[str, str], Dict[int, Tuple]] = {}
-        for key in specs:
-            if key not in self._entries:
-                self._order.append(key)
-                self._entries[key] = {}
-
-    def add(self, position: int, result: CellResult) -> None:
-        key = (result.scenario, result.topology)
-        self._entries[key][position] = (
-            result.precision,
-            result.realized,
-            result.sound,
-        )
-
-    def finalize(self) -> Tuple[GroupAggregate, ...]:
-        groups: List[GroupAggregate] = []
-        for key in self._order:
-            entries = self._entries[key]
-            if not entries:
-                continue  # all seeds of this pair live in other shards
-            rows = [entries[p] for p in sorted(entries)]
-            groups.append(
-                GroupAggregate(
-                    builder=key[0],
-                    topology=key[1],
-                    precisions=tuple(r[0] for r in rows),
-                    realized=tuple(r[1] for r in rows),
-                    certified=all(r[2] for r in rows),
-                )
-            )
-        return tuple(groups)
-
-    def __len__(self) -> int:
-        return sum(len(entries) for entries in self._entries.values())
 
 
 @dataclass
@@ -120,11 +65,13 @@ class CampaignOutcome:
     ``results`` are in grid order (builders outer, topologies inner,
     seeds innermost), restricted to this shard when sharded -- and
     *empty* in bounded-memory mode, where only ``aggregates`` (and the
-    durable sink stream) carry the data.  ``registry`` holds the merged
-    metrics of every *executed* cell (cache-restored cells contribute
-    their stored timings to the result rows but no metrics -- they did
-    not run; stream-recovered cells contribute the snapshot persisted
-    with them).
+    durable sink stream) carry the data.  ``aggregates`` holds one
+    :class:`~repro.runner.merge.CampaignCell` row per (builder,
+    topology) in either mode: the summary table's input.  ``registry``
+    holds the merged metrics of every *executed* cell (cache-restored
+    cells contribute their stored timings to the result rows but no
+    metrics -- they did not run; stream-recovered cells contribute the
+    snapshot persisted with them).
     """
 
     results: Tuple[CellResult, ...]
@@ -151,8 +98,8 @@ class CampaignOutcome:
     #: Completed cells (results + nothing quarantined); equals
     #: ``len(results)`` except in bounded-memory mode.
     cells: int = 0
-    #: Per-(builder, topology) aggregates (bounded-memory mode only).
-    aggregates: Optional[Tuple[GroupAggregate, ...]] = None
+    #: Per-(builder, topology) rows, grid order (see class docstring).
+    aggregates: Tuple[CampaignCell, ...] = ()
     #: The finalized shard manifest, when a sink was attached.
     manifest: Optional[Path] = None
     #: Peak simultaneously-resident CellResult count, when a sink
@@ -191,9 +138,7 @@ def run_campaign(
     cache_dir: Optional[str] = None,
     cell_timeout: Optional[float] = None,
     retries: int = 0,
-    retry_backoff: float = 0.0,
     results_dir: Union[str, Path, None] = None,
-    sink: Optional[ResultSink] = None,
     bounded_memory: bool = False,
     cache_max_entries: Optional[int] = None,
     heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
@@ -206,8 +151,7 @@ def run_campaign(
       every completed cell is durably appended to the shard's JSONL
       stream, and a killed invocation re-run with the same
       ``results_dir`` resumes from its last durable cell;
-    * ``sink`` passes a pre-built sink instead (``results_dir`` sugar);
-    * ``bounded_memory=True`` (requires a sink) drops each
+    * ``bounded_memory=True`` (requires ``results_dir``) drops each
       ``CellResult`` after persisting + aggregating it: the outcome
       carries only ``aggregates`` and the manifest;
     * streaming runs additionally emit an atomic
@@ -220,8 +164,7 @@ def run_campaign(
     and a dead pool worker raises ``BrokenProcessPool``):
 
     * ``cell_timeout`` bounds each cell's wall-clock seconds;
-    * ``retries`` re-runs failed cells up to that many extra times,
-      sleeping ``retry_backoff * attempt`` seconds between rounds;
+    * ``retries`` re-runs failed cells up to that many extra times;
     * cells still failing afterwards are *quarantined* -- reported on
       :attr:`CampaignOutcome.quarantined`, persisted as failure records
       in the sink stream, and excluded from ``results`` -- instead of
@@ -249,17 +192,17 @@ def run_campaign(
     n = len(selected)
     grid_index_of = [index for index, _ in selected]
 
-    if sink is None and results_dir is not None:
-        sink = ResultSink(results_dir, shard=shard)
-    if bounded_memory and sink is None:
+    if bounded_memory and results_dir is None:
         raise ValueError(
             "bounded_memory=True requires a sink (pass results_dir=...): "
             "without one the dropped results would exist nowhere"
         )
-    recovery = sink.begin(grid, grid_index_of) if sink is not None else None
-
+    sink: Optional[ResultSink] = None
     heartbeat: Optional[HeartbeatWriter] = None
-    if sink is not None:
+    recovery = None
+    if results_dir is not None:
+        sink = ResultSink(results_dir, shard=shard)
+        recovery = sink.begin(grid, grid_index_of)
         heartbeat = HeartbeatWriter(
             sink.directory, shard=sink.shard, interval=heartbeat_interval
         )
@@ -275,26 +218,15 @@ def run_campaign(
     # the executor's batch-size fallback never overrides it.
     merged.gauge("campaign.cells.total").set(n)
     recorder = get_recorder()
+    fold = CampaignFold(
+        [(task.spec.builder, task.spec.topology.name) for _, task in selected],
+        registry=merged,
+        keep_results=not bounded_memory,
+    )
 
-    results: List[Optional[CellResult]] = [None] * n
     failures: Dict[int, CellFailure] = {}
     recovered_failures: Set[int] = set()
     retried_positions: Set[int] = set()
-    aggregates = (
-        _GroupAccumulator(
-            [(task.spec.builder, task.spec.topology.name) for _, task in selected]
-        )
-        if bounded_memory
-        else None
-    )
-
-    # Snapshot slots awaiting their turn in the canonical-order metrics
-    # fold; ``None`` marks a position that contributes no metrics
-    # (cache hit, quarantine).  Bounded by the out-of-order window of
-    # the executor, not by the grid.
-    ready: Dict[int, Optional[dict]] = {}
-    merge_state = {"next": 0}
-    stored = 0
     hits = 0
     resumed = 0
     done = 0  # cells settled so far (resumed + cached + executed)
@@ -318,37 +250,24 @@ def run_campaign(
                 ),
             )
 
-    def advance_merge() -> None:
-        position = merge_state["next"]
-        while position < n and position in ready:
-            snapshot = ready.pop(position)
-            if snapshot:
-                merged.merge_snapshot(snapshot)
-            position += 1
-        merge_state["next"] = position
-
     def settle(
         position: int,
         result: CellResult,
         snapshot: Optional[dict],
         write_sink: bool,
     ) -> None:
-        nonlocal stored, done
+        nonlocal done
         if sink is not None:
-            # Resident right now: everything already stored plus the
-            # result in hand (which bounded-memory mode never stores).
-            sink.note_resident(stored + 1)
-        if sink is not None and write_sink:
-            sink.append_result(grid_index_of[position], result, metrics=snapshot)
-        if aggregates is not None:
-            aggregates.add(position, result)
-        else:
-            results[position] = result
-            stored += 1
-        ready[position] = snapshot
+            # Resident right now: everything the fold holds plus the
+            # result in hand.
+            sink.note_resident(fold.resident + 1)
+            if write_sink:
+                sink.append_result(
+                    grid_index_of[position], result, metrics=snapshot
+                )
+        fold.settle(position, result, snapshot)
         done += 1
         note_progress()
-        advance_merge()
 
     misses: List[Tuple[int, int, CellTask, Optional[str]]] = []
     with recorder.span(
@@ -377,9 +296,8 @@ def run_campaign(
                     resumed += 1
                     failures[position] = failed
                     recovered_failures.add(position)
-                    ready[position] = None
+                    fold.settle(position, None, None)
                     note_progress()
-                    advance_merge()
                     continue
             key = cell_cache_key(task) if cache is not None else None
             hit = cache.get(key) if cache is not None else None
@@ -395,8 +313,6 @@ def run_campaign(
                 break
             if attempt > 0:
                 retried_positions.update(p for p, _, _, _ in pending)
-                if retry_backoff > 0:
-                    time.sleep(retry_backoff * attempt)
             still_failing: List[Tuple[int, int, CellTask, Optional[str]]] = []
             for batch_index, outcome in execute_cells(
                 [task for _, _, task, _ in pending],
@@ -423,7 +339,7 @@ def run_campaign(
             failure = failures[position]
             if sink is not None:
                 sink.append_failure(grid_index_of[position], failure)
-            ready[position] = None
+            fold.settle(position, None, None)
             recorder.emit("campaign.cell.quarantined", failure=failure.to_json())
             log_event(
                 "warning",
@@ -436,9 +352,8 @@ def run_campaign(
                 attempts=failure.attempts,
             )
         note_progress()
-        advance_merge()
 
-    assert merge_state["next"] == n, "metrics fold did not drain"
+    kept, groups = fold.finish()
     quarantined = tuple(failures[p] for p in sorted(failures))
     completed = n - len(quarantined)
     corrupt = cache.corrupt_entries if cache is not None else 0
@@ -473,15 +388,6 @@ def run_campaign(
         )
         heartbeat.close(complete=True)
 
-    if aggregates is not None:
-        kept: Tuple[CellResult, ...] = ()
-        assert len(aggregates) == completed
-        groups: Optional[Tuple[GroupAggregate, ...]] = aggregates.finalize()
-    else:
-        kept = tuple(r for r in results if r is not None)
-        assert len(kept) + len(quarantined) == n
-        groups = None
-
     return CampaignOutcome(
         results=kept,
         registry=merged,
@@ -504,4 +410,4 @@ def run_campaign(
     )
 
 
-__all__ = ["CampaignOutcome", "GroupAggregate", "run_campaign"]
+__all__ = ["CampaignOutcome", "run_campaign"]

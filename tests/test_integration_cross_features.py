@@ -130,7 +130,7 @@ class TestCampaignComposition:
             ),
         )
         campaign.add("hetero", lambda t, s: heterogeneous(t, seed=s))
-        cells = campaign.run_cells([ring(4)])
+        cells = campaign.run_results([ring(4)]).aggregates
         assert all(cell.certified for cell in cells)
 
     def test_campaign_without_certification(self):

@@ -22,7 +22,7 @@ from repro.workloads import (
     Campaign,
     bounded_uniform,
     heterogeneous,
-    summarize_results,
+    summarize_groups,
 )
 
 
@@ -77,8 +77,8 @@ class TestMergeFusesShards:
         assert merged.report.complete
         assert merged.report.cells == 8
         assert not merged.report.overlaps
-        table = summarize_results(
-            merged.results, seeds_per_cell=merged.seeds_per_cell
+        table = summarize_groups(
+            merged.aggregates, seeds_per_cell=merged.seeds_per_cell
         )
         assert table.format() == campaign.summarize(reference.results).format()
 

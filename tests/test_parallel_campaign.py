@@ -225,15 +225,3 @@ class TestAmbientTelemetry:
         outcome = make_campaign().run_results(TOPOLOGIES)
         assert get_recorder() is NOOP
         assert outcome.results
-
-
-class TestLegacyCompat:
-    def test_run_cells_matches_group_results(self):
-        campaign = make_campaign()
-        cells = campaign.run_cells(TOPOLOGIES)
-        regrouped = campaign.group_results(
-            campaign.run_results(TOPOLOGIES).results
-        )
-        assert cells == regrouped
-        assert all(len(c.precisions) == 2 for c in cells)
-        assert all(c.certified for c in cells)

@@ -13,6 +13,7 @@ ISSUE requirements covered here:
 
 import json
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -362,17 +363,18 @@ class TestBoundedMemoryAtScale:
             )
             for seed in range(self.GRID_SIZE)
         ]
-        sink = ResultSink(tmp_path, fsync=False)  # fsync off: test speed
+        monkeypatch.setattr(os, "fsync", lambda fd: None)  # test speed
         outcome = run_campaign(
-            tasks, workers=1, sink=sink, bounded_memory=True
+            tasks, workers=1, results_dir=tmp_path, bounded_memory=True
         )
         assert outcome.cells == self.GRID_SIZE
         assert outcome.results == ()  # nothing retained in memory
         assert outcome.resident_high_water is not None
         assert outcome.resident_high_water <= 2  # O(1), not O(grid)
-        records, valid = read_stream_records(sink.data_path)
+        stream = tmp_path / "shard-1-of-1.jsonl"
+        records, valid = read_stream_records(stream)
         assert len(records) == self.GRID_SIZE  # every cell is durable
-        assert valid == sink.data_path.stat().st_size
+        assert valid == stream.stat().st_size
         (aggregate,) = outcome.aggregates
         assert len(aggregate.precisions) == self.GRID_SIZE
 

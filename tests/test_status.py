@@ -337,6 +337,20 @@ class TestStatusCli:
         ) == 0
         assert "complete" in capsys.readouterr().out
 
+    def test_watch_interrupted_before_first_snapshot(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.runner.status as status_module
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(
+            status_module, "collect_fleet_status", interrupted
+        )
+        # No snapshot was taken, so the fleet's health is unknown.
+        assert main(["campaign", "watch", str(tmp_path)]) == 1
+
     def test_run_rejects_sources(self, tmp_path):
         assert main(["campaign", "run", str(tmp_path)]) == 2
 

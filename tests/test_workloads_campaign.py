@@ -28,7 +28,7 @@ class TestCampaign:
     def test_cells_hold_raw_data(self):
         campaign = Campaign(seeds=range(3))
         campaign.add("bounded", bounded_builder)
-        cells = campaign.run_cells([ring(4)])
+        cells = campaign.run_results([ring(4)]).aggregates
         assert len(cells) == 1
         cell = cells[0]
         assert len(cell.precisions) == 3
@@ -40,7 +40,7 @@ class TestCampaign:
         def run_once():
             campaign = Campaign(seeds=range(2))
             campaign.add("bounded", bounded_builder)
-            return campaign.run_cells([ring(4)])[0].precisions
+            return campaign.run_results([ring(4)]).aggregates[0].precisions
 
         assert run_once() == run_once()
 
