@@ -7,7 +7,8 @@ exactly once).  Coverage, top to bottom of the stack:
 
 * ``engine.pipeline`` -- the full GLOBAL ESTIMATES -> SHIFTS pipeline
   per backend x ring size (the E9c ablation; regenerates
-  ``BENCH_engine.json``);
+  ``BENCH_engine.json``), with a numpy-only ladder at n=128 and 256 in
+  the full suite;
 * ``engine.closure`` / ``engine.karp`` -- the two matrix kernels
   (min-plus Floyd--Warshall closure, Karp cycle mean + corrections) in
   isolation, so a regression in either is attributable;
@@ -64,6 +65,11 @@ def _pipeline_inputs(n: int, seed: int = 0):
 
 @benchmark(
     "engine.pipeline",
+    grid={"backend": ("numpy",), "n": (128, 256)},
+    suites=("full",),
+)
+@benchmark(
+    "engine.pipeline",
     grid={"backend": ("python", "numpy"), "n": (8, 16, 32, 64)},
     suites=_smoke_sizes(16, 32),
 )
@@ -104,6 +110,11 @@ def engine_closure(backend: str, n: int):
     return run
 
 
+@benchmark(
+    "engine.karp",
+    grid={"backend": ("numpy",), "n": (128, 256)},
+    suites=("full",),
+)
 @benchmark(
     "engine.karp",
     grid={"backend": ("python", "numpy"), "n": (16, 32, 64)},
@@ -182,7 +193,7 @@ def sim_run(n: int):
 
 @benchmark(
     "online.replay",
-    grid={"n": (8, 16)},
+    grid={"n": (8, 16, 64)},
     suites=_smoke_sizes(16),
 )
 def online_replay(n: int):

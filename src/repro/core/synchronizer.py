@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from repro._types import Edge, INF, ProcessorId, Time
 from repro.core.estimates import (
     local_shift_estimates,
@@ -298,6 +300,7 @@ class ClockSynchronizer:
         mls_matrix,
         ms_matrix,
         degraded: Optional[DegradedResult] = None,
+        previous: Optional[SyncResult] = None,
     ) -> SyncResult:
         """SHIFTS-only entry for callers that already hold the closure.
 
@@ -308,39 +311,63 @@ class ClockSynchronizer:
         decomposition + SHIFTS.  ``degraded`` threads an upstream
         degradation record through; this stage extends it with its own
         improvisations (root substitutions, isolated processors).
+
+        ``previous`` is an earlier result of this synchronizer.  A
+        component with the same processors, the same root and an
+        identical ``ms~`` submatrix in ``previous`` is copied instead of
+        re-solved: by Theorem 4.6 SHIFTS on a component reads only that
+        submatrix, so the copy is exactly what re-solving would return.
+        A ``previous`` from another synchronizer is ignored.
         """
         index = self._index
         engine = self._engine
         recorder = get_recorder()
+        reusable = {}
+        if previous is not None and (
+            getattr(previous.ms_tilde, "index", None) is index
+        ):
+            reusable = {c.processors: c for c in previous.components}
         corrections: Dict[ProcessorId, Time] = {}
         component_results: List[ComponentResult] = []
         root_substitutions: List[Tuple[ProcessorId, ProcessorId]] = []
         isolated: List[ProcessorId] = []
+        reused = 0
         with recorder.span("pipeline.shifts"):
             for rows in engine.components(mls_matrix, ms_matrix):
-                component = [index.processor(r) for r in rows]
+                component = tuple(index.processor(r) for r in rows)
                 root = self._root if self._root in component else component[0]
                 if self._root is not None and root != self._root:
                     root_substitutions.append((self._root, root))
-                if len(component) == 1 and len(self._index) > 1:
-                    isolated.append(component[0])
+                if len(component) == 1:
+                    if len(index) > 1:
+                        isolated.append(root)
+                    corrections[root] = 0.0
+                    component_results.append(
+                        ComponentResult(component, 0.0, None, root)
+                    )
+                    continue
+                old = reusable.get(component)
+                block = np.ix_(rows, rows)
+                if old is not None and old.root == root and np.array_equal(
+                    ms_matrix[block], previous.ms_tilde.matrix[block]
+                ):
+                    reused += 1
+                    for p in component:
+                        corrections[p] = previous.corrections[p]
+                    component_results.append(old)
+                    continue
                 outcome = engine.shifts(
                     ms_matrix, rows=rows, root_row=index.row(root)
                 )
-                for row, value in zip(rows, outcome.corrections):
-                    corrections[index.processor(row)] = float(value)
+                for p, value in zip(component, outcome.corrections):
+                    corrections[p] = float(value)
                 cycle = (
                     tuple(index.processor(r) for r in outcome.cycle_rows)
                     if outcome.cycle_rows is not None
                     else None
                 )
                 component_results.append(
-                    ComponentResult(
-                        processors=tuple(component),
-                        precision=outcome.a_max,
-                        critical_cycle=cycle,
-                        root=root,
-                    )
+                    ComponentResult(component, outcome.a_max, cycle, root)
                 )
 
         if degraded is not None or root_substitutions or isolated:
@@ -359,6 +386,8 @@ class ClockSynchronizer:
         else:
             precision = INF
         recorder.count("pipeline.syncs")
+        if reused:
+            recorder.count("pipeline.components_reused", reused)
         if degraded is not None:
             recorder.count("pipeline.degraded")
         recorder.set_gauge("pipeline.components", len(component_results))

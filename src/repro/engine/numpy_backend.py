@@ -7,12 +7,13 @@ weight matrices:
   ``minimum`` per pivot (:func:`min_plus_closure`);
 * components -- mutual-finiteness classes read directly off the closure;
 * SHIFTS step 1 -- Karp's recurrence as a level-by-level broadcast
-  (:func:`karp_max_cycle_mean_matrix`), with the critical-cycle witness
-  extracted from the tight-edge subgraph under vectorized Bellman--Ford
-  potentials (the same construction as :mod:`repro.graphs.karp`);
-* SHIFTS step 2 -- batched Bellman--Ford relaxation
-  (:func:`bellman_ford_matrix`) under ``w = A^max - ms~`` with the same
-  epsilon-nudge retry loop as the reference implementation.
+  (:func:`karp_max_cycle_mean_matrix`);
+* SHIFTS step 2 -- batched Bellman--Ford relaxation from the root
+  (:func:`shift_distances`) under ``w = A^max - ms~`` with the same
+  epsilon-nudge retry loop as the reference implementation.  Those
+  distances are the corrections *and* feasible potentials, so the
+  critical-cycle witness is any cycle of edges they make tight
+  (:func:`tight_cycle`): one relaxation pass serves both.
 
 It also implements the incremental single-edge update used by
 :class:`repro.extensions.online.OnlineSynchronizer`: when one ``mls~``
@@ -121,95 +122,60 @@ def karp_max_cycle_mean_matrix(weights: np.ndarray) -> Optional[float]:
     return -float(per_node_max[valid].min())
 
 
-def _potentials(weights: np.ndarray) -> Optional[np.ndarray]:
-    """Bellman--Ford potentials from a virtual source joined to every node.
+def shift_distances(
+    weights: np.ndarray, a_max: float, root: int
+) -> Tuple[np.ndarray, int]:
+    """SHIFTS step 2: distances from ``root`` under ``w = A^max - weights``.
 
-    Equivalent to distances from a zero-weight super-source; ``None``
-    when relaxation has not converged after ``n`` rounds (a float-noise
-    negative cycle -- the caller retries with slack).
+    Absent edges (``inf`` weights) stay absent.  Relaxing a float-rounded
+    ``A^max`` can leave an epsilon-negative cycle, so a failed
+    Bellman--Ford run retries with ``w`` nudged up by
+    ``1e-9 * max(1, |A^max|)`` per attempt.  Returns the distances and
+    the number of nudges the successful run needed.
     """
-    n = len(weights)
-    dist = np.zeros(n)
-    for _ in range(n):
-        relaxed = np.minimum(dist, (dist[:, None] + weights).min(axis=0))
-        if not (relaxed < dist).any():
-            return dist
-        dist = relaxed
-    return None
+    scale = max(1.0, abs(a_max))
+    base = np.where(np.isfinite(weights), a_max - weights, INF)
+    np.fill_diagonal(base, INF)
+    for attempt in range(4):
+        dist = bellman_ford_matrix(base + attempt * 1e-9 * scale, root)
+        if dist is not None:
+            return dist, attempt
+    raise AssertionError(  # pragma: no cover - pathological floats only
+        "negative cycle under w = A^max - ms~ persisted after nudging; "
+        "this contradicts the maximum cycle mean"
+    )
 
 
-def _critical_cycle_matrix(
-    weights: np.ndarray, mean: float
+def tight_cycle(
+    weights: np.ndarray, a_max: float, dist: np.ndarray, nudges: int = 0
 ) -> Optional[List[int]]:
-    """A cycle of mean ``mean`` in a matrix whose *maximum* mean is ``mean``.
+    """A critical cycle, read off the SHIFTS step-2 distances.
 
-    Mirror of :func:`repro.graphs.karp._critical_cycle` in matrix form:
-    work on negated weights (minimum-mean world), shift by the mean so
-    critical cycles become zero-weight, take tight edges under potentials,
-    and return any cycle of the tight subgraph.
+    ``dist`` are feasible potentials for ``w = A^max - weights``, so every
+    edge has slack ``dist[u] + w[u, v] - dist[v] >= 0``.  A critical cycle
+    has total ``w`` zero, hence every edge on it is tight; conversely a
+    cycle of tight edges has mean ``A^max``.  Prune nodes with no tight
+    in- or out-edge until none is left to prune, then follow the first
+    tight successor from the first node until one repeats.  ``nudges``
+    (from :func:`shift_distances`) widens the tolerance by the slack a
+    nudged run may leave on each edge of the cycle.
     """
     n = len(weights)
-    shifted = np.where(np.isfinite(weights), mean - weights, INF)
-    np.fill_diagonal(shifted, INF)
-
-    h = None
-    for _ in range(3):
-        h = _potentials(shifted)
-        if h is not None:
-            break
-        shifted = shifted + _TOL
-    if h is None:
-        return None
-
-    finite = np.isfinite(weights) & ~np.eye(n, dtype=bool)
-    scale = max(1.0, float(np.abs(weights[finite]).max()) if finite.any() else 1.0)
-    tol = _TOL * scale * 10
-    # Tight: h[u] + (mean - w[u,v]) - h[v] ~ 0.
-    slack = h[:, None] + (mean - weights) - h[None, :]
-    tight = finite & (np.abs(slack) <= tol)
-    return _find_any_cycle_bool(tight)
-
-
-def _find_any_cycle_bool(adjacency: np.ndarray) -> Optional[List[int]]:
-    """Some directed cycle of a boolean adjacency matrix (DFS, iterative)."""
-    n = len(adjacency)
-    successors = [np.flatnonzero(adjacency[u]) for u in range(n)]
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * n
-    parent: dict = {}
-    for root in range(n):
-        if color[root] != WHITE:
-            continue
-        stack: List[Tuple[int, int]] = [(root, 0)]
-        color[root] = GRAY
-        while stack:
-            u, next_i = stack[-1]
-            advanced = False
-            succ = successors[u]
-            while next_i < len(succ):
-                v = int(succ[next_i])
-                next_i += 1
-                if color[v] == WHITE:
-                    color[v] = GRAY
-                    parent[v] = u
-                    stack[-1] = (u, next_i)
-                    stack.append((v, 0))
-                    advanced = True
-                    break
-                if color[v] == GRAY:
-                    cycle = [u]
-                    node = u
-                    while node != v:
-                        node = parent[node]
-                        cycle.append(node)
-                    cycle.reverse()
-                    return cycle
-            if advanced:
-                continue
-            stack[-1] = (u, next_i)
-            if next_i >= len(succ):
-                color[u] = BLACK
-                stack.pop()
+    edges = np.isfinite(weights) & ~np.eye(n, dtype=bool)
+    scale = max(1.0, float(np.abs(weights[edges]).max()))
+    tol = _TOL * scale * (1 + nudges * (n - 1))
+    slack = dist[:, None] + (a_max - weights) - dist[None, :]
+    tight = edges & (slack <= tol)
+    nodes = np.arange(n)
+    while len(nodes):
+        keep = tight.any(axis=1) & tight.any(axis=0)
+        if keep.all():
+            successor, path = tight.argmax(axis=1).tolist(), [0]
+            while successor[path[-1]] not in path:
+                path.append(successor[path[-1]])
+            return nodes[path[path.index(successor[path[-1]]):]].tolist()
+        nodes = nodes[keep]
+        tight = tight[np.ix_(keep, keep)]
     return None
 
 
@@ -255,27 +221,12 @@ class NumpyEngine(SyncEngine):
         # Step 1: A^max, the maximum cycle mean of the complete submatrix.
         a_max = karp_max_cycle_mean_matrix(sub)
         assert a_max is not None  # complete graph with n >= 2 has cycles
-        cycle = _critical_cycle_matrix(sub, a_max)
-
-        # Step 2: corrections as distances under w = A^max - ms~, with the
-        # same nudge ladder as the reference backend for float-rounded
-        # epsilon-negative cycles.
-        scale = max(1.0, abs(a_max))
-        base = a_max - sub
-        np.fill_diagonal(base, INF)
-        dist = None
-        for attempt in range(4):
-            dist = bellman_ford_matrix(base + attempt * 1e-9 * scale, root_local)
-            if dist is not None:
-                if attempt:
-                    self.stats.count("shifts.nudge_retries", attempt)
-                break
-        else:  # pragma: no cover - would need pathological float behaviour
-            raise AssertionError(
-                "negative cycle under w = A^max - ms~ persisted after "
-                "nudging; this contradicts the maximum cycle mean"
-            )
-
+        # Step 2: corrections as distances under w = A^max - ms~; the same
+        # distances certify the witness.
+        dist, nudges = shift_distances(sub, a_max, root_local)
+        if nudges:
+            self.stats.count("shifts.nudge_retries", nudges)
+        cycle = tight_cycle(sub, a_max, dist, nudges)
         return EngineShifts(
             corrections=dist,
             a_max=float(a_max),
@@ -311,4 +262,6 @@ __all__ = [
     "has_negative_diagonal",
     "bellman_ford_matrix",
     "karp_max_cycle_mean_matrix",
+    "shift_distances",
+    "tight_cycle",
 ]

@@ -323,7 +323,10 @@ class OnlineSynchronizer:
             else:
                 recorder.count("online.incremental_repairs")
             result = sync.from_matrices(
-                mls_tilde, mls_matrix=mls_matrix, ms_matrix=ms_matrix
+                mls_tilde,
+                mls_matrix=mls_matrix,
+                ms_matrix=ms_matrix,
+                previous=self._last_good,
             )
             # Commit only after success, so a failed refresh stays dirty.
             self._last_mls = mls_tilde

@@ -1,15 +1,20 @@
 """Tests for the numpy Karp kernel the engine runs
-(repro.engine.numpy_backend.karp_max_cycle_mean_matrix), cross-checked
-against the scalar Karp reference (repro.graphs.karp)."""
+(repro.engine.numpy_backend.karp_max_cycle_mean_matrix) and its
+critical-cycle witness (tight_cycle under the step-2 distances),
+cross-checked against the scalar Karp reference (repro.graphs.karp)."""
 
 import random
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.engine.numpy_backend import (
-    _critical_cycle_matrix,
+    NumpyEngine,
     karp_max_cycle_mean_matrix,
+    shift_distances,
+    tight_cycle,
 )
 from repro.graphs.digraph import WeightedDigraph
 from repro.graphs.karp import cycle_mean, maximum_cycle_mean
@@ -24,6 +29,12 @@ def to_matrix(g: WeightedDigraph) -> np.ndarray:
     for u, v, w in g.edges():
         m[u, v] = w
     return m
+
+
+def witness(weights, mean):
+    """The engine's witness: a tight cycle under the distances from row 0."""
+    dist, nudges = shift_distances(weights, mean, 0)
+    return tight_cycle(weights, mean, dist, nudges)
 
 
 def random_strong_graph(rng, n, density=0.4):
@@ -70,7 +81,7 @@ class TestKnownInstances:
         )
         weights = to_matrix(g)
         mean = karp_max_cycle_mean_matrix(weights)
-        cycle = _critical_cycle_matrix(weights, mean)
+        cycle = witness(weights, mean)
         assert cycle_mean(g, cycle) == pytest.approx(mean)
 
 
@@ -85,7 +96,7 @@ class TestCrossValidation:
             assert mean == pytest.approx(
                 maximum_cycle_mean(g).mean, abs=1e-9
             )
-            cycle = _critical_cycle_matrix(weights, mean)
+            cycle = witness(weights, mean)
             assert cycle_mean(g, cycle) == pytest.approx(mean, abs=1e-9)
 
     def test_dense_large(self):
@@ -94,6 +105,36 @@ class TestCrossValidation:
         assert karp_max_cycle_mean_matrix(to_matrix(g)) == pytest.approx(
             maximum_cycle_mean(g).mean, abs=1e-9
         )
+
+
+@st.composite
+def complete_matrices(draw):
+    k = draw(st.integers(min_value=2, max_value=12))
+    values = draw(st.lists(
+        st.floats(min_value=-100.0, max_value=100.0,
+                  allow_nan=False, allow_infinity=False),
+        min_size=k * k, max_size=k * k,
+    ))
+    return np.array(values).reshape(k, k)
+
+
+class TestWitnessProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(complete_matrices())
+    def test_witness_is_a_critical_simple_cycle(self, matrix):
+        """On any all-finite matrix the engine's witness is a simple cycle
+        of off-diagonal edges whose mean is Karp's maximum cycle mean."""
+        outcome = NumpyEngine().shifts(matrix)
+        cycle = outcome.cycle_rows
+        assert cycle is not None and len(cycle) >= 2
+        assert len(set(cycle)) == len(cycle)
+        edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+        assert all(u != v and np.isfinite(matrix[u, v]) for u, v in edges)
+        mean = sum(matrix[u, v] for u, v in edges) / len(edges)
+        off_diagonal = matrix[~np.eye(len(matrix), dtype=bool)]
+        scale = max(1.0, float(np.abs(off_diagonal).max()))
+        assert abs(mean - karp_max_cycle_mean_matrix(matrix)) <= 1e-9 * scale
+        assert outcome.a_max == karp_max_cycle_mean_matrix(matrix)
 
 
 class TestShiftsBackend:
