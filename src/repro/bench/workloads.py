@@ -5,6 +5,8 @@ Importing this module populates :data:`repro.bench.registry.REGISTRY`
 :func:`~repro.bench.registry.load_default_workloads`, which imports it
 exactly once).  Coverage, top to bottom of the stack:
 
+* ``core.estimates`` -- the views front end: Lemma 6.1 uid matching
+  and every link's Section 6 terms (named after the e2e layer);
 * ``engine.pipeline`` -- the full GLOBAL ESTIMATES -> SHIFTS pipeline
   per backend x ring size (the E9c ablation; regenerates
   ``BENCH_engine.json``), with a numpy-only ladder at n=128 and 256 in
@@ -57,6 +59,27 @@ def _pipeline_inputs(n: int, seed: int = 0):
     alpha = scenario.run()
     mls = local_shift_estimates(scenario.system, alpha.views())
     return scenario, alpha, mls
+
+
+# ----------------------------------------------------------------------
+# Views front end (Lemma 6.1 + Section 6 terms)
+# ----------------------------------------------------------------------
+
+@benchmark("core.estimates", grid={"n": (32, 128)}, suites=_smoke_sizes(32))
+def core_estimates(n: int):
+    """``local_shift_estimates`` on a heterogeneous sparse random graph:
+    the uid matcher, the per-edge min/max reduce and every link's terms."""
+    from repro.core.estimates import local_shift_estimates
+    from repro.graphs import random_connected
+    from repro.workloads.scenarios import heterogeneous
+
+    scenario = heterogeneous(random_connected(n, 0.05, 0), seed=0, probes=2)
+    system, views = scenario.system, scenario.run().views()
+
+    def run():
+        local_shift_estimates(system, views)
+
+    return run
 
 
 # ----------------------------------------------------------------------

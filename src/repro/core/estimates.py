@@ -18,15 +18,141 @@ GLOBAL ESTIMATES and SHIFTS need.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Tuple
 
-from repro._types import Edge, ProcessorId, Time
+import numpy as np
+
+from repro._types import INF, NEG_INF, Edge, ProcessorId, Time
 from repro.delays.system import System
+from repro.model.events import MessageReceiveEvent
 from repro.model.views import View
 
 
 class IncompleteViewsError(ValueError):
     """The views do not contain both endpoints of some delivered message."""
+
+
+class _Matched(NamedTuple):
+    """Every matched receive of a set of views, in receive order.
+
+    ``senders``/``receivers`` index ``processors`` (the views' keys, in
+    mapping order) and ``delays`` holds ``d~ = recv_clock - send_clock``.
+    """
+
+    processors: List[ProcessorId]
+    senders: np.ndarray
+    receivers: np.ndarray
+    delays: np.ndarray
+    orphans: int
+
+
+def _match(views: Mapping[ProcessorId, View], strict: bool) -> _Matched:
+    """The one uid matcher behind every function of this module.
+
+    One pass over each view collects sends and receives; a uid sent
+    again overwrites the earlier send (sender included), and a uid
+    received twice by one view keeps its first receive (duplicate
+    delivery, see :meth:`View.receive_clock_times`).  A receive whose
+    uid no view sent is an orphan: ``strict`` raises
+    :class:`IncompleteViewsError` for the first one, otherwise they are
+    counted and skipped.
+    """
+    processors = list(views)
+    send_uids: List[int] = []
+    send_clocks: List[Time] = []
+    send_counts: List[int] = []
+    recv_uids: List[int] = []
+    recv_clocks: List[Time] = []
+    recv_counts: List[int] = []
+    for view in views.values():
+        sends_before, receives_before = len(send_uids), len(recv_uids)
+        for step in view.steps:
+            if step.sends:
+                clock = step.clock_time
+                for event in step.sends:
+                    send_uids.append(event.message.uid)
+                    send_clocks.append(clock)
+            interrupt = step.interrupt
+            if isinstance(interrupt, MessageReceiveEvent):
+                recv_uids.append(interrupt.message.uid)
+                recv_clocks.append(step.clock_time)
+        send_counts.append(len(send_uids) - sends_before)
+        recv_counts.append(len(recv_uids) - receives_before)
+    positions = np.arange(len(processors))
+    send_view = np.repeat(positions, send_counts)
+    recv_view = np.repeat(positions, recv_counts)
+    send_uid = np.array(send_uids, dtype=np.int64)
+    recv_uid = np.array(recv_uids, dtype=np.int64)
+
+    # The last send of each uid, as sorted unique uids.
+    order = np.argsort(send_uid, kind="stable")
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = send_uid[order][1:] != send_uid[order][:-1]
+    send_at = order[last]
+    uids = send_uid[send_at]
+
+    # Receives in uid order: a stable sort keeps one view's copies of a
+    # uid adjacent and in receive order, so a repeat of its predecessor
+    # is a duplicate delivery.  ``sent`` holds each receive's send, -1
+    # for an orphan and -2 for a duplicate.
+    order = np.argsort(recv_uid, kind="stable")
+    by_uid, view_by_uid = recv_uid[order], recv_view[order]
+    at = np.searchsorted(uids, by_uid)
+    found = at < len(uids)
+    found[found] = uids[at[found]] == by_uid[found]
+    by_uid_sent = np.full(len(order), -1)
+    by_uid_sent[found] = send_at[at[found]]
+    by_uid_sent[1:][
+        (by_uid[1:] == by_uid[:-1]) & (view_by_uid[1:] == view_by_uid[:-1])
+    ] = -2
+    sent = np.empty_like(by_uid_sent)
+    sent[order] = by_uid_sent
+
+    orphan = sent == -1
+    if strict and orphan.any():
+        i = int(np.argmax(orphan))
+        raise IncompleteViewsError(
+            f"{processors[recv_view[i]]!r} received message "
+            f"{recv_uids[i]} but no view contains its send"
+        )
+    matched = np.flatnonzero(sent >= 0)
+    sends = sent[matched]
+    return _Matched(
+        processors,
+        send_view[sends],
+        recv_view[matched],
+        np.array(recv_clocks, dtype=float)[matched]
+        - np.array(send_clocks, dtype=float)[sends],
+        int(np.count_nonzero(orphan)),
+    )
+
+
+def _delay_lists(matched: _Matched) -> Dict[Edge, List[Time]]:
+    processors = matched.processors
+    out: Dict[Edge, List[Time]] = {}
+    for p, q, delay in zip(
+        matched.senders.tolist(),
+        matched.receivers.tolist(),
+        matched.delays.tolist(),
+    ):
+        out.setdefault((processors[p], processors[q]), []).append(delay)
+    return out
+
+
+def _link_estimates(system: System, matched: _Matched) -> Dict[Edge, Time]:
+    """``mls~`` of every directed edge: per-edge ``d~min``/``d~max`` by
+    one min/max reduce, then the system's compiled Section 6 terms."""
+    terms = system.link_terms
+    edges = terms.edge_numbers(
+        matched.processors, matched.senders, matched.receivers
+    )
+    on_link = edges >= 0
+    edges, delays = edges[on_link], matched.delays[on_link]
+    dmin = np.full(len(terms.edges), INF)
+    dmax = np.full(len(terms.edges), NEG_INF)
+    np.minimum.at(dmin, edges, delays)
+    np.maximum.at(dmax, edges, delays)
+    return dict(zip(terms.edges, terms.mls(dmin, dmax).tolist()))
 
 
 def estimated_delays(
@@ -40,7 +166,7 @@ def estimated_delays(
     view is missing or does not contain the send -- that would mean the
     views do not come from one execution.
     """
-    return _matched_delays(views, strict=True)[0]
+    return _delay_lists(_match(views, strict=True))
 
 
 def partial_estimated_delays(
@@ -56,34 +182,8 @@ def partial_estimated_delays(
     sound: degraded answers are conservative, never wrong (Lemma 6.2
     direction "honest samples only tighten").
     """
-    return _matched_delays(views, strict=False)
-
-
-def _matched_delays(
-    views: Mapping[ProcessorId, View], strict: bool
-) -> Tuple[Dict[Edge, List[Time]], int]:
-    send_clocks: Dict[int, Time] = {}
-    senders: Dict[int, ProcessorId] = {}
-    for p, view in views.items():
-        for uid, clock in view.send_clock_times().items():
-            send_clocks[uid] = clock
-            senders[uid] = p
-
-    out: Dict[Edge, List[Time]] = {}
-    orphans = 0
-    for q, view in views.items():
-        for uid, recv_clock in view.receive_clock_times().items():
-            if uid not in send_clocks:
-                if strict:
-                    raise IncompleteViewsError(
-                        f"{q!r} received message {uid} but no view contains "
-                        "its send"
-                    )
-                orphans += 1
-                continue
-            p = senders[uid]
-            out.setdefault((p, q), []).append(recv_clock - send_clocks[uid])
-    return out, orphans
+    matched = _match(views, strict=False)
+    return _delay_lists(matched), matched.orphans
 
 
 def local_shift_estimates(
@@ -93,9 +193,22 @@ def local_shift_estimates(
 
     This is the per-link, views-only computation that the paper's
     modularity argument isolates: each link's estimate depends only on the
-    two endpoint views and the link's own delay assumption.
+    two endpoint views and the link's own delay assumption.  It equals
+    ``system.mls_from_delays(estimated_delays(views))``, computed on
+    arrays; messages on non-links and views of other processors are
+    ignored.
     """
-    return system.mls_from_delays(estimated_delays(views))
+    return _link_estimates(system, _match(views, strict=True))
+
+
+def partial_local_shift_estimates(
+    system: System, views: Mapping[ProcessorId, View]
+) -> Tuple[Dict[Edge, Time], int]:
+    """:func:`local_shift_estimates` over possibly incomplete views,
+    skipping orphan receives as :func:`partial_estimated_delays` does;
+    returns ``(mls_tilde, orphan_count)``."""
+    matched = _match(views, strict=False)
+    return _link_estimates(system, matched), matched.orphans
 
 
 def true_local_shifts(system: System, alpha) -> Dict[Edge, Time]:
@@ -112,5 +225,6 @@ __all__ = [
     "estimated_delays",
     "partial_estimated_delays",
     "local_shift_estimates",
+    "partial_local_shift_estimates",
     "true_local_shifts",
 ]

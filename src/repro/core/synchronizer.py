@@ -24,7 +24,7 @@ import numpy as np
 from repro._types import Edge, INF, ProcessorId, Time
 from repro.core.estimates import (
     local_shift_estimates,
-    partial_estimated_delays,
+    partial_local_shift_estimates,
 )
 from repro.core.precision import rho_bar
 from repro.delays.system import System
@@ -259,8 +259,9 @@ class ClockSynchronizer:
             degraded: Optional[DegradedResult] = None
             with recorder.span("pipeline.local_estimates"):
                 if allow_partial:
-                    delays, orphans = partial_estimated_delays(views)
-                    mls_tilde = self._system.mls_from_delays(delays)
+                    mls_tilde, orphans = partial_local_shift_estimates(
+                        self._system, views
+                    )
                     if missing or orphans:
                         degraded = DegradedResult(
                             missing_views=missing,

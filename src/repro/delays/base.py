@@ -8,9 +8,14 @@ assumption must answer exactly two questions:
 1. ``admits(forward, reverse)`` -- are these actual delays allowed?
    (Used by the simulator to validate its own draws and by the adversary
    when constructing equivalent admissible executions.)
-2. ``mls_bound(timing)`` -- given min/max delay statistics for the link,
-   what is the maximal local shift of ``q`` w.r.t. ``p``?  (Lemmas 6.2 and
-   6.5 show this depends only on the extreme delays.)
+2. ``terms()`` -- the link's Section 6 formula for the maximal local
+   shift of ``q`` w.r.t. ``p``.  Lemmas 6.2 and 6.5 show it depends only
+   on two extreme delays, ``dmin(p, q)`` and ``dmax(q, p)``, and is a
+   minimum of linear :class:`Term` s in them; Theorem 5.6 composes
+   assumptions by concatenating their terms.  ``mls_bound(timing)``
+   evaluates the terms for one link, and
+   :class:`~repro.delays.system.System` compiles them into arrays that
+   evaluate every link of a system at once.
 
 The same formula serves double duty: fed *true* delays it yields
 ``mls(p,q)``; fed *estimated* delays (``d~ = d + S_p - S_q``, computable
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence, Tuple
 
 from repro._types import INF, NEG_INF, Time
 
@@ -87,10 +92,66 @@ class PairTiming:
         return PairTiming(forward=self.reverse, reverse=self.forward)
 
 
+def _lower(lb, dmin_forward, dmax_reverse):
+    return dmin_forward - lb
+
+
+def _upper(ub, dmin_forward, dmax_reverse):
+    return ub - dmax_reverse
+
+
+def _bias(b, dmin_forward, dmax_reverse):
+    return (b + dmin_forward - dmax_reverse) / 2.0
+
+
+#: Term kind -> formula ``f(constant, dmin(p, q), dmax(q, p))``.  Each
+#: is written once and evaluated on floats (one link) and on arrays
+#: (every link of a system, see :class:`~repro.delays.system.System`).
+FORMULAS = {"lower": _lower, "upper": _upper, "bias": _bias}
+
+
+class Term(NamedTuple):
+    """One Section 6 bound on ``mls(p, q)``, linear in the link's extremes.
+
+    ``kind`` names the formula in :data:`FORMULAS` and ``constant`` is
+    the assumption's parameter in it (``lb``, ``ub`` or ``b``).
+    """
+
+    kind: str
+    constant: Time
+
+    @staticmethod
+    def lower(lb: Time) -> "Term":
+        """Lemma 6.2: ``dmin(p, q) - lb(p, q)``; ``lb = 0`` is non-negativity."""
+        return Term("lower", lb)
+
+    @staticmethod
+    def upper(ub: Time) -> "Term":
+        """Lemma 6.2: ``ub(q, p) - dmax(q, p)``."""
+        return Term("upper", ub)
+
+    @staticmethod
+    def bias(b: Time) -> "Term":
+        """Lemma 6.5: ``(b + dmin(p, q) - dmax(q, p)) / 2``."""
+        return Term("bias", b)
+
+    def value(self, dmin_forward: Time, dmax_reverse: Time) -> Time:
+        """The term's value at ``dmin(p, q)``, ``dmax(q, p)``."""
+        return FORMULAS[self.kind](self.constant, dmin_forward, dmax_reverse)
+
+
 class DelayAssumption(ABC):
     """A locally checkable restriction on one link's message delays."""
 
     @abstractmethod
+    def terms(self) -> Tuple[Term, ...]:
+        """This assumption's Section 6 formula: ``mls(p, q)`` is the min
+        of these terms, oriented along the canonical ``(p, q)``.
+
+        A silent direction (``dmin = +inf`` or ``dmax = -inf``) makes
+        every term that reads it ``+inf``: no constraint.
+        """
+
     def mls_bound(self, timing: PairTiming) -> Time:
         """Maximal local shift of ``q`` w.r.t. ``p`` under this assumption.
 
@@ -98,6 +159,8 @@ class DelayAssumption(ABC):
         ``(p, q)``.  Returns ``+inf`` when the assumption does not
         constrain that direction at all.
         """
+        dmin, dmax = timing.forward.min_delay, timing.reverse.max_delay
+        return min(term.value(dmin, dmax) for term in self.terms())
 
     @abstractmethod
     def admits(self, forward: Sequence[Time], reverse: Sequence[Time]) -> bool:
@@ -119,4 +182,11 @@ class DelayAssumption(ABC):
     # dataclasses, so equality and hashing come for free.
 
 
-__all__ = ["ADMIT_TOL", "DirectionStats", "PairTiming", "DelayAssumption"]
+__all__ = [
+    "ADMIT_TOL",
+    "FORMULAS",
+    "DirectionStats",
+    "PairTiming",
+    "Term",
+    "DelayAssumption",
+]

@@ -19,10 +19,10 @@ and Corollary 6.6 the same formula on estimated delays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 from repro._types import Time
-from repro.delays.base import ADMIT_TOL, DelayAssumption, PairTiming
+from repro.delays.base import ADMIT_TOL, DelayAssumption, Term
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,8 @@ class RoundTripBias(DelayAssumption):
         if self.bias < 0:
             raise ValueError(f"bias bound must be >= 0, got {self.bias}")
 
-    def mls_bound(self, timing: PairTiming) -> Time:
-        """Lemma 6.5.
+    def terms(self) -> Tuple[Term, ...]:
+        """Lemma 6.5: ``min(dmin(p,q), (b + dmin(p,q) - dmax(q,p)) / 2)``.
 
         Shifting ``q`` earlier by ``s`` raises every ``q -> p`` delay by
         ``s`` and lowers every ``p -> q`` delay by ``s``, changing each
@@ -49,11 +49,7 @@ class RoundTripBias(DelayAssumption):
         term is the non-negativity constraint (via Theorem 5.6 the two
         compose by ``min``).
         """
-        nonneg_term = timing.forward.min_delay
-        bias_term = (
-            self.bias + timing.forward.min_delay - timing.reverse.max_delay
-        ) / 2.0
-        return min(nonneg_term, bias_term)
+        return (Term.lower(0.0), Term.bias(self.bias))
 
     def admits(self, forward: Sequence[Time], reverse: Sequence[Time]) -> bool:
         if any(d < -ADMIT_TOL for d in forward):
@@ -89,10 +85,8 @@ class RoundTripBiasUnsigned(DelayAssumption):
         if self.bias < 0:
             raise ValueError(f"bias bound must be >= 0, got {self.bias}")
 
-    def mls_bound(self, timing: PairTiming) -> Time:
-        return (
-            self.bias + timing.forward.min_delay - timing.reverse.max_delay
-        ) / 2.0
+    def terms(self) -> Tuple[Term, ...]:
+        return (Term.bias(self.bias),)
 
     def admits(self, forward: Sequence[Time], reverse: Sequence[Time]) -> bool:
         if not forward or not reverse:

@@ -16,10 +16,10 @@ per-execution precision is finite whenever messages flowed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 from repro._types import INF, Time
-from repro.delays.base import ADMIT_TOL, DelayAssumption, PairTiming
+from repro.delays.base import ADMIT_TOL, DelayAssumption, Term
 
 
 @dataclass(frozen=True)
@@ -55,16 +55,14 @@ class BoundedDelay(DelayAssumption):
     # DelayAssumption interface
     # ------------------------------------------------------------------
 
-    def mls_bound(self, timing: PairTiming) -> Time:
+    def terms(self) -> Tuple[Term, ...]:
         """Lemma 6.2: ``min(ub(q,p) - dmax(q,p), dmin(p,q) - lb(p,q))``.
 
         Shifting ``q`` earlier by ``s`` shortens every ``p -> q`` delay by
         ``s`` (bounded below by ``lb_forward``) and lengthens every
         ``q -> p`` delay by ``s`` (bounded above by ``ub_reverse``).
         """
-        from_reverse_ub = self.ub_reverse - timing.reverse.max_delay
-        from_forward_lb = timing.forward.min_delay - self.lb_forward
-        return min(from_reverse_ub, from_forward_lb)
+        return (Term.upper(self.ub_reverse), Term.lower(self.lb_forward))
 
     def admits(self, forward: Sequence[Time], reverse: Sequence[Time]) -> bool:
         ok_fwd = all(

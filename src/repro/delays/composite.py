@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from repro._types import Time
-from repro.delays.base import DelayAssumption, PairTiming
+from repro.delays.base import DelayAssumption, Term
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,10 @@ class Composite(DelayAssumption):
                 flat.append(c)
         return Composite(components=tuple(flat))
 
-    def mls_bound(self, timing: PairTiming) -> Time:
-        """Theorem 5.6: the min of the component bounds."""
-        return min(c.mls_bound(timing) for c in self.components)
+    def terms(self) -> Tuple[Term, ...]:
+        """Theorem 5.6: the min of the component bounds, i.e. the
+        components' terms concatenated."""
+        return tuple(t for c in self.components for t in c.terms())
 
     def admits(self, forward: Sequence[Time], reverse: Sequence[Time]) -> bool:
         return all(c.admits(forward, reverse) for c in self.components)

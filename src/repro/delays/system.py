@@ -7,6 +7,9 @@ uses it to turn observed views into maximal-local-shift estimates.
 Assumptions are stored per *undirected* link under the link's canonical
 orientation (the orientation it has in ``topology.links``) and flipped
 once at construction; :meth:`System.assumption_oriented` re-orients.
+Construction also compiles every link's Section 6 terms into
+:class:`LinkTerms`, which evaluates all of ``mls~`` in a few vector
+expressions (the views front end in :mod:`repro.core.estimates`).
 """
 
 from __future__ import annotations
@@ -14,8 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro._types import Edge, ProcessorId, Time
-from repro.delays.base import DelayAssumption, DirectionStats, PairTiming
+import numpy as np
+
+from repro._types import INF, Edge, ProcessorId, Time
+from repro.delays.base import (
+    FORMULAS,
+    DelayAssumption,
+    DirectionStats,
+    PairTiming,
+)
 from repro.graphs.topology import Topology
 from repro.model.execution import Execution
 
@@ -25,6 +35,99 @@ _SILENT = DirectionStats()  # a direction that carried no message
 
 class UnknownLinkError(KeyError):
     """A link was referenced that the topology does not contain."""
+
+
+class LinkTerms:
+    """Every link's Section 6 terms as arrays, compiled once per system.
+
+    Directed edges are numbered in :meth:`System.mls_from_stats` order
+    (each link's canonical orientation, then its reverse), so edge
+    ``e ^ 1`` is the reverse of edge ``e``.  Each term kind holds the
+    edges, term slots and constants of all its terms; :meth:`mls`
+    evaluates one formula of :data:`~repro.delays.base.FORMULAS` per
+    kind over all of them and takes the per-edge min over the slots.
+    """
+
+    __slots__ = ("edges", "_rows", "_codes", "_code_edges", "_slots", "_kinds")
+
+    def __init__(
+        self,
+        oriented: Mapping[Edge, Tuple[DelayAssumption, DelayAssumption]],
+        processors: Sequence[ProcessorId],
+    ):
+        edges: List[Edge] = []
+        by_edge: List[DelayAssumption] = []
+        for link, (assumption, flipped) in oriented.items():
+            edges += (link, link[::-1])
+            by_edge += (assumption, flipped)
+        columns: Dict[str, Tuple[list, list, list]] = {
+            kind: ([], [], []) for kind in FORMULAS
+        }
+        for edge, assumption in enumerate(by_edge):
+            for slot, (kind, constant) in enumerate(assumption.terms()):
+                edge_ids, slots, constants = columns[kind]
+                edge_ids.append(edge)
+                slots.append(slot)
+                constants.append(constant)
+        #: Directed edges, indexed by edge number.
+        self.edges: Tuple[Edge, ...] = tuple(edges)
+        self._rows = {p: i for i, p in enumerate(processors)}
+        stride = len(self._rows) + 1
+        codes = np.array(
+            [self._rows[p] * stride + self._rows[q] for p, q in edges],
+            dtype=np.int64,
+        )
+        self._code_edges = np.argsort(codes)
+        self._codes = codes[self._code_edges]
+        self._slots = max(
+            (max(slots) + 1 for _, slots, _ in columns.values() if slots),
+            default=1,
+        )
+        self._kinds = tuple(
+            (
+                FORMULAS[kind],
+                np.array(edge_ids, dtype=np.int32),
+                np.array(slots, dtype=np.int32),
+                np.array(constants, dtype=float),
+            )
+            for kind, (edge_ids, slots, constants) in columns.items()
+            if edge_ids
+        )
+
+    def edge_numbers(
+        self,
+        processors: Sequence[ProcessorId],
+        senders: np.ndarray,
+        receivers: np.ndarray,
+    ) -> np.ndarray:
+        """Edge number of each ``processors[senders[i]] ->
+        processors[receivers[i]]``, or ``-1`` where that is no link."""
+        if not len(self._codes):
+            return np.full(len(senders), -1, dtype=np.intp)
+        outside = len(self._rows)
+        rows = np.array(
+            [self._rows.get(p, outside) for p in processors], dtype=np.int64
+        )
+        codes = rows[senders] * (outside + 1) + rows[receivers]
+        at = np.searchsorted(self._codes, codes)
+        at[at == len(self._codes)] = 0
+        return np.where(self._codes[at] == codes, self._code_edges[at], -1)
+
+    def mls(self, dmin: np.ndarray, dmax: np.ndarray) -> np.ndarray:
+        """``mls`` of every edge from its ``dmin`` and ``dmax`` (silent:
+        ``+inf``/``-inf``); edge ``e``'s terms read ``dmin[e]`` and
+        ``dmax[e ^ 1]``."""
+        dmax_reverse = dmax[np.arange(len(self.edges)) ^ 1]
+        bounds = np.full((self._slots, len(self.edges)), INF)
+        for formula, edge_ids, slots, constants in self._kinds:
+            bounds[slots, edge_ids] = formula(
+                constants, dmin[edge_ids], dmax_reverse[edge_ids]
+            )
+        mls = bounds[0]
+        for slot in bounds[1:]:
+            # A tie keeps the earlier term's value, as Python's min() does.
+            mls = np.minimum(slot, mls)
+        return mls
 
 
 @dataclass(frozen=True)
@@ -52,6 +155,9 @@ class System:
             link: (assumption, assumption.flipped())
             for link, assumption in self.assumptions.items()
         })
+        object.__setattr__(
+            self, "_terms", LinkTerms(self._oriented, self.topology.nodes)
+        )
 
     @staticmethod
     def uniform(topology: Topology, assumption: DelayAssumption) -> "System":
@@ -107,6 +213,11 @@ class System:
         """The link's assumption with canonical forward direction ``p -> q``."""
         link = self.canonical_link(p, q)
         return self._oriented[link][link != (p, q)]
+
+    @property
+    def link_terms(self) -> LinkTerms:
+        """Every link's Section 6 terms, compiled for vector evaluation."""
+        return self._terms
 
     @property
     def processors(self) -> Tuple[ProcessorId, ...]:
@@ -197,4 +308,4 @@ class System:
         return out
 
 
-__all__ = ["System", "UnknownLinkError"]
+__all__ = ["LinkTerms", "System", "UnknownLinkError"]

@@ -42,9 +42,14 @@ def cell_cache_key(task: CellTask) -> Optional[str]:
     """The cell's content digest, or ``None`` when it is not cacheable.
 
     Builds the scenario (cheap: constructors only, no simulation) and
-    digests everything the result is a deterministic function of.
+    digests everything the result is a deterministic function of.  A
+    builder that raises makes the cell uncacheable: executing it then
+    reports the error under the run's quarantine policy.
     """
-    scenario = task.build(task.spec.topology, task.spec.seed)
+    try:
+        scenario = task.build(task.spec.topology, task.spec.seed)
+    except Exception:
+        return None
     try:
         system = system_to_dict(scenario.system)
     except SystemIOError:

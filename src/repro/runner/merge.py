@@ -295,6 +295,8 @@ def merge_shards(
     for index in range(len(grid)):
         fold.settle(index, results.get(index), metrics.get(index))
     fused, aggregates = fold.finish()
+    # A cell was executed, not served from the cache, when its result
+    # carries a metrics snapshot or it has a failure record.
     executed = sum(1 for snapshot in metrics.values() if snapshot)
     # Progress metrics are gauges (point-in-time truths, set not
     # summed), matching what run_campaign and the executor emit, so a
@@ -302,7 +304,7 @@ def merge_shards(
     registry.gauge("campaign.cells.total").set(len(grid))
     registry.gauge("campaign.cells.completed").set(len(results))
     registry.counter("campaign.cache.hits").add(len(results) - executed)
-    registry.counter("campaign.cache.misses").add(executed)
+    registry.counter("campaign.cache.misses").add(executed + len(failures))
     if failures:
         registry.gauge("campaign.cells.quarantined").set(len(failures))
 

@@ -14,7 +14,7 @@ from repro.analysis.system_io import (
     system_from_dict,
     system_to_dict,
 )
-from repro.delays.base import DelayAssumption
+from repro.delays.base import DelayAssumption, Term
 from repro.delays.bias import RoundTripBias, RoundTripBiasUnsigned
 from repro.delays.bounds import BoundedDelay, lower_bounds_only, no_bounds
 from repro.delays.composite import Composite
@@ -58,8 +58,8 @@ class TestAssumptionRoundTrip:
 
     def test_unknown_type_rejected(self):
         class Weird(DelayAssumption):
-            def mls_bound(self, timing):
-                return 0.0
+            def terms(self):
+                return (Term.lower(0.0),)
 
             def admits(self, forward, reverse):
                 return True

@@ -13,6 +13,7 @@ from repro.baselines.lp import (
 )
 from repro.core.precision import rho_bar
 from repro.core.synchronizer import ClockSynchronizer
+from repro.delays.base import Term
 from repro.delays.bias import RoundTripBias
 from repro.delays.bounds import BoundedDelay, lower_bounds_only
 from repro.delays.composite import Composite
@@ -58,8 +59,8 @@ class TestConstraintCompilation:
 
     def test_unknown_assumption_type_rejected(self):
         class Weird(RoundTripBias.__bases__[0]):  # DelayAssumption
-            def mls_bound(self, timing):
-                return 0.0
+            def terms(self):
+                return (Term.lower(0.0),)
 
             def admits(self, forward, reverse):
                 return True

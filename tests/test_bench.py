@@ -246,6 +246,7 @@ class TestRegistry:
             "engine.pipeline", "engine.closure", "engine.karp",
             "engine.incremental", "sim.run", "online.replay",
             "campaign.throughput", "obs.recording", "monitor.suite",
+            "core.estimates",
         } <= names
         assert registry.cases(suite="smoke")
 

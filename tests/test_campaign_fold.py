@@ -56,10 +56,15 @@ def deterministic(registry):
         if not name.endswith(".seconds")
         # the executor's per-invocation queue shape, never merged
         and name != "campaign.queue.depth"
-        # a run counts its quarantined cell as a miss; a merge counts
-        # only cells with a metrics snapshot
-        and name != "campaign.cache.misses"
     }
+
+
+def cache_counters(registry):
+    snapshot = registry.snapshot()
+    return tuple(
+        snapshot[name]["value"]
+        for name in ("campaign.cache.hits", "campaign.cache.misses")
+    )
 
 
 class TestOneTableEveryPath:
@@ -105,6 +110,23 @@ class TestOneTableEveryPath:
         )
         assert resumed.resumed == 7
         assert table_of(campaign, resumed) == reference
+
+
+class TestCacheCountersAgree:
+    def test_quarantined_cell_is_a_miss_in_run_and_merge(self, tmp_path):
+        """A failure record means the cell was executed: the run and a
+        merge of its one shard read the same hits and misses, cold and
+        with every good cell served from the cache."""
+        campaign = make_campaign()
+        options = dict(workers=1, cell_timeout=60.0, cache_dir=tmp_path / "c")
+        for name, expected in (("cold", (0.0, 8.0)), ("warm", (7.0, 1.0))):
+            outcome = campaign.run_results(
+                TOPOLOGIES, results_dir=tmp_path / name, **options
+            )
+            assert len(outcome.quarantined) == 1
+            merged = merge_shards([tmp_path / name])
+            assert cache_counters(outcome.registry) == expected
+            assert cache_counters(merged.registry) == expected
 
 
 def single_shard(tmp_path):
