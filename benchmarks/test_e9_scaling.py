@@ -1,31 +1,26 @@
-"""E9 bench: regenerate the scaling table; time the two graph kernels
-(Karp max cycle mean, Bellman--Ford) at a fixed size so regressions in
-either show up independently of the end-to-end pipeline; race the matrix
-engine backends on the full pipeline through the :mod:`repro.bench`
-harness and archive ``BENCH_engine.json`` in the schema'd
-:class:`~repro.bench.BenchReport` form."""
+"""E9 bench: regenerate the scaling table; time the two scalar reference
+kernels (Karp max cycle mean, Bellman--Ford) at a fixed size so
+regressions in either show up independently of the end-to-end pipeline;
+race the matrix engine backends on the full pipeline through the
+:mod:`repro.bench` harness and archive ``BENCH_engine.json`` in the
+schema'd :class:`~repro.bench.BenchReport` form."""
 
 import random
 from pathlib import Path
 
 from conftest import show_tables
 
+from repro.engine.python_backend import bellman_ford, karp_max_cycle_mean
 from repro.experiments import run_experiment
-from repro.graphs.digraph import WeightedDigraph
-from repro.graphs.karp import maximum_cycle_mean
-from repro.graphs.shortest_paths import bellman_ford
 
 
-def _dense_graph(n: int, seed: int = 0) -> WeightedDigraph:
+def _dense_graph(n: int, seed: int = 0):
+    """Complete weight matrix (list of rows) with random weights."""
     rng = random.Random(seed)
-    g = WeightedDigraph()
-    for i in range(n):
-        g.add_node(i)
-    for u in range(n):
-        for v in range(n):
-            if u != v:
-                g.add_edge(u, v, rng.uniform(0.0, 5.0))
-    return g
+    return [
+        [float("inf") if u == v else rng.uniform(0.0, 5.0) for v in range(n)]
+        for u in range(n)
+    ]
 
 
 def test_e9_scaling_table(benchmark, capsys):
@@ -34,13 +29,13 @@ def test_e9_scaling_table(benchmark, capsys):
     assert all(row[-1] > 0 for row in tables[0].rows)
 
     g = _dense_graph(24)
-    result = benchmark(lambda: maximum_cycle_mean(g))
-    assert result.mean is not None
+    result = benchmark(lambda: karp_max_cycle_mean(g))
+    assert result is not None
 
 
 def test_e9_bellman_ford_kernel(benchmark):
     g = _dense_graph(48, seed=1)
-    dist = benchmark(lambda: bellman_ford(g, 0)[0])
+    dist = benchmark(lambda: bellman_ford(g, 0))
     assert len(dist) == 48
 
 
@@ -51,7 +46,7 @@ def test_e9_engine_backends(capsys):
     ``full``, benchmark ``engine.pipeline``, backend x n grid), so the
     archived file is a schema'd, environment-fingerprinted
     ``BenchReport`` instead of the old bare list.  The claims are
-    unchanged: the numpy engine must beat the reference dict/digraph
+    unchanged: the numpy engine must beat the scalar reference
     engine by at least 5x at n=64 (measured ~10x; the bound leaves CI
     headroom), and both backends must agree on A^max to 1e-7.
     """

@@ -56,19 +56,16 @@ from repro.core import (
     DegradedResult,
     IncompleteViewsError,
     InconsistentViewsError,
-    ShiftsOutcome,
     SyncResult,
     UnboundedPrecisionError,
     beats_or_ties,
     corrected_starts,
     cycle_mean_under,
     estimated_delays,
-    global_shift_estimates,
     local_shift_estimates,
     realized_spread,
     rho_bar,
     rho_bar_true,
-    shifts,
     true_local_shifts,
     verify_certificate,
 )
@@ -144,19 +141,16 @@ __all__ = [
     "DegradedResult",
     "IncompleteViewsError",
     "InconsistentViewsError",
-    "ShiftsOutcome",
     "SyncResult",
     "UnboundedPrecisionError",
     "beats_or_ties",
     "corrected_starts",
     "cycle_mean_under",
     "estimated_delays",
-    "global_shift_estimates",
     "local_shift_estimates",
     "realized_spread",
     "rho_bar",
     "rho_bar_true",
-    "shifts",
     "true_local_shifts",
     "verify_certificate",
     # delays

@@ -24,10 +24,10 @@ from typing import Dict, Iterable, Mapping, Optional
 
 from repro._types import INF, ProcessorId, Time
 from repro.core.estimates import true_local_shifts
-from repro.core.global_estimates import shift_graph
 from repro.core.precision import realized_spread
 from repro.delays.system import System
-from repro.graphs.shortest_paths import bellman_ford
+from repro.engine.index import ProcessorIndex
+from repro.engine.numpy_backend import bellman_ford_matrix
 from repro.model.execution import Execution, shift_execution
 
 
@@ -49,16 +49,22 @@ def extremal_shift_vector(
     """
     if gamma <= 1.0:
         raise AdversaryError("gamma must be > 1 for strict admissibility")
-    mls = true_local_shifts(system, alpha)
-    graph = shift_graph(list(system.processors), mls)
-    dist, _ = bellman_ford(graph, anchor)
-    unreachable = [p for p, d in dist.items() if d == INF]
+    index = ProcessorIndex(system.processors)
+    mls = index.matrix(true_local_shifts(system, alpha))
+    dist = bellman_ford_matrix(mls, index.row(anchor))
+    if dist is None:
+        raise AdversaryError(
+            "true local shifts contain a negative cycle; the execution is "
+            "not admissible"
+        )
+    distances = dict(zip(index, dist.tolist()))
+    unreachable = [p for p, d in distances.items() if d == INF]
     if unreachable:
         raise AdversaryError(
             f"processors unreachable from {anchor!r} under finite local "
             f"shifts: {unreachable!r}; precision w.r.t. them is unbounded"
         )
-    return {p: dist[p] / gamma for p in system.processors}
+    return {p: d / gamma for p, d in distances.items()}
 
 
 def adversarial_execution(

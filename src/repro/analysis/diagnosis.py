@@ -31,13 +31,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from repro._types import Edge, INF, ProcessorId, Time
 from repro.core.estimates import local_shift_estimates
-from repro.core.global_estimates import shift_graph
 from repro.core.synchronizer import ClockSynchronizer, SyncResult
 from repro.delays.system import System
-from repro.graphs.digraph import WeightedDigraph
-from repro.graphs.karp import minimum_cycle_mean
+from repro.engine.index import ProcessorIndex
+from repro.engine.numpy_backend import (
+    karp_max_cycle_mean_matrix,
+    min_plus_closure,
+    shift_distances,
+    tight_cycle,
+)
 from repro.model.views import View
 
 
@@ -94,16 +100,16 @@ def diagnose_local_estimates(
             working[(q, p)] = INF
 
     # Phase 2: multi-link negative cycles among the remaining links.
-    processors = list(system.processors)
+    index = ProcessorIndex(system.processors)
     max_rounds = len(list(system.topology.links)) + 1
     for _ in range(max_rounds):
-        graph = shift_graph(processors, working)
-        result = minimum_cycle_mean(graph)
-        if result.mean is None or result.mean >= -1e-9:
+        mls = index.matrix(working)
+        found = _most_negative_cycle(mls)
+        if found is None or found[0] >= -1e-9:
             break
-        cycle = tuple(result.cycle)
+        cycle = tuple(index.processor(row) for row in found[1])
         cycles.append(cycle)
-        victim = _most_suspicious_link(graph, cycle)
+        victim = _most_suspicious_link(mls, index, cycle)
         suspects.append(system.canonical_link(*victim))
         working[victim] = INF
         working[(victim[1], victim[0])] = INF
@@ -118,8 +124,41 @@ def diagnose_local_estimates(
     )
 
 
+def _most_negative_cycle(
+    mls: np.ndarray,
+) -> Optional[Tuple[float, List[int]]]:
+    """Minimum cycle mean of the finite-``mls~`` digraph and a witness.
+
+    Every cycle lies inside one strongly connected component, and those
+    are the mutual-reachability classes of the finite entries (closed on
+    a 0/inf copy, so negative cycles cannot blow values up).  In each
+    component of two or more rows, Karp on the negated submatrix gives
+    its minimum cycle mean ``mu``; the distances under ``mls~ - mu``
+    make the witness's edges tight.  Returns ``(mu, rows)`` of the first
+    component with the least ``mu``, or ``None`` when no cycle exists.
+    """
+    reach = np.isfinite(min_plus_closure(np.where(np.isfinite(mls), 0.0, INF)))
+    mutual = reach & reach.T
+    seen = np.zeros(len(mls), dtype=bool)
+    best: Optional[Tuple[float, List[int]]] = None
+    for i in range(len(mls)):
+        if seen[i]:
+            continue
+        rows = np.flatnonzero(mutual[i])
+        seen[rows] = True
+        if len(rows) < 2:
+            continue
+        negated = -mls[np.ix_(rows, rows)]
+        a_max = karp_max_cycle_mean_matrix(negated)
+        if best is None or -a_max < best[0]:
+            dist, nudges = shift_distances(negated, a_max, 0)
+            cycle = tight_cycle(negated, a_max, dist, nudges)
+            best = (-a_max, rows[cycle].tolist())
+    return best
+
+
 def _most_suspicious_link(
-    graph: WeightedDigraph, cycle: Tuple[ProcessorId, ...]
+    mls: np.ndarray, index: ProcessorIndex, cycle: Tuple[ProcessorId, ...]
 ) -> Edge:
     """Heuristic culprit on a negative cycle: the most negative edge.
 
@@ -131,7 +170,7 @@ def _most_suspicious_link(
     k = len(cycle)
     for i in range(k):
         u, v = cycle[i], cycle[(i + 1) % k]
-        w = graph.weight(u, v)
+        w = float(mls[index.row(u), index.row(v)])
         if w < best_weight:
             best_weight = w
             best = (u, v)

@@ -13,9 +13,11 @@ from __future__ import annotations
 from typing import Dict, Mapping, Tuple
 
 from repro._types import ProcessorId, Time
+from repro.core.errors import InconsistentViewsError
 from repro.core.estimates import true_local_shifts
-from repro.core.global_estimates import global_shift_estimates
 from repro.delays.system import System
+from repro.engine.index import PairView, ProcessorIndex
+from repro.engine.numpy_backend import has_negative_diagonal, min_plus_closure
 from repro.model.execution import Execution
 
 
@@ -27,8 +29,14 @@ def true_global_shifts(
     Lemma 5.3: the shortest-path computation of GLOBAL ESTIMATES applied
     to the true local shifts yields the true global shifts.
     """
-    mls = true_local_shifts(system, alpha)
-    return global_shift_estimates(list(system.processors), mls)
+    index = ProcessorIndex(system.processors)
+    ms = min_plus_closure(index.matrix(true_local_shifts(system, alpha)))
+    if has_negative_diagonal(ms):
+        raise InconsistentViewsError(
+            "true local shifts contain a negative cycle; the execution is "
+            "not admissible"
+        )
+    return dict(PairView(ms, index))
 
 
 def locally_admissible_interval(

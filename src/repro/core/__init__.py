@@ -4,11 +4,14 @@ Pipeline (one call to :class:`~repro.core.synchronizer.ClockSynchronizer`):
 
 1. :mod:`repro.core.estimates` -- estimated delays from views (Lemma 6.1)
    and per-link maximal-local-shift estimates ``mls~`` (Section 6).
-2. :mod:`repro.core.global_estimates` -- GLOBAL ESTIMATES: shortest paths
-   turn ``mls~`` into global estimates ``ms~`` (Theorem 5.5).
-3. :mod:`repro.core.shifts` -- SHIFTS: Karp's maximum cycle mean gives the
-   optimal precision ``A^max``; shortest-path distances under
-   ``A^max - ms~`` give the corrections (Theorems 4.4 and 4.6).
+2. GLOBAL ESTIMATES: shortest paths turn ``mls~`` into global estimates
+   ``ms~`` (Theorem 5.5).
+3. SHIFTS: Karp's maximum cycle mean gives the optimal precision
+   ``A^max``; shortest-path distances under ``A^max - ms~`` give the
+   corrections (Theorems 4.4 and 4.6).
+
+Steps 2 and 3 run on a matrix engine (:mod:`repro.engine`); the errors
+they raise live in :mod:`repro.core.errors`.
 
 :mod:`repro.core.precision` scores arbitrary correction vectors with the
 paper's ``rho_bar`` measure, and :mod:`repro.core.optimality` verifies
@@ -22,11 +25,7 @@ from repro.core.estimates import (
     partial_estimated_delays,
     true_local_shifts,
 )
-from repro.core.global_estimates import (
-    InconsistentViewsError,
-    global_shift_estimates,
-    shift_graph,
-)
+from repro.core.errors import InconsistentViewsError, UnboundedPrecisionError
 from repro.core.optimality import (
     Certificate,
     CertificateError,
@@ -40,7 +39,6 @@ from repro.core.precision import (
     rho_bar,
     rho_bar_true,
 )
-from repro.core.shifts import ShiftsOutcome, UnboundedPrecisionError, shifts
 from repro.core.synchronizer import (
     ClockSynchronizer,
     ComponentResult,
@@ -55,8 +53,6 @@ __all__ = [
     "partial_estimated_delays",
     "true_local_shifts",
     "InconsistentViewsError",
-    "global_shift_estimates",
-    "shift_graph",
     "Certificate",
     "CertificateError",
     "beats_or_ties",
@@ -66,9 +62,7 @@ __all__ = [
     "realized_spread",
     "rho_bar",
     "rho_bar_true",
-    "ShiftsOutcome",
     "UnboundedPrecisionError",
-    "shifts",
     "ClockSynchronizer",
     "ComponentResult",
     "DegradedResult",

@@ -184,7 +184,7 @@ class ClockSynchronizer:
     The synchronizer is stateless across calls; each call processes one
     set of views (one execution) independently.  ``backend`` names the
     matrix engine: ``"numpy"`` (the default, at every system size) or
-    ``"python"``, the dict/digraph reference oracle.  It is validated
+    ``"python"``, the scalar reference oracle.  It is validated
     eagerly, so a typo fails here rather than deep inside the first
     synchronization.
 

@@ -65,14 +65,6 @@ class DirectionStats:
             max_delay=max(delays),
         )
 
-    def merged(self, other: "DirectionStats") -> "DirectionStats":
-        """Combine two summaries of disjoint observation sets."""
-        return DirectionStats(
-            count=self.count + other.count,
-            min_delay=min(self.min_delay, other.min_delay),
-            max_delay=max(self.max_delay, other.max_delay),
-        )
-
 
 @dataclass(frozen=True)
 class PairTiming:

@@ -12,8 +12,8 @@ substrate:
 * :mod:`~repro.engine.numpy_backend` -- vectorized kernels plus the
   incremental single-edge closure update used by the online extension;
   the production path at every system size;
-* :mod:`~repro.engine.python_backend` -- the dict/digraph code as the
-  reference oracle the numpy engine is tested against;
+* :mod:`~repro.engine.python_backend` -- the scalar reference oracle
+  (plain list-of-float loops) the numpy engine is tested against;
 * :mod:`~repro.engine.registry` -- the two backends by name.
 
 See DESIGN.md section "Engine layer" for the matrix layout and the

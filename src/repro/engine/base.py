@@ -6,7 +6,7 @@ operations the synchronization pipeline is made of:
 
 * ``global_estimates`` -- min-plus closure of the ``mls~`` matrix
   (Theorem 5.5), raising
-  :class:`~repro.core.global_estimates.InconsistentViewsError` on a
+  :class:`~repro.core.errors.InconsistentViewsError` on a
   negative cycle;
 * ``components`` -- the synchronization components (maximal row sets with
   finite pairwise ``ms~``), ordered by first row for stable roots;
@@ -30,7 +30,7 @@ from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.shifts import UnboundedPrecisionError
+from repro.core.errors import UnboundedPrecisionError
 from repro.engine.stats import EngineStats
 from repro.obs.metrics import MetricsRegistry
 
@@ -96,7 +96,7 @@ class SyncEngine(ABC):
     ) -> EngineShifts:
         """SHIFTS over ``rows`` of the ``ms~`` matrix (default: all rows).
 
-        Raises :class:`~repro.core.shifts.UnboundedPrecisionError` when a
+        Raises :class:`~repro.core.errors.UnboundedPrecisionError` when a
         pair inside ``rows`` has infinite estimate -- pass one
         synchronization component at a time to avoid it.
         """

@@ -34,7 +34,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.global_estimates import InconsistentViewsError
+from repro.core.errors import InconsistentViewsError
 from repro.engine.base import EngineShifts, SyncEngine
 
 INF = float("inf")

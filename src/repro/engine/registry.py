@@ -2,7 +2,7 @@
 
 * ``"numpy"`` -- dense vectorized kernels, the production path at every
   system size (the default everywhere a backend can be named);
-* ``"python"`` -- the dict/digraph reference implementation, kept only
+* ``"python"`` -- the scalar reference implementation, kept only
   as the semantics oracle the numpy engine is tested against.
 """
 

@@ -118,7 +118,8 @@ def _probe_phase_optimum(system: System, leader_state) -> float:
 def _probe_phase_rho(system: System, leader_state, corrections, full) -> float:
     """rho_bar of the protocol's corrections under probe-phase ms~."""
     from repro.delays.base import DirectionStats
-    from repro.core.global_estimates import global_shift_estimates
+    from repro.engine.index import PairView, ProcessorIndex
+    from repro.engine.numpy_backend import min_plus_closure
 
     stats = {}
     for report in leader_state.reports:
@@ -128,9 +129,9 @@ def _probe_phase_rho(system: System, leader_state, corrections, full) -> float:
                 min_delay=entry.min_delay,
                 max_delay=entry.max_delay,
             )
-    mls = system.mls_from_stats(stats)
-    ms = global_shift_estimates(list(system.processors), mls)
-    return rho_bar(ms, corrections)
+    index = ProcessorIndex(system.processors)
+    ms = min_plus_closure(index.matrix(system.mls_from_stats(stats)))
+    return rho_bar(PairView(ms, index), corrections)
 
 
 def _drift_table(quick: bool) -> Table:

@@ -21,7 +21,7 @@ from typing import List
 
 from repro.analysis.metrics import summarize
 from repro.analysis.reporting import Table
-from repro.core.global_estimates import InconsistentViewsError
+from repro.core.errors import InconsistentViewsError
 from repro.core.precision import realized_spread
 from repro.delays.bounds import no_bounds
 from repro.delays.distributions import DelaySampler, Direction

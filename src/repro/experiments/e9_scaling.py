@@ -2,9 +2,10 @@
 
 The paper cites Karp's ``O(n^3)`` bound for computing ``A^max`` on the
 complete shift graph.  This experiment times the three pipeline stages
-separately (local estimates, GLOBAL ESTIMATES, SHIFTS) as ``n`` grows on
-ring topologies (sparse communication graph, dense ``ms~`` graph) and
-reports the growth rate of the dominant stage.
+separately (local estimates, then the default engine's GLOBAL ESTIMATES
+and SHIFTS) as ``n`` grows on ring topologies (sparse communication
+graph, dense ``ms~`` graph) and reports the growth rate of the dominant
+stage.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from typing import List
 
 from repro.analysis.reporting import Table
 from repro.core.estimates import local_shift_estimates
-from repro.core.global_estimates import global_shift_estimates
-from repro.core.shifts import shifts
+from repro.engine import ProcessorIndex, create_engine
 from repro.graphs import ring
 from repro.workloads.scenarios import bounded_uniform
 
@@ -24,20 +24,21 @@ def _time_stages(n: int, seed: int = 0):
     scenario = bounded_uniform(ring(n), lb=1.0, ub=3.0, probes=2, seed=seed)
     alpha = scenario.run()
     views = alpha.views()
-    processors = list(scenario.system.processors)
+    index = ProcessorIndex(scenario.system.processors)
+    engine = create_engine()
 
     t0 = time.perf_counter()
     mls = local_shift_estimates(scenario.system, views)
     t1 = time.perf_counter()
-    ms = global_shift_estimates(processors, mls)
+    ms = engine.global_estimates(index.matrix(mls))
     t2 = time.perf_counter()
-    outcome = shifts(processors, ms)
+    outcome = engine.shifts(ms)
     t3 = time.perf_counter()
     return {
         "mls": t1 - t0,
         "global": t2 - t1,
         "shifts": t3 - t2,
-        "precision": outcome.precision,
+        "precision": outcome.a_max,
     }
 
 

@@ -28,8 +28,8 @@ from typing import Dict, Mapping, Optional, Set
 import numpy as np
 
 from repro._types import Edge, ProcessorId, Time
+from repro.core.errors import InconsistentViewsError
 from repro.core.estimates import estimated_delays
-from repro.core.global_estimates import InconsistentViewsError
 from repro.core.synchronizer import ClockSynchronizer, SyncResult
 from repro.delays.base import DirectionStats
 from repro.delays.system import System

@@ -57,7 +57,7 @@ from repro.live.transport import LossyNetwork, SegmentChannel
 from repro.live.wire import Correction, WireId
 from repro.obs.recorder import Recorder, get_recorder, recording
 from repro.obs.report import quantile
-from repro.transport import aggregate_stats
+from repro.transport import aggregate_stats, link_ledger
 
 
 def live_system(topology: Topology) -> System:
@@ -297,12 +297,10 @@ class LiveCluster:
     def transport_accounting(self) -> Dict[str, dict]:
         """Per-directed-link conservation ledger.
 
-        For every channel that was handed at least one payload:
-        ``handed == delivered (at the remote) + undelivered (surfaced
-        by a give-up) + dropped_unreachable (refused on a dead channel)
-        + pending (still in flight) + lost``.  After a successful
-        drain, ``pending`` is 0 and ``lost`` must be too -- the
-        transport's no-silent-loss contract.
+        For every channel that was handed at least one payload, the
+        :func:`~repro.transport.link_ledger` identity plus the link's
+        retransmits and give-ups.  ``lost`` must be 0 -- the transport's
+        no-silent-loss contract.
         """
         channels = self._channels()
         edges: Dict[str, dict] = {}
@@ -311,21 +309,11 @@ class LiveCluster:
                 if s.handed == 0:
                     continue
                 remote = channels.get(dst)
-                delivered = (
-                    remote.machine.stats(src).delivered
-                    if remote is not None
-                    else 0
-                )
-                pending = channel.machine.pending(dst)
                 edges[f"{src!r}->{dst!r}"] = {
-                    "handed": s.handed,
-                    "delivered": delivered,
-                    "undelivered": s.undelivered,
-                    "dropped_unreachable": s.dropped_unreachable,
-                    "pending": pending,
-                    "lost": (
-                        s.handed - delivered - s.undelivered
-                        - s.dropped_unreachable - pending
+                    **link_ledger(
+                        channel.machine,
+                        dst,
+                        remote.machine if remote is not None else None,
                     ),
                     "retransmits": s.retransmits,
                     "give_ups": s.give_ups,

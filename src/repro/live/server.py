@@ -48,8 +48,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.global_estimates import InconsistentViewsError
-from repro.core.shifts import UnboundedPrecisionError
+from repro.core.errors import InconsistentViewsError, UnboundedPrecisionError
 from repro.core.synchronizer import SyncResult
 from repro.delays.system import System, UnknownLinkError
 from repro.extensions.online import OnlineSynchronizer

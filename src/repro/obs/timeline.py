@@ -255,7 +255,7 @@ def replay_online(
     for the duration of the replay, so spans and monitor events carry
     ``sim_time`` attributes.
     """
-    from repro.core.global_estimates import InconsistentViewsError
+    from repro.core.errors import InconsistentViewsError
     from repro.core.precision import realized_spread
     from repro.extensions.online import OnlineSynchronizer
 

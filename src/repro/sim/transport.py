@@ -74,6 +74,7 @@ from repro.transport import (
     PeerUnreachable,
     ReliableTransport,
     TransportConfig,
+    link_ledger,
     recorder_observer,
 )
 
@@ -114,8 +115,9 @@ class TransportTrace:
     processors: Tuple[ProcessorId, ...]
     reports: Tuple[Report, ...]
     real_delays: Dict[Tuple[Any, Any, int], float]
-    #: application probes handed to the transport, per directed edge.
-    handed: Dict[Tuple[Any, Any], int]
+    #: per directed edge that was handed probes, where they ended up
+    #: (:func:`~repro.transport.link_ledger`).
+    ledger: Dict[Tuple[Any, Any], Dict[str, int]]
     stats: Dict[ProcessorId, Dict[Any, ChannelStats]]
     unreachable: Tuple[Tuple[Any, Any], ...]
     fault_log: Optional[FaultLog]
@@ -134,7 +136,7 @@ class TransportTrace:
         send = self.stats.get(p, {}).get(q, ChannelStats())
         recv = self.stats.get(q, {}).get(p, ChannelStats())
         return {
-            "handed": self.handed.get((p, q), 0),
+            "handed": self.ledger.get((p, q), {}).get("handed", 0),
             "segments_sent": send.segments_sent,
             "retransmits": send.retransmits,
             "timeouts": send.timeouts,
@@ -147,26 +149,12 @@ class TransportTrace:
 
     def accounting(self) -> Dict[Tuple[Any, Any], Dict[str, int]]:
         """Per directed edge: where every handed probe ended up."""
-        out: Dict[Tuple[Any, Any], Dict[str, int]] = {}
-        for edge, handed in sorted(self.handed.items(), key=repr):
-            summary = self.edge_summary(*edge)
-            accounted = (
-                summary["delivered"]
-                + summary["undelivered"]
-                + summary["dropped_unreachable"]
-            )
-            out[edge] = {
-                "handed": handed,
-                "delivered": summary["delivered"],
-                "undelivered": summary["undelivered"],
-                "dropped_unreachable": summary["dropped_unreachable"],
-                "lost": handed - accounted,
-            }
-        return out
+        return {edge: dict(row) for edge, row in self.ledger.items()}
 
     @property
     def fully_accounted(self) -> bool:
-        """Every handed probe was delivered or surfaced as undelivered.
+        """Every handed probe was delivered, surfaced by a give-up, or
+        refused on a dead channel -- each exactly once.
 
         This is the acceptance invariant: reliable transport may fail
         to deliver (the network can be arbitrarily hostile), but it may
@@ -423,7 +411,10 @@ class _TransportRun:
             processors=tuple(self.system.processors),
             reports=tuple(self.reports),
             real_delays=dict(self.real_delays),
-            handed=dict(self.handed),
+            ledger={
+                (p, q): link_ledger(self.machines[p], q, self.machines[q])
+                for p, q in sorted(self.handed, key=repr)
+            },
             stats={
                 p: machine.stats_by_peer()
                 for p, machine in self.machines.items()

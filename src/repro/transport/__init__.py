@@ -31,6 +31,7 @@ from repro.transport.machine import (
     ReliableTransport,
     TransportConfig,
     TransportError,
+    link_ledger,
 )
 
 #: Metric namespace shared by both drivers (sim and live), so one
@@ -123,6 +124,7 @@ __all__ = [
     "TransportConfig",
     "TransportError",
     "aggregate_stats",
+    "link_ledger",
     "recorder_observer",
     "transport_counter_snapshot",
 ]

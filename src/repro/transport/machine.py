@@ -31,8 +31,10 @@ Protocol sketch, per destination peer:
   reproducible;
 * after ``max_retries`` retransmissions of any one segment the channel
   gives up: the peer is reported unreachable, everything in flight or
-  queued for it is surfaced as undelivered (counted, never silently
-  lost), and later sends to it are refused.
+  queued for it is surfaced as unacknowledged (counted, never silently
+  lost), and later sends to it are refused.  The receiver may already
+  have delivered a surfaced payload whose acks were all lost;
+  :func:`link_ledger` counts such a payload once, as delivered.
 
 RTT samples are taken only from segments acked on their first
 transmission (Karn's rule: a retransmitted segment's ack is ambiguous).
@@ -46,7 +48,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro._types import Time
 
@@ -185,7 +187,11 @@ class Deliver:
 
 @dataclass(frozen=True)
 class PeerUnreachable:
-    """Give-up: ``peer`` stopped acking; ``undelivered`` never arrived."""
+    """Give-up: ``peer`` stopped acking; ``undelivered`` were never acked.
+
+    A payload in ``undelivered`` may still have reached the peer if only
+    its acks were lost; :func:`link_ledger` tells the two cases apart.
+    """
 
     peer: Any
     undelivered: Tuple[Any, ...]
@@ -211,7 +217,7 @@ class ChannelStats:
     delivered: int = 0           # payloads handed to the application
     duplicates: int = 0          # data frames suppressed as already-seen
     give_ups: int = 0
-    undelivered: int = 0         # payloads surfaced by a give-up
+    undelivered: int = 0         # payloads surfaced (unacked) by a give-up
     dropped_unreachable: int = 0  # send() refused on a dead channel
     rtt_samples: List[float] = field(default_factory=list)
 
@@ -244,6 +250,8 @@ class _SendChannel:
     in_flight: Dict[int, _Pending] = field(default_factory=dict)
     queue: Deque[Any] = field(default_factory=deque)
     dead: bool = False
+    #: sequence numbers of the in-flight payloads the give-up surfaced.
+    surfaced: Tuple[int, ...] = ()
 
 
 @dataclass
@@ -454,8 +462,9 @@ class ReliableTransport:
         return actions
 
     def _give_up(self, ch: _SendChannel, dst: Any) -> PeerUnreachable:
+        ch.surfaced = tuple(sorted(ch.in_flight))
         undelivered = tuple(
-            ch.in_flight[seq].payload for seq in sorted(ch.in_flight)
+            ch.in_flight[seq].payload for seq in ch.surfaced
         ) + tuple(ch.queue)
         ch.in_flight.clear()
         ch.queue.clear()
@@ -464,6 +473,53 @@ class ReliableTransport:
         self._count("give_ups", dst)
         self._count("undelivered", dst, len(undelivered))
         return PeerUnreachable(peer=dst, undelivered=undelivered)
+
+    def delivered_from(self, src: Any, seqs: Sequence[int]) -> int:
+        """How many of ``src``'s sequence numbers ``seqs`` were delivered."""
+        rch = self._recv.get(src)
+        if rch is None:
+            return 0
+        return sum(seq < rch.cum or seq in rch.out_of_order for seq in seqs)
+
+
+def link_ledger(
+    sender: ReliableTransport,
+    dst: Any,
+    receiver: Optional[ReliableTransport] = None,
+) -> Dict[str, int]:
+    """Where every payload ``sender`` was handed for ``dst`` ended up.
+
+    ``handed == delivered + undelivered + dropped_unreachable + pending
+    + lost``: ``delivered`` counts the payloads ``receiver`` (the
+    endpoint ``dst``, ``None`` if it is not observable) delivered,
+    ``undelivered`` those a give-up surfaced, ``dropped_unreachable``
+    the sends refused on a dead channel, and ``pending`` those still
+    queued or in flight.  Each payload counts once: one the receiver
+    delivered before its ack reached the sender (or ever will, after a
+    give-up) is delivered, not pending or undelivered.  ``lost`` is
+    zero unless the transport dropped a payload silently.
+    """
+    stats = sender.stats(dst)
+    undelivered = stats.undelivered
+    pending = sender.pending(dst)
+    delivered = 0
+    ch = sender._send.get(dst)
+    if receiver is not None:
+        delivered = receiver.stats(sender.local).delivered
+        if ch is not None:
+            undelivered -= receiver.delivered_from(sender.local, ch.surfaced)
+            pending -= receiver.delivered_from(sender.local, ch.in_flight)
+    return {
+        "handed": stats.handed,
+        "delivered": delivered,
+        "undelivered": undelivered,
+        "dropped_unreachable": stats.dropped_unreachable,
+        "pending": pending,
+        "lost": (
+            stats.handed - delivered - undelivered
+            - stats.dropped_unreachable - pending
+        ),
+    }
 
 
 __all__ = [
@@ -477,4 +533,5 @@ __all__ = [
     "ReliableTransport",
     "TransportConfig",
     "TransportError",
+    "link_ledger",
 ]

@@ -1,0 +1,140 @@
+"""Test oracles shared by the graph, engine and agreement tests.
+
+* :func:`enumerate_simple_cycle_means` -- brute-force cycle enumeration,
+  the exhaustive oracle for Karp on small graphs;
+* :func:`min_cycle_mean` / :func:`max_cycle_mean` -- the reference
+  module's kernels composed for an arbitrary digraph: Tarjan SCCs, Karp
+  inside each one, and the witness read off the tight edges;
+* :func:`run_shifts` / :func:`run_closure` -- SHIFTS and GLOBAL
+  ESTIMATES on pair mappings through a :class:`~repro.engine.SyncEngine`,
+  so semantics tests can run against both backends.
+
+Graphs are weight matrices: ``weights[u][v]`` is the edge ``u -> v`` and
+``inf`` marks an absent edge.
+"""
+
+from types import SimpleNamespace
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.engine import NumpyEngine, PairView, ProcessorIndex, PythonEngine
+from repro.engine.python_backend import (
+    bellman_ford,
+    karp_max_cycle_mean,
+    strongly_connected_components,
+    tight_cycle,
+)
+
+INF = float("inf")
+
+#: One instance of each backend, for tests that run against both.
+ENGINES = (NumpyEngine(), PythonEngine())
+
+
+def matrix_from_edges(edges, n: Optional[int] = None) -> List[List[float]]:
+    """Weight matrix of ``(u, v, w)`` triples over nodes ``0..n-1``."""
+    edges = list(edges)
+    if n is None:
+        n = 1 + max((max(u, v) for u, v, _ in edges), default=-1)
+    weights = [[INF] * n for _ in range(n)]
+    for u, v, w in edges:
+        weights[u][v] = w
+    return weights
+
+
+def cycle_weight(weights, cycle: Sequence[int]) -> float:
+    """Total weight of ``cycle`` (closing edge implied)."""
+    k = len(cycle)
+    return sum(weights[cycle[i]][cycle[(i + 1) % k]] for i in range(k))
+
+
+def cycle_mean(weights, cycle: Sequence[int]) -> float:
+    """Mean weight of ``cycle`` (closing edge implied)."""
+    return cycle_weight(weights, cycle) / len(cycle)
+
+
+def enumerate_simple_cycle_means(
+    weights, limit: int = 1_000_000
+) -> List[Tuple[float, List[int]]]:
+    """Mean weight of every simple cycle of length >= 2, by exhaustive DFS.
+
+    Exponential -- a brute-force oracle for small graphs.  ``limit`` caps
+    the number of cycles enumerated.
+    """
+    n = len(weights)
+    cycles: List[Tuple[float, List[int]]] = []
+
+    def dfs(start: int, current: int, path: List[int]) -> None:
+        for nxt in range(n):
+            if len(cycles) >= limit:
+                return
+            if nxt == current or weights[current][nxt] == INF:
+                continue
+            if nxt == start:
+                cycles.append((cycle_mean(weights, path), list(path)))
+            elif nxt > start and nxt not in path:
+                path.append(nxt)
+                dfs(start, nxt, path)
+                path.pop()
+
+    for start in range(n):
+        dfs(start, start, [start])
+    return cycles
+
+
+def max_cycle_mean(weights) -> Optional[Tuple[float, List[int]]]:
+    """``(mean, cycle)`` of a maximum-mean cycle, ``None`` if acyclic.
+
+    Self-loops are ignored, as in the ``ms~`` digraph.
+    """
+    best = None
+    for component in strongly_connected_components(weights):
+        if len(component) < 2:
+            continue
+        sub = [[weights[u][v] for v in component] for u in component]
+        mean = karp_max_cycle_mean(sub)
+        if best is None or mean > best[0]:
+            w = [
+                [
+                    INF if u == v or m == INF else mean - m
+                    for v, m in enumerate(row)
+                ]
+                for u, row in enumerate(sub)
+            ]
+            cycle = tight_cycle(sub, mean, bellman_ford(w, 0))
+            best = (mean, [component[i] for i in cycle])
+    return best
+
+
+def min_cycle_mean(weights) -> Optional[Tuple[float, List[int]]]:
+    """``(mean, cycle)`` of a minimum-mean cycle, ``None`` if acyclic."""
+    negated = [[-w if w != INF else INF for w in row] for row in weights]
+    best = max_cycle_mean(negated)
+    return None if best is None else (-best[0], best[1])
+
+
+def run_shifts(engine, processors, ms, root=None) -> SimpleNamespace:
+    """SHIFTS over ``processors`` of the pair mapping ``ms``.
+
+    Returns ``corrections`` (a dict), ``precision``, ``critical_cycle``
+    (processor ids) and ``root``, like one synchronization component.
+    """
+    index = ProcessorIndex(processors)
+    root_row = None if root is None else index.row(root)
+    outcome = engine.shifts(index.matrix(ms), root_row=root_row)
+    cycle = outcome.cycle_rows
+    return SimpleNamespace(
+        corrections={
+            p: float(x) for p, x in zip(index, outcome.corrections)
+        },
+        precision=outcome.a_max,
+        critical_cycle=(
+            None if cycle is None else tuple(index.processor(r) for r in cycle)
+        ),
+        root=processors[0] if root is None else root,
+    )
+
+
+def run_closure(engine, processors, mls) -> Dict[Tuple, float]:
+    """GLOBAL ESTIMATES: ``ms~`` for every ordered pair of ``processors``."""
+    index = ProcessorIndex(processors)
+    return dict(PairView(engine.global_estimates(index.matrix(mls)), index))

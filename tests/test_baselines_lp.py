@@ -4,7 +4,6 @@ import pytest
 
 from repro._types import INF
 from repro.baselines.lp import (
-    DifferenceConstraint,
     LPError,
     assumption_constraints,
     lp_ms_tilde,

@@ -11,7 +11,6 @@ from repro.bench import (
     BenchReport,
     BenchResult,
     BenchSchemaError,
-    Comparison,
     EnvFingerprint,
     SampleStats,
     append_history,

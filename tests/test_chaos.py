@@ -20,8 +20,8 @@ import signal
 
 import pytest
 
+from repro.core.errors import InconsistentViewsError
 from repro.core.synchronizer import ClockSynchronizer
-from repro.core.global_estimates import InconsistentViewsError
 from repro.faults.chaos import (
     CHAOS_DIR_ENV,
     CRASH_ENV,

@@ -1,22 +1,29 @@
-"""Unit tests for the SHIFTS function (repro.core.shifts) --
-Section 4.4, with hand-computed optima."""
+"""Unit tests for SHIFTS (``SyncEngine.shifts``) -- Section 4.4, with
+hand-computed optima.  Every test runs against both engine backends."""
 
+import numpy as np
 import pytest
 
 from repro._types import INF
+from repro.core.errors import UnboundedPrecisionError
 from repro.core.precision import rho_bar
-from repro.core.shifts import UnboundedPrecisionError, shifts
+
+from oracles import ENGINES, run_shifts
+
+
+def shifts(processors, ms, root=None):
+    """SHIFTS on every backend: one outcome per engine."""
+    return [run_shifts(engine, processors, ms, root) for engine in ENGINES]
 
 
 class TestHandComputedInstances:
     def test_two_nodes_symmetric(self):
         """ms~(p,q) = ms~(q,p) = m: A^max = m; corrections cancel."""
-        outcome = shifts([0, 1], {(0, 1): 1.0, (1, 0): 1.0})
-        assert outcome.precision == pytest.approx(1.0)
-        # w(0,1) = w(1,0) = 0; distances from root 0: x_1 = 0.
-        assert outcome.corrections[1] - outcome.corrections[0] == pytest.approx(
-            0.0
-        )
+        for outcome in shifts([0, 1], {(0, 1): 1.0, (1, 0): 1.0}):
+            assert outcome.precision == pytest.approx(1.0)
+            # w(0,1) = w(1,0) = 0; distances from root 0: x_1 = 0.
+            x = outcome.corrections
+            assert x[1] - x[0] == pytest.approx(0.0)
 
     def test_two_nodes_classic_half_uncertainty(self):
         """The classic [lb, ub] single-exchange case: delays d each way
@@ -24,21 +31,20 @@ class TestHandComputedInstances:
         A^max = that value -- (U - L)/2 when d is the midpoint."""
         L, U, d = 1.0, 3.0, 2.0
         m = min(U - d, d - L)
-        outcome = shifts([0, 1], {(0, 1): m, (1, 0): m})
-        assert outcome.precision == pytest.approx((U - L) / 2.0)
+        for outcome in shifts([0, 1], {(0, 1): m, (1, 0): m}):
+            assert outcome.precision == pytest.approx((U - L) / 2.0)
 
     def test_two_nodes_asymmetric_estimates(self):
         """ms~(0,1)=3, ms~(1,0)=-1: A^max = 1, and the corrections must
         split the asymmetry: x_1 - x_0 = A^max - ms~(0,1) = -2."""
-        outcome = shifts([0, 1], {(0, 1): 3.0, (1, 0): -1.0})
-        assert outcome.precision == pytest.approx(1.0)
-        assert outcome.corrections[1] - outcome.corrections[0] == pytest.approx(
-            -2.0
-        )
-        # And rho_bar of those corrections is exactly A^max.
-        assert rho_bar(
-            {(0, 1): 3.0, (1, 0): -1.0}, outcome.corrections
-        ) == pytest.approx(1.0)
+        for outcome in shifts([0, 1], {(0, 1): 3.0, (1, 0): -1.0}):
+            assert outcome.precision == pytest.approx(1.0)
+            x = outcome.corrections
+            assert x[1] - x[0] == pytest.approx(-2.0)
+            # And rho_bar of those corrections is exactly A^max.
+            assert rho_bar(
+                {(0, 1): 3.0, (1, 0): -1.0}, outcome.corrections
+            ) == pytest.approx(1.0)
 
     def test_three_node_cycle_dominates(self):
         """A 3-cycle with larger mean than any 2-cycle sets A^max."""
@@ -50,16 +56,16 @@ class TestHandComputedInstances:
             (2, 1): 0.0,
             (0, 2): 0.0,
         }
-        outcome = shifts([0, 1, 2], ms)
-        # 2-cycles have mean 1.0; the 3-cycle (0,1,2) has mean 2.0.
-        assert outcome.precision == pytest.approx(2.0)
-        assert rho_bar(ms, outcome.corrections) == pytest.approx(2.0)
+        for outcome in shifts([0, 1, 2], ms):
+            # 2-cycles have mean 1.0; the 3-cycle (0,1,2) has mean 2.0.
+            assert outcome.precision == pytest.approx(2.0)
+            assert rho_bar(ms, outcome.corrections) == pytest.approx(2.0)
 
     def test_single_processor(self):
-        outcome = shifts([0], {})
-        assert outcome.precision == 0.0
-        assert outcome.corrections == {0: 0.0}
-        assert outcome.critical_cycle is None
+        for outcome in shifts([0], {}):
+            assert outcome.precision == 0.0
+            assert outcome.corrections == {0: 0.0}
+            assert outcome.critical_cycle is None
 
 
 class TestStructure:
@@ -72,13 +78,14 @@ class TestStructure:
             (0, 2): 3.0,
             (2, 0): 0.75,
         }
-        outcomes = [shifts([0, 1, 2], ms, root=r) for r in (0, 1, 2)]
-        precisions = [o.precision for o in outcomes]
-        assert precisions[0] == pytest.approx(precisions[1])
-        assert precisions[1] == pytest.approx(precisions[2])
-        # rho_bar achieved is the same too (all optimal).
-        for o in outcomes:
-            assert rho_bar(ms, o.corrections) == pytest.approx(o.precision)
+        for engine in ENGINES:
+            outcomes = [run_shifts(engine, [0, 1, 2], ms, r) for r in (0, 1, 2)]
+            precisions = [o.precision for o in outcomes]
+            assert precisions[0] == pytest.approx(precisions[1])
+            assert precisions[1] == pytest.approx(precisions[2])
+            # rho_bar achieved is the same too (all optimal).
+            for o in outcomes:
+                assert rho_bar(ms, o.corrections) == pytest.approx(o.precision)
 
     def test_corrections_differ_by_constant_across_roots(self):
         ms = {
@@ -89,19 +96,20 @@ class TestStructure:
             (0, 2): 3.0,
             (2, 0): 0.75,
         }
-        a = shifts([0, 1, 2], ms, root=0).corrections
-        b = shifts([0, 1, 2], ms, root=2).corrections
-        diffs = {p: a[p] - b[p] for p in a}
-        values = list(diffs.values())
-        # Not necessarily constant (ties in shortest paths may break
-        # differently) but both must achieve optimal rho_bar; check that.
-        assert rho_bar(ms, a) == pytest.approx(rho_bar(ms, b))
+        for engine in ENGINES:
+            a = run_shifts(engine, [0, 1, 2], ms, root=0)
+            b = run_shifts(engine, [0, 1, 2], ms, root=2)
+            # Not necessarily constant (ties in shortest paths may break
+            # differently) but both must achieve optimal rho_bar; check that.
+            assert rho_bar(ms, a.corrections) == pytest.approx(
+                rho_bar(ms, b.corrections)
+            )
 
     def test_root_correction_is_zero(self):
         ms = {(0, 1): 1.0, (1, 0): 1.0}
-        outcome = shifts([0, 1], ms, root=1)
-        assert outcome.corrections[1] == pytest.approx(0.0)
-        assert outcome.root == 1
+        for outcome in shifts([0, 1], ms, root=1):
+            assert outcome.corrections[1] == pytest.approx(0.0)
+            assert outcome.root == 1
 
     def test_critical_cycle_achieves_precision(self):
         ms = {
@@ -112,29 +120,34 @@ class TestStructure:
             (2, 1): 0.0,
             (0, 2): 0.0,
         }
-        outcome = shifts([0, 1, 2], ms)
-        cycle = outcome.critical_cycle
-        total = sum(
-            ms[(cycle[i], cycle[(i + 1) % len(cycle)])]
-            for i in range(len(cycle))
-        )
-        assert total / len(cycle) == pytest.approx(outcome.precision)
+        for outcome in shifts([0, 1, 2], ms):
+            cycle = outcome.critical_cycle
+            total = sum(
+                ms[(cycle[i], cycle[(i + 1) % len(cycle)])]
+                for i in range(len(cycle))
+            )
+            assert total / len(cycle) == pytest.approx(outcome.precision)
 
 
 class TestErrors:
     def test_unknown_root(self):
-        with pytest.raises(ValueError, match="root"):
-            shifts([0, 1], {(0, 1): 1.0, (1, 0): 1.0}, root=9)
+        ms = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for engine in ENGINES:
+            with pytest.raises(ValueError, match="root"):
+                engine.shifts(ms, rows=[0, 1], root_row=9)
 
     def test_empty_processors(self):
-        with pytest.raises(ValueError):
-            shifts([], {})
+        for engine in ENGINES:
+            with pytest.raises(ValueError):
+                run_shifts(engine, [], {})
 
     def test_infinite_pair_raises(self):
-        with pytest.raises(UnboundedPrecisionError) as info:
-            shifts([0, 1], {(0, 1): 1.0, (1, 0): INF})
-        assert (1, 0) in info.value.pairs
+        for engine in ENGINES:
+            with pytest.raises(UnboundedPrecisionError) as info:
+                run_shifts(engine, [0, 1], {(0, 1): 1.0, (1, 0): INF})
+            assert (1, 0) in info.value.pairs
 
     def test_missing_pair_treated_as_infinite(self):
-        with pytest.raises(UnboundedPrecisionError):
-            shifts([0, 1], {(0, 1): 1.0})
+        for engine in ENGINES:
+            with pytest.raises(UnboundedPrecisionError):
+                run_shifts(engine, [0, 1], {(0, 1): 1.0})

@@ -3,7 +3,7 @@
 import pytest
 
 from repro._types import INF
-from repro.core.precision import realized_spread, rho_bar
+from repro.core.precision import realized_spread
 from repro.core.synchronizer import ClockSynchronizer
 from repro.delays.bounds import BoundedDelay, no_bounds
 from repro.delays.system import System

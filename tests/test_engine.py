@@ -1,7 +1,8 @@
 """Unit tests for the matrix engine layer (repro.engine).
 
 Covers the ProcessorIndex row mapping, the EngineStats hooks, backend
-selection by name (numpy at every size), the numpy kernels against their graph-code oracles,
+selection by name (numpy at every size), the numpy kernels against the
+scalar reference kernels,
 the shared argument validation of the engine base class, and the
 incremental closure update of the numpy backend.
 """
@@ -12,8 +13,7 @@ import numpy as np
 import pytest
 
 from repro._types import INF
-from repro.core.global_estimates import InconsistentViewsError
-from repro.core.shifts import UnboundedPrecisionError
+from repro.core.errors import InconsistentViewsError, UnboundedPrecisionError
 from repro.core.synchronizer import ClockSynchronizer
 from repro.delays.bounds import BoundedDelay
 from repro.delays.system import System
@@ -30,10 +30,12 @@ from repro.engine.numpy_backend import (
     karp_max_cycle_mean_matrix,
     min_plus_closure,
 )
+from repro.engine.python_backend import (
+    bellman_ford,
+    floyd_warshall,
+    karp_max_cycle_mean,
+)
 from repro.engine.stats import EngineStats
-from repro.graphs.digraph import WeightedDigraph
-from repro.graphs.karp import maximum_cycle_mean
-from repro.graphs.shortest_paths import bellman_ford, floyd_warshall
 from repro.graphs.topology import complete, ring
 
 
@@ -177,7 +179,7 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
-# numpy kernels vs the graph-code oracles
+# numpy kernels vs the scalar reference kernels
 # ----------------------------------------------------------------------
 
 
@@ -187,14 +189,7 @@ class TestKernels:
         rng = random.Random(seed)
         n = rng.randint(2, 10)
         mls, _ = potentials_matrix(rng, n, density=0.6)
-        graph = WeightedDigraph()
-        for i in range(n):
-            graph.add_node(i)
-        for i in range(n):
-            for j in range(n):
-                if i != j and np.isfinite(mls[i, j]):
-                    graph.add_edge(i, j, mls[i, j])
-        dist = floyd_warshall(graph)
+        dist = floyd_warshall(mls.tolist())
         closure = min_plus_closure(mls)
         for i in range(n):
             for j in range(n):
@@ -207,16 +202,9 @@ class TestKernels:
         weights = np.array(
             [[rng.uniform(-3.0, 5.0) for _ in range(n)] for _ in range(n)]
         )
-        graph = WeightedDigraph()
-        for i in range(n):
-            graph.add_node(i)
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    graph.add_edge(i, j, weights[i, j])
-        oracle = maximum_cycle_mean(graph)
+        oracle = karp_max_cycle_mean(weights.tolist())
         assert karp_max_cycle_mean_matrix(weights) == pytest.approx(
-            oracle.mean, abs=1e-9
+            oracle, abs=1e-9
         )
 
     @pytest.mark.parametrize("seed", range(5))
@@ -224,14 +212,7 @@ class TestKernels:
         rng = random.Random(seed)
         n = rng.randint(2, 10)
         weights, _ = potentials_matrix(rng, n, density=0.8)
-        graph = WeightedDigraph()
-        for i in range(n):
-            graph.add_node(i)
-        for i in range(n):
-            for j in range(n):
-                if i != j and np.isfinite(weights[i, j]):
-                    graph.add_edge(i, j, weights[i, j])
-        dist, _ = bellman_ford(graph, 0)
+        dist = bellman_ford(weights.tolist(), 0)
         vec = bellman_ford_matrix(weights, 0)
         assert vec is not None
         for j in range(n):

@@ -24,10 +24,9 @@ import numpy as np
 import pytest
 
 from repro._types import INF
-from repro.core.global_estimates import InconsistentViewsError
+from repro.core.errors import InconsistentViewsError, UnboundedPrecisionError
 from repro.core.optimality import verify_certificate
 from repro.core.precision import rho_bar
-from repro.core.shifts import UnboundedPrecisionError
 from repro.core.synchronizer import ClockSynchronizer
 from repro.engine import NumpyEngine, PythonEngine
 from repro.graphs.topology import ring

@@ -6,7 +6,6 @@ scenario -- fails the suite, not the first user.
 """
 
 import importlib.util
-import sys
 from pathlib import Path
 
 

@@ -2,13 +2,10 @@
 
 import pytest
 
-from repro.core.global_estimates import global_shift_estimates
 from repro.core.precision import realized_spread, rho_bar
 from repro.core.synchronizer import ClockSynchronizer
 from repro.delays.base import DirectionStats
 from repro.extensions.leader import (
-    LeaderSyncAutomaton,
-    NodeState,
     ProtocolIncomplete,
     corrections_from_execution,
     leader_automata,
@@ -79,16 +76,9 @@ class TestProtocolRuns:
                     max_delay=entry.max_delay,
                 )
         mls = scenario.system.mls_from_stats(stats)
-        ms = global_shift_estimates(
-            list(scenario.system.processors), mls
-        )
-        probe_opt = (
-            ClockSynchronizer(scenario.system)
-            .from_local_estimates(mls)
-            .precision
-        )
-        achieved = rho_bar(ms, corrections)
-        assert achieved == pytest.approx(probe_opt, abs=1e-9)
+        probe = ClockSynchronizer(scenario.system).from_local_estimates(mls)
+        achieved = rho_bar(probe.ms_tilde, corrections)
+        assert achieved == pytest.approx(probe.precision, abs=1e-9)
 
     def test_realized_spread_within_claimed_precision(self):
         scenario = bounded_uniform(ring(5), lb=1.0, ub=3.0, seed=6)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.global_estimates import InconsistentViewsError
+from repro.core.errors import InconsistentViewsError
 from repro.core.synchronizer import ClockSynchronizer
 from repro.delays.system import UnknownLinkError
 from repro.extensions.online import OnlineSynchronizer

@@ -5,14 +5,13 @@ import random
 
 import pytest
 
-from repro.core.global_estimates import InconsistentViewsError
+from repro.core.errors import InconsistentViewsError
 from repro.core.precision import realized_spread
 from repro.delays.distributions import DelaySampler, Direction
 from repro.delays.system import System
 from repro.extensions.probabilistic import (
     EmpiricalDelay,
     ExponentialDelay,
-    ProbabilisticResult,
     UniformDelayDistribution,
     derive_bounded_system,
     probabilistic_synchronize,

@@ -10,14 +10,14 @@ import math
 
 import pytest
 
-from repro.core.global_estimates import InconsistentViewsError
+from repro.core.errors import InconsistentViewsError
 from repro.core.synchronizer import ClockSynchronizer
 from repro.delays.bounds import BoundedDelay, no_bounds
 from repro.delays.distributions import Constant, UniformDelay
 from repro.delays.system import System
 from repro.faults import FaultPlan, MessageLoss
 from repro.graphs.topology import line, ring
-from repro.model.events import Event, StartEvent, TimerEvent
+from repro.model.events import StartEvent, TimerEvent
 from repro.sim.network import NetworkSimulator, SimulationError
 from repro.sim.processor import Automaton, IdleAutomaton, Send, SetTimer, Transition
 from repro.sim.protocols import probe_automata, probe_schedule

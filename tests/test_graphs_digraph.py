@@ -1,81 +1,53 @@
-"""Unit tests for the weighted digraph (repro.graphs.digraph)."""
+"""Unit tests for the weighted digraphs of the pipeline: how ordered
+pairs become a weight matrix (``ProcessorIndex.matrix``), and the
+reference strongly connected components (repro.engine.python_backend),
+Tarjan on the finite entries of a weight matrix, against networkx on
+random instances."""
 
-import pytest
+import random
 
-from repro.graphs.digraph import WeightedDigraph
+import networkx as nx
+import numpy as np
+
+from repro.engine import ProcessorIndex
+from repro.engine.python_backend import strongly_connected_components
+
+from oracles import INF, matrix_from_edges
 
 
-def triangle() -> WeightedDigraph:
-    return WeightedDigraph.from_edges([(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)])
+def triangle():
+    return matrix_from_edges([(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)])
 
 
 class TestConstruction:
     def test_nodes_and_edges_counted(self):
-        g = triangle()
-        assert g.number_of_nodes() == 3
-        assert g.number_of_edges() == 3
-
-    def test_add_node_idempotent(self):
-        g = WeightedDigraph()
-        g.add_node("a")
-        g.add_node("a")
-        assert g.number_of_nodes() == 1
-
-    def test_duplicate_edge_keeps_min_by_default(self):
-        g = WeightedDigraph()
-        g.add_edge(0, 1, 5.0)
-        g.add_edge(0, 1, 3.0)
-        g.add_edge(0, 1, 7.0)
-        assert g.weight(0, 1) == 3.0
-
-    def test_duplicate_edge_keep_max_and_last(self):
-        g = WeightedDigraph()
-        g.add_edge(0, 1, 5.0)
-        g.add_edge(0, 1, 3.0, keep="max")
-        assert g.weight(0, 1) == 5.0
-        g.add_edge(0, 1, -1.0, keep="last")
-        assert g.weight(0, 1) == -1.0
-
-    def test_unknown_duplicate_policy(self):
-        g = WeightedDigraph()
-        g.add_edge(0, 1, 5.0)
-        with pytest.raises(ValueError):
-            g.add_edge(0, 1, 3.0, keep="bogus")
-
-    def test_successors_predecessors(self):
-        g = triangle()
-        assert g.successors(0) == {1: 1.0}
-        assert g.predecessors(0) == {2: 3.0}
-
-    def test_reverse(self):
-        g = triangle().reverse()
-        assert g.has_edge(1, 0)
-        assert g.weight(1, 0) == 1.0
+        pairs = {(0, 1): 1.0, (1, 2): 2.0, (2, 0): 3.0}
+        m = ProcessorIndex([0, 1, 2]).matrix(pairs)
+        assert m.shape == (3, 3)
+        assert np.isfinite(m[~np.eye(3, dtype=bool)]).sum() == 3
 
     def test_subgraph_finite_drops_inf(self):
-        g = WeightedDigraph.from_edges(
-            [(0, 1, 1.0), (1, 0, float("inf")), (1, 2, float("-inf"))]
+        """Infinite weights are absent edges: the would-be cycle through
+        the ``-inf`` edge does not join 1 and 2."""
+        g = matrix_from_edges(
+            [(0, 1, 1.0), (1, 0, INF), (1, 2, -INF), (2, 1, 1.0)]
         )
-        finite = g.subgraph_finite()
-        assert finite.number_of_edges() == 1
-        assert finite.number_of_nodes() == 3
+        assert strongly_connected_components(g) == [[0], [1], [2]]
 
 
 class TestConnectivity:
     def test_triangle_is_strongly_connected(self):
-        assert triangle().is_strongly_connected()
+        assert strongly_connected_components(triangle()) == [[0, 1, 2]]
 
     def test_one_way_path_is_not(self):
-        g = WeightedDigraph.from_edges([(0, 1, 1.0), (1, 2, 1.0)])
-        assert not g.is_strongly_connected()
+        g = matrix_from_edges([(0, 1, 1.0), (1, 2, 1.0)])
+        assert len(strongly_connected_components(g)) == 3
 
     def test_single_node_is(self):
-        g = WeightedDigraph()
-        g.add_node(0)
-        assert g.is_strongly_connected()
+        assert strongly_connected_components([[0.0]]) == [[0]]
 
     def test_sccs_of_two_cycles_joined_one_way(self):
-        g = WeightedDigraph.from_edges(
+        g = matrix_from_edges(
             [
                 (0, 1, 1.0),
                 (1, 0, 1.0),
@@ -84,21 +56,14 @@ class TestConnectivity:
                 (3, 2, 1.0),
             ]
         )
-        components = sorted(
-            tuple(sorted(c)) for c in g.strongly_connected_components()
-        )
-        assert components == [(0, 1), (2, 3)]
+        assert strongly_connected_components(g) == [[0, 1], [2, 3]]
 
     def test_sccs_cover_all_nodes(self):
-        g = WeightedDigraph.from_edges([(i, i + 1, 1.0) for i in range(10)])
-        components = g.strongly_connected_components()
+        g = matrix_from_edges([(i, i + 1, 1.0) for i in range(10)])
+        components = strongly_connected_components(g)
         assert sorted(n for c in components for n in c) == list(range(11))
 
     def test_sccs_match_networkx_on_random_graphs(self):
-        import random
-
-        import networkx as nx
-
         rng = random.Random(5)
         for _ in range(10):
             n = rng.randrange(2, 12)
@@ -108,16 +73,10 @@ class TestConnectivity:
                 for v in range(n)
                 if u != v and rng.random() < 0.25
             ]
-            ours = WeightedDigraph.from_edges([(u, v, 1.0) for u, v in edges])
-            for node in range(n):
-                ours.add_node(node)
+            ours = matrix_from_edges([(u, v, 1.0) for u, v in edges], n=n)
             nxg = nx.DiGraph(edges)
             nxg.add_nodes_from(range(n))
-            mine = sorted(
-                tuple(sorted(c)) for c in ours.strongly_connected_components()
-            )
             theirs = sorted(
-                tuple(sorted(c))
-                for c in nx.strongly_connected_components(nxg)
+                sorted(c) for c in nx.strongly_connected_components(nxg)
             )
-            assert mine == theirs
+            assert strongly_connected_components(ours) == theirs

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._types import INF
+from repro.core.errors import InconsistentViewsError
 from repro.core.estimates import estimated_delays
-from repro.core.global_estimates import InconsistentViewsError
 from repro.core.optimality import CertificateError, verify_certificate
 from repro.core.precision import rho_bar
 from repro.core.synchronizer import ClockSynchronizer

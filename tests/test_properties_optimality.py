@@ -1,7 +1,7 @@
 """Property-based tests for the optimality theorems (hypothesis).
 
 Theorem 4.4/4.6 end to end: on random admissible ``ms~`` matrices, the
-SHIFTS corrections achieve the maximum cycle mean exactly and no other
+SHIFTS corrections of either engine backend achieve the maximum cycle mean exactly and no other
 correction vector does better; on random simulated executions the
 realized spread under any admissible re-timing stays within the claimed
 precision.
@@ -15,11 +15,17 @@ from hypothesis import given, settings
 from repro.analysis.adversary import random_admissible_shift_vector
 from repro.analysis.ground_truth import shift_vector_is_admissible
 from repro.core.precision import realized_spread, rho_bar
-from repro.core.shifts import shifts
 from repro.core.synchronizer import ClockSynchronizer
 from repro.graphs.topology import ring
 from repro.model.execution import shift_execution
 from repro.workloads.scenarios import bounded_uniform
+
+from oracles import ENGINES, run_shifts
+
+
+def shifts(processors, ms_tilde):
+    """SHIFTS on every backend: one outcome per engine."""
+    return [run_shifts(engine, processors, ms_tilde) for engine in ENGINES]
 
 
 @st.composite
@@ -62,10 +68,10 @@ class TestShiftsOptimality:
     @settings(max_examples=60, deadline=None)
     def test_achieves_claimed_precision(self, instance):
         processors, ms_tilde = instance
-        outcome = shifts(processors, ms_tilde)
-        achieved = rho_bar(ms_tilde, outcome.corrections)
-        scale = max(1.0, abs(outcome.precision))
-        assert achieved <= outcome.precision + 1e-7 * scale
+        for outcome in shifts(processors, ms_tilde):
+            achieved = rho_bar(ms_tilde, outcome.corrections)
+            scale = max(1.0, abs(outcome.precision))
+            assert achieved <= outcome.precision + 1e-7 * scale
 
     @given(
         ms_matrices(),
@@ -78,27 +84,27 @@ class TestShiftsOptimality:
     @settings(max_examples=60, deadline=None)
     def test_no_correction_vector_beats_shifts(self, instance, raw):
         processors, ms_tilde = instance
-        outcome = shifts(processors, ms_tilde)
         rival = {
             p: raw[i % len(raw)] for i, p in enumerate(processors)
         }
-        assert rho_bar(ms_tilde, rival) >= outcome.precision - 1e-7 * max(
-            1.0, abs(outcome.precision)
-        )
+        for outcome in shifts(processors, ms_tilde):
+            assert rho_bar(ms_tilde, rival) >= outcome.precision - 1e-7 * max(
+                1.0, abs(outcome.precision)
+            )
 
     @given(ms_matrices())
     @settings(max_examples=40, deadline=None)
     def test_critical_cycle_witnesses_precision(self, instance):
         processors, ms_tilde = instance
-        outcome = shifts(processors, ms_tilde)
-        cycle = outcome.critical_cycle
-        assert cycle is not None
-        total = sum(
-            ms_tilde[(cycle[i], cycle[(i + 1) % len(cycle)])]
-            for i in range(len(cycle))
-        )
-        scale = max(1.0, abs(outcome.precision))
-        assert abs(total / len(cycle) - outcome.precision) < 1e-7 * scale
+        for outcome in shifts(processors, ms_tilde):
+            cycle = outcome.critical_cycle
+            assert cycle is not None
+            total = sum(
+                ms_tilde[(cycle[i], cycle[(i + 1) % len(cycle)])]
+                for i in range(len(cycle))
+            )
+            scale = max(1.0, abs(outcome.precision))
+            assert abs(total / len(cycle) - outcome.precision) < 1e-7 * scale
 
 
 class TestEndToEndSoundness:

@@ -19,8 +19,6 @@ import pytest
 
 import repro
 from repro import ObsOptions, Session, resolve_source
-from repro.delays.bounds import BoundedDelay
-from repro.delays.system import System
 from repro.graphs.topology import ring
 from repro.live.trace import ProbeLog, write_probe_log
 from repro.live.wire import Report

@@ -19,6 +19,7 @@ from repro.transport import (
     TransportConfig,
     TransportError,
     aggregate_stats,
+    link_ledger,
 )
 
 
@@ -284,3 +285,49 @@ class TestObserverAndStats:
         assert total["handed"] == 5.0
         assert total["delivered"] == 4.0
         assert total["rtt_count"] == 3.0
+
+
+class TestLedger:
+    def test_give_up_after_lost_acks_counts_payload_once(self):
+        """One data segment is delivered, then every ack is dropped
+        until the sender gives up.  The give-up surfaces the payload,
+        but it did arrive: the ledger counts it once, as delivered."""
+        cfg = TransportConfig(
+            rto_initial=1.0, rto_max=1.0, jitter=0.0, max_retries=2
+        )
+        a, b = ReliableTransport("a", cfg), ReliableTransport("b", cfg)
+        [emit] = a.send("b", "payload", 0.0)
+        assert isinstance(b.on_frame(emit.frame, 0.0)[0], Deliver)
+        give_ups = []
+        for now in range(1, 20):
+            for action in a.on_timer(float(now)):
+                if isinstance(action, Emit):
+                    b.on_frame(action.frame, float(now))  # ack dropped
+                elif isinstance(action, PeerUnreachable):
+                    give_ups.append(action)
+            if give_ups:
+                break
+        assert [g.undelivered for g in give_ups] == [("payload",)]
+        assert link_ledger(a, "b", b) == {
+            "handed": 1,
+            "delivered": 1,
+            "undelivered": 0,
+            "dropped_unreachable": 0,
+            "pending": 0,
+            "lost": 0,
+        }
+        # Without the receiver's side the payload reads as surfaced.
+        unobserved = link_ledger(a, "b")
+        assert unobserved["delivered"] == 0
+        assert unobserved["undelivered"] == 1
+        assert unobserved["lost"] == 0
+
+    def test_delivered_before_its_ack_counts_once(self):
+        """A segment the receiver delivered is delivered, not pending,
+        while its ack is still on the way back."""
+        a, b = ReliableTransport("a"), ReliableTransport("b")
+        [emit] = a.send("b", "payload", 0.0)
+        b.on_frame(emit.frame, 0.0)  # the ack has not reached a yet
+        ledger = link_ledger(a, "b", b)
+        assert (ledger["delivered"], ledger["pending"]) == (1, 0)
+        assert ledger["lost"] == 0
