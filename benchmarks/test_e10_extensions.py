@@ -2,8 +2,6 @@
 leader-protocol simulation (probes + reports + assignments) and one
 drift resync round."""
 
-import random
-
 from conftest import show_tables
 
 from repro.delays.bounds import BoundedDelay

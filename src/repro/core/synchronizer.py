@@ -110,14 +110,16 @@ class SyncResult:
     guarantee, so it doubles as the instance's optimality certificate
     (witnessed by ``components[i].critical_cycle``).
 
-    ``ms_tilde`` is a read-only view over the closure matrix
-    (:class:`~repro.engine.PairView`); ``dict()`` materialises it.
+    ``mls_tilde`` and ``ms_tilde`` are read-only views over the ``mls~``
+    matrix (``+inf`` off the links, 0 on the diagonal) and the closure
+    matrix (:class:`~repro.engine.PairView`); ``dict()`` materialises
+    them.
     """
 
     corrections: Dict[ProcessorId, Time]
     precision: Time
     components: Tuple[ComponentResult, ...]
-    mls_tilde: Dict[Edge, Time]
+    mls_tilde: Mapping[Edge, Time]
     ms_tilde: Mapping[Edge, Time]
     #: Degradation record for runs over incomplete inputs (``None`` for
     #: clean runs; see :class:`DegradedResult`).
@@ -288,7 +290,6 @@ class ClockSynchronizer:
             mls_matrix = self._index.matrix(mls_tilde)
             ms_matrix = self._engine.global_estimates(mls_matrix)
         return self.from_matrices(
-            mls_tilde,
             mls_matrix=mls_matrix,
             ms_matrix=ms_matrix,
             degraded=degraded,
@@ -296,7 +297,6 @@ class ClockSynchronizer:
 
     def from_matrices(
         self,
-        mls_tilde: Mapping[Tuple[ProcessorId, ProcessorId], Time],
         *,
         mls_matrix,
         ms_matrix,
@@ -405,7 +405,7 @@ class ClockSynchronizer:
             corrections=corrections,
             precision=precision,
             components=tuple(component_results),
-            mls_tilde=dict(mls_tilde),
+            mls_tilde=PairView(mls_matrix, index),
             ms_tilde=PairView(ms_matrix, index),
             degraded=degraded,
         )

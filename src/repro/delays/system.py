@@ -9,7 +9,10 @@ orientation (the orientation it has in ``topology.links``) and flipped
 once at construction; :meth:`System.assumption_oriented` re-orients.
 Construction also compiles every link's Section 6 terms into
 :class:`LinkTerms`, which evaluates all of ``mls~`` in a few vector
-expressions (the views front end in :mod:`repro.core.estimates`).
+expressions: the views front end (:mod:`repro.core.estimates`),
+:meth:`System.mls_from_stats` and the online synchronizer all go
+through it.  :meth:`System.mls_from_delays` stays the per-link scalar
+oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._types import INF, Edge, ProcessorId, Time
+from repro._types import INF, NEG_INF, Edge, ProcessorId, Time
 from repro.delays.base import (
     FORMULAS,
     DelayAssumption,
@@ -28,9 +31,6 @@ from repro.delays.base import (
 )
 from repro.graphs.topology import Topology
 from repro.model.execution import Execution
-
-
-_SILENT = DirectionStats()  # a direction that carried no message
 
 
 class UnknownLinkError(KeyError):
@@ -48,7 +48,10 @@ class LinkTerms:
     kind over all of them and takes the per-edge min over the slots.
     """
 
-    __slots__ = ("edges", "_rows", "_codes", "_code_edges", "_slots", "_kinds")
+    __slots__ = (
+        "edges", "numbers", "_rows", "_cells", "_codes",
+        "_code_edges", "_slots", "_kinds",
+    )
 
     def __init__(
         self,
@@ -71,23 +74,32 @@ class LinkTerms:
                 constants.append(constant)
         #: Directed edges, indexed by edge number.
         self.edges: Tuple[Edge, ...] = tuple(edges)
+        #: Edge number of each directed edge.
+        self.numbers: Dict[Edge, int] = {e: i for i, e in enumerate(edges)}
         self._rows = {p: i for i, p in enumerate(processors)}
-        stride = len(self._rows) + 1
-        codes = np.array(
-            [self._rows[p] * stride + self._rows[q] for p, q in edges],
-            dtype=np.int64,
+        n = len(self._rows)
+        senders, receivers = (
+            np.array([self._rows[edge[end]] for edge in edges], dtype=np.int64)
+            for end in (0, 1)
         )
+        # Each edge's flat cell of the (n, n) matrix.
+        self._cells = senders * n + receivers
+        codes = senders * (n + 1) + receivers
         self._code_edges = np.argsort(codes)
         self._codes = codes[self._code_edges]
         self._slots = max(
             (max(slots) + 1 for _, slots, _ in columns.values() if slots),
             default=1,
         )
+        # Per kind: its formula, the edges whose dmin and dmax its terms
+        # read (edge e and its reverse e ^ 1), the flat cell of each term
+        # in the (slots, edges) bounds array, and the constants.
         self._kinds = tuple(
             (
                 FORMULAS[kind],
-                np.array(edge_ids, dtype=np.int32),
-                np.array(slots, dtype=np.int32),
+                np.array(edge_ids, dtype=np.intp),
+                np.array(edge_ids, dtype=np.intp) ^ 1,
+                np.array(slots, dtype=np.intp) * len(edges) + edge_ids,
                 np.array(constants, dtype=float),
             )
             for kind, (edge_ids, slots, constants) in columns.items()
@@ -117,17 +129,25 @@ class LinkTerms:
         """``mls`` of every edge from its ``dmin`` and ``dmax`` (silent:
         ``+inf``/``-inf``); edge ``e``'s terms read ``dmin[e]`` and
         ``dmax[e ^ 1]``."""
-        dmax_reverse = dmax[np.arange(len(self.edges)) ^ 1]
-        bounds = np.full((self._slots, len(self.edges)), INF)
-        for formula, edge_ids, slots, constants in self._kinds:
-            bounds[slots, edge_ids] = formula(
-                constants, dmin[edge_ids], dmax_reverse[edge_ids]
-            )
+        bounds = np.full(self._slots * len(self.edges), INF)
+        for formula, forward, reverse, cells, constants in self._kinds:
+            np.put(bounds, cells, formula(
+                constants, dmin.take(forward), dmax.take(reverse)
+            ))
+        bounds = bounds.reshape(self._slots, len(self.edges))
         mls = bounds[0]
         for slot in bounds[1:]:
             # A tie keeps the earlier term's value, as Python's min() does.
             mls = np.minimum(slot, mls)
         return mls
+
+    def matrix(self, dmin: np.ndarray, dmax: np.ndarray) -> np.ndarray:
+        """:meth:`mls` as the ``(n, n)`` matrix over the processors:
+        ``+inf`` off the links, 0 on the diagonal."""
+        out = np.full((len(self._rows), len(self._rows)), INF)
+        np.fill_diagonal(out, 0.0)
+        np.put(out, self._cells, self.mls(dmin, dmax))
+        return out
 
 
 @dataclass(frozen=True)
@@ -267,12 +287,18 @@ class System:
 
         Fed true delays this returns ``mls``; fed estimated delays it
         returns ``mls~`` (the formulas coincide up to the ``S_p - S_q``
-        translation, Corollaries 6.3/6.6).
+        translation, Corollaries 6.3/6.6).  Evaluated link by link with
+        each assumption's own :meth:`~DelayAssumption.mls_pair`: this
+        scalar loop is the oracle the compiled :class:`LinkTerms` are
+        checked against.
         """
-        stats = {
-            edge: DirectionStats.of(values) for edge, values in delays.items()
-        }
-        return self.mls_from_stats(stats)
+        out: Dict[Edge, Time] = {}
+        for (p, q), assumption in self.assumptions.items():
+            out[(p, q)], out[(q, p)] = assumption.mls_pair(PairTiming(
+                DirectionStats.of(delays.get((p, q), ())),
+                DirectionStats.of(delays.get((q, p), ())),
+            ))
+        return out
 
     def mls_from_stats(
         self, stats: Mapping[Edge, DirectionStats]
@@ -281,24 +307,20 @@ class System:
 
         Lemmas 6.2/6.5 guarantee the extremes are sufficient statistics,
         so summaries (as shipped by the distributed leader protocol) lose
-        nothing relative to full delay lists.
+        nothing relative to full delay lists.  Keys come in
+        :class:`LinkTerms` edge order; stats of non-links are ignored.
         """
-        out: Dict[Edge, Time] = {}
-        for (p, q) in self.assumptions:
-            out[(p, q)], out[(q, p)] = self.link_mls(
-                (p, q), stats.get((p, q), _SILENT), stats.get((q, p), _SILENT)
-            )
-        return out
-
-    def link_mls(
-        self, link: Edge, forward: DirectionStats, reverse: DirectionStats
-    ) -> Tuple[Time, Time]:
-        """``mls_pair`` of canonical ``link``, from its two directions' stats."""
-        assumption, flipped = self._oriented[link]
-        return (
-            assumption.mls_bound(PairTiming(forward, reverse)),
-            flipped.mls_bound(PairTiming(reverse, forward)),
-        )
+        terms = self._terms
+        numbers = terms.numbers
+        dmin = [INF] * len(terms.edges)
+        dmax = [NEG_INF] * len(terms.edges)
+        for edge, direction in stats.items():
+            e = numbers.get(edge)
+            if e is not None:
+                dmin[e] = direction.min_delay
+                dmax[e] = direction.max_delay
+        mls = terms.mls(np.array(dmin, dtype=float), np.array(dmax, dtype=float))
+        return dict(zip(terms.edges, mls.tolist()))
 
     def true_delays(self, alpha: Execution) -> Dict[Edge, List[Time]]:
         """Ground-truth delays per directed edge of ``alpha``."""

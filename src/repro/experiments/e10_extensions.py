@@ -36,6 +36,7 @@ from repro.extensions.leader import (
     ProtocolIncomplete,
     corrections_from_execution,
     leader_automata,
+    report_stats,
 )
 from repro.faults import FaultPlan, MessageLoss
 from repro.graphs import ring
@@ -78,16 +79,17 @@ def _leader_table(quick: bool) -> Table:
 
         # The leader's own view of optimality: probe-phase statistics only.
         leader_state = alpha.history(0).steps[-1].step.new_state
-        probe_opt = _probe_phase_optimum(scenario.system, leader_state)
+        probe = ClockSynchronizer(scenario.system).from_local_estimates(
+            scenario.system.mls_from_stats(report_stats(leader_state.reports))
+        )
+        probe_rho = rho_bar(probe.ms_tilde, protocol_corrections)
 
         table.add_row(
             seed,
             protocol_rho,
-            probe_opt,
+            probe.precision,
             full.precision,
-            abs(protocol_rho - _probe_phase_rho(scenario.system, leader_state,
-                                                protocol_corrections,
-                                                full)) < 1e-6,
+            abs(protocol_rho - probe_rho) < 1e-6,
         )
         gaps.append(protocol_rho - full.precision)
     table.add_note(
@@ -97,41 +99,6 @@ def _leader_table(quick: bool) -> Table:
     )
     table.add_note(f"mean extra cost of distribution: {summarize(gaps).mean:.4g}")
     return table
-
-
-def _probe_phase_optimum(system: System, leader_state) -> float:
-    """Optimal precision from the statistics the leader actually received."""
-    from repro.delays.base import DirectionStats
-
-    stats = {}
-    for report in leader_state.reports:
-        for entry in report.entries:
-            stats[(entry.sender, report.origin)] = DirectionStats(
-                count=entry.count,
-                min_delay=entry.min_delay,
-                max_delay=entry.max_delay,
-            )
-    mls = system.mls_from_stats(stats)
-    return ClockSynchronizer(system).from_local_estimates(mls).precision
-
-
-def _probe_phase_rho(system: System, leader_state, corrections, full) -> float:
-    """rho_bar of the protocol's corrections under probe-phase ms~."""
-    from repro.delays.base import DirectionStats
-    from repro.engine.index import PairView, ProcessorIndex
-    from repro.engine.numpy_backend import min_plus_closure
-
-    stats = {}
-    for report in leader_state.reports:
-        for entry in report.entries:
-            stats[(entry.sender, report.origin)] = DirectionStats(
-                count=entry.count,
-                min_delay=entry.min_delay,
-                max_delay=entry.max_delay,
-            )
-    index = ProcessorIndex(system.processors)
-    ms = min_plus_closure(index.matrix(system.mls_from_stats(stats)))
-    return rho_bar(PairView(ms, index), corrections)
 
 
 def _drift_table(quick: bool) -> Table:

@@ -47,7 +47,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro._types import ProcessorId, Time
+from repro._types import Edge, ProcessorId, Time
 from repro.core.synchronizer import ClockSynchronizer, SyncResult
 from repro.delays.base import DirectionStats
 from repro.delays.system import System
@@ -103,6 +103,20 @@ class Assign:
 
     target: ProcessorId
     correction: Time
+
+
+def report_stats(reports: Sequence[Report]) -> Dict[Edge, DirectionStats]:
+    """The per-edge statistics ``reports`` carry, keyed by directed edge
+    ``sender -> origin`` (a later report of an edge wins)."""
+    return {
+        (entry.sender, report.origin): DirectionStats(
+            count=entry.count,
+            min_delay=entry.min_delay,
+            max_delay=entry.max_delay,
+        )
+        for report in reports
+        for entry in report.entries
+    }
 
 
 # ----------------------------------------------------------------------
@@ -228,15 +242,7 @@ class LeaderSyncAutomaton(Automaton):
         return Report(origin=self._me, entries=entries)
 
     def _leader_compute(self, reports: Sequence[Report]) -> SyncResult:
-        stats: Dict[Tuple[ProcessorId, ProcessorId], DirectionStats] = {}
-        for report in reports:
-            for entry in report.entries:
-                stats[(entry.sender, report.origin)] = DirectionStats(
-                    count=entry.count,
-                    min_delay=entry.min_delay,
-                    max_delay=entry.max_delay,
-                )
-        mls_tilde = self._system.mls_from_stats(stats)
+        mls_tilde = self._system.mls_from_stats(report_stats(reports))
         synchronizer = ClockSynchronizer(self._system, root=self._leader)
         return synchronizer.from_local_estimates(mls_tilde)
 
@@ -447,6 +453,7 @@ __all__ = [
     "EdgeStats",
     "Report",
     "Assign",
+    "report_stats",
     "NodeState",
     "LeaderSyncAutomaton",
     "tree_routing",

@@ -23,16 +23,16 @@ Two useful consequences, both tested:
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Set
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
-from repro._types import Edge, ProcessorId, Time
+from repro._types import INF, NEG_INF, Edge, ProcessorId, Time
 from repro.core.errors import InconsistentViewsError
 from repro.core.estimates import estimated_delays
 from repro.core.synchronizer import ClockSynchronizer, SyncResult
-from repro.delays.base import DirectionStats
-from repro.delays.system import System
+from repro.delays.base import DirectionStats, PairTiming
+from repro.delays.system import System, UnknownLinkError
 from repro.engine import DEFAULT_BACKEND
 from repro.model.views import View
 from repro.obs.recorder import get_recorder
@@ -89,6 +89,8 @@ class OnlineSynchronizer:
         self._synchronizer = ClockSynchronizer(
             system, root=root, backend=backend
         )
+        self._terms = system.link_terms
+        self._numbers = self._terms.numbers
         self._reject_outliers = reject_outliers
         self._fallback = fallback
         self.reset()
@@ -105,47 +107,40 @@ class OnlineSynchronizer:
         Returns ``True`` when the observation changed a sufficient
         statistic (i.e. the next :meth:`result` will actually recompute).
         """
-        # Validate that the edge exists; raises UnknownLinkError otherwise.
-        link = self._system.canonical_link(sender, receiver)
         edge = (sender, receiver)
-        old = self._stats.get(edge, DirectionStats())
-        new = DirectionStats(
-            count=old.count + 1,
-            min_delay=min(old.min_delay, estimated_delay),
-            max_delay=max(old.max_delay, estimated_delay),
-        )
+        e = self._numbers.get(edge)
+        if e is None:
+            raise UnknownLinkError(f"no link between {sender!r} and {receiver!r}")
+        old_min, old_max = self._dmin[e], self._dmax[e]
+        new_min = min(old_min, estimated_delay)
+        new_max = max(old_max, estimated_delay)
         recorder = get_recorder()
         self._observations += 1
-        if self._reject_outliers and self._is_outlier(link, edge, new):
+        self._edge_last_seen[edge] = self._observations
+        if self._reject_outliers and self._is_outlier(e, new_min, new_max):
             # Do not admit the sample: it would make the link's own
             # 2-cycle infeasible, which no honest observation can.
             self._outliers_rejected += 1
             self._last_admitted = False
-            self._edge_last_seen[edge] = self._observations
             if recorder.enabled:
                 recorder.count("online.observations")
                 recorder.count("online.outliers_rejected")
             return False
-        self._stats[edge] = new
+        self._count[e] += 1
+        self._dmin[e], self._dmax[e] = new_min, new_max
         self._last_admitted = True
-        changed = (
-            new.min_delay != old.min_delay or new.max_delay != old.max_delay
-        )
-        self._edge_last_seen[edge] = self._observations
+        changed = bool(new_min != old_min or new_max != old_max)
         if changed:
             self._cached = None
-            self._dirty.add(link)
-            self._edge_last_change[edge] = self._observations
         if recorder.enabled:
             recorder.count("online.observations")
             if changed:
                 recorder.count("online.statistic_changes")
         return changed
 
-    def _is_outlier(
-        self, link: Edge, edge: Edge, tentative: DirectionStats
-    ) -> bool:
-        """Whether admitting ``tentative`` would break the link's 2-cycle.
+    def _is_outlier(self, e: int, new_min: Time, new_max: Time) -> bool:
+        """Whether admitting the tentative extremes of edge ``e`` would
+        break its link's 2-cycle.
 
         By Lemma 6.2 the per-link shift intervals derived from honest
         samples always satisfy ``mls~(p,q) + mls~(q,p) >= 0`` (the true
@@ -155,10 +150,24 @@ class OnlineSynchronizer:
         arrives first, later honest traffic gets rejected instead --
         screening is symmetric; :meth:`drop_edge_stats` breaks the tie.)
         """
-        other = self._stats.get((edge[1], edge[0]), DirectionStats())
-        stats = (tentative, other) if link == edge else (other, tentative)
-        mls_pq, mls_qp = self._system.link_mls(link, *stats)
+        link = e & ~1  # the canonical orientation's edge number
+        tentative = DirectionStats(self._count[e] + 1, new_min, new_max)
+        other = self._direction(e ^ 1)
+        timing = (
+            PairTiming(tentative, other) if e == link
+            else PairTiming(other, tentative)
+        )
+        assumption = self._system.assumptions[self._terms.edges[link]]
+        mls_pq, mls_qp = assumption.mls_pair(timing)
         return mls_pq + mls_qp < -1e-9
+
+    def _direction(self, e: int) -> DirectionStats:
+        """Edge ``e``'s statistics as a :class:`DirectionStats`."""
+        if not self._count[e]:
+            return DirectionStats()
+        return DirectionStats(
+            int(self._count[e]), float(self._dmin[e]), float(self._dmax[e])
+        )
 
     def observe_timestamps(
         self,
@@ -195,7 +204,8 @@ class OnlineSynchronizer:
 
     def edge_stats(self, sender: ProcessorId, receiver: ProcessorId) -> DirectionStats:
         """Current sufficient statistics of one directed edge."""
-        return self._stats.get((sender, receiver), DirectionStats())
+        e = self._numbers.get((sender, receiver))
+        return DirectionStats() if e is None else self._direction(e)
 
     @property
     def outliers_rejected(self) -> int:
@@ -264,13 +274,12 @@ class OnlineSynchronizer:
         invalidated here.  Returns whether anything was dropped.
         """
         edge = (sender, receiver)
-        had = edge in self._stats
-        self._stats.pop(edge, None)
-        self._edge_last_change.pop(edge, None)
+        e = self._numbers.get(edge)
+        had = e is not None and bool(self._count[e])
         self._edge_last_seen.pop(edge, None)
         if had:
+            self._count[e], self._dmin[e], self._dmax[e] = 0, INF, NEG_INF
             self._cached = None
-            self._last_mls = None
             self._last_mls_matrix = None
             self._last_ms_matrix = None
             get_recorder().count("online.edge_drops")
@@ -313,7 +322,7 @@ class OnlineSynchronizer:
         sync = self._synchronizer
         recorder = get_recorder()
         with recorder.span("online.refresh"):
-            mls_tilde, mls_matrix = self._local_estimates()
+            mls_matrix = self._terms.matrix(self._dmin, self._dmax)
             ms_matrix = None
             if self._last_ms_matrix is not None:
                 ms_matrix = self._incremental_closure(mls_matrix)
@@ -323,14 +332,12 @@ class OnlineSynchronizer:
             else:
                 recorder.count("online.incremental_repairs")
             result = sync.from_matrices(
-                mls_tilde,
                 mls_matrix=mls_matrix,
                 ms_matrix=ms_matrix,
                 previous=self._last_good,
             )
-            # Commit only after success, so a failed refresh stays dirty.
-            self._last_mls = mls_tilde
-            self._dirty.clear()
+            # Commit only after success: a failed refresh leaves the
+            # closure cache at the last good matrices.
             self._last_mls_matrix = mls_matrix
             self._last_ms_matrix = ms_matrix
             if recorder.enabled and recorder.observers:
@@ -345,22 +352,6 @@ class OnlineSynchronizer:
                     sim_time=recorder.sim_time,
                 )
             return result
-
-    def _local_estimates(self):
-        """``mls~`` as (dict, matrix), re-deriving only the dirty links."""
-        index = self._synchronizer.index
-        if self._last_mls is None:
-            mls_tilde = self._system.mls_from_stats(self._stats)
-            return mls_tilde, index.matrix(mls_tilde)
-        mls_tilde = dict(self._last_mls)
-        mls_matrix = self._last_mls_matrix.copy()
-        for p, q in self._dirty:  # exact: each reads only its own stats
-            forward, reverse = self._system.link_mls(
-                (p, q), self.edge_stats(p, q), self.edge_stats(q, p)
-            )
-            mls_tilde[(p, q)] = mls_matrix[index.row(p), index.row(q)] = forward
-            mls_tilde[(q, p)] = mls_matrix[index.row(q), index.row(p)] = reverse
-        return mls_tilde, mls_matrix
 
     def _incremental_closure(
         self, mls_matrix: np.ndarray
@@ -395,12 +386,15 @@ class OnlineSynchronizer:
 
     def reset(self) -> None:
         """Forget all observations (e.g. after a topology/epoch change)."""
-        self._stats: Dict[Edge, DirectionStats] = {}
+        # Per directed edge, numbered as in the system's LinkTerms: the
+        # admitted sample count and the d~min/d~max extremes (silent:
+        # +inf/-inf), which is all Lemmas 6.2/6.5 read.
+        edges = len(self._terms.edges)
+        self._count = np.zeros(edges, dtype=np.int64)
+        self._dmin = np.full(edges, INF)
+        self._dmax = np.full(edges, NEG_INF)
         self._observations = 0
         self._cached: Optional[SyncResult] = None
-        # The last refresh's mls~ and the canonical links changed since.
-        self._last_mls: Optional[Dict[Edge, Time]] = None
-        self._dirty: Set[Edge] = set()
         self._last_mls_matrix: Optional[np.ndarray] = None
         self._last_ms_matrix: Optional[np.ndarray] = None
         self._last_good: Optional[SyncResult] = None
@@ -409,9 +403,8 @@ class OnlineSynchronizer:
         self._fallbacks_served = 0
         self._last_admitted = False
         # Staleness bookkeeping: the observation ordinal at which each
-        # directed edge last received a sample / last changed a statistic.
+        # directed edge last received a sample.
         self._edge_last_seen: Dict[Edge, int] = {}
-        self._edge_last_change: Dict[Edge, int] = {}
 
 
 __all__ = ["OnlineSynchronizer"]

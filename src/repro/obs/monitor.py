@@ -47,7 +47,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro._types import INF
 from repro.core.optimality import check_component
 from repro.core.precision import realized_spread
 from repro.engine.index import pair_submatrix
@@ -153,22 +152,23 @@ class ClosureStructureMonitor(Monitor):
             for p, value in ((p, ms.get((p, p), 0.0)) for p in processors)
             if abs(value) > self.tol
         ]
-        edges = list(result.mls_tilde)
-        direct = np.array(list(result.mls_tilde.values()), dtype=float)
-        closed = np.array([ms.get(edge, INF) for edge in edges], dtype=float)
+        # ms~ <= mls~ off the diagonal (the diagonal is checked above).
+        matrix = pair_submatrix(ms, processors)
+        direct = pair_submatrix(result.mls_tilde, processors)
+        above = matrix > direct + self._slack(direct)
+        np.fill_diagonal(above, False)
         out.extend(
             self.violation(
-                f"ms~{edges[i]!r} = {closed[i]:g} exceeds direct "
-                f"mls~ = {direct[i]:g}",
-                edge=edges[i],
-                ms=float(closed[i]),
-                mls=float(direct[i]),
+                f"ms~{(processors[i], processors[j])!r} = {matrix[i, j]:g} "
+                f"exceeds direct mls~ = {direct[i, j]:g}",
+                edge=(processors[i], processors[j]),
+                ms=float(matrix[i, j]),
+                mls=float(direct[i, j]),
             )
-            for i in np.flatnonzero(closed > direct + self._slack(direct))
+            for i, j in np.argwhere(above)
         )
         # Triangle ms~(p,r) <= ms~(p,q) + ms~(q,r), one broadcast per
         # pivot q; an infinite leg makes the bound inf or NaN, never hit.
-        matrix = pair_submatrix(ms, processors)
         for q, pivot in enumerate(processors):
             with np.errstate(invalid="ignore"):
                 via = matrix[:, q, None] + matrix[q]
@@ -289,11 +289,11 @@ class MlsSoundnessMonitor(Monitor):
         # (Corollaries 6.3 / 6.6).  Only meaningful when the result was
         # computed from every message of the execution.
         true_mls = system.mls_from_delays(system.true_delays(execution))
-        for edge, estimate in result.mls_tilde.items():
+        for edge, truth in true_mls.items():
             p, q = edge
-            if p not in starts or q not in starts:
+            estimate = result.mls_tilde.get(edge)
+            if estimate is None or p not in starts or q not in starts:
                 continue
-            truth = true_mls.get(edge, INF)
             if not math.isfinite(truth) or not math.isfinite(estimate):
                 if math.isfinite(truth) != math.isfinite(estimate):
                     out.append(

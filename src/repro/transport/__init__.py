@@ -17,7 +17,7 @@ and ``campaign status``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 from repro.obs.recorder import get_recorder
 from repro.transport.machine import (

@@ -4,11 +4,11 @@ import pytest
 
 from repro.core.precision import realized_spread, rho_bar
 from repro.core.synchronizer import ClockSynchronizer
-from repro.delays.base import DirectionStats
 from repro.extensions.leader import (
     ProtocolIncomplete,
     corrections_from_execution,
     leader_automata,
+    report_stats,
     tree_routing,
 )
 from repro.graphs.topology import Topology, line, ring, star
@@ -67,14 +67,7 @@ class TestProtocolRuns:
         corrections = corrections_from_execution(alpha)
 
         leader_state = alpha.history(0).steps[-1].step.new_state
-        stats = {}
-        for report in leader_state.reports:
-            for entry in report.entries:
-                stats[(entry.sender, report.origin)] = DirectionStats(
-                    count=entry.count,
-                    min_delay=entry.min_delay,
-                    max_delay=entry.max_delay,
-                )
+        stats = report_stats(leader_state.reports)
         mls = scenario.system.mls_from_stats(stats)
         probe = ClockSynchronizer(scenario.system).from_local_estimates(mls)
         achieved = rho_bar(probe.ms_tilde, corrections)

@@ -1,5 +1,5 @@
-"""Matrix-native results: ``ms~`` as a read-only view, array certificate,
-and dirty-link ``mls~`` in the online synchronizer.
+"""Matrix-native results: ``mls~`` and ``ms~`` as read-only views, array
+certificate, and the online synchronizer's ``mls~`` matrix.
 
 Every check here is bit-exact (``float.hex``/raw bytes), never approximate:
 the array paths must reproduce the scalar ones exactly.
@@ -55,15 +55,12 @@ def stats_of(online):
 
 
 def assert_cache_exact(online):
-    """The cached ``mls~`` dict and matrix equal a full recompute."""
+    """The result's ``mls~`` matrix equals a full recompute from the
+    current statistics."""
     system = online.synchronizer.system
     index = online.synchronizer.index
-    expected = system.mls_from_stats(stats_of(online))
-    assert bits(online.result().mls_tilde) == bits(expected)
-    assert bits(online._last_mls) == bits(expected)
-    assert (
-        online._last_mls_matrix.tobytes() == index.matrix(expected).tobytes()
-    )
+    expected = index.matrix(system.mls_from_stats(stats_of(online)))
+    assert online.result().mls_tilde.matrix.tobytes() == expected.tobytes()
 
 
 class TestPairViewContract:
@@ -178,12 +175,17 @@ class TestDirtyLinkMlsExactness:
         online = OnlineSynchronizer(scenario.system)
         online.ingest_views(scenario.run().views())
         online.result()
-        cached = bits(online._last_mls)
+        honest = online.edge_stats(2, 3).min_delay - 0.01
         online.observe(0, 1, online.edge_stats(0, 1).min_delay - 10.0)
+        # A second, honest change: the failed refresh must not lose it.
+        online.observe(2, 3, honest)
         with pytest.raises(InconsistentViewsError):
             online.result()
-        assert bits(online._last_mls) == cached
-        assert online._dirty == {(0, 1)}
+        with pytest.raises(InconsistentViewsError):
+            online.result()  # retried, not served from a stale cache
+        assert online.drop_edge_stats(0, 1)
+        assert online.edge_stats(2, 3).min_delay == honest
+        assert_cache_exact(online)
 
 
 def rho_bar_loop(ms_tilde, corrections):
@@ -300,10 +302,10 @@ class TestTampering:
 
 class TestClosureMonitorRepresentations:
     def test_view_and_dict_report_the_same_violations(self, synced):
-        _, result = synced
+        sync, result = synced
         index = result.ms_tilde.index
         matrix = np.array(result.ms_tilde.matrix)
-        p, q = next(iter(result.mls_tilde))
+        p, q = sync.system.topology.links[0]
         matrix[index.row(p), index.row(q)] += 100.0
         matrix[2, 2] = 0.5
         view = dataclasses.replace(result, ms_tilde=PairView(matrix, index))

@@ -130,7 +130,7 @@ class TestMonitorsCatchTampering:
     def test_soundness_identity_only_on_complete_views(self, synced):
         system, alpha, result = synced
         mls = dict(result.mls_tilde)
-        edge = next(e for e in mls if e[0] != e[1])
+        edge = system.topology.links[0]
         mls[edge] = mls[edge] + 0.5  # looser estimate: sound but inexact
         tampered = dataclasses.replace(result, mls_tilde=mls)
         monitor = MlsSoundnessMonitor()

@@ -361,10 +361,8 @@ class TestKeywordOnlyEnforced:
         mls_matrix = sync.index.matrix(mls)
         ms_matrix = sync.engine.global_estimates(mls_matrix)
         with pytest.raises(TypeError):
-            sync.from_matrices(mls, mls_matrix, ms_matrix)
-        result = sync.from_matrices(
-            mls, mls_matrix=mls_matrix, ms_matrix=ms_matrix
-        )
+            sync.from_matrices(mls_matrix, ms_matrix)
+        result = sync.from_matrices(mls_matrix=mls_matrix, ms_matrix=ms_matrix)
         assert result.precision == pytest.approx(
             sync.from_execution(alpha).precision
         )

@@ -32,9 +32,8 @@ REUSED = "pipeline.components_reused"
 
 def fresh(sync, result):
     """``from_matrices`` on ``result``'s own matrices, without ``previous``."""
-    mls = result.mls_tilde
     return sync.from_matrices(
-        mls, mls_matrix=sync.index.matrix(mls), ms_matrix=result.ms_tilde.matrix
+        mls_matrix=result.mls_tilde.matrix, ms_matrix=result.ms_tilde.matrix
     )
 
 
@@ -107,9 +106,7 @@ def two_blocks(seed=0):
 
 
 def solve(sync, ms, previous=None):
-    return sync.from_matrices(
-        {}, mls_matrix=ms, ms_matrix=ms, previous=previous
-    )
+    return sync.from_matrices(mls_matrix=ms, ms_matrix=ms, previous=previous)
 
 
 class TestInvalidation:
@@ -153,7 +150,7 @@ class TestInvalidation:
     def test_previous_from_another_synchronizer_is_ignored(self, options):
         sync, ms = two_blocks()
         other = ClockSynchronizer(sync.system, **options)
-        theirs = other.from_matrices({}, mls_matrix=ms, ms_matrix=ms)
+        theirs = other.from_matrices(mls_matrix=ms, ms_matrix=ms)
         # Another synchronizer's result is built on its own index; that,
         # not a difference in components, is what marks it foreign (the
         # python backend may find the very same components).
