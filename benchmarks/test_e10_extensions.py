@@ -2,7 +2,7 @@
 leader-protocol simulation (probes + reports + assignments) and one
 drift resync round."""
 
-from conftest import show_tables
+from bench_tables import show_tables
 
 from repro.delays.bounds import BoundedDelay
 from repro.delays.distributions import UniformDelay

@@ -4,7 +4,7 @@ stage of the whole pipeline)."""
 
 import random
 
-from conftest import show_tables
+from bench_tables import show_tables
 
 from repro._types import INF
 from repro.experiments import run_experiment

@@ -3,7 +3,7 @@ probabilistic synchronization (quantile compilation + pipeline)."""
 
 import math
 
-from conftest import show_tables
+from bench_tables import show_tables
 
 from repro.experiments import run_experiment
 from repro.experiments.e12_probabilistic import _simulate

@@ -3,7 +3,7 @@ screen-and-repair pass on a system with a rogue link."""
 
 import math
 
-from conftest import show_tables
+from bench_tables import show_tables
 
 from repro.analysis.diagnosis import diagnose_and_repair
 from repro.experiments import run_experiment

@@ -1,6 +1,6 @@
 """E14 bench: online convergence under monitors; time the replay loop."""
 
-from conftest import show_tables
+from bench_tables import show_tables
 
 from repro.experiments import run_experiment
 from repro.graphs import ring

@@ -1,6 +1,6 @@
 """E15 bench: fault injection overhead; time a lossy simulate+sync cell."""
 
-from conftest import show_tables
+from bench_tables import show_tables
 
 from repro.core.synchronizer import ClockSynchronizer
 from repro.experiments import run_experiment

@@ -1,6 +1,6 @@
 """E17 bench: time a lossy transport trace (emergent delays) end to end."""
 
-from conftest import show_tables
+from bench_tables import show_tables
 
 from repro.delays.bounds import BoundedDelay
 from repro.delays.distributions import UniformDelay

@@ -5,7 +5,7 @@ ms~ -> SHIFTS) on a ring-6 instance -- the operation E1 runs per seed
 and topology.
 """
 
-from conftest import show_tables
+from bench_tables import show_tables
 
 from repro.core.synchronizer import ClockSynchronizer
 from repro.experiments import run_experiment

@@ -2,7 +2,7 @@
 the bisection search it replaces (the paper's formulas are the fast path).
 """
 
-from conftest import show_tables
+from bench_tables import show_tables
 
 from repro.delays.base import DirectionStats, PairTiming
 from repro.delays.bounds import BoundedDelay

@@ -4,7 +4,7 @@ under lower-bound-only links (the model worst-case analysis cannot touch).
 
 import math
 
-from conftest import show_tables
+from bench_tables import show_tables
 
 from repro.core.synchronizer import ClockSynchronizer
 from repro.experiments import run_experiment

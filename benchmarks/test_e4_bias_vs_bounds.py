@@ -1,7 +1,7 @@
 """E4 bench: regenerate the bias-vs-bounds crossover; time synchronization
 under the round-trip bias model (Section 6.2)."""
 
-from conftest import show_tables
+from bench_tables import show_tables
 
 from repro.core.synchronizer import ClockSynchronizer
 from repro.experiments import run_experiment

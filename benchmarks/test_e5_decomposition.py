@@ -1,7 +1,7 @@
 """E5 bench: regenerate the decomposition tables; time synchronization of
 a heterogeneous system (mixed assumptions per link, Theorem 5.6)."""
 
-from conftest import show_tables
+from bench_tables import show_tables
 
 from repro.core.synchronizer import ClockSynchronizer
 from repro.experiments import run_experiment

@@ -2,7 +2,7 @@
 pipeline against the LP oracle on the same instance -- the speed gap is
 the practical argument for the paper's approach over [3]."""
 
-from conftest import show_tables
+from bench_tables import show_tables
 
 from repro.baselines.lp import lp_optimal_corrections
 from repro.core.synchronizer import ClockSynchronizer

@@ -1,7 +1,7 @@
 """E7 bench: regenerate the baseline comparison; time the NTP-style
 baseline (whose cheapness is its only advantage)."""
 
-from conftest import show_tables
+from bench_tables import show_tables
 
 from repro.baselines.ntp_like import ntp_corrections
 from repro.experiments import run_experiment

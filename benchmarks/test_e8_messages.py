@@ -1,7 +1,7 @@
 """E8 bench: regenerate the precision-vs-probes curve; time prefix
 re-synchronization (the per-prefix pipeline E8 runs repeatedly)."""
 
-from conftest import show_tables
+from bench_tables import show_tables
 
 from repro.experiments import run_experiment
 from repro.experiments.e8_messages import prefix_precision

@@ -2,13 +2,14 @@
 kernels (Karp max cycle mean, Bellman--Ford) at a fixed size so
 regressions in either show up independently of the end-to-end pipeline;
 race the matrix engine backends on the full pipeline through the
-:mod:`repro.bench` harness and archive ``BENCH_engine.json`` in the
-schema'd :class:`~repro.bench.BenchReport` form."""
+:mod:`repro.bench` harness and write the race as ``BENCH_engine.json`` in
+the schema'd :class:`~repro.bench.BenchReport` form, under the test's
+temporary directory (the tracked baseline is refreshed only on purpose,
+with ``repro bench run``)."""
 
 import random
-from pathlib import Path
 
-from conftest import show_tables
+from bench_tables import show_tables
 
 from repro.engine.python_backend import bellman_ford, karp_max_cycle_mean
 from repro.experiments import run_experiment
@@ -39,8 +40,8 @@ def test_e9_bellman_ford_kernel(benchmark):
     assert len(dist) == 48
 
 
-def test_e9_engine_backends(capsys):
-    """python vs numpy engine on the full pipeline; archives BENCH_engine.json.
+def test_e9_engine_backends(tmp_path, capsys):
+    """python vs numpy engine on the full pipeline; writes BENCH_engine.json.
 
     The race now runs through the ``repro.bench`` harness (suite
     ``full``, benchmark ``engine.pipeline``, backend x n grid), so the
@@ -69,7 +70,7 @@ def test_e9_engine_backends(capsys):
             python.extra["precision"] - numpy.extra["precision"]
         ) < 1e-7
 
-    out = Path(__file__).resolve().parent / "BENCH_engine.json"
+    out = tmp_path / "BENCH_engine.json"
     write_bench_report(out, report)
     assert validate_bench_file(out) == len(report.results)
 

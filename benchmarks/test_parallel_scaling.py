@@ -1,7 +1,9 @@
 """Parallel campaign runner: scaling on the E9c grid.
 
 Runs the E9c campaign (bounded rings, sizes 8..64) at 1, 2 and 4
-workers and archives ``BENCH_parallel.json`` as a schema'd
+workers and writes ``BENCH_parallel.json`` under pytest's base temporary
+directory (``--basetemp``; the tracked copy in ``benchmarks/`` is never
+rewritten by a test run) as a schema'd
 :class:`~repro.bench.BenchReport` (``campaign.scaling`` results keyed
 by worker count, ``campaign.streaming`` by runner mode, honest
 grid/cpu/target facts in ``meta``).  The seed set is widened
@@ -23,7 +25,8 @@ claims are checked:
 
 import os
 import time
-from pathlib import Path
+
+import pytest
 
 from repro.bench import (
     BenchReport,
@@ -39,7 +42,11 @@ from repro.experiments.common import e9c_campaign
 SPEEDUP_TARGET = 2.0
 WORKER_COUNTS = (1, 2, 4)
 
-BENCH_PATH = Path(__file__).resolve().parent / "BENCH_parallel.json"
+
+@pytest.fixture
+def bench_path(tmp_path_factory):
+    """One ``BENCH_parallel.json`` per session, in the base temp dir."""
+    return tmp_path_factory.getbasetemp() / "BENCH_parallel.json"
 
 
 def _effective_cpus() -> int:
@@ -60,34 +67,30 @@ def _bench_result(name, params, seconds, cpu_seconds, **extra):
     )
 
 
-def _merge_into_archive(results, meta):
+def _merge_into_archive(bench_path, results, meta):
     """Fold new results into ``BENCH_parallel.json`` (one BenchReport).
 
     The two archiving tests in this module each contribute their own
     result family (``campaign.scaling`` / ``campaign.streaming``); a
     re-run replaces its own family and leaves the other intact.
     """
-    report = None
-    if BENCH_PATH.exists():
-        try:
-            report = read_bench_report(BENCH_PATH)
-        except Exception:
-            report = None  # legacy format: start a fresh report
-    replaced = {r.name for r in results}
-    if report is None:
+    if bench_path.exists():
+        report = read_bench_report(bench_path)
+        report.env = EnvFingerprint.capture()
+    else:
         report = BenchReport(
             env=EnvFingerprint.capture(), suite="parallel", results=[]
         )
-    report.env = EnvFingerprint.capture()
+    replaced = {r.name for r in results}
     report.results = [
         r for r in report.results if r.name not in replaced
     ] + list(results)
     report.meta.update(meta)
-    write_bench_report(BENCH_PATH, report)
-    assert validate_bench_file(BENCH_PATH) == len(report.results)
+    write_bench_report(bench_path, report)
+    assert validate_bench_file(bench_path) == len(report.results)
 
 
-def test_parallel_campaign_scaling(capsys):
+def test_parallel_campaign_scaling(bench_path, capsys):
     campaign, topologies = e9c_campaign(quick=False, seeds=range(16))
     cpus = _effective_cpus()
 
@@ -121,6 +124,7 @@ def test_parallel_campaign_scaling(capsys):
         reason = f"cpu_limited ({cpus} effective CPU(s))"
 
     _merge_into_archive(
+        bench_path,
         [
             _bench_result(
                 "campaign.scaling",
@@ -164,7 +168,7 @@ def test_parallel_campaign_scaling(capsys):
         )
 
 
-def test_streaming_vs_in_memory(tmp_path, capsys):
+def test_streaming_vs_in_memory(bench_path, tmp_path, capsys):
     """Streaming/bounded-memory cost row for ``BENCH_parallel.json``.
 
     Same E9c grid, three runner modes: plain in-memory, streaming (JSONL
@@ -218,6 +222,7 @@ def test_streaming_vs_in_memory(tmp_path, capsys):
         row["overhead_vs_in_memory"] = row["seconds"] / in_mem.seconds
 
     _merge_into_archive(
+        bench_path,
         [
             _bench_result(
                 "campaign.streaming",

@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.core.errors import UnboundedPrecisionError
 from repro.engine.stats import EngineStats
-from repro.obs.metrics import MetricsRegistry
 
 INF = float("inf")
 
@@ -54,20 +53,16 @@ class EngineShifts:
 class SyncEngine(ABC):
     """One backend of the matrix pipeline; stateless apart from stats.
 
-    ``metrics_registry`` optionally injects the registry backing
-    :attr:`stats` (e.g. a campaign-wide registry); by default the stats
-    pick the process-wide recorder's registry when observability is
-    enabled and a private one otherwise (see
+    :attr:`stats` records into the process-wide recorder's registry when
+    observability is enabled and into a private one otherwise (see
     :class:`~repro.engine.stats.EngineStats`).
     """
 
     #: Registry name of the backend (e.g. ``"python"``, ``"numpy"``).
     name: ClassVar[str] = "abstract"
 
-    def __init__(
-        self, metrics_registry: Optional[MetricsRegistry] = None
-    ) -> None:
-        self.stats = EngineStats(registry=metrics_registry)
+    def __init__(self) -> None:
+        self.stats = EngineStats()
 
     # ------------------------------------------------------------------
     # Public, validated + timed entry points

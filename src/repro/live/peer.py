@@ -86,8 +86,6 @@ class PeerConfig:
     rounds: Optional[int] = None
     #: seed for the transport's retransmit-jitter stream.
     transport_seed: Any = 0
-    #: wire id of the server's transport endpoint (report channel).
-    server_id: WireId = SERVER_ID
     #: optional injected loss/reordering in front of every send.
     net: Optional[LossyNetwork] = None
 
@@ -187,9 +185,9 @@ class ProbePeer(asyncio.DatagramProtocol):
         recorder.count("live.peer.probes_received")
         if self.config.report_address is not None:
             self._channel.register_peer(
-                self.config.server_id, self.config.report_address
+                SERVER_ID, self.config.report_address
             )
-            self._channel.send(self.config.server_id, report)
+            self._channel.send(SERVER_ID, report)
         if self._on_report is not None:
             self._on_report(report)
 

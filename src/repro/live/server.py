@@ -110,7 +110,6 @@ class CorrectionServer(asyncio.DatagramProtocol):
         keep_answers: bool = True,
         time_fn=time.monotonic,
         transport_seed: Any = 0,
-        server_id: WireId = SERVER_ID,
         peer_timeout: Optional[float] = None,
         net: Optional[LossyNetwork] = None,
     ) -> None:
@@ -134,7 +133,7 @@ class CorrectionServer(asyncio.DatagramProtocol):
         self._peer_timeout = peer_timeout
         self._net = net
         self._channel = SegmentChannel(
-            server_id,
+            SERVER_ID,
             sendto=self._sendto,
             on_deliver=self._transport_deliver,
             on_unreachable=self._peer_unreachable,

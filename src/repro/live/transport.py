@@ -58,6 +58,10 @@ Address = Tuple[str, int]
 #: (peers address their reliable report channel by it).
 SERVER_ID: WireId = "@server"
 
+#: Longest hold :class:`LossyNetwork` puts on a reordered datagram
+#: (seconds): a few loopback round trips, so later traffic overtakes it.
+REORDER_DELAY = 0.02
+
 #: Loopback-scale transport profile: RTTs are tens of microseconds, so
 #: a small initial RTO keeps lossy-run latency low while the cap and
 #: retry budget ride out bursts of drops.
@@ -101,7 +105,7 @@ class LossyNetwork:
 
     ``loss`` is the drop probability per datagram; ``reorder`` is the
     probability a surviving datagram is held for a uniform delay in
-    ``(0, reorder_delay]`` before being sent (letting later traffic
+    ``(0, REORDER_DELAY]`` before being sent (letting later traffic
     overtake it).  All randomness comes from a private stream seeded by
     a stable string, so a smoke run's fault pattern is reproducible.
     """
@@ -111,7 +115,6 @@ class LossyNetwork:
         *,
         loss: float = 0.0,
         reorder: float = 0.0,
-        reorder_delay: float = 0.02,
         seed: Any = 0,
     ) -> None:
         if not 0.0 <= loss < 1.0:
@@ -120,7 +123,6 @@ class LossyNetwork:
             raise ValueError(f"reorder must be in [0, 1], got {reorder}")
         self.loss = float(loss)
         self.reorder = float(reorder)
-        self.reorder_delay = float(reorder_delay)
         self._rng = random.Random(f"{seed}:lossy-net")
         self.dropped = 0
         self.delayed = 0
@@ -136,7 +138,7 @@ class LossyNetwork:
         if self.reorder and self._rng.random() < self.reorder:
             self.delayed += 1
             get_recorder().count("live.net.injected_delays")
-            delay = self.reorder_delay * self._rng.random()
+            delay = REORDER_DELAY * self._rng.random()
             asyncio.get_running_loop().call_later(
                 delay, self._late_send, transport, data, addr
             )

@@ -224,7 +224,6 @@ def replay_online(
     alpha,
     timeline: Optional[Timeline] = None,
     root=None,
-    per_pair: bool = False,
     corrupt_at: Optional[int] = None,
     corrupt_delta: float = 0.0,
 ) -> ReplayResult:
@@ -240,9 +239,7 @@ def replay_online(
       (sampled once finite);
     * ``online.realized_spread`` -- ground-truth corrected-clock spread
       (the outside observer's view; always ``<=`` precision, Thm 4.4);
-    * ``online.correction(p)`` -- per-processor corrections;
-    * ``online.ms~(p->q)`` -- the closure entries, with ``per_pair=True``
-      (off by default: n^2 series).
+    * ``online.correction(p)`` -- per-processor corrections.
 
     ``corrupt_at``/``corrupt_delta`` deliberately corrupt one estimated
     delay (observation index ``corrupt_at`` gets ``+ corrupt_delta``) --
@@ -308,7 +305,6 @@ def replay_online(
                 online.observation_count,
                 sync,
                 realized_spread(starts, sync.corrections),
-                per_pair,
             )
     finally:
         recorder.set_sim_time(None)
@@ -322,7 +318,6 @@ def _sample(
     observations: int,
     sync,
     spread: float,
-    per_pair: bool,
 ) -> None:
     corrections = sync.corrections
     correction_spread = (
@@ -349,12 +344,6 @@ def _sample(
     timeline.sample("online.components", sim_time, len(sync.components))
     for p, x in corrections.items():
         timeline.sample(f"online.correction({p!r})", sim_time, x)
-    if per_pair:
-        for (p, q), value in sync.ms_tilde.items():
-            if p != q and math.isfinite(value):
-                timeline.sample(
-                    f"online.ms~({p!r}->{q!r})", sim_time, value
-                )
 
 
 __all__ = [

@@ -167,12 +167,12 @@ class Session:
     obs: ObsOptions = field(default_factory=ObsOptions)
 
     @classmethod
-    def from_args(cls, args, *, force_obs: bool = False) -> "Session":
+    def from_args(cls, args) -> "Session":
         """Build a session from the shared CLI flags."""
         return cls(
             workers=getattr(args, "workers", None),
             faults=getattr(args, "faults", None),
-            obs=ObsOptions.from_args(args, force=force_obs),
+            obs=ObsOptions.from_args(args),
         )
 
     def merged(self, **overrides) -> "Session":

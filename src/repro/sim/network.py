@@ -16,20 +16,22 @@ Guarantees:
   sampler/assumption mismatch fails loudly instead of silently producing
   an inadmissible execution.
 
-Messages that would arrive before their receiver's start event are held by
-the delivery system and handed over at the start instant (the model cannot
-represent pre-start receives; the system is allowed to reorder and delay).
+Messages travel on the run's :class:`~repro.sim.wire.Wire`, the one
+simulated delivery system it shares with the reliable-transport simulation:
+delay draws, injected faults, held pre-start arrivals and fail-silent
+crash windows are decided there.  The simulator keeps the automata, the
+recorded histories, and the flow records and delay histogram of
+instrumented runs.
 """
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro._types import ProcessorId, Time
-from repro.delays.distributions import DelaySampler, Direction
+from repro.delays.distributions import DelaySampler
 from repro.delays.system import System
 from repro.model.events import (
     Message,
@@ -45,16 +47,8 @@ from repro.model.execution import Execution
 from repro.model.steps import History, Step, TimedStep
 from repro.obs.recorder import get_recorder
 from repro.sim.processor import Automaton, Transition
-from repro.sim.scheduler import (
-    EventScheduler,
-    PRIORITY_RECEIVE,
-    PRIORITY_START,
-    PRIORITY_TIMER,
-)
-
-
-class SimulationError(RuntimeError):
-    """The simulation violated the model or the system's assumptions."""
+from repro.sim.scheduler import EventScheduler, PRIORITY_START, PRIORITY_TIMER
+from repro.sim.wire import RunSummary, SimulationError, Wire, shared_streams
 
 
 @dataclass
@@ -65,58 +59,6 @@ class SimulationConfig:
     max_events: int = 1_000_000
     #: Validate histories and delay-assumption admissibility after the run.
     validate: bool = True
-
-
-@dataclass
-class RunSummary:
-    """What one simulation run did, in numbers.
-
-    Available as :attr:`NetworkSimulator.last_run_summary` after
-    :meth:`NetworkSimulator.run` and surfaced by the CLI's ``demo`` and
-    ``record`` commands; the same figures feed the ``sim.*`` metric
-    series on instrumented runs.
-    """
-
-    #: Scheduler events popped (starts + receives + timers).
-    events_processed: int = 0
-    #: Messages handed to the delivery system.
-    messages_sent: int = 0
-    #: Messages whose receive event fired.
-    messages_delivered: int = 0
-    #: Messages lost in transit (injected loss or link-down, or a
-    #: crashed receiver).
-    messages_dropped: int = 0
-    #: High-water mark of the future-event list.
-    peak_queue_depth: int = 0
-    #: Real time of the last event (``-inf`` for an empty run).
-    end_time: Time = float("-inf")
-    #: Duplicate deliveries injected by a fault plan.
-    messages_duplicated: int = 0
-    #: Receive/timer interrupts suppressed by crash windows.
-    crash_suppressed: int = 0
-    #: Total faults injected by the run's fault plan (0 without one).
-    faults_injected: int = 0
-    #: The execution violated the delay assumptions because of injected
-    #: timestamp corruption (downgraded from a hard error; see
-    #: :class:`NetworkSimulator`).
-    inadmissible: bool = False
-
-    def lines(self) -> list:
-        """Human-readable summary rows (label, value)."""
-        rows = [
-            ("events processed", self.events_processed),
-            ("messages sent", self.messages_sent),
-            ("messages delivered", self.messages_delivered),
-            ("messages dropped", self.messages_dropped),
-            ("peak queue depth", self.peak_queue_depth),
-        ]
-        if self.faults_injected:
-            rows.append(("faults injected", self.faults_injected))
-            rows.append(("messages duplicated", self.messages_duplicated))
-            rows.append(("crash-suppressed events", self.crash_suppressed))
-            if self.inadmissible:
-                rows.append(("assumptions violated (injected)", 1))
-        return rows
 
 
 class NetworkSimulator:
@@ -236,11 +178,6 @@ class NetworkSimulator:
     def _run(
         self, automata: Mapping[ProcessorId, Automaton], recorder
     ) -> Execution:
-        rng = random.Random(self._seed)
-        samplers = {
-            link: copy.deepcopy(sampler)
-            for link, sampler in self._samplers.items()
-        }
         injector = (
             FaultInjector(self._faults, self._system, run_seed=self._seed)
             if self._faults is not None
@@ -251,71 +188,23 @@ class NetworkSimulator:
         scheduler = EventScheduler(
             clock_listener=recorder.set_sim_time if recorder.enabled else None
         )
-
-        states: Dict[ProcessorId, Any] = {
-            p: automata[p].initial_state() for p in self._system.processors
-        }
-        steps: Dict[ProcessorId, List[TimedStep]] = {
-            p: [] for p in self._system.processors
-        }
-        pending_timers: Dict[ProcessorId, Set[float]] = {
-            p: set() for p in self._system.processors
-        }
-
+        wire = Wire(
+            shared_streams(self._samplers, random.Random(self._seed)),
+            self._start_times,
+            scheduler,
+            injector,
+            recorder,
+        )
         for p, s_p in self._start_times.items():
             scheduler.schedule(s_p, PRIORITY_START, ("start", p))
 
-        summary = RunSummary()
-        # Sampled only on instrumented runs; the disabled path pays one
-        # `enabled` check before the loop, nothing per event.
-        depth_histogram = (
-            recorder.histogram(
-                "sim.scheduler.queue_depth",
-                boundaries=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
-                description="future-event-list depth sampled at each pop",
-            )
-            if recorder.enabled
-            else None
-        )
-        delay_histogram = (
-            recorder.histogram(
-                "sim.message.delay",
-                description="real delay d(m) of each dispatched message",
-            )
-            if recorder.enabled
-            else None
-        )
-        # Flow records are built only when someone is listening (e.g. a
-        # FlowLog observer); the disabled path pays one check per run.
-        emit_flow = recorder.enabled and bool(recorder.observers)
-
         try:
-            self._event_loop(
-                automata,
-                scheduler,
-                samplers,
-                rng,
-                states,
-                steps,
-                pending_timers,
-                summary,
-                recorder,
-                depth_histogram,
-                delay_histogram,
-                emit_flow,
-                injector,
-            )
+            steps = self._event_loop(automata, wire)
         finally:
             recorder.set_sim_time(None)
 
-        summary.events_processed = scheduler.processed
-        summary.peak_queue_depth = scheduler.peak_depth
-        summary.end_time = scheduler.now
-        if injector is not None:
-            summary.faults_injected = len(injector.log)
-            self._last_fault_log = injector.log
-        else:
-            self._last_fault_log = None
+        summary = wire.finish()
+        self._last_fault_log = wire.fault_log
         self._last_summary = summary
         recorder.count("sim.events_processed", scheduler.processed)
         recorder.count("sim.messages.sent", summary.messages_sent)
@@ -372,25 +261,48 @@ class NetworkSimulator:
         return execution
 
     def _event_loop(
-        self,
-        automata: Mapping[ProcessorId, Automaton],
-        scheduler: EventScheduler,
-        samplers: Mapping[Tuple[ProcessorId, ProcessorId], DelaySampler],
-        rng: random.Random,
-        states: Dict[ProcessorId, Any],
-        steps: Dict[ProcessorId, List[TimedStep]],
-        pending_timers: Dict[ProcessorId, Set[float]],
-        summary: RunSummary,
-        recorder,
-        depth_histogram,
-        delay_histogram,
-        emit_flow: bool,
-        injector=None,
-    ) -> None:
+        self, automata: Mapping[ProcessorId, Automaton], wire: Wire
+    ) -> Dict[ProcessorId, List[TimedStep]]:
+        """Pop and apply events until the scheduler drains; returns each
+        processor's timed steps."""
+        scheduler, summary, recorder = wire.scheduler, wire.summary, wire.recorder
+        starts = self._start_times
+        faulty = wire.injector is not None
+        processors = self._system.processors
+        states: Dict[ProcessorId, Any] = {
+            p: automata[p].initial_state() for p in processors
+        }
+        steps: Dict[ProcessorId, List[TimedStep]] = {p: [] for p in processors}
+        pending_timers: Dict[ProcessorId, Set[float]] = {
+            p: set() for p in processors
+        }
+        # Sampled only on instrumented runs; the disabled path pays one
+        # `enabled` check per run, nothing per event.
+        depth_histogram = (
+            recorder.histogram(
+                "sim.scheduler.queue_depth",
+                boundaries=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
+                description="future-event-list depth sampled at each pop",
+            )
+            if recorder.enabled
+            else None
+        )
+        delay_histogram = (
+            recorder.histogram(
+                "sim.message.delay",
+                description="real delay d(m) of each dispatched message",
+            )
+            if recorder.enabled
+            else None
+        )
+        # Flow records are built only when someone is listening (e.g. a
+        # FlowLog observer); the disabled path pays one check per run.
+        emit_flow = recorder.enabled and bool(recorder.observers)
+
         while True:
             entry = scheduler.pop()
             if entry is None:
-                break
+                return steps
             if scheduler.processed > self._config.max_events:
                 raise SimulationError(
                     f"event budget of {self._config.max_events} exceeded; "
@@ -398,6 +310,7 @@ class NetworkSimulator:
                 )
             if depth_histogram is not None:
                 depth_histogram.observe(scheduler.raw_depth)
+            now = entry.real_time
             kind = entry.payload[0]
             if kind == "start":
                 _, p = entry.payload
@@ -408,49 +321,27 @@ class NetworkSimulator:
                 event = StartEvent()
             elif kind == "recv":
                 _, p, message = entry.payload
-                if injector is not None and injector.crashed(
-                    p, entry.real_time
+                if faulty and wire.suppressed(
+                    p, now, "recv", message_uid=message.uid
                 ):
-                    # Fail-silent: the message is dropped at a crashed
-                    # receiver (in flight forever, like injected loss).
-                    summary.crash_suppressed += 1
-                    summary.messages_dropped += 1
-                    injector.record(
-                        "processor-crash",
-                        entry.real_time,
-                        recorder,
-                        processor=p,
-                        message_uid=message.uid,
-                        suppressed="recv",
-                    )
                     continue
                 summary.messages_delivered += 1
                 event = MessageReceiveEvent(message=message)
             elif kind == "timer":
                 _, p, clock_t = entry.payload
                 pending_timers[p].discard(round(clock_t, 9))
-                if injector is not None and injector.crashed(
-                    p, entry.real_time
+                # Timers due inside a crash window are lost, not
+                # deferred (condition 6 only requires fired timers to
+                # have been set, so the history stays valid).
+                if faulty and wire.suppressed(
+                    p, now, "timer", clock_time=clock_t
                 ):
-                    # Timers due inside a crash window are lost, not
-                    # deferred (condition 6 only requires fired timers
-                    # to have been set, so the history stays valid).
-                    summary.crash_suppressed += 1
-                    injector.record(
-                        "processor-crash",
-                        entry.real_time,
-                        recorder,
-                        processor=p,
-                        suppressed="timer",
-                        clock_time=clock_t,
-                    )
                     continue
                 event = TimerEvent(clock_time=clock_t)
             else:  # pragma: no cover - internal invariant
                 raise SimulationError(f"unknown payload {entry.payload!r}")
 
-            now = entry.real_time
-            clock = now - self._start_times[p]
+            clock = now - starts[p]
             old_state = states[p]
             transition = automata[p].on_interrupt(old_state, clock, event)
             if not isinstance(transition, Transition):
@@ -463,20 +354,14 @@ class NetworkSimulator:
             for send in transition.sends:
                 message = Message(sender=p, receiver=send.to, payload=send.payload)
                 send_events.append(MessageSendEvent(message=message))
-                summary.messages_sent += 1
-                if not self._dispatch(
-                    scheduler,
-                    samplers,
-                    rng,
-                    message,
-                    now,
-                    recorder,
-                    delay_histogram,
-                    emit_flow,
-                    injector,
-                    summary,
-                ):
-                    summary.messages_dropped += 1
+                delivery = wire.send(message, now, (p, send.to))
+                if delivery is not None and delay_histogram is not None:
+                    delay_histogram.observe(delivery[0] - now)
+                if emit_flow:
+                    recorder.emit(
+                        "message.flow",
+                        record=self._flow_record(message, now, delivery),
+                    )
 
             timer_events = []
             for timer in transition.timers:
@@ -490,7 +375,7 @@ class NetworkSimulator:
                 if key not in pending_timers[p]:
                     pending_timers[p].add(key)
                     scheduler.schedule(
-                        self._start_times[p] + timer.clock_time,
+                        starts[p] + timer.clock_time,
                         PRIORITY_TIMER,
                         ("timer", p, timer.clock_time),
                     )
@@ -512,131 +397,21 @@ class NetworkSimulator:
 
     # ------------------------------------------------------------------
 
-    def _dispatch(
-        self,
-        scheduler: EventScheduler,
-        samplers: Mapping[Tuple[ProcessorId, ProcessorId], DelaySampler],
-        rng: random.Random,
-        message: Message,
-        send_time: Time,
-        recorder=None,
-        delay_histogram=None,
-        emit_flow: bool = False,
-        injector=None,
-        summary: Optional[RunSummary] = None,
-    ) -> bool:
-        """Sample a delay for ``message`` and schedule its receive event.
-
-        Returns ``False`` when the message was lost in transit (an
-        injected loss/link-down fault), ``True`` when a receive event was
-        scheduled.  An injected drop still *burns* the
-        delay draw the benign run would have made, so a fault plan never
-        perturbs the delays of the messages it leaves alone (surviving
-        traffic is byte-identical to the fault-free run, message for
-        message).  With ``emit_flow`` the full lifecycle
-        is emitted as a ``message.flow`` telemetry event (a
-        :class:`~repro.obs.flow.FlowRecord`): the delivery system knows a
-        message's fate the moment it is sent -- the delay is sampled here
-        and receives are never cancelled -- so one record carries send,
-        delivery and both delays.
-        """
-        p, q = message.sender, message.receiver
-        if (p, q) in samplers:
-            sampler, direction = samplers[(p, q)], Direction.FORWARD
-            link = (p, q)
-        elif (q, p) in samplers:
-            sampler, direction = samplers[(q, p)], Direction.REVERSE
-            link = (q, p)
-        else:
-            raise SimulationError(
-                f"{p!r} sent a message to {q!r} but there is no such link"
-            )
-        decision = (
-            injector.on_dispatch(message, send_time)
-            if injector is not None
-            else None
-        )
-        if decision is not None and decision.drop:
-            sampler.sample(rng, direction)  # burn the draw (see docstring)
-            injector.record(
-                decision.cause,
-                send_time,
-                recorder,
-                edge=(p, q),
-                message_uid=message.uid,
-            )
-            if emit_flow:
-                recorder.emit(
-                    "message.flow", record=self._flow_record(message, send_time, link)
-                )
-            return False  # injected drop: sent, never received
-        delay = sampler.sample(rng, direction)
-        if delay < 0:
-            raise SimulationError(
-                f"sampler for link ({p!r}, {q!r}) produced negative delay "
-                f"{delay}"
-            )
-        if decision is not None and decision.delay_delta:
-            corrupted = max(0.0, delay + decision.delay_delta)
-            injector.record(
-                "timestamp-corruption",
-                send_time,
-                recorder,
-                edge=(p, q),
-                message_uid=message.uid,
-                original_delay=delay,
-                corrupted_delay=corrupted,
-            )
-            delay = corrupted
-        arrival = send_time + delay
-        # The model cannot represent a receive before the receiver's start
-        # event; the delivery system holds such messages until the start
-        # instant (receives sort after starts within an instant).
-        held = arrival < self._start_times[q]
-        arrival = max(arrival, self._start_times[q])
-        scheduler.schedule(arrival, PRIORITY_RECEIVE, ("recv", q, message))
-        if decision is not None and decision.duplicate_extra is not None:
-            # At-least-once delivery: the same message object is handed
-            # over again later.  Views and message records deduplicate
-            # by uid (first delivery wins), so downstream statistics
-            # stay sound while the automaton sees the duplicate.
-            scheduler.schedule(
-                arrival + decision.duplicate_extra,
-                PRIORITY_RECEIVE,
-                ("recv", q, message),
-            )
-            if summary is not None:
-                summary.messages_duplicated += 1
-            injector.record(
-                "duplicate-delivery",
-                send_time,
-                recorder,
-                edge=(p, q),
-                message_uid=message.uid,
-                extra_delay=decision.duplicate_extra,
-            )
-        if delay_histogram is not None:
-            delay_histogram.observe(arrival - send_time)
-        if emit_flow:
-            recorder.emit(
-                "message.flow",
-                record=self._flow_record(
-                    message, send_time, link, arrival=arrival, held=held
-                ),
-            )
-        return True
-
     def _flow_record(
         self,
         message: Message,
         send_time: Time,
-        link: Tuple[ProcessorId, ProcessorId],
-        arrival: Optional[Time] = None,
-        held: bool = False,
+        delivery: Optional[Tuple[Time, bool]],
     ):
+        """The :class:`~repro.obs.flow.FlowRecord` of one sent message:
+        the delivery system knows its fate at the send instant (the
+        delay is sampled there and receives are never cancelled), so one
+        record carries send, delivery and both delays."""
         from repro.obs.flow import FlowRecord
 
         p, q = message.sender, message.receiver
+        link = (p, q) if (p, q) in self._samplers else (q, p)
+        arrival, held = delivery if delivery is not None else (None, False)
         return FlowRecord(
             trace_id=message.trace_id,
             sender=p,

@@ -3,16 +3,24 @@
 ROADMAP item 4.  :func:`run_transport_probes` drives one
 :class:`~repro.transport.ReliableTransport` machine per processor over
 the discrete-event scheduler: every application probe becomes a framed
-data segment, every segment's *frame* (one wire crossing) gets its
-delay from the link's sampler, and the PR 5
+data segment, and every segment's *frame* (one wire crossing) is one
+message on the run's :class:`~repro.sim.wire.Wire` -- the same simulated
+delivery system :class:`~repro.sim.network.NetworkSimulator` uses, so a
+fault plan means the same thing to both: the
 :class:`~repro.faults.injector.FaultInjector` may drop, perturb, or
-duplicate any frame.  The delay the synchronization pipeline then sees
--- ``d(m)`` from application hand-off to first accepted delivery -- is
-**emergent**: loss costs a backed-off retransmission round trip,
-duplicate frames are suppressed, an unresponsive peer costs a give-up.
-That is exactly the heavy-tailed, duplicate-prone traffic real networks
-produce, and the Section 6 formulas are exercised on it by experiment
-E17.
+duplicate any frame, and a processor inside a ``ProcessorCrash`` window
+is fail-silent.  It takes no step at all -- frames to it are dropped,
+and its probe rounds and retransmit timers are lost, each suppression
+logged once as ``processor-crash`` -- so nothing leaves it until it
+restarts; the next interrupt after the restart re-arms its
+retransmission deadline, and segments still outstanding when the
+scheduler drains count as ``pending`` in the ledger.  The delay the
+synchronization pipeline then sees -- ``d(m)`` from application
+hand-off to first accepted delivery -- is **emergent**: loss costs a
+backed-off retransmission round trip, duplicate frames are suppressed,
+an unresponsive peer costs a give-up.  That is exactly the heavy-tailed,
+duplicate-prone traffic real networks produce, and the Section 6
+formulas are exercised on it by experiment E17.
 
 Determinism contract (the satellite property tests pin both halves):
 
@@ -60,12 +68,8 @@ from repro.live.trace import ProbeLog
 from repro.live.wire import Probe, Report
 from repro.model.events import Message
 from repro.obs.recorder import get_recorder
-from repro.sim.scheduler import (
-    EventScheduler,
-    PRIORITY_RECEIVE,
-    PRIORITY_START,
-    PRIORITY_TIMER,
-)
+from repro.sim.scheduler import EventScheduler, PRIORITY_START, PRIORITY_TIMER
+from repro.sim.wire import DelayStream, RunSummary, SimulationError, Wire
 from repro.transport import (
     ChannelStats,
     DataSegment,
@@ -89,17 +93,8 @@ SIM_TRANSPORT_CONFIG = TransportConfig(
 )
 
 
-class TransportSimulationError(RuntimeError):
+class TransportSimulationError(SimulationError):
     """The transport run could not complete (runaway event loop)."""
-
-
-@dataclass
-class _Stream:
-    """One directed-edge, one frame-class delay stream."""
-
-    sampler: DelaySampler
-    rng: random.Random
-    direction: Direction
 
 
 @dataclass
@@ -121,7 +116,9 @@ class TransportTrace:
     stats: Dict[ProcessorId, Dict[Any, ChannelStats]]
     unreachable: Tuple[Tuple[Any, Any], ...]
     fault_log: Optional[FaultLog]
-    summary: Dict[str, int] = field(default_factory=dict)
+    #: what the wire did: frames sent, delivered, dropped, duplicated,
+    #: and interrupts suppressed by crash windows.
+    summary: RunSummary = field(default_factory=RunSummary)
 
     @property
     def probe_log(self) -> ProbeLog:
@@ -153,8 +150,9 @@ class TransportTrace:
 
     @property
     def fully_accounted(self) -> bool:
-        """Every handed probe was delivered, surfaced by a give-up, or
-        refused on a dead channel -- each exactly once.
+        """Every handed probe was delivered, surfaced by a give-up,
+        refused on a dead channel, or is still pending (outstanding when
+        the run drained, e.g. behind a crash window) -- each exactly once.
 
         This is the acceptance invariant: reliable transport may fail
         to deliver (the network can be arbitrarily hostile), but it may
@@ -176,16 +174,16 @@ def _delay_streams(
     samplers: Mapping[Tuple[ProcessorId, ProcessorId], DelaySampler],
     seed: Any,
     kind: str,
-) -> Dict[Tuple[Any, Any], _Stream]:
+) -> Dict[Tuple[Any, Any], DelayStream]:
     """One independent (sampler copy, rng) per directed edge."""
-    streams: Dict[Tuple[Any, Any], _Stream] = {}
+    streams: Dict[Tuple[Any, Any], DelayStream] = {}
     for link, sampler in samplers.items():
         p, q = link
         for src, dst, direction in (
             (p, q, Direction.FORWARD),
             (q, p, Direction.REVERSE),
         ):
-            streams[(src, dst)] = _Stream(
+            streams[(src, dst)] = DelayStream(
                 sampler=copy.deepcopy(sampler),
                 rng=random.Random(f"{seed}:{kind}:{src!r}->{dst!r}"),
                 direction=direction,
@@ -213,7 +211,6 @@ class _TransportRun:
         self.system = system
         self.starts = dict(start_times)
         self.probe_times = tuple(probe_times)
-        self.config = config
         self.max_events = max_events
         self.recorder = get_recorder()
         observer = recorder_observer(self.recorder)
@@ -221,95 +218,44 @@ class _TransportRun:
             p: ReliableTransport(p, config, seed=seed, observer=observer)
             for p in system.processors
         }
-        self.data = _delay_streams(system, samplers, seed, "data")
-        self.acks = _delay_streams(system, samplers, seed, "ack")
-        self.injector = (
-            FaultInjector(plan, system, run_seed=int(seed))
-            if plan is not None
-            else None
-        )
+        # Data and ack frames draw from separate streams per directed edge.
+        streams = {
+            (src, dst, kind): stream
+            for kind in ("data", "ack")
+            for (src, dst), stream in _delay_streams(
+                system, samplers, seed, kind
+            ).items()
+        }
         self.scheduler = EventScheduler()
+        self.wire = Wire(
+            streams,
+            self.starts,
+            self.scheduler,
+            (
+                FaultInjector(plan, system, run_seed=int(seed))
+                if plan is not None
+                else None
+            ),
+            self.recorder,
+        )
         self.timers: Dict[ProcessorId, Any] = {}
         self.reports: List[Report] = []
         self.real_delays: Dict[Tuple[Any, Any, int], float] = {}
         self.handed: Dict[Tuple[Any, Any], int] = {}
         self.unreachable: List[Tuple[Any, Any]] = []
-        self.summary: Dict[str, int] = {
-            "frames_sent": 0,
-            "frames_dropped": 0,
-            "frames_duplicated": 0,
-            "frames_to_crashed": 0,
-            "probe_rounds_crashed": 0,
-        }
-
-    # -- wire --------------------------------------------------------------
-
-    def dispatch(self, frame: Any, now: Time) -> None:
-        """Put one frame on the (simulated) wire."""
-        streams = self.data if isinstance(frame, DataSegment) else self.acks
-        stream = streams.get((frame.src, frame.dst))
-        if stream is None:
-            raise TransportSimulationError(
-                f"no link for frame {frame.src!r} -> {frame.dst!r}"
-            )
-        self.summary["frames_sent"] += 1
-        decision = None
-        if self.injector is not None:
-            # The injector keys per-edge ordinals and crash windows off
-            # message objects; frames duck-type via a Message wrapper
-            # (auto-uid keeps fault logs line-up-able with flow logs).
-            wrapper = Message(
-                sender=frame.src, receiver=frame.dst, payload=frame
-            )
-            decision = self.injector.on_dispatch(wrapper, now)
-            if decision.drop:
-                # Burn the draw so surviving frames keep the delays a
-                # fault-free run would give them (NetworkSimulator's
-                # convention).
-                stream.sampler.sample(stream.rng, stream.direction)
-                self.injector.record(
-                    decision.cause, now, self.recorder,
-                    edge=(frame.src, frame.dst), message_uid=wrapper.uid,
-                )
-                self.summary["frames_dropped"] += 1
-                return
-        delay = stream.sampler.sample(stream.rng, stream.direction)
-        if delay < 0:
-            raise TransportSimulationError(
-                f"sampler for ({frame.src!r}, {frame.dst!r}) produced "
-                f"negative delay {delay}"
-            )
-        if decision is not None and decision.delay_delta:
-            corrupted = max(0.0, delay + decision.delay_delta)
-            self.injector.record(
-                "timestamp-corruption", now, self.recorder,
-                edge=(frame.src, frame.dst),
-                original_delay=delay, corrupted_delay=corrupted,
-            )
-            delay = corrupted
-        arrival = now + delay
-        # A frame cannot be received before the receiver exists.
-        arrival = max(arrival, self.starts[frame.dst])
-        self.scheduler.schedule(arrival, PRIORITY_RECEIVE, ("frame", frame))
-        if decision is not None and decision.duplicate_extra is not None:
-            self.scheduler.schedule(
-                arrival + decision.duplicate_extra,
-                PRIORITY_RECEIVE,
-                ("frame", frame),
-            )
-            self.summary["frames_duplicated"] += 1
-            self.injector.record(
-                "duplicate-delivery", now, self.recorder,
-                edge=(frame.src, frame.dst),
-                extra_delay=decision.duplicate_extra,
-            )
 
     # -- actions -----------------------------------------------------------
 
     def apply(self, node: ProcessorId, actions: Sequence[Any], now: Time) -> None:
         for action in actions:
             if isinstance(action, Emit):
-                self.dispatch(action.frame, now)
+                frame = action.frame
+                kind = "data" if isinstance(frame, DataSegment) else "ack"
+                self.wire.send(
+                    Message(sender=frame.src, receiver=frame.dst, payload=frame),
+                    now,
+                    (frame.src, frame.dst, kind),
+                )
             elif isinstance(action, Deliver):
                 self.deliver(node, action, now)
             elif isinstance(action, PeerUnreachable):
@@ -361,52 +307,58 @@ class _TransportRun:
     # -- event loop --------------------------------------------------------
 
     def run(self) -> TransportTrace:
+        wire, scheduler = self.wire, self.scheduler
         for p in self.system.processors:
             neighbors = tuple(self.system.topology.neighbors(p))
             for k, t in enumerate(self.probe_times):
-                self.scheduler.schedule(
+                scheduler.schedule(
                     self.starts[p] + t,
                     PRIORITY_START,
                     ("probe", p, k, t, neighbors),
                 )
-        processed = 0
         while True:
-            entry = self.scheduler.pop()
+            entry = scheduler.pop()
             if entry is None:
                 break
-            processed += 1
-            if processed > self.max_events:
+            if scheduler.processed > self.max_events:
                 raise TransportSimulationError(
                     f"transport run exceeded {self.max_events} events; "
                     "runaway retransmission loop?"
                 )
+            # Fail-silent: a crashed node takes no step, so nothing it
+            # would do (probe, ack, retransmit) reaches the wire; a
+            # suppressed timer is lost and the node's next interrupt
+            # re-arms its deadline.
             now = entry.real_time
             payload = entry.payload
+            node = payload[1]
             if payload[0] == "probe":
-                _, p, k, t, neighbors = payload
-                if self.injector is not None and self.injector.crashed(p, now):
-                    self.summary["probe_rounds_crashed"] += 1
+                _, _, k, t, neighbors = payload
+                if wire.suppressed(node, now, "probe", clock_time=t):
                     continue
-                machine = self.machines[p]
+                machine = self.machines[node]
                 for q in neighbors:
-                    self.handed[(p, q)] = self.handed.get((p, q), 0) + 1
+                    self.handed[(node, q)] = self.handed.get((node, q), 0) + 1
                     actions = machine.send(
-                        q, Probe(sender=p, seq=k, send_clock=t), now
+                        q, Probe(sender=node, seq=k, send_clock=t), now
                     )
-                    self.apply(p, actions, now)
-            elif payload[0] == "frame":
-                frame = payload[1]
-                dst = frame.dst
-                if self.injector is not None and self.injector.crashed(
-                    dst, now
+                    self.apply(node, actions, now)
+            elif payload[0] == "recv":
+                message = payload[2]
+                if wire.suppressed(
+                    node, now, "recv", message_uid=message.uid
                 ):
-                    self.summary["frames_to_crashed"] += 1
                     continue
-                self.apply(dst, self.machines[dst].on_frame(frame, now), now)
+                wire.summary.messages_delivered += 1
+                self.apply(
+                    node, self.machines[node].on_frame(message.payload, now), now
+                )
             else:  # "timer"
-                node = payload[1]
+                if wire.suppressed(
+                    node, now, "timer", clock_time=now - self.starts[node]
+                ):
+                    continue
                 self.apply(node, self.machines[node].on_timer(now), now)
-        self.summary["events_processed"] = processed
         return TransportTrace(
             processors=tuple(self.system.processors),
             reports=tuple(self.reports),
@@ -420,8 +372,8 @@ class _TransportRun:
                 for p, machine in self.machines.items()
             },
             unreachable=tuple(self.unreachable),
-            fault_log=self.injector.log if self.injector is not None else None,
-            summary=dict(self.summary),
+            fault_log=wire.fault_log,
+            summary=wire.finish(),
         )
 
 

@@ -10,7 +10,9 @@ Two halves of the determinism contract (module docstring of
   retransmit schedules, emergent delays, and reports.
 
 Plus the accounting invariant: handed = delivered + undelivered +
-dropped_unreachable on every directed edge, under loss and partitions.
+dropped_unreachable on every directed edge, under loss and partitions,
+and the fail-silent rule: a processor inside a crash window takes no
+step, so nothing leaves it.
 """
 
 import pytest
@@ -18,7 +20,12 @@ import pytest
 from repro.delays.bounds import BoundedDelay
 from repro.delays.distributions import UniformDelay
 from repro.delays.system import System
-from repro.faults.plan import FaultPlan, LinkDown, MessageLoss
+from repro.faults.plan import (
+    FaultPlan,
+    LinkDown,
+    MessageLoss,
+    ProcessorCrash,
+)
 from repro.graphs import complete, ring
 from repro.sim.network import draw_start_times
 from repro.sim.transport import (
@@ -26,7 +33,7 @@ from repro.sim.transport import (
     direct_probe_reports,
     run_transport_probes,
 )
-from repro.transport import TransportConfig
+from repro.transport import Emit, ReliableTransport, TransportConfig
 
 LB, UB = 1.0, 2.0
 
@@ -174,5 +181,82 @@ class TestTraceArtifacts:
     def test_trace_is_a_plain_dataclass(self):
         trace = _run(ring(4), seed=1)
         assert isinstance(trace, TransportTrace)
-        assert trace.summary["frames_dropped"] == 0
+        assert trace.summary.messages_dropped == 0
         assert trace.fault_log is None
+
+
+class TestCrashWindow:
+    """Fail-silent crash windows (DESIGN.md section 10): a crashed
+    processor takes no step -- no probe round, no ack, no retransmit."""
+
+    AT, RESTART = 12.0, 40.0
+
+    def _crash_run(self, monkeypatch, at=AT, restart=RESTART):
+        """The run, plus (sender, real time) of every frame the machines
+        emitted -- a crashed processor's machine must never be asked."""
+        emitted = []
+        for name in ("send", "on_frame", "on_timer"):
+            def spy(machine, *args, _original=getattr(ReliableTransport, name)):
+                actions = _original(machine, *args)
+                now = args[-1]
+                emitted.extend(
+                    (a.frame.src, now) for a in actions if isinstance(a, Emit)
+                )
+                return actions
+
+            monkeypatch.setattr(ReliableTransport, name, spy)
+        plan = FaultPlan(
+            faults=(
+                MessageLoss(rate=0.5),
+                ProcessorCrash(0, at=at, restart=restart),
+            ),
+            seed=3,
+        )
+        config = TransportConfig(
+            rto_initial=0.5, rto_max=4.0, backoff=2.0, jitter=0.1,
+            window=64, max_retries=8,
+        )
+        trace = _run(ring(4), seed=1, plan=plan, rounds=8, config=config)
+        return trace, emitted
+
+    def test_crashed_processor_sends_nothing(self, monkeypatch):
+        trace, sent = self._crash_run(monkeypatch)
+        assert sent
+        inside = [
+            now for sender, now in sent
+            if sender == 0 and self.AT <= now < self.RESTART
+        ]
+        assert inside == []
+        # Node 0 did send before the crash and after the restart.
+        assert any(s == 0 and now < self.AT for s, now in sent)
+        assert any(s == 0 and now >= self.RESTART for s, now in sent)
+
+    def test_every_suppression_is_logged_once(self, monkeypatch):
+        trace, _ = self._crash_run(monkeypatch)
+        suppressed = trace.fault_log.count("processor-crash")
+        assert suppressed > 0
+        assert suppressed == trace.summary.crash_suppressed
+        kinds = {e.detail["suppressed"] for e in trace.fault_log
+                 if e.kind == "processor-crash"}
+        assert kinds >= {"recv", "probe"}
+        assert all(e.processor == 0 for e in trace.fault_log
+                   if e.kind == "processor-crash")
+
+    def test_ledger_identity_holds_on_every_edge(self, monkeypatch):
+        trace, _ = self._crash_run(monkeypatch)
+        for row in trace.ledger.values():
+            assert row["lost"] == 0
+            assert row["handed"] == (
+                row["delivered"] + row["undelivered"]
+                + row["dropped_unreachable"] + row["pending"]
+            )
+
+    def test_segments_outstanding_at_a_permanent_crash_stay_pending(
+        self, monkeypatch
+    ):
+        # Node 0 never restarts: the segment it had in flight when it
+        # crashed is neither retransmitted nor given up on, so the
+        # drained run counts it as pending -- still accounted for.
+        trace, _ = self._crash_run(monkeypatch, at=10.5, restart=None)
+        assert trace.ledger[(0, 1)]["pending"] == 1
+        assert trace.fully_accounted
