@@ -93,7 +93,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print()
         key_metrics_table(
             recorder.registry,
-            prefixes=("sim.", "pipeline.", "online.", "process."),
+            prefixes=(
+                "sim.", "pipeline.", "online.", "process.", "engine.shifts.",
+            ),
         ).show()
         histograms = [
             name

@@ -55,6 +55,7 @@ def _cmd_live_smoke(args: argparse.Namespace) -> int:
                 replay = cluster.verify_replay()
                 summary = {
                     "replay": replay,
+                    "warm_starts": cluster.warm_starts(),
                     "load": load,
                     "cluster": cluster,
                     "log": cluster.server.probe_log,
@@ -85,6 +86,7 @@ def _cmd_live_smoke(args: argparse.Namespace) -> int:
             "replay_ok": replay.ok,
             "replay_checked": replay.checked,
             "replay_cuts": len(replay.cuts),
+            **outcome["warm_starts"],
             "realized_spread": outcome["realized"],
             "transport": outcome["transport"],
             "health": outcome["health"],
@@ -121,6 +123,8 @@ def _cmd_live_smoke(args: argparse.Namespace) -> int:
             if transport["unreachable"]:
                 print(f"unreachable:  "
                       f"{', '.join(transport['unreachable'])}")
+            print(f"shifts:       {summary['shifts_warm_hits']} warm hits  "
+                  f"{summary['shifts_warm_fallbacks']} warm fallbacks")
             print(replay.describe())
             if summary["realized_spread"] is not None:
                 print(f"realized spread vs ground truth: "

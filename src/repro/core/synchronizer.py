@@ -318,16 +318,29 @@ class ClockSynchronizer:
         identical ``ms~`` submatrix in ``previous`` is copied instead of
         re-solved: by Theorem 4.6 SHIFTS on a component reads only that
         submatrix, so the copy is exactly what re-solving would return.
+        A component that must be re-solved gets, as a warm-start hint,
+        the critical cycle of the highest-precision ``previous``
+        component whose cycle lies inside it (also after a merge); the
+        hint changes how SHIFTS finds the result, never the result.
         A ``previous`` from another synchronizer is ignored.
         """
         index = self._index
         engine = self._engine
         recorder = get_recorder()
         reusable = {}
+        cycles: List[Tuple[Time, List[int]]] = []
         if previous is not None and (
             getattr(previous.ms_tilde, "index", None) is index
         ):
             reusable = {c.processors: c for c in previous.components}
+            cycles = sorted(
+                (
+                    (c.precision, [index.row(p) for p in c.critical_cycle])
+                    for c in previous.components
+                    if c.critical_cycle is not None
+                ),
+                key=lambda entry: -entry[0],
+            )
         corrections: Dict[ProcessorId, Time] = {}
         component_results: List[ComponentResult] = []
         root_substitutions: List[Tuple[ProcessorId, ProcessorId]] = []
@@ -357,8 +370,12 @@ class ClockSynchronizer:
                         corrections[p] = previous.corrections[p]
                     component_results.append(old)
                     continue
+                members = set(rows)
+                hint = next(
+                    (c for _, c in cycles if members.issuperset(c)), None
+                )
                 outcome = engine.shifts(
-                    ms_matrix, rows=rows, root_row=index.row(root)
+                    ms_matrix, rows=rows, root_row=index.row(root), hint=hint
                 )
                 for p, value in zip(component, outcome.corrections):
                     corrections[p] = float(value)

@@ -12,7 +12,8 @@ operations the synchronization pipeline is made of:
   finite pairwise ``ms~``), ordered by first row for stable roots;
 * ``shifts`` -- SHIFTS (Theorems 4.4/4.6) on one component: the optimal
   precision ``A^max`` (maximum cycle mean), a critical cycle witness, and
-  corrections as shortest-path distances under ``A^max - ms~``;
+  corrections as shortest-path distances under ``A^max - ms~``; a
+  previous result's cycle may be passed as a warm-start hint;
 * ``incremental_update`` -- optional single-edge decrease relaxation of a
   cached closure (used by :mod:`repro.extensions.online`); backends that
   do not support it return ``None`` and callers fall back to a full
@@ -88,8 +89,14 @@ class SyncEngine(ABC):
         ms_matrix: np.ndarray,
         rows: Optional[Sequence[int]] = None,
         root_row: Optional[int] = None,
+        hint: Optional[Sequence[int]] = None,
     ) -> EngineShifts:
         """SHIFTS over ``rows`` of the ``ms~`` matrix (default: all rows).
+
+        ``hint`` is a likely critical cycle as rows (e.g. an earlier
+        result's ``cycle_rows``); it is ignored unless every row of it is
+        in ``rows``.  A hint only decides how the result is found, never
+        what it is.
 
         Raises :class:`~repro.core.errors.UnboundedPrecisionError` when a
         pair inside ``rows`` has infinite estimate -- pass one
@@ -117,7 +124,12 @@ class SyncEngine(ABC):
                     [(row_list[i], row_list[j]) for i, j in np.argwhere(~finite)]
                 )
             root_local = row_list.index(root_row)
-            result = self._shifts(sub, root_local)
+            local = {row: i for i, row in enumerate(row_list)}
+            if hint and all(row in local for row in hint):
+                hint = [local[row] for row in hint]
+            else:
+                hint = None
+            result = self._shifts(sub, root_local, hint)
             corrections = result.corrections
             if corrections[root_local] != 0.0:
                 # Pin x_root to exactly 0 (the nudged Bellman--Ford can
@@ -166,8 +178,14 @@ class SyncEngine(ABC):
         """Row components, each sorted ascending, ordered by first row."""
 
     @abstractmethod
-    def _shifts(self, sub: np.ndarray, root_local: int) -> EngineShifts:
-        """SHIFTS on an all-finite submatrix; cycle in *local* indices."""
+    def _shifts(
+        self,
+        sub: np.ndarray,
+        root_local: int,
+        hint: Optional[List[int]] = None,
+    ) -> EngineShifts:
+        """SHIFTS on an all-finite submatrix; cycle and hint in *local*
+        indices (backends without a warm start ignore ``hint``)."""
 
     def _incremental(
         self, ms_matrix: np.ndarray, changes: List[Tuple[int, int, float]]

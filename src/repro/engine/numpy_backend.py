@@ -15,6 +15,13 @@ weight matrices:
   critical-cycle witness is any cycle of edges they make tight
   (:func:`tight_cycle`): one relaxation pass serves both.
 
+The served ``A^max`` is the left-to-right mean of one canonical critical
+cycle (:func:`canonical_cycle`, :func:`cycle_mean`); Karp only locates
+that cycle.  Given the previous result's cycle, SHIFTS first tries a warm
+start: one Bellman--Ford pass under that cycle's mean, accepted only when
+it needs no nudge and its tight graph yields the same cycle -- then it is
+exactly the pass the cold path would serve (DESIGN.md section 6).
+
 It also implements the incremental single-edge update used by
 :class:`repro.extensions.online.OnlineSynchronizer`: when one ``mls~``
 entry decreases, the cached closure is repaired by relaxing paths through
@@ -30,7 +37,7 @@ differ from a batch recompute in the last bits (DESIGN.md section 14).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,7 +87,7 @@ def bellman_ford_matrix(
     for _ in range(max(0, n - 1)):
         relaxed = np.minimum(dist, (dist[:, None] + weights).min(axis=0))
         if not (relaxed < dist).any():
-            break
+            return dist  # a fixpoint: the check below could not fail
         dist = relaxed
     if ((dist[:, None] + weights).min(axis=0) < dist - tol).any():
         return None
@@ -122,6 +129,13 @@ def karp_max_cycle_mean_matrix(weights: np.ndarray) -> Optional[float]:
     return -float(per_node_max[valid].min())
 
 
+def shift_weights(weights: np.ndarray, a_max: float) -> np.ndarray:
+    """``w = A^max - weights`` with absent edges and self-loops ``inf``."""
+    base = np.where(np.isfinite(weights), a_max - weights, INF)
+    np.fill_diagonal(base, INF)
+    return base
+
+
 def shift_distances(
     weights: np.ndarray, a_max: float, root: int
 ) -> Tuple[np.ndarray, int]:
@@ -134,10 +148,10 @@ def shift_distances(
     the number of nudges the successful run needed.
     """
     scale = max(1.0, abs(a_max))
-    base = np.where(np.isfinite(weights), a_max - weights, INF)
-    np.fill_diagonal(base, INF)
+    base = shift_weights(weights, a_max)
     for attempt in range(4):
-        dist = bellman_ford_matrix(base + attempt * 1e-9 * scale, root)
+        nudged = base + attempt * 1e-9 * scale if attempt else base
+        dist = bellman_ford_matrix(nudged, root)
         if dist is not None:
             return dist, attempt
     raise AssertionError(  # pragma: no cover - pathological floats only
@@ -179,6 +193,28 @@ def tight_cycle(
     return None
 
 
+def canonical_cycle(cycle: Sequence[int]) -> List[int]:
+    """``cycle`` rotated to start at its smallest row."""
+    start = list(cycle).index(min(cycle))
+    return list(cycle[start:]) + list(cycle[:start])
+
+
+def cycle_mean(weights: np.ndarray, cycle: Sequence[int]) -> float:
+    """Mean weight around ``cycle``, summed left to right from its start."""
+    hops = weights[list(cycle), list(cycle[1:]) + [cycle[0]]].tolist()
+    total = 0.0
+    for weight in hops:
+        total += weight
+    return total / len(hops)
+
+
+def _canonical_tight(
+    weights: np.ndarray, a_max: float, dist: np.ndarray, nudges: int
+) -> Optional[List[int]]:
+    cycle = tight_cycle(weights, a_max, dist, nudges)
+    return canonical_cycle(cycle) if cycle else None
+
+
 # ----------------------------------------------------------------------
 # The backend
 # ----------------------------------------------------------------------
@@ -217,21 +253,66 @@ class NumpyEngine(SyncEngine):
             components.append([int(j) for j in members])
         return components
 
-    def _shifts(self, sub: np.ndarray, root_local: int) -> EngineShifts:
-        # Step 1: A^max, the maximum cycle mean of the complete submatrix.
-        a_max = karp_max_cycle_mean_matrix(sub)
-        assert a_max is not None  # complete graph with n >= 2 has cycles
+    def _shifts(
+        self,
+        sub: np.ndarray,
+        root_local: int,
+        hint: Optional[List[int]] = None,
+    ) -> EngineShifts:
+        if hint is not None:
+            warm = self._warm_shifts(sub, root_local, canonical_cycle(hint))
+            self.stats.count(
+                "shifts.warm_hits" if warm else "shifts.warm_fallbacks"
+            )
+            if warm is not None:
+                return warm
+        # Step 1: Karp locates a critical cycle; its exact mean is A^max.
+        a_karp = karp_max_cycle_mean_matrix(sub)
+        assert a_karp is not None  # complete graph with n >= 2 has cycles
         # Step 2: corrections as distances under w = A^max - ms~; the same
         # distances certify the witness.
+        dist, nudges = self._distances(sub, a_karp, root_local)
+        cycle = tight_cycle(sub, a_karp, dist, nudges)
+        if cycle is None:  # pragma: no cover - pathological floats only
+            return EngineShifts(corrections=dist, a_max=a_karp, cycle_rows=None)
+        cycle = canonical_cycle(cycle)
+        a_max = cycle_mean(sub, cycle)
+        if a_max != a_karp:
+            # Serve the pass a warm start from this cycle would produce,
+            # if its tight graph agrees; else keep Karp's potentials.
+            again, retries = self._distances(sub, a_max, root_local)
+            if _canonical_tight(sub, a_max, again, retries) == cycle:
+                dist = again
+        return EngineShifts(
+            corrections=dist, a_max=a_max, cycle_rows=tuple(cycle)
+        )
+
+    def _warm_shifts(
+        self, sub: np.ndarray, root_local: int, cycle: List[int]
+    ) -> Optional[EngineShifts]:
+        """SHIFTS under the mean of a likely critical ``cycle``, or ``None``.
+
+        Feasible potentials under ``mean(cycle) - ms~`` bound every cycle
+        mean by ``mean(cycle)`` (Theorems 4.4/4.6), so one Bellman--Ford
+        pass proves ``cycle`` critical.  The pass is accepted only when it
+        needs no nudge and its canonical tight cycle is ``cycle``: the
+        cold path then serves bit for bit the same result.
+        """
+        a_max = cycle_mean(sub, cycle)
+        dist = bellman_ford_matrix(shift_weights(sub, a_max), root_local)
+        if dist is None or _canonical_tight(sub, a_max, dist, 0) != cycle:
+            return None
+        return EngineShifts(
+            corrections=dist, a_max=a_max, cycle_rows=tuple(cycle)
+        )
+
+    def _distances(
+        self, sub: np.ndarray, a_max: float, root_local: int
+    ) -> Tuple[np.ndarray, int]:
         dist, nudges = shift_distances(sub, a_max, root_local)
         if nudges:
             self.stats.count("shifts.nudge_retries", nudges)
-        cycle = tight_cycle(sub, a_max, dist, nudges)
-        return EngineShifts(
-            corrections=dist,
-            a_max=float(a_max),
-            cycle_rows=tuple(cycle) if cycle else None,
-        )
+        return dist, nudges
 
     def _incremental(
         self, ms_matrix: np.ndarray, changes: List[Tuple[int, int, float]]
@@ -262,6 +343,9 @@ __all__ = [
     "has_negative_diagonal",
     "bellman_ford_matrix",
     "karp_max_cycle_mean_matrix",
+    "shift_weights",
     "shift_distances",
     "tight_cycle",
+    "canonical_cycle",
+    "cycle_mean",
 ]

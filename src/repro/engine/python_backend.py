@@ -239,7 +239,13 @@ class PythonEngine(SyncEngine):
     ) -> List[List[int]]:
         return strongly_connected_components(mls_matrix.tolist())
 
-    def _shifts(self, sub: np.ndarray, root_local: int) -> EngineShifts:
+    def _shifts(
+        self,
+        sub: np.ndarray,
+        root_local: int,
+        hint: Optional[List[int]] = None,
+    ) -> EngineShifts:
+        # The reference oracle always solves cold: ``hint`` is ignored.
         ms = sub.tolist()
         a_max = karp_max_cycle_mean(ms)
         assert a_max is not None  # complete graph with n >= 2 has cycles

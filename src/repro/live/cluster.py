@@ -355,6 +355,19 @@ class LiveCluster:
             self.server.probe_log, self.server.answers, self.system
         )
 
+    def warm_starts(self) -> Dict[str, int]:
+        """Warm-started SHIFTS calls of the server: hits and fallbacks.
+
+        Served answers are replay-audited against cold batch solves, so a
+        nonzero hit count next to ``replay_ok`` shows warm answers exact.
+        """
+        assert self.server is not None, "cluster not started"
+        counters = self.server.online.synchronizer.engine.stats.counters
+        return {
+            "shifts_warm_hits": counters.get("shifts.warm_hits", 0),
+            "shifts_warm_fallbacks": counters.get("shifts.warm_fallbacks", 0),
+        }
+
     def realized(self) -> Optional[float]:
         """Realized corrected-clock spread of the latest ``ok`` result."""
         assert self.server is not None, "cluster not started"
@@ -432,6 +445,7 @@ async def run_smoke(
             "replay_ok": replay.ok,
             "replay_checked": replay.checked,
             "replay_cuts": len(replay.cuts),
+            **cluster.warm_starts(),
             "realized_spread": realized,
             "transport": transport,
             "health": server.health_json(),

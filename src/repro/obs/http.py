@@ -27,12 +27,14 @@ from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.obs.export import _json_safe, prometheus_text
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import get_recorder
+
+if TYPE_CHECKING:
+    from http.server import BaseHTTPRequestHandler
 
 #: The content type Prometheus expects for the 0.0.4 text format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -118,6 +120,11 @@ class TelemetryServer:
         self._health = resolve_health_provider(health)
         self._thread: Optional[threading.Thread] = None
         self._closed = False
+
+        # Imported here, not at module level: http.server pulls in ssl
+        # and email (several MB resident), and every ``import repro``
+        # loads this module while few processes ever serve telemetry.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
         server = self
 

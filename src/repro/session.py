@@ -166,15 +166,6 @@ class Session:
     faults: Union[object, str, Path, None] = None
     obs: ObsOptions = field(default_factory=ObsOptions)
 
-    @classmethod
-    def from_args(cls, args) -> "Session":
-        """Build a session from the shared CLI flags."""
-        return cls(
-            workers=getattr(args, "workers", None),
-            faults=getattr(args, "faults", None),
-            obs=ObsOptions.from_args(args),
-        )
-
     def merged(self, **overrides) -> "Session":
         """A copy with non-``None`` ``overrides`` replacing fields."""
         values = {

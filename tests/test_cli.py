@@ -105,6 +105,29 @@ class TestObservability:
         assert validate_metrics_file(metrics) > 0
         assert get_recorder() is NOOP
 
+    def test_profile_prints_engine_shifts_counters(self, monkeypatch, capsys):
+        """Warm-start counters reach the key-metrics table."""
+        from repro.experiments import REGISTRY
+        from repro.graphs.topology import random_connected
+        from repro.obs.timeline import replay_online
+        from repro.workloads.scenarios import heterogeneous
+
+        def online_stream(quick=False):
+            scenario = heterogeneous(random_connected(16, 0.05, 1), seed=1)
+            replay_online(scenario.system, scenario.run())
+            return []
+
+        monkeypatch.setitem(REGISTRY, "E99", online_stream)
+        assert main(["profile", "E99", "--quick"]) == 0
+        rows = {
+            line.split()[0]: line.split()[-1]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("engine.shifts.")
+        }
+        assert float(rows["engine.shifts.warm_hits"]) > 0
+        assert "engine.shifts.warm_fallbacks" in rows
+        assert "engine.shifts.calls" in rows
+
     def test_profile_unknown_experiment(self, capsys):
         assert main(["profile", "E42", "--quick"]) == 2
         assert "unknown experiment" in capsys.readouterr().err

@@ -117,7 +117,9 @@ class TestWitnessProperty:
     @given(complete_matrices())
     def test_witness_is_a_critical_simple_cycle(self, matrix):
         """On any all-finite matrix the engine's witness is a simple cycle
-        of off-diagonal edges whose mean is Karp's maximum cycle mean."""
+        of off-diagonal edges whose mean is Karp's maximum cycle mean, and
+        the served A^max is exactly that cycle's left-to-right mean from
+        its smallest row."""
         outcome = NumpyEngine().shifts(matrix)
         cycle = outcome.cycle_rows
         assert cycle is not None and len(cycle) >= 2
@@ -128,7 +130,8 @@ class TestWitnessProperty:
         off_diagonal = matrix[~np.eye(len(matrix), dtype=bool)]
         scale = max(1.0, float(np.abs(off_diagonal).max()))
         assert abs(mean - karp_max_cycle_mean_matrix(matrix)) <= 1e-9 * scale
-        assert outcome.a_max == karp_max_cycle_mean_matrix(matrix)
+        assert cycle[0] == min(cycle)
+        assert outcome.a_max == mean
 
 
 class TestShiftsBackend:

@@ -5,7 +5,9 @@ component whose processors, root and ``ms~`` submatrix are unchanged is
 copied instead of re-solved (Theorem 4.6: SHIFTS on a component reads
 only that submatrix).  Every result here is held to a from-scratch
 ``from_matrices`` on the same matrices: corrections, precision, and each
-component's precision, root and critical cycle must be ``==``.
+component's precision, root and critical cycle must be ``==``.  Re-solved
+components are warm-started from the previous critical cycle, so the
+streams also prove warm answers equal cold ones.
 """
 
 import dataclasses
@@ -28,6 +30,7 @@ from repro.workloads.scenarios import bounded_uniform, heterogeneous
 
 INF = float("inf")
 REUSED = "pipeline.components_reused"
+WARM_HITS = "engine.shifts.warm_hits"
 
 
 def fresh(sync, result):
@@ -71,6 +74,10 @@ def reused(recorder):
     return recorder.registry.counters().get(REUSED, 0.0)
 
 
+def warm_hits(recorder):
+    return recorder.registry.counters().get(WARM_HITS, 0.0)
+
+
 @pytest.fixture
 def ring_scenario():
     return bounded_uniform(ring(6), lb=1.0, ub=3.0, probes=2, seed=11)
@@ -88,9 +95,11 @@ class TestStreams:
             recorder.add_observer(check)
             replay_online(scenario.system, scenario.run())
             assert check.refreshes and reused(recorder) > 0
-            assert "pipeline_components_reused" in prometheus_text(
-                recorder.registry
-            )
+            assert warm_hits(recorder) > 0
+            exposition = prometheus_text(recorder.registry)
+            assert "pipeline_components_reused" in exposition
+            assert "engine_shifts_warm_hits" in exposition
+            assert "engine_shifts_warm_fallbacks" in exposition
 
 
 def two_blocks(seed=0):
