@@ -23,6 +23,7 @@ from repro.delays.bounds import BoundedDelay
 from repro.delays.composite import Composite
 from repro.delays.system import System
 from repro.graphs.topology import Topology
+from repro.records import write_atomic
 
 
 class SystemIOError(ValueError):
@@ -137,9 +138,7 @@ def system_from_dict(data: Mapping[str, Any]) -> System:
 
 def save_system(system: System, path: Union[str, Path]) -> None:
     """Write the system as JSON to ``path``."""
-    Path(path).write_text(
-        json.dumps(system_to_dict(system), indent=1, sort_keys=True)
-    )
+    write_atomic(path, json.dumps(system_to_dict(system), indent=1, sort_keys=True))
 
 
 def load_system(path: Union[str, Path]) -> System:

@@ -28,6 +28,7 @@ from repro.model.events import (
 )
 from repro.model.execution import Execution
 from repro.model.steps import History, Step, TimedStep
+from repro.records import write_atomic
 from repro.sim.protocols import Echo, Probe
 
 
@@ -274,13 +275,8 @@ def save_execution(
     telemetry: Optional[Dict[str, Any]] = None,
 ) -> None:
     """Write the execution as JSON to ``path``."""
-    Path(path).write_text(
-        json.dumps(
-            execution_to_dict(alpha, telemetry=telemetry),
-            indent=1,
-            sort_keys=True,
-        )
-    )
+    document = execution_to_dict(alpha, telemetry=telemetry)
+    write_atomic(path, json.dumps(document, indent=1, sort_keys=True))
 
 
 def load_execution(path: Union[str, Path]) -> Execution:

@@ -32,9 +32,17 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-PathLike = Union[str, Path]
+from repro.records import (
+    PathLike,
+    RecordError,
+    append_record,
+    iter_records,
+    seal,
+    write_atomic,
+)
+
 
 #: Bump when a record's shape changes incompatibly.
 BENCH_SCHEMA_VERSION = 1
@@ -319,12 +327,9 @@ def write_bench_report(
     path: PathLike, report: BenchReport, indent: Optional[int] = 2
 ) -> Path:
     """Write one report as a JSON document; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(report.to_json(), indent=indent, sort_keys=True) + "\n"
+    return write_atomic(
+        path, json.dumps(report.to_json(), indent=indent, sort_keys=True) + "\n"
     )
-    return path
 
 
 def read_bench_report(path: PathLike) -> BenchReport:
@@ -345,24 +350,26 @@ def append_history(path: PathLike, report: BenchReport) -> Path:
     """Append one run to a JSONL history file; returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(report.to_json(), sort_keys=True)
-    with path.open("a") as handle:
-        handle.write(line + "\n")
+    seal(path)  # a torn earlier append must not swallow this record
+    with open(path, "ab") as handle:
+        append_record(handle, report.to_json())
     return path
 
 
 def read_history(path: PathLike) -> List[BenchReport]:
-    """All runs recorded in a JSONL history file, oldest first."""
+    """All runs recorded in a JSONL history file, oldest first.
+
+    A torn final append is dropped (:mod:`repro.records`); any other
+    bad line raises :class:`BenchSchemaError` naming ``path:line``.
+    """
     reports: List[BenchReport] = []
-    for lineno, line in enumerate(
-        Path(path).read_text().splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        try:
-            reports.append(BenchReport.from_json(json.loads(line)))
-        except (json.JSONDecodeError, BenchSchemaError, KeyError) as exc:
-            raise BenchSchemaError(f"{path}:{lineno}: {exc}") from exc
+    try:
+        for lineno, data in iter_records(path):
+            reports.append(BenchReport.from_json(data))
+    except RecordError as exc:
+        raise BenchSchemaError(str(exc)) from None
+    except (BenchSchemaError, KeyError) as exc:
+        raise BenchSchemaError(f"{path}:{lineno}: {exc}") from exc
     return reports
 
 

@@ -109,8 +109,7 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
 
 def _cmd_campaign_merge(args: argparse.Namespace) -> int:
     """Fuse shard JSONL streams into the canonical campaign table."""
-    from pathlib import Path
-
+    from repro.records import write_atomic
     from repro.runner.merge import MergeError, merge_shards
     from repro.workloads.campaign import summarize_groups
 
@@ -130,8 +129,7 @@ def _cmd_campaign_merge(args: argparse.Namespace) -> int:
     for line in merged.report.lines():
         print(line)
     if args.table_out is not None:
-        path = Path(args.table_out)
-        path.write_text(table.format() + "\n")
+        path = write_atomic(args.table_out, table.format() + "\n")
         print(f"table written: {path}")
     if args.results_out is not None:
         from repro.runner.cells import write_cell_results_jsonl
@@ -144,10 +142,10 @@ def _cmd_campaign_merge(args: argparse.Namespace) -> int:
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     """Run a preset campaign grid on the sharded parallel runner."""
     from contextlib import ExitStack
-    from pathlib import Path
 
     from repro.analysis.reporting import Table
     from repro.experiments.common import CAMPAIGN_PRESETS
+    from repro.records import write_atomic
     from repro.runner.cells import write_cell_results_jsonl
     from repro.runner.heartbeat import DEFAULT_HEARTBEAT_INTERVAL
     from repro.workloads.campaign import summarize_groups
@@ -197,8 +195,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         )
         table.show()
         if args.table_out is not None:
-            path = Path(args.table_out)
-            path.write_text(table.format() + "\n")
+            path = write_atomic(args.table_out, table.format() + "\n")
             print(f"table written: {path}")
         if args.cells:
             print()

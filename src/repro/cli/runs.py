@@ -85,7 +85,6 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
     with observability(args, force=args.with_telemetry) as recorder:
         out = Path(args.directory)
-        out.mkdir(parents=True, exist_ok=True)
         scenario = build_scenario(args.scenario, args.size, args.seed)
         telemetry = None
         if args.with_telemetry:

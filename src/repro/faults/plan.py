@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro._types import INF, Edge, ProcessorId, Time
+from repro.records import write_atomic
 
 
 class FaultPlanError(ValueError):
@@ -325,9 +326,7 @@ def load_fault_plan(path: Union[str, Path]) -> FaultPlan:
 
 def dump_fault_plan(plan: FaultPlan, path: Union[str, Path]) -> Path:
     """Write ``plan`` to a JSON file; returns the path."""
-    target = Path(path)
-    target.write_text(json.dumps(plan.to_json(), indent=2, sort_keys=True))
-    return target
+    return write_atomic(path, json.dumps(plan.to_json(), indent=2, sort_keys=True))
 
 
 def example_plan() -> FaultPlan:

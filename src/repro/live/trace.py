@@ -22,7 +22,6 @@ record per line, append-friendly like every other stream in the repo
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
@@ -36,6 +35,7 @@ from repro.model.events import (
 )
 from repro.model.steps import Step
 from repro.model.views import View
+from repro.records import RecordError, dumps_record, iter_records, write_lines
 
 #: The JSONL record type tag of one probe observation.
 PROBE_RECORD_TYPE = "live.probe"
@@ -197,38 +197,26 @@ def write_probe_log(
     path: Union[str, Path], log: Union[ProbeLog, Sequence[Report]]
 ) -> Path:
     """Write a probe log as JSONL; returns the path."""
-    path = Path(path)
     records = log.records if isinstance(log, ProbeLog) else log
-    with path.open("w") as fh:
-        for record in records:
-            fh.write(json.dumps(record_to_json(record), sort_keys=True))
-            fh.write("\n")
-    return path
+    return write_lines(path, (dumps_record(record_to_json(r)) for r in records))
 
 
 def load_probe_log(path: Union[str, Path]) -> ProbeLog:
     """Load a JSONL probe log, validating every record.
 
-    A torn final line (crash mid-append) is tolerated and dropped, per
-    the repo's stream-recovery convention; any other defect raises
-    :class:`ProbeLogError` with the offending line number.
+    Lines are read by :func:`repro.records.iter_records`: a torn final
+    fragment (crash mid-append) is dropped; any other defect, including
+    a newline-terminated bad final line, raises :class:`ProbeLogError`
+    naming ``path:line``.
     """
-    path = Path(path)
     log = ProbeLog()
-    lines = path.read_text().split("\n")
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError:
-            if number >= len(lines) - 1:
-                break  # torn tail from a crash mid-append; drop it
-            raise ProbeLogError(f"{path}:{number}: unparseable line")
-        try:
+    try:
+        for number, data in iter_records(path):
             log.append(record_from_json(data))
-        except ProbeLogError as exc:
-            raise ProbeLogError(f"{path}:{number}: {exc}") from None
+    except RecordError as exc:
+        raise ProbeLogError(str(exc)) from None
+    except ProbeLogError as exc:
+        raise ProbeLogError(f"{path}:{number}: {exc}") from None
     return log
 
 

@@ -24,12 +24,12 @@ import json
 import math
 import re
 from pathlib import Path
-from typing import Dict, Iterator, List, Sequence, Union
+from typing import Dict, Iterator, List, Sequence
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.spans import Span
+from repro.records import PathLike, dumps_record, iter_records, write_atomic, write_lines
 
-PathLike = Union[str, Path]
 
 _PROM_NAME = re.compile(r"[^a-zA-Z0-9_:]")
 _PROM_LINE = re.compile(
@@ -90,10 +90,7 @@ def chrome_trace(spans: Sequence[Span], pid: int = 1) -> Dict:
 
 def write_chrome_trace(path: PathLike, spans: Sequence[Span]) -> Path:
     """Write ``spans`` as a Perfetto-loadable trace file; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(chrome_trace(spans)) + "\n")
-    return path
+    return write_atomic(path, json.dumps(chrome_trace(spans)) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -106,13 +103,13 @@ def metrics_jsonl_lines(registry: MetricsRegistry) -> Iterator[str]:
         payload = {"record": "metric", "name": name}
         for key, value in record.items():
             payload[key] = _json_safe(value) if key != "counts" else value
-        yield json.dumps(payload, sort_keys=True)
+        yield dumps_record(payload)
 
 
 def span_jsonl_lines(spans: Sequence[Span]) -> Iterator[str]:
     """One JSON object per finished span, in completion order."""
     for span in spans:
-        yield json.dumps(
+        yield dumps_record(
             {
                 "record": "span",
                 "id": span.span_id,
@@ -125,28 +122,19 @@ def span_jsonl_lines(spans: Sequence[Span]) -> Iterator[str]:
                     key: _json_safe(value)
                     for key, value in span.attributes.items()
                 },
-            },
-            sort_keys=True,
+            }
         )
 
 
 def write_metrics_jsonl(path: PathLike, registry: MetricsRegistry) -> Path:
     """Dump the registry as JSONL; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = list(metrics_jsonl_lines(registry))
-    path.write_text("\n".join(lines) + ("\n" if lines else ""))
-    return path
+    return write_lines(path, metrics_jsonl_lines(registry))
 
 
 def write_events_jsonl(path: PathLike, recorder) -> Path:
     """Full event log: every span record followed by every metric record."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = list(span_jsonl_lines(recorder.tracer.finished()))
-    lines.extend(metrics_jsonl_lines(recorder.registry))
-    path.write_text("\n".join(lines) + ("\n" if lines else ""))
-    return path
+    spans = span_jsonl_lines(recorder.tracer.finished())
+    return write_lines(path, [*spans, *metrics_jsonl_lines(recorder.registry)])
 
 
 # ----------------------------------------------------------------------
@@ -197,15 +185,24 @@ def _format_value(value: float) -> str:
 
 def write_prometheus(path: PathLike, registry: MetricsRegistry) -> Path:
     """Write the Prometheus exposition to ``path``; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(prometheus_text(registry))
-    return path
+    return write_atomic(path, prometheus_text(registry))
 
 
 # ----------------------------------------------------------------------
 # Validators (used by tests and the CI telemetry step)
 # ----------------------------------------------------------------------
+
+def _trace_events(path: PathLike) -> List[dict]:
+    """A trace-event document's events, each checked for ph/pid/name."""
+    document = json.loads(Path(path).read_text())
+    if not isinstance(document, dict) or "traceEvents" not in document:
+        raise ValueError(f"{path}: not a trace-event document")
+    for event in document["traceEvents"]:
+        for key in ("ph", "pid", "name"):
+            if key not in event:
+                raise ValueError(f"{path}: event missing {key!r}: {event}")
+    return document["traceEvents"]
+
 
 def validate_trace_file(path: PathLike) -> int:
     """Check a Chrome trace file's shape; returns the span-event count.
@@ -213,14 +210,8 @@ def validate_trace_file(path: PathLike) -> int:
     Raises ``ValueError`` on any malformed document or event, so CI can
     use it as an assertion.
     """
-    document = json.loads(Path(path).read_text())
-    if not isinstance(document, dict) or "traceEvents" not in document:
-        raise ValueError(f"{path}: not a trace-event document")
     spans = 0
-    for event in document["traceEvents"]:
-        for key in ("ph", "pid", "name"):
-            if key not in event:
-                raise ValueError(f"{path}: event missing {key!r}: {event}")
+    for event in _trace_events(path):
         if event["ph"] == "X":
             if "ts" not in event or "dur" not in event:
                 raise ValueError(
@@ -233,12 +224,7 @@ def validate_trace_file(path: PathLike) -> int:
 def validate_metrics_file(path: PathLike) -> int:
     """Check a metrics/events JSONL file; returns the record count."""
     records = 0
-    for lineno, line in enumerate(
-        Path(path).read_text().splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        record = json.loads(line)
+    for lineno, record in iter_records(path):
         if "record" not in record or "name" not in record:
             raise ValueError(
                 f"{path}:{lineno}: missing 'record'/'name' keys"

@@ -39,11 +39,12 @@ import json
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from repro.obs.export import _trace_events, chrome_trace
 from repro.obs.spans import Span
+from repro.records import PathLike, dumps_record, write_atomic, write_lines
 
-PathLike = Union[str, Path]
 
 #: Flow lifecycle stage names (the causal-DAG node kinds).
 STAGE_SEND = "send"
@@ -239,16 +240,12 @@ def causal_dag_lines(flow_log: FlowLog) -> Iterator[str]:
     determines the full happens-before relation of the execution.
     """
     for record in flow_log.records():
-        yield json.dumps(flow_record_to_dict(record), sort_keys=True)
+        yield dumps_record(flow_record_to_dict(record))
 
 
 def write_causal_dag(path: PathLike, flow_log: FlowLog) -> Path:
     """Write the causal-DAG JSONL; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = list(causal_dag_lines(flow_log))
-    path.write_text("\n".join(lines) + ("\n" if lines else ""))
-    return path
+    return write_lines(path, causal_dag_lines(flow_log))
 
 
 # ----------------------------------------------------------------------
@@ -266,8 +263,10 @@ def chrome_flow_events(flow_log: FlowLog, pid: int = FLOW_PID) -> List[Dict]:
     Layout: one track per processor carrying instant send/receive
     markers, one track per directed edge carrying the in-flight slice of
     each message, and an ``s``/``f`` flow arrow per delivered message
-    linking its send marker to its receive marker.  Timestamps are
-    simulated seconds scaled to microseconds.
+    linking its send marker to its receive marker.  A flow's id is its
+    record's position in the log (message uids restart with every run
+    a log may span).  Timestamps are simulated seconds scaled to
+    microseconds.
     """
     records = flow_log.records()
     processors = sorted(
@@ -309,7 +308,7 @@ def chrome_flow_events(flow_log: FlowLog, pid: int = FLOW_PID) -> List[Dict]:
             }
         )
 
-    for record in records:
+    for flow_id, record in enumerate(records):
         send_us = record.send_time * 1e6
         args = {
             "trace_id": record.trace_id,
@@ -377,7 +376,7 @@ def chrome_flow_events(flow_log: FlowLog, pid: int = FLOW_PID) -> List[Dict]:
         flow_common = {
             "name": f"m{record.trace_id}",
             "cat": "flow",
-            "id": record.trace_id,
+            "id": flow_id,
             "pid": pid,
         }
         events.append(
@@ -411,18 +410,13 @@ def write_flow_trace(
     same document (on its own pid), so one file shows both the process
     and the protocol view.
     """
-    from repro.obs.export import chrome_trace
-
     document = (
         chrome_trace(spans)
         if spans
         else {"displayTimeUnit": "ms", "traceEvents": []}
     )
     document["traceEvents"].extend(chrome_flow_events(flow_log))
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(document) + "\n")
-    return path
+    return write_atomic(path, json.dumps(document) + "\n")
 
 
 def validate_flow_trace_file(path: PathLike) -> int:
@@ -433,15 +427,9 @@ def validate_flow_trace_file(path: PathLike) -> int:
     than the start -- a broken pairing renders as dangling arrows in
     Perfetto, so CI treats it as malformed.
     """
-    document = json.loads(Path(path).read_text())
-    if not isinstance(document, dict) or "traceEvents" not in document:
-        raise ValueError(f"{path}: not a trace-event document")
     starts: Dict[Any, float] = {}
     ends: Dict[Any, float] = {}
-    for event in document["traceEvents"]:
-        for key in ("ph", "pid", "name"):
-            if key not in event:
-                raise ValueError(f"{path}: event missing {key!r}: {event}")
+    for event in _trace_events(path):
         if event["ph"] in ("s", "f"):
             if "id" not in event or "ts" not in event:
                 raise ValueError(

@@ -31,8 +31,6 @@ no-op overhead budget.
 
 from __future__ import annotations
 
-import io
-import json
 import logging
 import threading
 import time
@@ -42,6 +40,7 @@ from typing import Iterator, List, Union
 
 from repro.obs.http import json_ready
 from repro.obs.recorder import get_recorder
+from repro.records import append_record, iter_records, seal
 
 #: Record discriminator, alongside "metric" etc. in mixed JSONL files.
 LOG_RECORD_TYPE = "log"
@@ -65,9 +64,8 @@ class LogSink:
     def __init__(self, path: Union[str, Path]) -> None:
         self._path = Path(path)
         self._path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle: io.TextIOWrapper = open(
-            self._path, "a", encoding="utf-8"
-        )
+        seal(self._path)  # a torn earlier append must not swallow ours
+        self._handle = open(self._path, "ab")
         self._lock = threading.Lock()
 
     @property
@@ -75,12 +73,9 @@ class LogSink:
         return self._path
 
     def write(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True)
         with self._lock:
-            if self._handle.closed:
-                return
-            self._handle.write(line + "\n")
-            self._handle.flush()
+            if not self._handle.closed:
+                append_record(self._handle, record)
 
     def close(self) -> None:
         with _sinks_lock:
@@ -202,43 +197,26 @@ def validate_log_file(path: Union[str, Path]) -> int:
     numeric ``ts``.  Raises :class:`ValueError` on the first violation
     or if the file holds no records at all.
     """
-    target = Path(path)
     count = 0
-    with open(target, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{target}:{lineno}: not valid JSON: {exc}"
-                ) from exc
-            if not isinstance(record, dict):
-                raise ValueError(
-                    f"{target}:{lineno}: log record must be an object"
-                )
-            if record.get("record") != LOG_RECORD_TYPE:
-                raise ValueError(
-                    f"{target}:{lineno}: record type "
-                    f"{record.get('record')!r}, expected {LOG_RECORD_TYPE!r}"
-                )
-            if record.get("level") not in LOG_LEVELS:
-                raise ValueError(
-                    f"{target}:{lineno}: unknown level "
-                    f"{record.get('level')!r}"
-                )
-            for key in ("logger", "event"):
-                value = record.get(key)
-                if not isinstance(value, str) or not value:
-                    raise ValueError(
-                        f"{target}:{lineno}: missing or empty {key!r}"
-                    )
-            if not isinstance(record.get("ts"), (int, float)):
-                raise ValueError(f"{target}:{lineno}: missing numeric 'ts'")
-            count += 1
+    for lineno, record in iter_records(path):
+        if record.get("record") != LOG_RECORD_TYPE:
+            raise ValueError(
+                f"{path}:{lineno}: record type "
+                f"{record.get('record')!r}, expected {LOG_RECORD_TYPE!r}"
+            )
+        if record.get("level") not in LOG_LEVELS:
+            raise ValueError(
+                f"{path}:{lineno}: unknown level {record.get('level')!r}"
+            )
+        for key in ("logger", "event"):
+            value = record.get(key)
+            if not isinstance(value, str) or not value:
+                raise ValueError(f"{path}:{lineno}: missing or empty {key!r}")
+        if not isinstance(record.get("ts"), (int, float)):
+            raise ValueError(f"{path}:{lineno}: missing numeric 'ts'")
+        count += 1
     if count == 0:
-        raise ValueError(f"{target}: no log records")
+        raise ValueError(f"{path}: no log records")
     return count
 
 

@@ -21,19 +21,17 @@ correlate with the series.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 # NOTE: repro.core / repro.extensions are imported lazily inside
 # replay_online -- they pull in the engine, which imports this package
 # (for the metrics registry), so module-level imports would be circular.
 from repro.obs.recorder import get_recorder
-
-PathLike = Union[str, Path]
+from repro.records import PathLike, dumps_record, iter_records, write_lines
 
 
 class Series:
@@ -128,24 +126,19 @@ def timeline_jsonl_lines(timeline: Timeline):
     """One JSON object per series (sorted by name)."""
     for name in timeline.names():
         series = timeline.get(name)
-        yield json.dumps(
+        yield dumps_record(
             {
                 "record": "timeseries",
                 "name": name,
                 "description": series.description,
                 "points": [[t, v] for t, v in series.points],
-            },
-            sort_keys=True,
+            }
         )
 
 
 def write_timeline_jsonl(path: PathLike, timeline: Timeline) -> Path:
     """Dump the timeline as JSONL; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = list(timeline_jsonl_lines(timeline))
-    path.write_text("\n".join(lines) + ("\n" if lines else ""))
-    return path
+    return write_lines(path, timeline_jsonl_lines(timeline))
 
 
 def validate_timeline_file(path: PathLike) -> int:
@@ -155,12 +148,7 @@ def validate_timeline_file(path: PathLike) -> int:
     raises ``ValueError`` otherwise, so CI can use it as an assertion.
     """
     series = 0
-    for lineno, line in enumerate(
-        Path(path).read_text().splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        record = json.loads(line)
+    for lineno, record in iter_records(path):
         if record.get("record") != "timeseries" or "name" not in record:
             raise ValueError(
                 f"{path}:{lineno}: not a timeseries record"

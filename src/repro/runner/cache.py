@@ -27,6 +27,7 @@ from typing import Any, Dict, Optional, Union
 
 from repro.analysis.system_io import SystemIOError, system_to_dict
 from repro.obs.log import get_logger
+from repro.records import write_atomic
 from repro.runner.cells import CellResult, CellTask
 
 log = get_logger("repro.runner.cache")
@@ -150,31 +151,14 @@ class ResultCache:
             return None
         try:
             record = json.loads(path.read_text())
-        except (ValueError, OSError) as exc:
-            self._corrupt_entries += 1
-            log.warning(
-                "cache.corrupt_entry",
-                path=str(path),
-                reason=str(exc),
-                action="treated_as_miss",
-            )
-            return None
-        if not isinstance(record, dict):
-            self._corrupt_entries += 1
-            log.warning(
-                "cache.corrupt_entry",
-                path=str(path),
-                reason="not a record",
-                action="treated_as_miss",
-            )
-            return None
-        if record.get("version") != CACHE_VERSION:
-            # A clean version mismatch is a deliberate format change,
-            # not corruption: plain miss.
-            return None
-        try:
+            if not isinstance(record, dict):
+                raise ValueError("not a record")
+            if record.get("version") != CACHE_VERSION:
+                # A clean version mismatch is a deliberate format
+                # change, not corruption: plain miss.
+                return None
             cell = CellResult.from_json(record["cell"]).as_cache_hit()
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, OSError, KeyError, TypeError) as exc:
             self._corrupt_entries += 1
             log.warning(
                 "cache.corrupt_entry",
@@ -195,7 +179,9 @@ class ResultCache:
             "key": key,
             "cell": result.to_json(),
         }
-        self._path(key).write_text(json.dumps(record, sort_keys=True))
+        # Atomic: a crash mid-put leaves the previous entry (or none),
+        # never a torn one that would count as corruption.
+        write_atomic(self._path(key), json.dumps(record, sort_keys=True))
         if self._max_entries is not None:
             self._evict_to_bound()
 

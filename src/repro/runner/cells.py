@@ -20,7 +20,6 @@ unchanged; the executor (:mod:`repro.runner.executor`) relies on that.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -33,6 +32,7 @@ from repro.core.synchronizer import ClockSynchronizer
 from repro.graphs.topology import Topology
 from repro.obs.export import _json_safe
 from repro.obs.recorder import Recorder, get_recorder, recording
+from repro.records import dumps_record, iter_records, write_lines
 
 #: Builds a scenario from (topology, seed) -- same shape as
 #: :data:`repro.workloads.campaign.ScenarioBuilder` (not imported here to
@@ -226,27 +226,19 @@ def write_cell_results_jsonl(
     path: Union[str, Path], results: Iterable[CellResult]
 ) -> Path:
     """Write cell results as JSONL (one ``campaign.cell`` record per line)."""
-    target = Path(path)
-    lines = [json.dumps(r.to_json(), sort_keys=True) for r in results]
-    target.write_text("\n".join(lines) + ("\n" if lines else ""))
-    return target
+    return write_lines(path, (dumps_record(r.to_json()) for r in results))
 
 
 def validate_cell_results_file(path: Union[str, Path]) -> int:
     """Re-read a cell-results JSONL file; returns the record count.
 
-    CI-grade check mirroring the obs validators: every line must parse,
-    round-trip through :class:`CellResult`, and carry finite-or-'inf'
-    numerics.
+    CI-grade check mirroring the obs validators: every line must parse
+    (:func:`repro.records.iter_records`), round-trip through
+    :class:`CellResult`, and carry finite-or-'inf' numerics.
     """
     count = 0
-    for line_number, line in enumerate(
-        Path(path).read_text().splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
+    for line_number, data in iter_records(path):
         try:
-            data = json.loads(line)
             CellResult.from_json(data)
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(

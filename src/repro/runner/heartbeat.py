@@ -23,9 +23,9 @@ beating while a cell hangs, which is exactly the failure the heartbeat
 exists to expose.  A hung cell blocks the runner, the callbacks stop,
 the file ages, and :mod:`repro.runner.status` flags the shard.
 
-Writes are atomic (tmp file + ``os.replace``, same discipline as the
-shard manifest), so a reader never sees a torn heartbeat: it sees the
-previous beat or the new one, nothing in between.
+Writes are atomic (:func:`repro.records.write_atomic`, same discipline
+as the shard manifest), so a reader never sees a torn heartbeat: it
+sees the previous beat or the new one, nothing in between.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.records import write_atomic
 from repro.transport import transport_counter_snapshot
 
 #: Bump on any incompatible change to the heartbeat record layout.
@@ -185,17 +186,13 @@ def read_heartbeat(path: Union[str, Path]) -> Optional[Heartbeat]:
     layer then falls back to manifest/stream timestamps), never as an
     error -- observability must not be able to fail a fleet.
     """
-    target = Path(path)
     try:
-        data = json.loads(target.read_text())
-    except (OSError, ValueError):
-        return None
-    if not isinstance(data, dict):
-        return None
-    try:
-        return Heartbeat.from_json(data)
-    except (ValueError, KeyError, TypeError, IndexError):
-        return None
+        data = json.loads(Path(path).read_text())
+        if isinstance(data, dict):
+            return Heartbeat.from_json(data)
+    except (OSError, ValueError, KeyError, TypeError, IndexError):
+        pass
+    return None
 
 
 class HeartbeatWriter:
@@ -236,7 +233,6 @@ class HeartbeatWriter:
             (1, 1) if shard is None else (int(shard[0]), int(shard[1]))
         )
         self._path = heartbeat_path(directory, self._shard)
-        self._path.parent.mkdir(parents=True, exist_ok=True)
         self._interval = float(interval)
         self._clock = clock
         self._monotonic = monotonic
@@ -430,15 +426,7 @@ class HeartbeatWriter:
 
     def _write(self, complete: bool) -> None:
         record = self.snapshot(complete=complete).to_json()
-        # Atomic replace, same contract as the shard manifest: a reader
-        # concurrent with a crash sees the previous beat, never a torn
-        # file.
-        tmp = self._path.with_suffix(".json.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(record, handle, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self._path)
+        write_atomic(self._path, json.dumps(record, sort_keys=True))
         self._last_beat = self._monotonic()
         self._beats += 1
 

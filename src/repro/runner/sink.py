@@ -24,12 +24,10 @@ Record types in the stream:
 * ``campaign.cell.failure`` -- a quarantined
   :class:`~repro.runner.executor.CellFailure`, same ``index`` key.
 
-Crash tolerance: appends are a single ``write`` + ``fsync``, so a crash
-can at worst leave one *torn* final line.  :meth:`ResultSink.begin`
-recovers by scanning the stream, truncating everything from the first
-unparseable byte on, and handing back the durably completed cells so
-the runner re-executes only what was actually lost -- on top of (not
-instead of) the content-addressed result cache.
+Crash tolerance follows :mod:`repro.records`: :meth:`ResultSink.begin`
+truncates the stream from its first bad line or torn tail on and hands
+back the durably completed cells, so the runner re-executes only what
+was actually lost -- on top of (not instead of) the result cache.
 
 This module owns the shard format: :func:`load_manifest` is the one
 manifest reader and :func:`decode_stream` the one record decoder, so
@@ -47,7 +45,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,6 +52,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.export import _json_safe
 from repro.obs.log import get_logger
+from repro.records import append_record, read_prefix, seal, write_atomic
 from repro.runner.cells import CellResult
 from repro.runner.executor import CellFailure
 
@@ -81,37 +79,10 @@ def grid_fingerprint(grid: Sequence[CellKey]) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def read_stream_records(path: Union[str, Path]) -> Tuple[List[dict], int]:
-    """Parse a shard stream, tolerating a torn tail.
-
-    Returns ``(records, valid_bytes)``: every record up to the first
-    unparseable byte, and the offset that byte starts at (``valid_bytes
-    == file size`` means the stream is clean).  Read-only -- the merge
-    pipeline uses this on streams it does not own; the sink's own
-    recovery additionally truncates at ``valid_bytes``.
-    """
-    target = Path(path)
-    if not target.exists():
-        return [], 0
-    raw = target.read_bytes()
-    records: List[dict] = []
-    pos = 0
-    size = len(raw)
-    while pos < size:
-        newline = raw.find(b"\n", pos)
-        if newline == -1:
-            break  # torn tail: the final append never completed
-        line = raw[pos:newline]
-        if line.strip():
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                break  # corrupt from here on; everything before is good
-            if not isinstance(record, dict):
-                break
-            records.append(record)
-        pos = newline + 1
-    return records, pos
+#: ``(records, valid_bytes)`` of a shard stream up to its first bad line
+#: or torn tail (``valid_bytes == file size``: clean).  Read-only; the
+#: sink's own recovery additionally truncates at ``valid_bytes``.
+read_stream_records = read_prefix
 
 
 def load_manifest(path: Union[str, Path]) -> dict:
@@ -302,30 +273,23 @@ class ResultSink:
                     f"use a fresh results_dir per grid"
                 )
             recovery = self._recover()
-        elif self._data_path.exists():
-            self._data_path.unlink()
+        else:
+            self._data_path.unlink(missing_ok=True)
 
         self._write_manifest(complete=False)
         self._handle = open(self._data_path, "ab")
         return recovery
 
     def _recover(self) -> ShardRecords:
-        records, valid = read_stream_records(self._data_path)
-        truncated = 0
-        if self._data_path.exists():
-            size = self._data_path.stat().st_size
-            if valid < size:
-                # Torn tail: drop the partial line so future appends
-                # keep the stream parseable.
-                with open(self._data_path, "ab") as handle:
-                    handle.truncate(valid)
-                truncated = size - valid
-                log.warning(
-                    "sink.recovered_torn_tail",
-                    stream=str(self._data_path),
-                    truncated_bytes=truncated,
-                    valid_bytes=valid,
-                )
+        records, valid = read_prefix(self._data_path)
+        truncated = seal(self._data_path, valid)
+        if truncated:
+            log.warning(
+                "sink.recovered_torn_tail",
+                stream=str(self._data_path),
+                truncated_bytes=truncated,
+                valid_bytes=valid,
+            )
         # A ``bad`` index is not recovered: the runner re-executes it,
         # and the fresh record it appends supersedes the bad one.
         recovery = decode_stream(records, len(self._grid))
@@ -361,16 +325,11 @@ class ResultSink:
     def _append(self, record: dict) -> None:
         if self._handle is None:
             raise RuntimeError("sink not begun (call begin() first)")
-        line = json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
-        self._handle.write(line)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        append_record(self._handle, record)
 
     def close(self) -> Path:
         """Flush, finalize the manifest (completion markers), return it."""
         if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
             self._handle.close()
             self._handle = None
         self._write_manifest(complete=True)
@@ -406,12 +365,7 @@ class ResultSink:
         }
         # Atomic replace: a crash mid-write must never leave a torn
         # manifest next to a good stream.
-        tmp = self._manifest_path.with_suffix(".json.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self._manifest_path)
+        write_atomic(self._manifest_path, json.dumps(manifest, sort_keys=True))
 
 
 def _fingerprint_json(result: CellResult) -> Tuple[Any, ...]:

@@ -263,27 +263,15 @@ def resolve_source(
 
 def _views_from_path(path: Path, *, processors=()):
     """Sniff a source file: live probe log first, trace archive second."""
-    import json
+    from repro.live.trace import ProbeLogError, load_probe_log
+    from repro.records import RecordError, iter_records
 
-    from repro.live.trace import ProbeLog, ProbeLogError, load_probe_log
-
-    head = ""
-    with path.open() as fh:
-        for line in fh:
-            head = line.strip()
-            if head:
-                break
-    looks_like_probe_log = False
-    if head.startswith("{"):
-        try:
-            looks_like_probe_log = (
-                json.loads(head).get("type") == "live.probe"
-            )
-        except json.JSONDecodeError:
-            looks_like_probe_log = False
-    if looks_like_probe_log:
-        log: ProbeLog = load_probe_log(path)
-        return log.views(processors=processors)
+    try:
+        _, first = next(iter_records(path), (0, {}))
+    except RecordError:
+        first = {}  # e.g. the indented first line of a trace archive
+    if first.get("type") == "live.probe":
+        return load_probe_log(path).views(processors=processors)
     try:
         from repro.analysis.trace import load_execution
 

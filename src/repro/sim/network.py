@@ -352,7 +352,7 @@ class NetworkSimulator:
 
             send_events = []
             for send in transition.sends:
-                message = Message(sender=p, receiver=send.to, payload=send.payload)
+                message = wire.message(p, send.to, send.payload)
                 send_events.append(MessageSendEvent(message=message))
                 delivery = wire.send(message, now, (p, send.to))
                 if delivery is not None and delay_histogram is not None:

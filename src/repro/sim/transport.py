@@ -66,7 +66,6 @@ from repro.faults.injector import FaultInjector, FaultLog
 from repro.faults.plan import FaultPlan
 from repro.live.trace import ProbeLog
 from repro.live.wire import Probe, Report
-from repro.model.events import Message
 from repro.obs.recorder import get_recorder
 from repro.sim.scheduler import EventScheduler, PRIORITY_START, PRIORITY_TIMER
 from repro.sim.wire import DelayStream, RunSummary, SimulationError, Wire
@@ -252,7 +251,7 @@ class _TransportRun:
                 frame = action.frame
                 kind = "data" if isinstance(frame, DataSegment) else "ack"
                 self.wire.send(
-                    Message(sender=frame.src, receiver=frame.dst, payload=frame),
+                    self.wire.message(frame.src, frame.dst, frame),
                     now,
                     (frame.src, frame.dst, kind),
                 )

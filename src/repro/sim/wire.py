@@ -18,6 +18,8 @@ decisions the two must agree on:
   delays; a corrupted delay is clamped at 0; a duplicate is scheduled as
   a second receive; a message due before its receiver starts is held
   until the start instant;
+* **message uids** -- :meth:`Wire.message` numbers the run's messages
+  from 0, so an execution does not depend on what ran before it;
 * **fail-silent crashes** -- :meth:`Wire.suppressed` screens every
   interrupt (receive, timer, probe round): a processor inside a crash
   window takes no step, and each suppression writes one
@@ -31,6 +33,7 @@ run's scheduler; the caller owns the event loop that pops them.
 from __future__ import annotations
 
 import copy
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Mapping, Optional, Tuple
@@ -144,6 +147,13 @@ class Wire:
         self.injector = injector
         self.recorder = recorder
         self.summary = RunSummary()
+        self._uids = itertools.count()
+
+    def message(
+        self, sender: ProcessorId, receiver: ProcessorId, payload: Any
+    ) -> Message:
+        """A new message, numbered from 0 within this run."""
+        return Message(sender, receiver, payload, uid=next(self._uids))
 
     @property
     def fault_log(self) -> Optional[FaultLog]:

@@ -1,5 +1,7 @@
 """Unit and integration tests for the network simulator (repro.sim.network)."""
 
+import json
+
 import pytest
 
 from repro.delays.bounds import BoundedDelay, no_bounds
@@ -80,6 +82,31 @@ class TestBasicRuns:
             )
 
         assert run_once() == run_once()
+
+    def test_message_uids_are_run_scoped(self):
+        """Two runs in one process record byte-identical executions."""
+        from repro.analysis.trace import execution_to_dict
+        from repro.experiments.common import bounded_ring_builder
+
+        def archive():
+            alpha = bounded_ring_builder(ring(4), 1).run()
+            return json.dumps(execution_to_dict(alpha), sort_keys=True)
+
+        assert archive() == archive()
+
+    def test_flow_trace_spanning_runs_keeps_flow_ids_unique(self, tmp_path):
+        from repro.experiments.common import bounded_ring_builder
+        from repro.obs import FlowLog
+        from repro.obs.flow import validate_flow_trace_file, write_flow_trace
+        from repro.obs.recorder import Recorder, recording
+
+        recorder, flows = Recorder(), FlowLog()
+        recorder.add_observer(flows)
+        with recording(recorder):
+            for _ in range(2):
+                bounded_ring_builder(ring(4), 1).run()
+        path = write_flow_trace(tmp_path / "flow.json", flows)
+        assert validate_flow_trace_file(path) == len(flows)
 
     def test_draw_start_times_deterministic_and_bounded(self):
         a = draw_start_times(range(10), 5.0, seed=2)
