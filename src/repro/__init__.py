@@ -44,163 +44,92 @@ and cached sweeps)::
 The pieces behind the facade (:class:`ClockSynchronizer`, the
 :class:`~repro.workloads.Campaign` sweep API, the simulator, the delay
 models) remain importable for callers that need intermediate artifacts.
+``import repro`` itself loads only the package shells: each name below
+imports its layer on first use (:mod:`repro._exports`).
 """
 
-from repro.api import run, sweep
-from repro.session import ObsOptions, Session, resolve_source
-from repro.core import (
-    Certificate,
-    CertificateError,
-    ClockSynchronizer,
-    ComponentResult,
-    DegradedResult,
-    IncompleteViewsError,
-    InconsistentViewsError,
-    SyncResult,
-    UnboundedPrecisionError,
-    beats_or_ties,
-    corrected_starts,
-    cycle_mean_under,
-    estimated_delays,
-    local_shift_estimates,
-    realized_spread,
-    rho_bar,
-    rho_bar_true,
-    true_local_shifts,
-    verify_certificate,
-)
-from repro.delays import (
-    AsymmetricUniform,
-    Bimodal,
-    BoundedDelay,
-    Composite,
-    Constant,
-    CorrelatedLoad,
-    DelayAssumption,
-    DelaySampler,
-    Direction,
-    DirectionStats,
-    PairTiming,
-    RoundTripBias,
-    RoundTripBiasUnsigned,
-    ShiftedExponential,
-    System,
-    TruncatedNormal,
-    UniformDelay,
-    lower_bounds_only,
-    no_bounds,
-)
-from repro.graphs import (
-    Topology,
-    binary_tree,
-    complete,
-    grid,
-    hypercube,
-    line,
-    random_connected,
-    ring,
-    star,
-)
-from repro.model import (
-    Execution,
-    History,
-    Message,
-    Step,
-    View,
-    executions_equivalent,
-    shift_execution,
-    shift_history,
-)
-from repro.sim import (
-    Automaton,
-    NetworkSimulator,
-    SimulationConfig,
-    SimulationError,
-    draw_start_times,
-    echo_automata,
-    flood_automata,
-    probe_automata,
-    probe_schedule,
-)
+from repro._exports import lazy_exports
+
+_EXPORTS = {
+    # facade
+    "run": "repro.api",
+    "sweep": "repro.api",
+    # session / config
+    "ObsOptions": "repro.session",
+    "Session": "repro.session",
+    "resolve_source": "repro.session",
+    # core
+    "Certificate": "repro.core.optimality",
+    "CertificateError": "repro.core.optimality",
+    "ClockSynchronizer": "repro.core.synchronizer",
+    "ComponentResult": "repro.core.synchronizer",
+    "DegradedResult": "repro.core.synchronizer",
+    "IncompleteViewsError": "repro.core.estimates",
+    "InconsistentViewsError": "repro.core.errors",
+    "SyncResult": "repro.core.synchronizer",
+    "UnboundedPrecisionError": "repro.core.errors",
+    "beats_or_ties": "repro.core.optimality",
+    "corrected_starts": "repro.core.precision",
+    "cycle_mean_under": "repro.core.optimality",
+    "estimated_delays": "repro.core.estimates",
+    "local_shift_estimates": "repro.core.estimates",
+    "realized_spread": "repro.core.precision",
+    "rho_bar": "repro.core.precision",
+    "rho_bar_true": "repro.core.precision",
+    "true_local_shifts": "repro.core.estimates",
+    "verify_certificate": "repro.core.optimality",
+    # delays
+    "AsymmetricUniform": "repro.delays.distributions",
+    "Bimodal": "repro.delays.distributions",
+    "BoundedDelay": "repro.delays.bounds",
+    "Composite": "repro.delays.composite",
+    "Constant": "repro.delays.distributions",
+    "CorrelatedLoad": "repro.delays.distributions",
+    "DelayAssumption": "repro.delays.base",
+    "DelaySampler": "repro.delays.distributions",
+    "Direction": "repro.delays.distributions",
+    "DirectionStats": "repro.delays.base",
+    "PairTiming": "repro.delays.base",
+    "RoundTripBias": "repro.delays.bias",
+    "RoundTripBiasUnsigned": "repro.delays.bias",
+    "ShiftedExponential": "repro.delays.distributions",
+    "System": "repro.delays.system",
+    "TruncatedNormal": "repro.delays.distributions",
+    "UniformDelay": "repro.delays.distributions",
+    "lower_bounds_only": "repro.delays.bounds",
+    "no_bounds": "repro.delays.bounds",
+    # graphs / topologies
+    "Topology": "repro.graphs.topology",
+    "binary_tree": "repro.graphs.topology",
+    "complete": "repro.graphs.topology",
+    "grid": "repro.graphs.topology",
+    "hypercube": "repro.graphs.topology",
+    "line": "repro.graphs.topology",
+    "random_connected": "repro.graphs.topology",
+    "ring": "repro.graphs.topology",
+    "star": "repro.graphs.topology",
+    # model
+    "Execution": "repro.model.execution",
+    "History": "repro.model.steps",
+    "Message": "repro.model.events",
+    "Step": "repro.model.steps",
+    "View": "repro.model.views",
+    "executions_equivalent": "repro.model.execution",
+    "shift_execution": "repro.model.execution",
+    "shift_history": "repro.model.steps",
+    # sim
+    "Automaton": "repro.sim.processor",
+    "NetworkSimulator": "repro.sim.network",
+    "SimulationConfig": "repro.sim.network",
+    "SimulationError": "repro.sim.network",
+    "draw_start_times": "repro.sim.network",
+    "echo_automata": "repro.sim.protocols",
+    "flood_automata": "repro.sim.protocols",
+    "probe_automata": "repro.sim.protocols",
+    "probe_schedule": "repro.sim.protocols",
+}
 
 __version__ = "1.1.0"
 
-__all__ = [
-    # facade
-    "run",
-    "sweep",
-    # session / config
-    "ObsOptions",
-    "Session",
-    "resolve_source",
-    # core
-    "Certificate",
-    "CertificateError",
-    "ClockSynchronizer",
-    "ComponentResult",
-    "DegradedResult",
-    "IncompleteViewsError",
-    "InconsistentViewsError",
-    "SyncResult",
-    "UnboundedPrecisionError",
-    "beats_or_ties",
-    "corrected_starts",
-    "cycle_mean_under",
-    "estimated_delays",
-    "local_shift_estimates",
-    "realized_spread",
-    "rho_bar",
-    "rho_bar_true",
-    "true_local_shifts",
-    "verify_certificate",
-    # delays
-    "AsymmetricUniform",
-    "Bimodal",
-    "BoundedDelay",
-    "Composite",
-    "Constant",
-    "CorrelatedLoad",
-    "DelayAssumption",
-    "DelaySampler",
-    "Direction",
-    "DirectionStats",
-    "PairTiming",
-    "RoundTripBias",
-    "RoundTripBiasUnsigned",
-    "ShiftedExponential",
-    "System",
-    "TruncatedNormal",
-    "UniformDelay",
-    "lower_bounds_only",
-    "no_bounds",
-    # graphs / topologies
-    "Topology",
-    "binary_tree",
-    "complete",
-    "grid",
-    "hypercube",
-    "line",
-    "random_connected",
-    "ring",
-    "star",
-    # model
-    "Execution",
-    "History",
-    "Message",
-    "Step",
-    "View",
-    "executions_equivalent",
-    "shift_execution",
-    "shift_history",
-    # sim
-    "Automaton",
-    "NetworkSimulator",
-    "SimulationConfig",
-    "SimulationError",
-    "draw_start_times",
-    "echo_automata",
-    "flood_automata",
-    "probe_automata",
-    "probe_schedule",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -7,90 +7,47 @@ extremal equivalent executions) that turns the paper's optimality claims
 into checkable numbers.
 """
 
-from repro.analysis.diagnosis import (
-    Diagnosis,
-    diagnose,
-    diagnose_and_repair,
-    diagnose_local_estimates,
-    synchronize_excluding,
-)
-from repro.analysis.adversary import (
-    AdversaryError,
-    adversarial_execution,
-    extremal_shift_vector,
-    random_admissible_shift_vector,
-    worst_case_spread,
-)
-from repro.analysis.ground_truth import (
-    locally_admissible_interval,
-    shift_vector_is_admissible,
-    true_global_shifts,
-)
-from repro.analysis.metrics import Summary, geometric_mean, ratio, summarize
-from repro.analysis.report import (
-    components_table,
-    corrections_table,
-    pairwise_table,
-    sync_report,
-)
-from repro.analysis.reporting import Table, fmt
-from repro.analysis.stats import (
-    EdgeTraffic,
-    ExecutionStats,
-    execution_statistics,
-    traffic_table,
-)
-from repro.analysis.system_io import (
-    SystemIOError,
-    load_system,
-    save_system,
-    system_from_dict,
-    system_to_dict,
-)
-from repro.analysis.trace import (
-    TraceError,
-    execution_from_dict,
-    execution_to_dict,
-    load_execution,
-    save_execution,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Diagnosis",
-    "diagnose",
-    "diagnose_and_repair",
-    "diagnose_local_estimates",
-    "synchronize_excluding",
-    "AdversaryError",
-    "adversarial_execution",
-    "extremal_shift_vector",
-    "random_admissible_shift_vector",
-    "worst_case_spread",
-    "locally_admissible_interval",
-    "shift_vector_is_admissible",
-    "true_global_shifts",
-    "Summary",
-    "geometric_mean",
-    "ratio",
-    "summarize",
-    "Table",
-    "fmt",
-    "components_table",
-    "corrections_table",
-    "pairwise_table",
-    "sync_report",
-    "EdgeTraffic",
-    "ExecutionStats",
-    "execution_statistics",
-    "traffic_table",
-    "SystemIOError",
-    "load_system",
-    "save_system",
-    "system_from_dict",
-    "system_to_dict",
-    "TraceError",
-    "execution_from_dict",
-    "execution_to_dict",
-    "load_execution",
-    "save_execution",
-]
+_EXPORTS = {
+    "Diagnosis": "repro.analysis.diagnosis",
+    "diagnose": "repro.analysis.diagnosis",
+    "diagnose_and_repair": "repro.analysis.diagnosis",
+    "diagnose_local_estimates": "repro.analysis.diagnosis",
+    "synchronize_excluding": "repro.analysis.diagnosis",
+    "AdversaryError": "repro.analysis.adversary",
+    "adversarial_execution": "repro.analysis.adversary",
+    "extremal_shift_vector": "repro.analysis.adversary",
+    "random_admissible_shift_vector": "repro.analysis.adversary",
+    "worst_case_spread": "repro.analysis.adversary",
+    "locally_admissible_interval": "repro.analysis.ground_truth",
+    "shift_vector_is_admissible": "repro.analysis.ground_truth",
+    "true_global_shifts": "repro.analysis.ground_truth",
+    "Summary": "repro.analysis.metrics",
+    "geometric_mean": "repro.analysis.metrics",
+    "ratio": "repro.analysis.metrics",
+    "summarize": "repro.analysis.metrics",
+    "Table": "repro.analysis.reporting",
+    "fmt": "repro.analysis.reporting",
+    "components_table": "repro.analysis.report",
+    "corrections_table": "repro.analysis.report",
+    "pairwise_table": "repro.analysis.report",
+    "sync_report": "repro.analysis.report",
+    "EdgeTraffic": "repro.analysis.stats",
+    "ExecutionStats": "repro.analysis.stats",
+    "execution_statistics": "repro.analysis.stats",
+    "traffic_table": "repro.analysis.stats",
+    "SystemIOError": "repro.analysis.system_io",
+    "load_system": "repro.analysis.system_io",
+    "save_system": "repro.analysis.system_io",
+    "system_from_dict": "repro.analysis.system_io",
+    "system_to_dict": "repro.analysis.system_io",
+    "TraceError": "repro.analysis.trace",
+    "execution_from_dict": "repro.analysis.trace",
+    "execution_to_dict": "repro.analysis.trace",
+    "load_execution": "repro.analysis.trace",
+    "save_execution": "repro.analysis.trace",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -23,7 +23,7 @@ from repro.delays.bounds import BoundedDelay
 from repro.delays.composite import Composite
 from repro.delays.system import System
 from repro.graphs.topology import Topology
-from repro.records import write_atomic
+from repro.records import read_document, write_atomic
 
 
 class SystemIOError(ValueError):
@@ -143,7 +143,7 @@ def save_system(system: System, path: Union[str, Path]) -> None:
 
 def load_system(path: Union[str, Path]) -> System:
     """Read a system back from JSON written by :func:`save_system`."""
-    return system_from_dict(json.loads(Path(path).read_text()))
+    return system_from_dict(read_document(path))
 
 
 __all__ = [

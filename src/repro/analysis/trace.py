@@ -28,7 +28,7 @@ from repro.model.events import (
 )
 from repro.model.execution import Execution
 from repro.model.steps import History, Step, TimedStep
-from repro.records import write_atomic
+from repro.records import read_document, write_atomic
 from repro.sim.protocols import Echo, Probe
 
 
@@ -281,14 +281,14 @@ def save_execution(
 
 def load_execution(path: Union[str, Path]) -> Execution:
     """Read an execution back from JSON written by :func:`save_execution`."""
-    return execution_from_dict(json.loads(Path(path).read_text()))
+    return execution_from_dict(read_document(path))
 
 
 def load_execution_with_telemetry(
     path: Union[str, Path],
 ):
     """Read ``(execution, telemetry_block_or_None)`` from a trace file."""
-    data = json.loads(Path(path).read_text())
+    data = read_document(path)
     return execution_from_dict(data), telemetry_from_dict(data)
 
 

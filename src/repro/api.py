@@ -31,18 +31,20 @@ intermediate artifacts.  All options are keyword-only by policy
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro._types import ProcessorId
-from repro.analysis.reporting import Table
 from repro.core.optimality import verify_certificate
 from repro.core.synchronizer import ClockSynchronizer, SyncResult
 from repro.delays.system import System
 from repro.graphs.topology import Topology
 from repro.model.execution import Execution
 from repro.model.views import View
-from repro.runner.sharding import Shard
 from repro.session import Session, resolve_source
+
+if TYPE_CHECKING:
+    from repro.analysis.reporting import Table
+    from repro.runner.sharding import Shard
 
 #: ``sweep`` accepts builders as a name->builder mapping or (name, builder)
 #: pairs; builders have the :data:`repro.workloads.campaign.ScenarioBuilder`

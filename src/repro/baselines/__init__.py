@@ -14,38 +14,23 @@ Baselines emit plain correction vectors; the common scoring function is
 paper's own optimality measure.
 """
 
-from repro.baselines.cristian import (
-    best_round_trip_offset,
-    cristian_corrections,
-    cristian_error_bound,
-)
-from repro.baselines.lp import (
-    DifferenceConstraint,
-    LPError,
-    assumption_constraints,
-    lp_ms_tilde,
-    lp_optimal_corrections,
-    system_constraints,
-)
-from repro.baselines.ntp_like import (
-    BaselineError,
-    bfs_tree,
-    link_offset_estimate,
-    ntp_corrections,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "best_round_trip_offset",
-    "cristian_corrections",
-    "cristian_error_bound",
-    "DifferenceConstraint",
-    "LPError",
-    "assumption_constraints",
-    "lp_ms_tilde",
-    "lp_optimal_corrections",
-    "system_constraints",
-    "BaselineError",
-    "bfs_tree",
-    "link_offset_estimate",
-    "ntp_corrections",
-]
+_EXPORTS = {
+    "best_round_trip_offset": "repro.baselines.cristian",
+    "cristian_corrections": "repro.baselines.cristian",
+    "cristian_error_bound": "repro.baselines.cristian",
+    "DifferenceConstraint": "repro.baselines.lp",
+    "LPError": "repro.baselines.lp",
+    "assumption_constraints": "repro.baselines.lp",
+    "lp_ms_tilde": "repro.baselines.lp",
+    "lp_optimal_corrections": "repro.baselines.lp",
+    "system_constraints": "repro.baselines.lp",
+    "BaselineError": "repro.baselines.ntp_like",
+    "bfs_tree": "repro.baselines.ntp_like",
+    "link_offset_estimate": "repro.baselines.ntp_like",
+    "ntp_corrections": "repro.baselines.ntp_like",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

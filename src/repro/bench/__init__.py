@@ -33,94 +33,49 @@ CLI: ``repro-clocksync bench run|compare|report``.  See DESIGN.md
 section 13.
 """
 
-from repro.bench.baseline import (
-    MIN_SIGNIFICANT_REPEATS,
-    TOLERANCE_PRESETS,
-    BaselineMismatchError,
-    CaseDelta,
-    Comparison,
-    compare_reports,
-    compare_results,
-    resolve_tolerance,
-)
-from repro.bench.registry import (
-    REGISTRY,
-    SUITES,
-    BenchCase,
-    BenchRegistry,
-    benchmark,
-    load_default_workloads,
-)
-from repro.bench.report import (
-    comparison_table,
-    environment_lines,
-    memory_table,
-    percentiles_table,
-    render_report,
-    result_line,
-    timings_table,
-)
-from repro.bench.runner import (
-    DEFAULT_REPEATS,
-    DEFAULT_WARMUP,
-    PERCENTILES,
-    RunOutcome,
-    run_case,
-    run_cases,
-    run_suite,
-)
-from repro.bench.schema import (
-    BENCH_SCHEMA_VERSION,
-    BenchReport,
-    BenchResult,
-    BenchSchemaError,
-    EnvFingerprint,
-    SampleStats,
-    append_history,
-    read_bench_report,
-    read_history,
-    validate_bench_file,
-    write_bench_report,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "DEFAULT_REPEATS",
-    "DEFAULT_WARMUP",
-    "MIN_SIGNIFICANT_REPEATS",
-    "PERCENTILES",
-    "REGISTRY",
-    "SUITES",
-    "TOLERANCE_PRESETS",
-    "BaselineMismatchError",
-    "BenchCase",
-    "BenchRegistry",
-    "BenchReport",
-    "BenchResult",
-    "BenchSchemaError",
-    "CaseDelta",
-    "Comparison",
-    "EnvFingerprint",
-    "RunOutcome",
-    "SampleStats",
-    "append_history",
-    "benchmark",
-    "compare_reports",
-    "compare_results",
-    "comparison_table",
-    "environment_lines",
-    "load_default_workloads",
-    "memory_table",
-    "percentiles_table",
-    "read_bench_report",
-    "read_history",
-    "render_report",
-    "resolve_tolerance",
-    "result_line",
-    "run_case",
-    "run_cases",
-    "run_suite",
-    "timings_table",
-    "validate_bench_file",
-    "write_bench_report",
-]
+_EXPORTS = {
+    "BENCH_SCHEMA_VERSION": "repro.bench.schema",
+    "DEFAULT_REPEATS": "repro.bench.runner",
+    "DEFAULT_WARMUP": "repro.bench.runner",
+    "MIN_SIGNIFICANT_REPEATS": "repro.bench.baseline",
+    "PERCENTILES": "repro.bench.runner",
+    "REGISTRY": "repro.bench.registry",
+    "SUITES": "repro.bench.registry",
+    "TOLERANCE_PRESETS": "repro.bench.baseline",
+    "BaselineMismatchError": "repro.bench.baseline",
+    "BenchCase": "repro.bench.registry",
+    "BenchRegistry": "repro.bench.registry",
+    "BenchReport": "repro.bench.schema",
+    "BenchResult": "repro.bench.schema",
+    "BenchSchemaError": "repro.bench.schema",
+    "CaseDelta": "repro.bench.baseline",
+    "Comparison": "repro.bench.baseline",
+    "EnvFingerprint": "repro.bench.schema",
+    "RunOutcome": "repro.bench.runner",
+    "SampleStats": "repro.bench.schema",
+    "append_history": "repro.bench.schema",
+    "benchmark": "repro.bench.registry",
+    "compare_reports": "repro.bench.baseline",
+    "compare_results": "repro.bench.baseline",
+    "comparison_table": "repro.bench.report",
+    "environment_lines": "repro.bench.report",
+    "load_default_workloads": "repro.bench.registry",
+    "memory_table": "repro.bench.report",
+    "percentiles_table": "repro.bench.report",
+    "read_bench_report": "repro.bench.schema",
+    "read_history": "repro.bench.schema",
+    "render_report": "repro.bench.report",
+    "resolve_tolerance": "repro.bench.baseline",
+    "result_line": "repro.bench.report",
+    "run_case": "repro.bench.runner",
+    "run_cases": "repro.bench.runner",
+    "run_suite": "repro.bench.runner",
+    "timings_table": "repro.bench.report",
+    "validate_bench_file": "repro.bench.schema",
+    "write_bench_report": "repro.bench.schema",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

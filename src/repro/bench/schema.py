@@ -39,6 +39,7 @@ from repro.records import (
     RecordError,
     append_record,
     iter_records,
+    read_document,
     seal,
     write_atomic,
 )
@@ -334,7 +335,7 @@ def write_bench_report(
 
 def read_bench_report(path: PathLike) -> BenchReport:
     """Read a single-document report file."""
-    data = json.loads(Path(path).read_text())
+    data = read_document(path)
     if not isinstance(data, dict):
         raise BenchSchemaError(
             f"{path}: not a bench report document"

@@ -11,153 +11,112 @@ foreground correction server for real peers to report to.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import sys
 
-from repro.cli._options import (
-    add_obs_arguments,
-    observability,
-)
+from repro.cli._options import add_obs_arguments, observability
 
 
 def _cmd_live_smoke(args: argparse.Namespace) -> int:
+    import asyncio
+
+    from repro.live.cluster import run_smoke
+    from repro.live.transport import LossyNetwork
+
+    net = (
+        LossyNetwork(loss=args.loss, reorder=args.reorder, seed=args.net_seed)
+        if args.loss or args.reorder
+        else None
+    )
     with observability(args, force=True):
-        from repro.obs.recorder import get_recorder
-
-        async def drive() -> dict:
-            from repro.live.cluster import ClusterConfig, LiveCluster
-            from repro.live.transport import LossyNetwork
-
-            net = (
-                LossyNetwork(
-                    loss=args.loss, reorder=args.reorder, seed=args.net_seed
-                )
-                if args.loss or args.reorder
-                else None
-            )
-            cluster = LiveCluster(ClusterConfig(
-                peers=args.peers,
-                interval=args.interval,
-                freshness=args.freshness,
-                net=net,
-                net_seed=args.net_seed,
-            ))
-            async with cluster:
-                await cluster.wait_for_observations(args.warmup)
-                load = await cluster.query_load(
-                    args.queries, concurrency=args.concurrency
-                )
-                cluster.pause_probing()
-                drained = await cluster.drain_transport(args.drain_timeout)
-                transport = cluster.transport_summary()
-                transport["drained"] = drained
-                replay = cluster.verify_replay()
-                summary = {
-                    "replay": replay,
-                    "warm_starts": cluster.warm_starts(),
-                    "load": load,
-                    "cluster": cluster,
-                    "log": cluster.server.probe_log,
-                    "health": cluster.server.health_json(),
-                    "realized": cluster.realized(),
-                    "transport": transport,
-                }
-            return summary
-
-        outcome = asyncio.run(drive())
-        replay = outcome["replay"]
-        load = outcome["load"]
-        recorder = get_recorder()
-        from repro.obs.report import quantile
-
-        histogram = recorder.histogram("live.server.request_seconds")
-        p50 = quantile(histogram, 0.5)
-        p99 = quantile(histogram, 0.99)
-        summary = {
-            "peers": args.peers,
-            "queries": load.queries,
-            "ok_answers": load.ok_answers,
-            "duration_seconds": load.duration,
-            "qps": load.qps,
-            "request_p50_seconds": p50,
-            "request_p99_seconds": p99,
-            "observations": len(outcome["log"]),
-            "replay_ok": replay.ok,
-            "replay_checked": replay.checked,
-            "replay_cuts": len(replay.cuts),
-            **outcome["warm_starts"],
-            "realized_spread": outcome["realized"],
-            "transport": outcome["transport"],
-            "health": outcome["health"],
-        }
-        if args.probe_log_out is not None:
-            from repro.live import write_probe_log
-
-            path = write_probe_log(args.probe_log_out, outcome["log"])
-            summary["probe_log"] = str(path)
+        summary = asyncio.run(run_smoke(
+            peers=args.peers,
+            queries=args.queries,
+            warmup_observations=args.warmup,
+            interval=args.interval,
+            freshness=args.freshness,
+            concurrency=args.concurrency,
+            net=net,
+            net_seed=args.net_seed,
+            drain_timeout=args.drain_timeout,
+            probe_log_out=args.probe_log_out,
+        ))
         if args.json:
             print(json.dumps(summary, sort_keys=True, default=str))
         else:
-            print(f"peers:        {args.peers}  "
-                  f"(complete graph, loopback UDP)")
-            print(f"observations: {summary['observations']} admitted")
-            print(f"queries:      {load.queries}  "
-                  f"({load.ok_answers} answered ok)")
-            print(f"throughput:   {load.qps:.0f} queries/s "
-                  f"({load.duration:.3f}s)")
-            print(f"latency:      p50 {p50 * 1e6:.0f}us  "
-                  f"p99 {p99 * 1e6:.0f}us")
-            transport = summary["transport"]
-            totals = transport["totals"]
-            print(f"transport:    {totals.get('handed', 0):.0f} handed  "
-                  f"{totals.get('retransmits', 0):.0f} retransmits  "
-                  f"{totals.get('give_ups', 0):.0f} give-ups  "
-                  f"{transport['lost_observations']} lost"
-                  + ("" if transport["drained"] else "  (DRAIN TIMEOUT)"))
-            if "net" in transport:
-                net = transport["net"]
-                print(f"injected:     {net['dropped']} drops  "
-                      f"{net['delayed']} delays  "
-                      f"{net['passed']} passed")
-            if transport["unreachable"]:
-                print(f"unreachable:  "
-                      f"{', '.join(transport['unreachable'])}")
-            print(f"shifts:       {summary['shifts_warm_hits']} warm hits  "
-                  f"{summary['shifts_warm_fallbacks']} warm fallbacks")
-            print(replay.describe())
-            if summary["realized_spread"] is not None:
-                print(f"realized spread vs ground truth: "
-                      f"{summary['realized_spread']:.6g}")
-            if "probe_log" in summary:
-                print(f"probe log written: {summary['probe_log']}")
-        if not replay.ok:
-            print("FAIL: live answers diverge from offline replay",
-                  file=sys.stderr)
-            return 1
-        if args.min_qps is not None and load.qps < args.min_qps:
-            print(f"FAIL: {load.qps:.0f} qps below the --min-qps "
-                  f"{args.min_qps:g} threshold", file=sys.stderr)
-            return 1
-        transport = summary["transport"]
-        if not transport["drained"]:
-            print("FAIL: transport did not drain within "
-                  f"{args.drain_timeout:g}s", file=sys.stderr)
-            return 1
-        if transport["lost_observations"] > 0:
-            print(f"FAIL: {transport['lost_observations']} observations "
-                  "lost in transit (neither delivered nor surfaced)",
-                  file=sys.stderr)
-            return 1
+            _print_smoke(summary)
+    transport = summary["transport"]
+    if not summary["replay_ok"]:
+        print("FAIL: live answers diverge from offline replay",
+              file=sys.stderr)
+        return 1
+    if args.min_qps is not None and summary["qps"] < args.min_qps:
+        print(f"FAIL: {summary['qps']:.0f} qps below the --min-qps "
+              f"{args.min_qps:g} threshold", file=sys.stderr)
+        return 1
+    if not transport["drained"]:
+        print("FAIL: transport did not drain within "
+              f"{args.drain_timeout:g}s", file=sys.stderr)
+        return 1
+    if transport["lost_observations"] > 0:
+        print(f"FAIL: {transport['lost_observations']} observations "
+              "lost in transit (neither delivered nor surfaced)",
+              file=sys.stderr)
+        return 1
     return 0
+
+
+def _print_smoke(summary: dict) -> None:
+    print(f"peers:        {summary['peers']}  (complete graph, loopback UDP)")
+    print(f"observations: {summary['admitted']} admitted")
+    print(f"queries:      {summary['queries']}  "
+          f"({summary['ok_answers']} answered ok)")
+    print(f"throughput:   {summary['qps']:.0f} queries/s "
+          f"({summary['duration_seconds']:.3f}s)")
+    print(f"latency:      p50 {summary['request_p50_seconds'] * 1e6:.0f}us  "
+          f"p99 {summary['request_p99_seconds'] * 1e6:.0f}us")
+    transport = summary["transport"]
+    totals = transport["totals"]
+    print(f"transport:    {totals.get('handed', 0):.0f} handed  "
+          f"{totals.get('retransmits', 0):.0f} retransmits  "
+          f"{totals.get('give_ups', 0):.0f} give-ups  "
+          f"{transport['lost_observations']} lost"
+          + ("" if transport["drained"] else "  (DRAIN TIMEOUT)"))
+    if "net" in transport:
+        net = transport["net"]
+        print(f"injected:     {net['dropped']} drops  "
+              f"{net['delayed']} delays  "
+              f"{net['passed']} passed")
+    if transport["unreachable"]:
+        print(f"unreachable:  {', '.join(transport['unreachable'])}")
+    print(f"shifts:       {summary['shifts_warm_hits']} warm hits  "
+          f"{summary['shifts_warm_fallbacks']} warm fallbacks")
+    print(summary["replay"])
+    if summary["realized_spread"] is not None:
+        print(f"realized spread vs ground truth: "
+              f"{summary['realized_spread']:.6g}")
+    if summary["probe_log"] is not None:
+        print(f"probe log written: {summary['probe_log']}")
+
+
+def _complete_topology(names):
+    """The complete topology over the named processors."""
+    from repro.graphs.topology import Topology
+
+    return Topology(
+        name=f"live-{len(names)}",
+        nodes=tuple(names),
+        links=tuple(
+            (p, q) for i, p in enumerate(names) for q in names[i + 1:]
+        ),
+    )
 
 
 def _cmd_live_replay(args: argparse.Namespace) -> int:
     """Rerun a recorded probe log through the batch pipeline."""
     import repro
-    from repro.live import load_probe_log, ProbeLogError
     from repro.live.cluster import live_system
-    from repro.graphs.topology import Topology
+    from repro.live.trace import ProbeLogError, load_probe_log
 
     with observability(args):
         try:
@@ -170,16 +129,7 @@ def _cmd_live_replay(args: argparse.Namespace) -> int:
             print(f"probe log covers {len(processors)} processor(s); "
                   "nothing to synchronize", file=sys.stderr)
             return 1
-        topology = Topology(
-            name=f"live-{len(processors)}",
-            nodes=tuple(processors),
-            links=tuple(
-                (p, q)
-                for i, p in enumerate(processors)
-                for q in processors[i + 1:]
-            ),
-        )
-        system = live_system(topology)
+        system = live_system(_complete_topology(processors))
         result = repro.run(system, args.log)
         print(f"observations: {len(log)}")
         print(f"precision:    {result.precision:.6g}  (= A^max, certified)")
@@ -193,10 +143,12 @@ def _cmd_live_replay(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run a foreground correction server for real peers to report to."""
+    import asyncio
+
     from repro.graphs.topology import complete
-    from repro.live import write_probe_log
     from repro.live.cluster import live_system
     from repro.live.server import start_correction_server
+    from repro.live.trace import write_probe_log
 
     if args.processors is not None:
         names = [n.strip() for n in args.processors.split(",") if n.strip()]
@@ -204,17 +156,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print("--processors needs at least two comma-separated ids",
                   file=sys.stderr)
             return 2
-        from repro.graphs.topology import Topology
-
-        topology = Topology(
-            name=f"live-{len(names)}",
-            nodes=tuple(names),
-            links=tuple(
-                (p, q)
-                for i, p in enumerate(names)
-                for q in names[i + 1:]
-            ),
-        )
+        topology = _complete_topology(names)
     else:
         topology = complete(args.peers)
     system = live_system(topology)

@@ -18,53 +18,30 @@ paper's ``rho_bar`` measure, and :mod:`repro.core.optimality` verifies
 optimality certificates.
 """
 
-from repro.core.estimates import (
-    IncompleteViewsError,
-    estimated_delays,
-    local_shift_estimates,
-    partial_estimated_delays,
-    true_local_shifts,
-)
-from repro.core.errors import InconsistentViewsError, UnboundedPrecisionError
-from repro.core.optimality import (
-    Certificate,
-    CertificateError,
-    beats_or_ties,
-    cycle_mean_under,
-    verify_certificate,
-)
-from repro.core.precision import (
-    corrected_starts,
-    realized_spread,
-    rho_bar,
-    rho_bar_true,
-)
-from repro.core.synchronizer import (
-    ClockSynchronizer,
-    ComponentResult,
-    DegradedResult,
-    SyncResult,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "IncompleteViewsError",
-    "estimated_delays",
-    "local_shift_estimates",
-    "partial_estimated_delays",
-    "true_local_shifts",
-    "InconsistentViewsError",
-    "Certificate",
-    "CertificateError",
-    "beats_or_ties",
-    "cycle_mean_under",
-    "verify_certificate",
-    "corrected_starts",
-    "realized_spread",
-    "rho_bar",
-    "rho_bar_true",
-    "UnboundedPrecisionError",
-    "ClockSynchronizer",
-    "ComponentResult",
-    "DegradedResult",
-    "SyncResult",
-]
+_EXPORTS = {
+    "IncompleteViewsError": "repro.core.estimates",
+    "estimated_delays": "repro.core.estimates",
+    "local_shift_estimates": "repro.core.estimates",
+    "partial_estimated_delays": "repro.core.estimates",
+    "true_local_shifts": "repro.core.estimates",
+    "InconsistentViewsError": "repro.core.errors",
+    "Certificate": "repro.core.optimality",
+    "CertificateError": "repro.core.optimality",
+    "beats_or_ties": "repro.core.optimality",
+    "cycle_mean_under": "repro.core.optimality",
+    "verify_certificate": "repro.core.optimality",
+    "corrected_starts": "repro.core.precision",
+    "realized_spread": "repro.core.precision",
+    "rho_bar": "repro.core.precision",
+    "rho_bar_true": "repro.core.precision",
+    "UnboundedPrecisionError": "repro.core.errors",
+    "ClockSynchronizer": "repro.core.synchronizer",
+    "ComponentResult": "repro.core.synchronizer",
+    "DegradedResult": "repro.core.synchronizer",
+    "SyncResult": "repro.core.synchronizer",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -15,48 +15,31 @@ This subpackage implements Sections 5 and 6 of the paper:
 * :class:`~repro.delays.system.System`, the paper's ``(G, A)`` pair.
 """
 
-from repro.delays.base import (
-    ADMIT_TOL,
-    DelayAssumption,
-    DirectionStats,
-    PairTiming,
-)
-from repro.delays.bias import RoundTripBias, RoundTripBiasUnsigned
-from repro.delays.bounds import BoundedDelay, lower_bounds_only, no_bounds
-from repro.delays.composite import Composite
-from repro.delays.distributions import (
-    AsymmetricUniform,
-    Bimodal,
-    Constant,
-    CorrelatedLoad,
-    DelaySampler,
-    Direction,
-    ShiftedExponential,
-    TruncatedNormal,
-    UniformDelay,
-)
-from repro.delays.system import System, UnknownLinkError
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ADMIT_TOL",
-    "DelayAssumption",
-    "DirectionStats",
-    "PairTiming",
-    "RoundTripBias",
-    "RoundTripBiasUnsigned",
-    "BoundedDelay",
-    "lower_bounds_only",
-    "no_bounds",
-    "Composite",
-    "AsymmetricUniform",
-    "Bimodal",
-    "Constant",
-    "CorrelatedLoad",
-    "DelaySampler",
-    "Direction",
-    "ShiftedExponential",
-    "TruncatedNormal",
-    "UniformDelay",
-    "System",
-    "UnknownLinkError",
-]
+_EXPORTS = {
+    "ADMIT_TOL": "repro.delays.base",
+    "DelayAssumption": "repro.delays.base",
+    "DirectionStats": "repro.delays.base",
+    "PairTiming": "repro.delays.base",
+    "RoundTripBias": "repro.delays.bias",
+    "RoundTripBiasUnsigned": "repro.delays.bias",
+    "BoundedDelay": "repro.delays.bounds",
+    "lower_bounds_only": "repro.delays.bounds",
+    "no_bounds": "repro.delays.bounds",
+    "Composite": "repro.delays.composite",
+    "AsymmetricUniform": "repro.delays.distributions",
+    "Bimodal": "repro.delays.distributions",
+    "Constant": "repro.delays.distributions",
+    "CorrelatedLoad": "repro.delays.distributions",
+    "DelaySampler": "repro.delays.distributions",
+    "Direction": "repro.delays.distributions",
+    "ShiftedExponential": "repro.delays.distributions",
+    "TruncatedNormal": "repro.delays.distributions",
+    "UniformDelay": "repro.delays.distributions",
+    "System": "repro.delays.system",
+    "UnknownLinkError": "repro.delays.system",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

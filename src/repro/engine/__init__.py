@@ -20,26 +20,20 @@ See DESIGN.md section "Engine layer" for the matrix layout and the
 invariants the backends are tested against.
 """
 
-from repro.engine.base import EngineShifts, SyncEngine
-from repro.engine.index import PairView, ProcessorIndex
-from repro.engine.numpy_backend import NumpyEngine
-from repro.engine.python_backend import PythonEngine
-from repro.engine.registry import (
-    DEFAULT_BACKEND,
-    available_backends,
-    create_engine,
-)
-from repro.engine.stats import EngineStats
+from repro._exports import lazy_exports
 
-__all__ = [
-    "EngineShifts",
-    "SyncEngine",
-    "PairView",
-    "ProcessorIndex",
-    "NumpyEngine",
-    "PythonEngine",
-    "DEFAULT_BACKEND",
-    "available_backends",
-    "create_engine",
-    "EngineStats",
-]
+_EXPORTS = {
+    "EngineShifts": "repro.engine.base",
+    "SyncEngine": "repro.engine.base",
+    "PairView": "repro.engine.index",
+    "ProcessorIndex": "repro.engine.index",
+    "NumpyEngine": "repro.engine.numpy_backend",
+    "PythonEngine": "repro.engine.python_backend",
+    "DEFAULT_BACKEND": "repro.engine.registry",
+    "available_backends": "repro.engine.registry",
+    "create_engine": "repro.engine.registry",
+    "EngineStats": "repro.engine.stats",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -10,46 +10,46 @@ Run them via the CLI (``repro-clocksync experiment E1``) or the benchmark
 harness (``pytest benchmarks/ --benchmark-only``).
 """
 
-from typing import Callable, Dict, List
+import importlib
+from typing import TYPE_CHECKING, Callable, Dict, List
 
-from repro.analysis.reporting import Table
-from repro.experiments import (
-    e1_optimality,
-    e2_local_shifts,
-    e3_unbounded,
-    e4_bias_vs_bounds,
-    e5_decomposition,
-    e6_lp_crosscheck,
-    e7_baselines,
-    e8_messages,
-    e9_scaling,
-    e10_extensions,
-    e11_windowed,
-    e12_probabilistic,
-    e13_diagnosis,
-    e14_convergence,
-    e15_faults,
-    e17_transport,
-)
+if TYPE_CHECKING:
+    from repro.analysis.reporting import Table
+
+#: Experiment id -> module under ``repro.experiments``.
+_MODULES: Dict[str, str] = {
+    "E1": "e1_optimality",
+    "E2": "e2_local_shifts",
+    "E3": "e3_unbounded",
+    "E4": "e4_bias_vs_bounds",
+    "E5": "e5_decomposition",
+    "E6": "e6_lp_crosscheck",
+    "E7": "e7_baselines",
+    "E8": "e8_messages",
+    "E9": "e9_scaling",
+    "E10": "e10_extensions",
+    "E11": "e11_windowed",
+    "E12": "e12_probabilistic",
+    "E13": "e13_diagnosis",
+    "E14": "e14_convergence",
+    "E15": "e15_faults",
+    "E17": "e17_transport",
+}
+
+
+def _runner(module: str) -> Callable[..., List["Table"]]:
+    """The experiment's ``run``, its module imported only when it runs."""
+
+    def run(*args, **kwargs) -> List["Table"]:
+        experiment = importlib.import_module(f"repro.experiments.{module}")
+        return experiment.run(*args, **kwargs)
+
+    return run
+
 
 #: Experiment id -> runner.  Keep ids in sync with DESIGN.md / EXPERIMENTS.md.
-REGISTRY: Dict[str, Callable[..., List[Table]]] = {
-    "E1": e1_optimality.run,
-    "E2": e2_local_shifts.run,
-    "E3": e3_unbounded.run,
-    "E4": e4_bias_vs_bounds.run,
-    "E5": e5_decomposition.run,
-    "E6": e6_lp_crosscheck.run,
-    "E7": e7_baselines.run,
-    "E8": e8_messages.run,
-    "E9": e9_scaling.run,
-    "E10": e10_extensions.run,
-    "E11": e11_windowed.run,
-    "E12": e12_probabilistic.run,
-    "E13": e13_diagnosis.run,
-    "E14": e14_convergence.run,
-    "E15": e15_faults.run,
-    "E17": e17_transport.run,
+REGISTRY: Dict[str, Callable[..., List["Table"]]] = {
+    key: _runner(module) for key, module in _MODULES.items()
 }
 
 DESCRIPTIONS: Dict[str, str] = {
@@ -72,7 +72,7 @@ DESCRIPTIONS: Dict[str, str] = {
 }
 
 
-def run_experiment(experiment_id: str, quick: bool = False) -> List[Table]:
+def run_experiment(experiment_id: str, quick: bool = False) -> List["Table"]:
     """Run one experiment by id and return its tables."""
     key = experiment_id.upper()
     if key not in REGISTRY:

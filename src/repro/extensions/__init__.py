@@ -15,78 +15,41 @@
   sufficient statistics incrementally.
 """
 
-from repro.extensions.drift import (
-    DriftingClocks,
-    ResyncRound,
-    corrected_spread,
-    periodic_resync,
-    probe_round_stats,
-)
-from repro.extensions.external_time import (
-    anchor_to_real_time,
-    real_time_error_bounds,
-    realized_real_time_errors,
-)
-from repro.extensions.leader import (
-    Assign,
-    EdgeStats,
-    LeaderSyncAutomaton,
-    NodeState,
-    ProtocolIncomplete,
-    Report,
-    TimestampedProbe,
-    corrections_from_execution,
-    leader_automata,
-    tree_routing,
-)
-from repro.extensions.online import OnlineSynchronizer
-from repro.extensions.probabilistic import (
-    DelayDistribution,
-    EmpiricalDelay,
-    ExponentialDelay,
-    ProbabilisticResult,
-    UniformDelayDistribution,
-    derive_bounded_system,
-    probabilistic_synchronize,
-)
-from repro.extensions.windowed_bias import (
-    TimedObservation,
-    WindowedBias,
-    observations_from_views,
-    synchronize_windowed,
-    windowed_local_estimates,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "OnlineSynchronizer",
-    "DelayDistribution",
-    "EmpiricalDelay",
-    "ExponentialDelay",
-    "ProbabilisticResult",
-    "UniformDelayDistribution",
-    "derive_bounded_system",
-    "probabilistic_synchronize",
-    "TimedObservation",
-    "WindowedBias",
-    "observations_from_views",
-    "synchronize_windowed",
-    "windowed_local_estimates",
-    "DriftingClocks",
-    "ResyncRound",
-    "corrected_spread",
-    "periodic_resync",
-    "probe_round_stats",
-    "anchor_to_real_time",
-    "real_time_error_bounds",
-    "realized_real_time_errors",
-    "Assign",
-    "EdgeStats",
-    "LeaderSyncAutomaton",
-    "NodeState",
-    "ProtocolIncomplete",
-    "Report",
-    "TimestampedProbe",
-    "corrections_from_execution",
-    "leader_automata",
-    "tree_routing",
-]
+_EXPORTS = {
+    "OnlineSynchronizer": "repro.extensions.online",
+    "DelayDistribution": "repro.extensions.probabilistic",
+    "EmpiricalDelay": "repro.extensions.probabilistic",
+    "ExponentialDelay": "repro.extensions.probabilistic",
+    "ProbabilisticResult": "repro.extensions.probabilistic",
+    "UniformDelayDistribution": "repro.extensions.probabilistic",
+    "derive_bounded_system": "repro.extensions.probabilistic",
+    "probabilistic_synchronize": "repro.extensions.probabilistic",
+    "TimedObservation": "repro.extensions.windowed_bias",
+    "WindowedBias": "repro.extensions.windowed_bias",
+    "observations_from_views": "repro.extensions.windowed_bias",
+    "synchronize_windowed": "repro.extensions.windowed_bias",
+    "windowed_local_estimates": "repro.extensions.windowed_bias",
+    "DriftingClocks": "repro.extensions.drift",
+    "ResyncRound": "repro.extensions.drift",
+    "corrected_spread": "repro.extensions.drift",
+    "periodic_resync": "repro.extensions.drift",
+    "probe_round_stats": "repro.extensions.drift",
+    "anchor_to_real_time": "repro.extensions.external_time",
+    "real_time_error_bounds": "repro.extensions.external_time",
+    "realized_real_time_errors": "repro.extensions.external_time",
+    "Assign": "repro.extensions.leader",
+    "EdgeStats": "repro.extensions.leader",
+    "LeaderSyncAutomaton": "repro.extensions.leader",
+    "NodeState": "repro.extensions.leader",
+    "ProtocolIncomplete": "repro.extensions.leader",
+    "Report": "repro.extensions.leader",
+    "TimestampedProbe": "repro.extensions.leader",
+    "corrections_from_execution": "repro.extensions.leader",
+    "leader_automata": "repro.extensions.leader",
+    "tree_routing": "repro.extensions.leader",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -10,40 +10,25 @@ and emitting ``fault.injected`` telemetry events.  DESIGN.md section 10
 specifies the degradation semantics each downstream layer must uphold.
 """
 
-from repro.faults.injector import (
-    DispatchDecision,
-    FaultInjector,
-    FaultLog,
-    InjectedFault,
-)
-from repro.faults.plan import (
-    DuplicateDelivery,
-    Fault,
-    FaultPlan,
-    FaultPlanError,
-    LinkDown,
-    MessageLoss,
-    ProcessorCrash,
-    TimestampCorruption,
-    dump_fault_plan,
-    example_plan,
-    load_fault_plan,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DispatchDecision",
-    "DuplicateDelivery",
-    "Fault",
-    "FaultInjector",
-    "FaultLog",
-    "FaultPlan",
-    "FaultPlanError",
-    "InjectedFault",
-    "LinkDown",
-    "MessageLoss",
-    "ProcessorCrash",
-    "TimestampCorruption",
-    "dump_fault_plan",
-    "example_plan",
-    "load_fault_plan",
-]
+_EXPORTS = {
+    "DispatchDecision": "repro.faults.injector",
+    "DuplicateDelivery": "repro.faults.plan",
+    "Fault": "repro.faults.plan",
+    "FaultInjector": "repro.faults.injector",
+    "FaultLog": "repro.faults.injector",
+    "FaultPlan": "repro.faults.plan",
+    "FaultPlanError": "repro.faults.plan",
+    "InjectedFault": "repro.faults.injector",
+    "LinkDown": "repro.faults.plan",
+    "MessageLoss": "repro.faults.plan",
+    "ProcessorCrash": "repro.faults.plan",
+    "TimestampCorruption": "repro.faults.plan",
+    "dump_fault_plan": "repro.faults.plan",
+    "example_plan": "repro.faults.plan",
+    "load_fault_plan": "repro.faults.plan",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro._types import INF, Edge, ProcessorId, Time
-from repro.records import write_atomic
+from repro.records import read_document, write_atomic
 
 
 class FaultPlanError(ValueError):
@@ -318,7 +318,7 @@ class FaultPlan:
 def load_fault_plan(path: Union[str, Path]) -> FaultPlan:
     """Read a :class:`FaultPlan` from a JSON file."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = read_document(path)
     except (OSError, ValueError) as exc:
         raise FaultPlanError(f"cannot read fault plan {path}: {exc}") from exc
     return FaultPlan.from_json(data)

@@ -15,97 +15,51 @@ replayable offline -- byte-for-byte -- through
 tests, benchmarks, and the CI live job.
 """
 
-from repro.live.clock import LiveClock, ManualClock
-from repro.live.cluster import (
-    ClusterConfig,
-    LiveCluster,
-    LoadResult,
-    default_offsets,
-    live_system,
-    run_smoke,
-    smoke,
-)
-from repro.live.peer import PeerConfig, ProbePeer, start_peer
-from repro.live.replay import (
-    ReplayMismatch,
-    ReplayReport,
-    replay_cut,
-    verify_replay_equality,
-)
-from repro.live.server import (
-    DEFAULT_FRESHNESS,
-    SERVER_ID,
-    CorrectionClient,
-    CorrectionServer,
-    start_client,
-    start_correction_server,
-)
-from repro.live.transport import (
-    LIVE_TRANSPORT_CONFIG,
-    LossyNetwork,
-    SegmentChannel,
-)
-from repro.live.trace import (
-    PROBE_RECORD_TYPE,
-    ProbeLog,
-    ProbeLogError,
-    load_probe_log,
-    validate_probe_log_file,
-    views_from_probes,
-    write_probe_log,
-)
-from repro.live.wire import (
-    Correction,
-    Probe,
-    Query,
-    Report,
-    Seg,
-    SegAck,
-    WireError,
-    decode,
-    encode,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ClusterConfig",
-    "Correction",
-    "CorrectionClient",
-    "CorrectionServer",
-    "DEFAULT_FRESHNESS",
-    "LIVE_TRANSPORT_CONFIG",
-    "LiveClock",
-    "LiveCluster",
-    "LoadResult",
-    "LossyNetwork",
-    "ManualClock",
-    "PROBE_RECORD_TYPE",
-    "PeerConfig",
-    "Probe",
-    "ProbeLog",
-    "ProbeLogError",
-    "ProbePeer",
-    "Query",
-    "ReplayMismatch",
-    "ReplayReport",
-    "Report",
-    "SERVER_ID",
-    "Seg",
-    "SegAck",
-    "SegmentChannel",
-    "WireError",
-    "decode",
-    "default_offsets",
-    "encode",
-    "live_system",
-    "load_probe_log",
-    "replay_cut",
-    "run_smoke",
-    "smoke",
-    "start_client",
-    "start_correction_server",
-    "start_peer",
-    "validate_probe_log_file",
-    "verify_replay_equality",
-    "views_from_probes",
-    "write_probe_log",
-]
+_EXPORTS = {
+    "ClusterConfig": "repro.live.cluster",
+    "Correction": "repro.live.wire",
+    "CorrectionClient": "repro.live.server",
+    "CorrectionServer": "repro.live.server",
+    "DEFAULT_FRESHNESS": "repro.live.server",
+    "LIVE_TRANSPORT_CONFIG": "repro.live.transport",
+    "LiveClock": "repro.live.clock",
+    "LiveCluster": "repro.live.cluster",
+    "LoadResult": "repro.live.cluster",
+    "LossyNetwork": "repro.live.transport",
+    "ManualClock": "repro.live.clock",
+    "PROBE_RECORD_TYPE": "repro.live.trace",
+    "PeerConfig": "repro.live.peer",
+    "Probe": "repro.live.wire",
+    "ProbeLog": "repro.live.trace",
+    "ProbeLogError": "repro.live.trace",
+    "ProbePeer": "repro.live.peer",
+    "Query": "repro.live.wire",
+    "ReplayMismatch": "repro.live.replay",
+    "ReplayReport": "repro.live.replay",
+    "Report": "repro.live.wire",
+    "SERVER_ID": "repro.live.server",
+    "Seg": "repro.live.wire",
+    "SegAck": "repro.live.wire",
+    "SegmentChannel": "repro.live.transport",
+    "WireError": "repro.live.wire",
+    "decode": "repro.live.wire",
+    "default_offsets": "repro.live.cluster",
+    "encode": "repro.live.wire",
+    "live_system": "repro.live.cluster",
+    "load_probe_log": "repro.live.trace",
+    "replay_cut": "repro.live.replay",
+    "run_smoke": "repro.live.cluster",
+    "smoke": "repro.live.cluster",
+    "start_client": "repro.live.server",
+    "start_correction_server": "repro.live.server",
+    "start_peer": "repro.live.peer",
+    "validate_probe_log_file": "repro.live.trace",
+    "verify_replay_equality": "repro.live.replay",
+    "views_from_probes": "repro.live.trace",
+    "write_probe_log": "repro.live.trace",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -53,6 +53,7 @@ from repro.live.server import (
     start_client,
     start_correction_server,
 )
+from repro.live.trace import write_probe_log
 from repro.live.transport import LossyNetwork, SegmentChannel
 from repro.live.wire import Correction, WireId
 from repro.obs.recorder import Recorder, get_recorder, recording
@@ -391,6 +392,7 @@ async def run_smoke(
     net: Optional[LossyNetwork] = None,
     net_seed: Any = 0,
     drain_timeout: float = 10.0,
+    probe_log_out: Optional[str] = None,
 ) -> dict:
     """Boot a cluster, drive a query load, audit it; return the summary.
 
@@ -400,6 +402,9 @@ async def run_smoke(
     variant -- zero lost observations (``transport.lost_observations``:
     every probe handed to the transport was delivered, surfaced as
     undelivered by a give-up, or refused on a dead channel).
+    ``observations`` counts what the online synchronizer ingested and
+    ``admitted`` the probe log's records; with ``probe_log_out`` that
+    log is written there as JSONL and ``probe_log`` names the file.
     """
     recorder = get_recorder()
     cluster = LiveCluster(
@@ -442,6 +447,7 @@ async def run_smoke(
             "request_p99_seconds": (
                 quantile(histogram, 0.99) if recorder.enabled else None
             ),
+            "replay": replay.describe(),
             "replay_ok": replay.ok,
             "replay_checked": replay.checked,
             "replay_cuts": len(replay.cuts),
@@ -449,7 +455,11 @@ async def run_smoke(
             "realized_spread": realized,
             "transport": transport,
             "health": server.health_json(),
+            "probe_log": None,
         }
+    if probe_log_out is not None:
+        path = write_probe_log(probe_log_out, server.probe_log)
+        summary["probe_log"] = str(path)
     return summary
 
 

@@ -13,53 +13,33 @@ lower-bound argument in the paper: they move processors in real time
 without changing any view.
 """
 
-from repro.model.builder import (
-    ExecutionBuilder,
-    build_history,
-    two_processor_execution,
-)
-from repro.model.events import (
-    Event,
-    InterruptEvent,
-    Message,
-    MessageReceiveEvent,
-    MessageSendEvent,
-    StartEvent,
-    TimerEvent,
-    TimerSetEvent,
-)
-from repro.model.execution import (
-    Execution,
-    MessageRecord,
-    executions_equivalent,
-    shift_execution,
-    shift_vector_between,
-)
-from repro.model.steps import History, ModelError, Step, TimedStep, shift_history
-from repro.model.views import View, views_equal
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ExecutionBuilder",
-    "build_history",
-    "two_processor_execution",
-    "Event",
-    "InterruptEvent",
-    "Message",
-    "MessageReceiveEvent",
-    "MessageSendEvent",
-    "StartEvent",
-    "TimerEvent",
-    "TimerSetEvent",
-    "Execution",
-    "MessageRecord",
-    "executions_equivalent",
-    "shift_execution",
-    "shift_vector_between",
-    "History",
-    "ModelError",
-    "Step",
-    "TimedStep",
-    "shift_history",
-    "View",
-    "views_equal",
-]
+_EXPORTS = {
+    "ExecutionBuilder": "repro.model.builder",
+    "build_history": "repro.model.builder",
+    "two_processor_execution": "repro.model.builder",
+    "Event": "repro.model.events",
+    "InterruptEvent": "repro.model.events",
+    "Message": "repro.model.events",
+    "MessageReceiveEvent": "repro.model.events",
+    "MessageSendEvent": "repro.model.events",
+    "StartEvent": "repro.model.events",
+    "TimerEvent": "repro.model.events",
+    "TimerSetEvent": "repro.model.events",
+    "Execution": "repro.model.execution",
+    "MessageRecord": "repro.model.execution",
+    "executions_equivalent": "repro.model.execution",
+    "shift_execution": "repro.model.execution",
+    "shift_vector_between": "repro.model.execution",
+    "History": "repro.model.steps",
+    "ModelError": "repro.model.steps",
+    "Step": "repro.model.steps",
+    "TimedStep": "repro.model.steps",
+    "shift_history": "repro.model.steps",
+    "View": "repro.model.views",
+    "views_equal": "repro.model.views",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

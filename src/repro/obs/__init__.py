@@ -42,166 +42,77 @@ Quickstart::
 See DESIGN.md sections 7 (spans/metrics) and 8 (protocol telemetry).
 """
 
-from repro.obs.export import (
-    chrome_trace,
-    prometheus_text,
-    validate_metrics_file,
-    validate_prometheus_text,
-    validate_trace_file,
-    write_chrome_trace,
-    write_events_jsonl,
-    write_metrics_jsonl,
-    write_prometheus,
-)
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_all,
-    registry_from_snapshot,
-)
-from repro.obs.memory import (
-    PEAK_RSS_GAUGE,
-    TRACEMALLOC_PEAK_GAUGE,
-    TracemallocPeak,
-    format_bytes,
-    process_peak_rss_bytes,
-    record_memory_gauges,
-)
-from repro.obs.recorder import (
-    NOOP,
-    NoopRecorder,
-    Recorder,
-    get_recorder,
-    recording,
-    set_recorder,
-)
-from repro.obs.report import (
-    aggregate_spans,
-    format_span_tree,
-    histogram_quantiles_table,
-    key_metrics_table,
-    quantile,
-    top_stages_table,
-)
-from repro.obs.http import (
-    PROMETHEUS_CONTENT_TYPE,
-    TelemetryServer,
-    serve_telemetry,
-)
-from repro.obs.log import (
-    LOG_LEVELS,
-    LOG_RECORD_TYPE,
-    LogSink,
-    StructuredLogger,
-    add_log_sink,
-    get_logger,
-    jsonl_logging,
-    log_event,
-    validate_log_file,
-)
-from repro.obs.flow import (
-    EdgeErrorStats,
-    FlowLog,
-    FlowRecord,
-    chrome_flow_events,
-    validate_flow_trace_file,
-    write_causal_dag,
-    write_flow_trace,
-)
-from repro.obs.spans import Span, Tracer
+from repro._exports import lazy_exports
 
-# timeline / monitor are exposed lazily (PEP 562): they reach into
-# repro.core, which imports the engine, which imports this package for
-# the metrics registry -- an eager import here would be circular.
-_LAZY = {
+_EXPORTS = {
+    "DEFAULT_BUCKETS": "repro.obs.metrics",
+    "Counter": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "merge_all": "repro.obs.metrics",
+    "registry_from_snapshot": "repro.obs.metrics",
+    "NOOP": "repro.obs.recorder",
+    "NoopRecorder": "repro.obs.recorder",
+    "Recorder": "repro.obs.recorder",
+    "get_recorder": "repro.obs.recorder",
+    "recording": "repro.obs.recorder",
+    "set_recorder": "repro.obs.recorder",
+    "Span": "repro.obs.spans",
+    "Tracer": "repro.obs.spans",
+    "chrome_trace": "repro.obs.export",
+    "prometheus_text": "repro.obs.export",
+    "write_chrome_trace": "repro.obs.export",
+    "write_events_jsonl": "repro.obs.export",
+    "write_metrics_jsonl": "repro.obs.export",
+    "write_prometheus": "repro.obs.export",
+    "validate_metrics_file": "repro.obs.export",
+    "validate_prometheus_text": "repro.obs.export",
+    "validate_trace_file": "repro.obs.export",
+    "aggregate_spans": "repro.obs.report",
+    "format_span_tree": "repro.obs.report",
+    "histogram_quantiles_table": "repro.obs.report",
+    "key_metrics_table": "repro.obs.report",
+    "quantile": "repro.obs.report",
+    "top_stages_table": "repro.obs.report",
+    "EdgeErrorStats": "repro.obs.flow",
+    "FlowLog": "repro.obs.flow",
+    "FlowRecord": "repro.obs.flow",
+    "chrome_flow_events": "repro.obs.flow",
+    "validate_flow_trace_file": "repro.obs.flow",
+    "write_causal_dag": "repro.obs.flow",
+    "write_flow_trace": "repro.obs.flow",
+    "PROMETHEUS_CONTENT_TYPE": "repro.obs.http",
+    "TelemetryServer": "repro.obs.http",
+    "serve_telemetry": "repro.obs.http",
+    "PEAK_RSS_GAUGE": "repro.obs.memory",
+    "TRACEMALLOC_PEAK_GAUGE": "repro.obs.memory",
+    "TracemallocPeak": "repro.obs.memory",
+    "format_bytes": "repro.obs.memory",
+    "process_peak_rss_bytes": "repro.obs.memory",
+    "record_memory_gauges": "repro.obs.memory",
+    "LOG_LEVELS": "repro.obs.log",
+    "LOG_RECORD_TYPE": "repro.obs.log",
+    "LogSink": "repro.obs.log",
+    "StructuredLogger": "repro.obs.log",
+    "add_log_sink": "repro.obs.log",
+    "get_logger": "repro.obs.log",
+    "jsonl_logging": "repro.obs.log",
+    "log_event": "repro.obs.log",
+    "validate_log_file": "repro.obs.log",
     "ConvergenceSample": "repro.obs.timeline",
+    "MonitorSuite": "repro.obs.monitor",
+    "MonitorViolationError": "repro.obs.monitor",
     "ReplayResult": "repro.obs.timeline",
     "Series": "repro.obs.timeline",
     "Timeline": "repro.obs.timeline",
+    "Violation": "repro.obs.monitor",
+    "default_monitors": "repro.obs.monitor",
     "replay_online": "repro.obs.timeline",
     "timeline_jsonl_lines": "repro.obs.timeline",
     "validate_timeline_file": "repro.obs.timeline",
     "write_timeline_jsonl": "repro.obs.timeline",
-    "MonitorSuite": "repro.obs.monitor",
-    "MonitorViolationError": "repro.obs.monitor",
-    "Violation": "repro.obs.monitor",
-    "default_monitors": "repro.obs.monitor",
 }
 
-
-def __getattr__(name):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
-
-
-__all__ = [
-    "DEFAULT_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "merge_all",
-    "registry_from_snapshot",
-    "NOOP",
-    "NoopRecorder",
-    "Recorder",
-    "get_recorder",
-    "recording",
-    "set_recorder",
-    "Span",
-    "Tracer",
-    "chrome_trace",
-    "prometheus_text",
-    "write_chrome_trace",
-    "write_events_jsonl",
-    "write_metrics_jsonl",
-    "write_prometheus",
-    "validate_metrics_file",
-    "validate_prometheus_text",
-    "validate_trace_file",
-    "aggregate_spans",
-    "format_span_tree",
-    "histogram_quantiles_table",
-    "key_metrics_table",
-    "quantile",
-    "top_stages_table",
-    "EdgeErrorStats",
-    "FlowLog",
-    "FlowRecord",
-    "chrome_flow_events",
-    "validate_flow_trace_file",
-    "write_causal_dag",
-    "write_flow_trace",
-    "PROMETHEUS_CONTENT_TYPE",
-    "TelemetryServer",
-    "serve_telemetry",
-    "PEAK_RSS_GAUGE",
-    "TRACEMALLOC_PEAK_GAUGE",
-    "TracemallocPeak",
-    "format_bytes",
-    "process_peak_rss_bytes",
-    "record_memory_gauges",
-    "LOG_LEVELS",
-    "LOG_RECORD_TYPE",
-    "LogSink",
-    "StructuredLogger",
-    "add_log_sink",
-    "get_logger",
-    "jsonl_logging",
-    "log_event",
-    "validate_log_file",
-    *sorted(_LAZY),
-]
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

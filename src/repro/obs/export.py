@@ -28,7 +28,14 @@ from typing import Dict, Iterator, List, Sequence
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.spans import Span
-from repro.records import PathLike, dumps_record, iter_records, write_atomic, write_lines
+from repro.records import (
+    PathLike,
+    dumps_record,
+    iter_records,
+    read_document,
+    write_atomic,
+    write_lines,
+)
 
 
 _PROM_NAME = re.compile(r"[^a-zA-Z0-9_:]")
@@ -194,7 +201,7 @@ def write_prometheus(path: PathLike, registry: MetricsRegistry) -> Path:
 
 def _trace_events(path: PathLike) -> List[dict]:
     """A trace-event document's events, each checked for ph/pid/name."""
-    document = json.loads(Path(path).read_text())
+    document = read_document(path)
     if not isinstance(document, dict) or "traceEvents" not in document:
         raise ValueError(f"{path}: not a trace-event document")
     for event in document["traceEvents"]:

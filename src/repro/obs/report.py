@@ -12,12 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.reporting import Table
 from repro.obs.spans import Span
-
-# NOTE: repro.analysis.reporting.Table is imported lazily inside the
-# table builders -- repro.analysis pulls in the core pipeline, which
-# pulls in the engine, which imports this package (for EngineStats), so
-# a module-level import here would be circular.
 
 
 @dataclass
@@ -121,8 +117,6 @@ def _flatten(root: SpanNode) -> List[SpanNode]:
 
 def top_stages_table(spans: Sequence[Span], limit: int = 10):
     """The ``limit`` hottest stages by self time, as a printable table."""
-    from repro.analysis.reporting import Table
-
     root = aggregate_spans(spans)
     overall = root.total or 1.0
     nodes = sorted(_flatten(root), key=lambda n: n.self_time, reverse=True)
@@ -184,8 +178,6 @@ def histogram_quantiles_table(
     quantiles: Sequence[float] = (0.5, 0.95, 0.99),
 ):
     """p50/p95/p99 (by default) of selected histograms, as a table."""
-    from repro.analysis.reporting import Table
-
     table = Table(
         title="histogram quantiles (bucket-interpolated)",
         headers=["histogram", "count"]
@@ -210,8 +202,6 @@ def histogram_quantiles_table(
 
 def key_metrics_table(registry, prefixes: Optional[Sequence[str]] = None):
     """Counters and gauges (optionally filtered by prefix) as a table."""
-    from repro.analysis.reporting import Table
-
     table = Table(
         title="recorded metrics",
         headers=["metric", "kind", "value"],

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-# NOTE: repro.core / repro.extensions are imported lazily inside
-# replay_online -- they pull in the engine, which imports this package
-# (for the metrics registry), so module-level imports would be circular.
+from repro.core.errors import InconsistentViewsError
+from repro.core.precision import realized_spread
+from repro.extensions.online import OnlineSynchronizer
 from repro.obs.recorder import get_recorder
 from repro.records import PathLike, dumps_record, iter_records, write_lines
 
@@ -240,10 +240,6 @@ def replay_online(
     for the duration of the replay, so spans and monitor events carry
     ``sim_time`` attributes.
     """
-    from repro.core.errors import InconsistentViewsError
-    from repro.core.precision import realized_spread
-    from repro.extensions.online import OnlineSynchronizer
-
     online = OnlineSynchronizer(system, root=root)
     timeline = timeline if timeline is not None else Timeline()
     result = ReplayResult(online=online, timeline=timeline)

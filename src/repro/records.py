@@ -7,7 +7,8 @@
   ``os.replace``.
 * **Reading.** :func:`iter_records` yields ``(lineno, record)`` and
   raises :class:`RecordError`, a ``ValueError`` naming ``path:line``,
-  for a line that does not parse or is not an object.
+  for a line that does not parse or is not an object;
+  :func:`read_document` reads a whole document and names the path.
 * **Torn tail.** A final fragment that has no newline *and does not
   parse* is a torn append: readers drop it, and :func:`seal` cuts it
   off before the next append.  A newline-terminated bad line is
@@ -28,8 +29,9 @@ PathLike = Union[str, "os.PathLike[str]"]
 
 
 class RecordError(ValueError):
-    """A record-file line that does not parse or is not a JSON object;
-    the message starts with ``path:line:``."""
+    """A record-file line that does not parse or is not a JSON object,
+    or a document that does not parse; the message starts with
+    ``path:line:`` or ``path:``."""
 
 
 def dumps_record(record: dict) -> str:
@@ -65,6 +67,15 @@ def write_atomic(path: PathLike, text: str) -> Path:
 def write_lines(path: PathLike, lines: Iterable[str]) -> Path:
     """Atomically write encoded records as a JSONL file; returns the path."""
     return write_atomic(path, "".join(line + "\n" for line in lines))
+
+
+def read_document(path: PathLike) -> Any:
+    """The JSON value a document file holds; raises :class:`RecordError`
+    naming ``path`` when it does not parse."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except ValueError as exc:
+        raise RecordError(f"{path}: not valid JSON: {exc}") from None
 
 
 def _parse(raw: bytes) -> Any:
@@ -145,6 +156,7 @@ __all__ = [
     "append_record",
     "dumps_record",
     "iter_records",
+    "read_document",
     "read_prefix",
     "seal",
     "write_atomic",

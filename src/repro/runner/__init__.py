@@ -23,128 +23,65 @@ delay models or theorems, only about *cells* -- independent
 :func:`~repro.workloads.parallel.run_campaign`.
 """
 
-from repro.runner.cache import CACHE_VERSION, ResultCache, cell_cache_key
-from repro.runner.cells import (
-    CellBuilder,
-    CellOutcome,
-    CellResult,
-    CellSpec,
-    CellTask,
-    execute_cell,
-    validate_cell_results_file,
-    write_cell_results_jsonl,
-)
-from repro.runner.executor import (
-    CellFailure,
-    CellTimeoutError,
-    WORKERS_ENV,
-    default_workers,
-    execute_cells,
-    guard_cell,
-    resolve_workers,
-    set_default_workers,
-)
-from repro.runner.heartbeat import (
-    DEFAULT_HEARTBEAT_INTERVAL,
-    HEARTBEAT_VERSION,
-    Heartbeat,
-    HeartbeatWriter,
-    heartbeat_path,
-    read_heartbeat,
-)
-from repro.runner.merge import (
-    CampaignCell,
-    CampaignFold,
-    MergeError,
-    MergeReport,
-    MergedCampaign,
-    find_manifests,
-    merge_shards,
-)
-from repro.runner.sharding import (
-    Shard,
-    filter_shard,
-    in_shard,
-    parse_shard,
-    shard_index,
-)
-from repro.runner.status import (
-    DEFAULT_STALL_AFTER,
-    FleetStatus,
-    STATE_COMPLETE,
-    STATE_DEAD,
-    STATE_RUNNING,
-    STATE_STALLED,
-    STATE_UNKNOWN,
-    ShardStatus,
-    collect_fleet_status,
-    fleet_status_lines,
-    shard_status,
-)
-from repro.runner.sink import (
-    MANIFEST_VERSION,
-    ResultSink,
-    ShardRecords,
-    decode_stream,
-    grid_fingerprint,
-    load_manifest,
-    read_stream_records,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CACHE_VERSION",
-    "CampaignCell",
-    "CampaignFold",
-    "CellBuilder",
-    "CellFailure",
-    "CellOutcome",
-    "CellResult",
-    "CellSpec",
-    "CellTask",
-    "CellTimeoutError",
-    "DEFAULT_HEARTBEAT_INTERVAL",
-    "DEFAULT_STALL_AFTER",
-    "FleetStatus",
-    "HEARTBEAT_VERSION",
-    "Heartbeat",
-    "HeartbeatWriter",
-    "MANIFEST_VERSION",
-    "MergeError",
-    "MergeReport",
-    "MergedCampaign",
-    "ResultCache",
-    "ResultSink",
-    "STATE_COMPLETE",
-    "STATE_DEAD",
-    "STATE_RUNNING",
-    "STATE_STALLED",
-    "STATE_UNKNOWN",
-    "Shard",
-    "ShardStatus",
-    "ShardRecords",
-    "WORKERS_ENV",
-    "cell_cache_key",
-    "collect_fleet_status",
-    "decode_stream",
-    "default_workers",
-    "execute_cell",
-    "execute_cells",
-    "filter_shard",
-    "find_manifests",
-    "fleet_status_lines",
-    "grid_fingerprint",
-    "guard_cell",
-    "heartbeat_path",
-    "in_shard",
-    "load_manifest",
-    "merge_shards",
-    "parse_shard",
-    "read_heartbeat",
-    "read_stream_records",
-    "shard_status",
-    "resolve_workers",
-    "set_default_workers",
-    "shard_index",
-    "validate_cell_results_file",
-    "write_cell_results_jsonl",
-]
+_EXPORTS = {
+    "CACHE_VERSION": "repro.runner.cache",
+    "CampaignCell": "repro.runner.merge",
+    "CampaignFold": "repro.runner.merge",
+    "CellBuilder": "repro.runner.cells",
+    "CellFailure": "repro.runner.executor",
+    "CellOutcome": "repro.runner.cells",
+    "CellResult": "repro.runner.cells",
+    "CellSpec": "repro.runner.cells",
+    "CellTask": "repro.runner.cells",
+    "CellTimeoutError": "repro.runner.executor",
+    "DEFAULT_HEARTBEAT_INTERVAL": "repro.runner.heartbeat",
+    "DEFAULT_STALL_AFTER": "repro.runner.status",
+    "FleetStatus": "repro.runner.status",
+    "HEARTBEAT_VERSION": "repro.runner.heartbeat",
+    "Heartbeat": "repro.runner.heartbeat",
+    "HeartbeatWriter": "repro.runner.heartbeat",
+    "MANIFEST_VERSION": "repro.runner.sink",
+    "MergeError": "repro.runner.merge",
+    "MergeReport": "repro.runner.merge",
+    "MergedCampaign": "repro.runner.merge",
+    "ResultCache": "repro.runner.cache",
+    "ResultSink": "repro.runner.sink",
+    "STATE_COMPLETE": "repro.runner.status",
+    "STATE_DEAD": "repro.runner.status",
+    "STATE_RUNNING": "repro.runner.status",
+    "STATE_STALLED": "repro.runner.status",
+    "STATE_UNKNOWN": "repro.runner.status",
+    "Shard": "repro.runner.sharding",
+    "ShardStatus": "repro.runner.status",
+    "ShardRecords": "repro.runner.sink",
+    "WORKERS_ENV": "repro.runner.executor",
+    "cell_cache_key": "repro.runner.cache",
+    "collect_fleet_status": "repro.runner.status",
+    "decode_stream": "repro.runner.sink",
+    "default_workers": "repro.runner.executor",
+    "execute_cell": "repro.runner.cells",
+    "execute_cells": "repro.runner.executor",
+    "filter_shard": "repro.runner.sharding",
+    "find_manifests": "repro.runner.merge",
+    "fleet_status_lines": "repro.runner.status",
+    "grid_fingerprint": "repro.runner.sink",
+    "guard_cell": "repro.runner.executor",
+    "heartbeat_path": "repro.runner.heartbeat",
+    "in_shard": "repro.runner.sharding",
+    "load_manifest": "repro.runner.sink",
+    "merge_shards": "repro.runner.merge",
+    "parse_shard": "repro.runner.sharding",
+    "read_heartbeat": "repro.runner.heartbeat",
+    "read_stream_records": "repro.runner.sink",
+    "shard_status": "repro.runner.status",
+    "resolve_workers": "repro.runner.executor",
+    "set_default_workers": "repro.runner.executor",
+    "shard_index": "repro.runner.sharding",
+    "validate_cell_results_file": "repro.runner.cells",
+    "write_cell_results_jsonl": "repro.runner.cells",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

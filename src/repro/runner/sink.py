@@ -52,7 +52,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.export import _json_safe
 from repro.obs.log import get_logger
-from repro.records import append_record, read_prefix, seal, write_atomic
+from repro.records import (
+    append_record,
+    read_document,
+    read_prefix,
+    seal,
+    write_atomic,
+)
 from repro.runner.cells import CellResult
 from repro.runner.executor import CellFailure
 
@@ -93,7 +99,7 @@ def load_manifest(path: Union[str, Path]) -> dict:
     """
     path = Path(path)
     try:
-        manifest = json.loads(path.read_text())
+        manifest = read_document(path)
     except (ValueError, OSError) as exc:
         raise ValueError(f"unreadable shard manifest {path}: {exc}") from exc
     if (

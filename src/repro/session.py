@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import logging
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Optional, Union
 
@@ -166,18 +166,6 @@ class Session:
     faults: Union[object, str, Path, None] = None
     obs: ObsOptions = field(default_factory=ObsOptions)
 
-    def merged(self, **overrides) -> "Session":
-        """A copy with non-``None`` ``overrides`` replacing fields."""
-        values = {
-            f.name: getattr(self, f.name) for f in fields(self)
-        }
-        for name, value in overrides.items():
-            if name not in values:
-                raise TypeError(f"Session has no field {name!r}")
-            if value is not None:
-                values[name] = value
-        return Session(**values)
-
     def fault_plan(self):
         """The resolved fault plan (loads a path; ``None`` stays ``None``).
 
@@ -191,19 +179,6 @@ class Session:
 
             return load_fault_plan(str(self.faults))
         return self.faults
-
-    @contextmanager
-    def activate(self, *, printer: Printer = print) -> Iterator:
-        """Worker-count default plus telemetry for one ``with`` block.
-
-        Yields the active recorder (or ``None``), exactly like
-        :meth:`ObsOptions.activate`.
-        """
-        from repro.runner.executor import default_workers
-
-        with default_workers(self.workers), \
-                self.obs.activate(printer=printer) as recorder:
-            yield recorder
 
 
 def resolve_source(

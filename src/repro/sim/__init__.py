@@ -9,52 +9,30 @@ simulated here automatically satisfies the view-only restriction that the
 paper's optimality notion (Claim 3.1) relies on.
 """
 
-from repro.sim.network import (
-    NetworkSimulator,
-    RunSummary,
-    SimulationConfig,
-    SimulationError,
-    draw_start_times,
-)
-from repro.sim.processor import (
-    Automaton,
-    IdleAutomaton,
-    Send,
-    SetTimer,
-    Transition,
-)
-from repro.sim.protocols import (
-    Echo,
-    EchoAutomaton,
-    FloodAutomaton,
-    Probe,
-    ProbeAutomaton,
-    echo_automata,
-    flood_automata,
-    probe_automata,
-    probe_schedule,
-)
-from repro.sim.scheduler import EventScheduler
+from repro._exports import lazy_exports
 
-__all__ = [
-    "NetworkSimulator",
-    "RunSummary",
-    "SimulationConfig",
-    "SimulationError",
-    "draw_start_times",
-    "Automaton",
-    "IdleAutomaton",
-    "Send",
-    "SetTimer",
-    "Transition",
-    "Echo",
-    "EchoAutomaton",
-    "FloodAutomaton",
-    "Probe",
-    "ProbeAutomaton",
-    "echo_automata",
-    "flood_automata",
-    "probe_automata",
-    "probe_schedule",
-    "EventScheduler",
-]
+_EXPORTS = {
+    "NetworkSimulator": "repro.sim.network",
+    "RunSummary": "repro.sim.network",
+    "SimulationConfig": "repro.sim.network",
+    "SimulationError": "repro.sim.network",
+    "draw_start_times": "repro.sim.network",
+    "Automaton": "repro.sim.processor",
+    "IdleAutomaton": "repro.sim.processor",
+    "Send": "repro.sim.processor",
+    "SetTimer": "repro.sim.processor",
+    "Transition": "repro.sim.processor",
+    "Echo": "repro.sim.protocols",
+    "EchoAutomaton": "repro.sim.protocols",
+    "FloodAutomaton": "repro.sim.protocols",
+    "Probe": "repro.sim.protocols",
+    "ProbeAutomaton": "repro.sim.protocols",
+    "echo_automata": "repro.sim.protocols",
+    "flood_automata": "repro.sim.protocols",
+    "probe_automata": "repro.sim.protocols",
+    "probe_schedule": "repro.sim.protocols",
+    "EventScheduler": "repro.sim.scheduler",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

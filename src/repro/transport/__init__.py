@@ -17,22 +17,27 @@ and ``campaign status``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping
+from typing import TYPE_CHECKING, Any, Dict, Mapping
 
+from repro._exports import lazy_exports
 from repro.obs.recorder import get_recorder
-from repro.transport.machine import (
-    OBSERVER_EVENTS,
-    AckSegment,
-    ChannelStats,
-    DataSegment,
-    Deliver,
-    Emit,
-    PeerUnreachable,
-    ReliableTransport,
-    TransportConfig,
-    TransportError,
-    link_ledger,
-)
+
+if TYPE_CHECKING:
+    from repro.transport.machine import ChannelStats
+
+_EXPORTS = {
+    "OBSERVER_EVENTS": "repro.transport.machine",
+    "AckSegment": "repro.transport.machine",
+    "ChannelStats": "repro.transport.machine",
+    "DataSegment": "repro.transport.machine",
+    "Deliver": "repro.transport.machine",
+    "Emit": "repro.transport.machine",
+    "PeerUnreachable": "repro.transport.machine",
+    "ReliableTransport": "repro.transport.machine",
+    "TransportConfig": "repro.transport.machine",
+    "TransportError": "repro.transport.machine",
+    "link_ledger": "repro.transport.machine",
+}
 
 #: Metric namespace shared by both drivers (sim and live), so one
 #: dashboard/scrape path covers either runtime.
@@ -110,21 +115,12 @@ def aggregate_stats(
 
 
 __all__ = [
+    *_EXPORTS,
     "METRIC_PREFIX",
-    "OBSERVER_EVENTS",
     "PER_LINK_EVENTS",
     "RTT_BUCKETS",
-    "AckSegment",
-    "ChannelStats",
-    "DataSegment",
-    "Deliver",
-    "Emit",
-    "PeerUnreachable",
-    "ReliableTransport",
-    "TransportConfig",
-    "TransportError",
     "aggregate_stats",
-    "link_ledger",
     "recorder_observer",
     "transport_counter_snapshot",
 ]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

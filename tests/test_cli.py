@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.live.cluster import smoke
+from repro.live.trace import validate_probe_log_file
 from repro.obs import NOOP, get_recorder, validate_metrics_file, validate_trace_file
 
 
@@ -451,7 +453,12 @@ class TestLiveCommand:
         assert summary["ok_answers"] == 120
         assert summary["replay_ok"] is True
         assert summary["request_p99_seconds"] > 0
-        assert log_out.exists()
+        assert validate_probe_log_file(log_out) == summary["admitted"]
+        # The CLI prints run_smoke's own summary, key for key.
+        direct = smoke(
+            peers=2, queries=10, warmup_observations=4, interval=0.005
+        )
+        assert set(summary) == set(direct)
 
     def test_live_smoke_min_qps_gate(self, capsys):
         # An impossible threshold must turn into exit code 1.

@@ -3,7 +3,8 @@
 Every JSONL reader goes through :mod:`repro.records`, so
 
 * a line that does not parse or is not a JSON object raises the
-  format's own error type naming ``path:line``;
+  format's own error type naming ``path:line``, and a JSON document
+  that does not parse raises one naming its path;
 * a final fragment without a newline that does not parse is a torn
   append and is dropped, while a newline-terminated bad line is
   corruption;
@@ -15,6 +16,8 @@ import re
 
 import pytest
 
+from repro.analysis.system_io import load_system
+from repro.analysis.trace import load_execution, load_execution_with_telemetry
 from repro.bench import (
     BenchReport,
     BenchResult,
@@ -22,21 +25,25 @@ from repro.bench import (
     EnvFingerprint,
     SampleStats,
     append_history,
+    read_bench_report,
     read_history,
     validate_bench_file,
 )
+from repro.faults.plan import FaultPlanError, load_fault_plan
 from repro.live.trace import (
     ProbeLogError,
     load_probe_log,
     write_probe_log,
 )
 from repro.live.wire import Report
-from repro.obs.export import validate_metrics_file
+from repro.obs.export import validate_metrics_file, validate_trace_file
+from repro.obs.flow import validate_flow_trace_file
 from repro.obs.log import validate_log_file
 from repro.obs.timeline import validate_timeline_file
 from repro.runner import CellResult, ResultCache, ResultSink
 from repro.runner.cells import validate_cell_results_file
-from repro.runner.sink import read_stream_records
+from repro.records import RecordError
+from repro.runner.sink import load_manifest, read_stream_records
 
 REPORT = BenchReport(
     env=EnvFingerprint(
@@ -77,6 +84,17 @@ READERS = [
     (read_history, BenchSchemaError),
 ]
 
+DOCUMENT_READERS = [
+    (validate_trace_file, RecordError),
+    (validate_flow_trace_file, RecordError),
+    (read_bench_report, RecordError),
+    (load_execution, RecordError),
+    (load_execution_with_telemetry, RecordError),
+    (load_system, RecordError),
+    (load_fault_plan, FaultPlanError),
+    (load_manifest, ValueError),
+]
+
 
 class TestOneErrorShape:
     @pytest.mark.parametrize("line", ["[1, 2]", "3", "{oops"])
@@ -87,6 +105,16 @@ class TestOneErrorShape:
         path = tmp_path / "records.jsonl"
         path.write_text("\n" + line + "\n")
         with pytest.raises(error, match=re.escape(f"{path}:2:")):
+            reader(path)
+
+    @pytest.mark.parametrize(
+        "reader, error", DOCUMENT_READERS,
+        ids=[r.__name__ for r, _ in DOCUMENT_READERS],
+    )
+    def test_bad_document_names_path(self, tmp_path, reader, error):
+        path = tmp_path / "document.json"
+        path.write_text("{oops")
+        with pytest.raises(error, match=re.escape(f"{path}: not valid JSON")):
             reader(path)
 
     def test_iter_records_yields_line_numbers(self, tmp_path):

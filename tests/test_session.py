@@ -3,8 +3,8 @@
 ISSUE requirements covered here:
 
 * :class:`repro.Session` / :class:`repro.ObsOptions` carry the
-  cross-cutting knobs once, compose with explicit overrides, and
-  activate as context managers;
+  cross-cutting knobs once, and :class:`repro.ObsOptions` activates as
+  a context manager;
 * ``repro.run(source=...)`` accepts a recorded execution, a views
   mapping, a simulator scenario, a live probe log, and paths to both
   archive kinds -- all yielding the same corrections for the same
@@ -65,17 +65,6 @@ class TestObsOptions:
 
 
 class TestSession:
-    def test_merged_explicit_wins(self):
-        session = Session(certify=False, workers=2)
-        merged = session.merged(certify=True)
-        assert merged.certify is True
-        assert merged.workers == 2
-        assert session.certify is False  # original untouched
-
-    def test_merged_rejects_unknown_field(self):
-        with pytest.raises(TypeError, match="no field"):
-            Session().merged(turbo=True)
-
     def test_fault_plan_loads_path(self, tmp_path):
         import json
 
