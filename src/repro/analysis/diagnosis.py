@@ -38,12 +38,7 @@ from repro.core.estimates import local_shift_estimates
 from repro.core.synchronizer import ClockSynchronizer, SyncResult
 from repro.delays.system import System
 from repro.engine.index import ProcessorIndex
-from repro.engine.numpy_backend import (
-    karp_max_cycle_mean_matrix,
-    min_plus_closure,
-    shift_distances,
-    tight_cycle,
-)
+from repro.engine.numpy_backend import cycle_mean, karp_cycle, min_plus_closure
 from repro.model.views import View
 
 
@@ -132,10 +127,10 @@ def _most_negative_cycle(
     Every cycle lies inside one strongly connected component, and those
     are the mutual-reachability classes of the finite entries (closed on
     a 0/inf copy, so negative cycles cannot blow values up).  In each
-    component of two or more rows, Karp on the negated submatrix gives
-    its minimum cycle mean ``mu``; the distances under ``mls~ - mu``
-    make the witness's edges tight.  Returns ``(mu, rows)`` of the first
-    component with the least ``mu``, or ``None`` when no cycle exists.
+    component of two or more rows, Karp on the negated submatrix locates
+    a minimum-mean cycle and ``mu`` is its exact mean.  Returns
+    ``(mu, rows)`` of the first component with the least ``mu``, or
+    ``None`` when no cycle exists.
     """
     reach = np.isfinite(min_plus_closure(np.where(np.isfinite(mls), 0.0, INF)))
     mutual = reach & reach.T
@@ -149,11 +144,10 @@ def _most_negative_cycle(
         if len(rows) < 2:
             continue
         negated = -mls[np.ix_(rows, rows)]
-        a_max = karp_max_cycle_mean_matrix(negated)
-        if best is None or -a_max < best[0]:
-            dist, nudges = shift_distances(negated, a_max, 0)
-            cycle = tight_cycle(negated, a_max, dist, nudges)
-            best = (-a_max, rows[cycle].tolist())
+        cycle = karp_cycle(negated)
+        mu = -cycle_mean(negated, cycle)
+        if best is None or mu < best[0]:
+            best = (mu, rows[cycle].tolist())
     return best
 
 

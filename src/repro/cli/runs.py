@@ -121,8 +121,12 @@ def _cmd_sync_trace(args: argparse.Namespace) -> int:
     from repro.core.optimality import verify_certificate
 
     with observability(args):
-        system = load_system(args.system)
-        alpha = load_execution(args.trace)
+        try:
+            system = load_system(args.system)
+            alpha = load_execution(args.trace)
+        except (OSError, ValueError) as exc:
+            print(f"cannot load archive: {exc}", file=sys.stderr)
+            return 2
         views = alpha.views()
 
         diagnosis = diagnose(system, views)

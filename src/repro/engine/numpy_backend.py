@@ -6,8 +6,8 @@ weight matrices:
 * GLOBAL ESTIMATES -- min-plus Floyd--Warshall, one broadcasted
   ``minimum`` per pivot (:func:`min_plus_closure`);
 * components -- mutual-finiteness classes read directly off the closure;
-* SHIFTS step 1 -- Karp's recurrence as a level-by-level broadcast
-  (:func:`karp_max_cycle_mean_matrix`);
+* SHIFTS step 1 -- Karp's recurrence as a level-by-level broadcast,
+  walked back to locate a candidate critical cycle (:func:`karp_cycle`);
 * SHIFTS step 2 -- batched Bellman--Ford relaxation from the root
   (:func:`shift_distances`) under ``w = A^max - ms~`` with the same
   epsilon-nudge retry loop as the reference implementation.  Those
@@ -15,12 +15,13 @@ weight matrices:
   critical-cycle witness is any cycle of edges they make tight
   (:func:`tight_cycle`): one relaxation pass serves both.
 
-The served ``A^max`` is the left-to-right mean of one canonical critical
-cycle (:func:`canonical_cycle`, :func:`cycle_mean`); Karp only locates
-that cycle.  Given the previous result's cycle, SHIFTS first tries a warm
-start: one Bellman--Ford pass under that cycle's mean, accepted only when
-it needs no nudge and its tight graph yields the same cycle -- then it is
-exactly the pass the cold path would serve (DESIGN.md section 6).
+Cold and warm solves share one rule (DESIGN.md section 6).  The
+candidate is the previous result's cycle when given, else Karp's; ``A^max``
+is its exact left-to-right mean from its smallest row
+(:func:`canonical_cycle`, :func:`cycle_mean`), and the pass under that
+mean is served when its canonical tight cycle is the candidate itself.  A
+hinted miss falls back to Karp; a located miss retries under the tight
+cycle.  Karp only locates: correctness never rests on its floats.
 
 It also implements the incremental single-edge update used by
 :class:`repro.extensions.online.OnlineSynchronizer`: when one ``mls~``
@@ -46,6 +47,8 @@ from repro.engine.base import EngineShifts, SyncEngine
 
 INF = float("inf")
 _TOL = 1e-9
+#: Bellman--Ford passes a cold SHIFTS solve makes before it serves the last.
+_LOCATED_PASSES = 3
 
 
 # ----------------------------------------------------------------------
@@ -94,13 +97,20 @@ def bellman_ford_matrix(
     return dist
 
 
-def karp_max_cycle_mean_matrix(weights: np.ndarray) -> Optional[float]:
-    """Maximum cycle mean of a dense digraph given as a weight matrix.
+def karp_cycle(weights: np.ndarray) -> Optional[List[int]]:
+    """A maximum-mean cycle of a dense digraph given as a weight matrix.
 
     ``inf`` encodes absent edges; the diagonal is ignored (no self-loops,
     matching the complete ``ms~`` digraph SHIFTS builds).  Assumes the
     off-diagonal part is strongly connected -- true for any all-finite
     matrix with ``n >= 2``.  Returns ``None`` for ``n < 2``.
+
+    Karp's level recurrence picks the node whose best ``n``-edge walk
+    from row 0 realizes the maximum mean; walking that walk back, one
+    ``argmin`` over the previous level per step, the first node to repeat
+    closes a cycle.  In exact arithmetic every cycle on that walk is a
+    maximum-mean cycle (Karp 1978; Chaturvedi & McConnell 2017).  In
+    floats it is a candidate: SHIFTS proves it with its own pass.
     """
     n = len(weights)
     if n < 2:
@@ -116,8 +126,7 @@ def karp_max_cycle_mean_matrix(weights: np.ndarray) -> Optional[float]:
         levels[k + 1] = (levels[k][:, None] + w).min(axis=0)
 
     d_n = levels[n]
-    ks = np.arange(n)
-    denominators = (n - ks)[:, None].astype(float)
+    denominators = np.arange(n, 0, -1, dtype=float)[:, None]
     with np.errstate(invalid="ignore"):
         ratios = (d_n[None, :] - levels[:n, :]) / denominators
     ratios[~np.isfinite(levels[:n, :])] = -INF
@@ -126,7 +135,13 @@ def karp_max_cycle_mean_matrix(weights: np.ndarray) -> Optional[float]:
     valid = np.isfinite(d_n) & np.isfinite(per_node_max)
     if not valid.any():
         return None
-    return -float(per_node_max[valid].min())
+    # Walk the minimizing node's n-edge walk back to its first repeat.
+    walk = [int(np.where(valid, per_node_max, INF).argmin())]
+    for k in range(n - 1, -1, -1):
+        walk.append(int((levels[k] + w[:, walk[-1]]).argmin()))
+        if walk[-1] in walk[:-1]:
+            break
+    return walk[walk.index(walk[-1]):-1][::-1]
 
 
 def shift_weights(weights: np.ndarray, a_max: float) -> np.ndarray:
@@ -208,13 +223,6 @@ def cycle_mean(weights: np.ndarray, cycle: Sequence[int]) -> float:
     return total / len(hops)
 
 
-def _canonical_tight(
-    weights: np.ndarray, a_max: float, dist: np.ndarray, nudges: int
-) -> Optional[List[int]]:
-    cycle = tight_cycle(weights, a_max, dist, nudges)
-    return canonical_cycle(cycle) if cycle else None
-
-
 # ----------------------------------------------------------------------
 # The backend
 # ----------------------------------------------------------------------
@@ -259,60 +267,49 @@ class NumpyEngine(SyncEngine):
         root_local: int,
         hint: Optional[List[int]] = None,
     ) -> EngineShifts:
-        if hint is not None:
-            warm = self._warm_shifts(sub, root_local, canonical_cycle(hint))
-            self.stats.count(
-                "shifts.warm_hits" if warm else "shifts.warm_fallbacks"
-            )
-            if warm is not None:
-                return warm
-        # Step 1: Karp locates a critical cycle; its exact mean is A^max.
-        a_karp = karp_max_cycle_mean_matrix(sub)
-        assert a_karp is not None  # complete graph with n >= 2 has cycles
-        # Step 2: corrections as distances under w = A^max - ms~; the same
-        # distances certify the witness.
-        dist, nudges = self._distances(sub, a_karp, root_local)
-        cycle = tight_cycle(sub, a_karp, dist, nudges)
-        if cycle is None:  # pragma: no cover - pathological floats only
-            return EngineShifts(corrections=dist, a_max=a_karp, cycle_rows=None)
-        cycle = canonical_cycle(cycle)
-        a_max = cycle_mean(sub, cycle)
-        if a_max != a_karp:
-            # Serve the pass a warm start from this cycle would produce,
-            # if its tight graph agrees; else keep Karp's potentials.
-            again, retries = self._distances(sub, a_max, root_local)
-            if _canonical_tight(sub, a_max, again, retries) == cycle:
-                dist = again
+        # One rule, cold or warm (DESIGN.md section 6): serve the pass
+        # under a candidate's exact mean when its canonical tight cycle
+        # is the candidate.  A hint must pass unnudged; on a miss Karp
+        # locates, and a located miss retries under the tight cycle.
+        warm = hint is not None
+        candidate = canonical_cycle(hint if warm else karp_cycle(sub))
+        passes = 0
+        while True:
+            dist, a_max, tight = self._pass(sub, root_local, candidate, warm)
+            if warm:
+                self.stats.count(
+                    "shifts.warm_hits" if tight == candidate
+                    else "shifts.warm_fallbacks"
+                )
+            else:
+                passes += 1
+            if tight == candidate:
+                break
+            if warm:
+                warm, candidate = False, canonical_cycle(karp_cycle(sub))
+            elif tight is None or passes == _LOCATED_PASSES:
+                break
+            else:
+                candidate = tight
         return EngineShifts(
-            corrections=dist, a_max=a_max, cycle_rows=tuple(cycle)
+            corrections=dist, a_max=a_max, cycle_rows=tuple(candidate)
         )
 
-    def _warm_shifts(
-        self, sub: np.ndarray, root_local: int, cycle: List[int]
-    ) -> Optional[EngineShifts]:
-        """SHIFTS under the mean of a likely critical ``cycle``, or ``None``.
-
-        Feasible potentials under ``mean(cycle) - ms~`` bound every cycle
-        mean by ``mean(cycle)`` (Theorems 4.4/4.6), so one Bellman--Ford
-        pass proves ``cycle`` critical.  The pass is accepted only when it
-        needs no nudge and its canonical tight cycle is ``cycle``: the
-        cold path then serves bit for bit the same result.
-        """
+    def _pass(
+        self, sub: np.ndarray, root_local: int, cycle: List[int], warm: bool
+    ) -> Tuple[Optional[np.ndarray], float, Optional[List[int]]]:
+        """Distances under ``mean(cycle) - ms~``, that mean, and their
+        canonical tight cycle; a warm pass may not nudge, so may fail."""
         a_max = cycle_mean(sub, cycle)
-        dist = bellman_ford_matrix(shift_weights(sub, a_max), root_local)
-        if dist is None or _canonical_tight(sub, a_max, dist, 0) != cycle:
-            return None
-        return EngineShifts(
-            corrections=dist, a_max=a_max, cycle_rows=tuple(cycle)
-        )
-
-    def _distances(
-        self, sub: np.ndarray, a_max: float, root_local: int
-    ) -> Tuple[np.ndarray, int]:
-        dist, nudges = shift_distances(sub, a_max, root_local)
-        if nudges:
-            self.stats.count("shifts.nudge_retries", nudges)
-        return dist, nudges
+        if warm:
+            dist = bellman_ford_matrix(shift_weights(sub, a_max), root_local)
+            nudges = 0
+        else:
+            dist, nudges = shift_distances(sub, a_max, root_local)
+            if nudges:
+                self.stats.count("shifts.nudge_retries", nudges)
+        tight = None if dist is None else tight_cycle(sub, a_max, dist, nudges)
+        return dist, a_max, canonical_cycle(tight) if tight else None
 
     def _incremental(
         self, ms_matrix: np.ndarray, changes: List[Tuple[int, int, float]]
@@ -342,7 +339,7 @@ __all__ = [
     "min_plus_closure",
     "has_negative_diagonal",
     "bellman_ford_matrix",
-    "karp_max_cycle_mean_matrix",
+    "karp_cycle",
     "shift_weights",
     "shift_distances",
     "tight_cycle",

@@ -309,6 +309,30 @@ class TestRecordTelemetry:
         assert "telemetry" not in data
 
 
+class TestSyncTraceCommand:
+    def test_malformed_system_is_exit_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(["record", str(out_dir), "--size", "4"]) == 0
+        (out_dir / "system.json").write_text("{oops")
+        capsys.readouterr()
+        assert main([
+            "sync-trace", str(out_dir / "system.json"),
+            str(out_dir / "trace.json"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "cannot load" in err and "system.json" in err
+
+    def test_missing_trace_is_exit_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(["record", str(out_dir), "--size", "4"]) == 0
+        capsys.readouterr()
+        assert main([
+            "sync-trace", str(out_dir / "system.json"),
+            str(tmp_path / "missing.json"),
+        ]) == 2
+        assert "cannot load" in capsys.readouterr().err
+
+
 class TestBenchCommand:
     def _run_smoke(self, tmp_path, name="engine.karp[backend=numpy,n=32]"):
         out = tmp_path / "bench.json"

@@ -26,8 +26,9 @@ from repro.engine import (
 )
 from repro.engine.numpy_backend import (
     bellman_ford_matrix,
+    cycle_mean,
     has_negative_diagonal,
-    karp_max_cycle_mean_matrix,
+    karp_cycle,
     min_plus_closure,
 )
 from repro.engine.python_backend import (
@@ -203,7 +204,7 @@ class TestKernels:
             [[rng.uniform(-3.0, 5.0) for _ in range(n)] for _ in range(n)]
         )
         oracle = karp_max_cycle_mean(weights.tolist())
-        assert karp_max_cycle_mean_matrix(weights) == pytest.approx(
+        assert cycle_mean(weights, karp_cycle(weights)) == pytest.approx(
             oracle, abs=1e-9
         )
 

@@ -1,5 +1,6 @@
 """Tests for the numpy Karp kernel the engine runs
-(repro.engine.numpy_backend.karp_max_cycle_mean_matrix) and its
+(repro.engine.numpy_backend.karp_cycle, whose cycle's mean is the
+maximum cycle mean) and its
 critical-cycle witness (tight_cycle under the step-2 distances),
 cross-checked against the scalar Karp reference
 (repro.engine.python_backend)."""
@@ -13,13 +14,15 @@ from hypothesis import given, settings
 
 from repro.engine.numpy_backend import (
     NumpyEngine,
-    karp_max_cycle_mean_matrix,
+    cycle_mean,
+    karp_cycle,
     shift_distances,
     tight_cycle,
 )
 from repro.engine.python_backend import karp_max_cycle_mean
 
-from oracles import INF, cycle_mean, matrix_from_edges
+from oracles import INF, matrix_from_edges
+from oracles import cycle_mean as list_cycle_mean
 
 
 def to_matrix(g) -> np.ndarray:
@@ -52,31 +55,33 @@ class TestKnownInstances:
         g = matrix_from_edges(
             [(0, 1, 2.0), (1, 0, 4.0), (1, 2, 1.0), (2, 0, 3.0)]
         )
-        assert karp_max_cycle_mean_matrix(to_matrix(g)) == pytest.approx(3.0)
+        weights = to_matrix(g)
+        assert cycle_mean(weights, karp_cycle(weights)) == pytest.approx(3.0)
 
     def test_acyclic(self):
         g = matrix_from_edges([(0, 1, 1.0), (1, 2, 1.0)])
-        assert karp_max_cycle_mean_matrix(to_matrix(g)) is None
+        assert karp_cycle(to_matrix(g)) is None
 
     def test_empty(self):
-        assert karp_max_cycle_mean_matrix(np.zeros((0, 0))) is None
-        assert karp_max_cycle_mean_matrix(np.zeros((1, 1))) is None
+        assert karp_cycle(np.zeros((0, 0))) is None
+        assert karp_cycle(np.zeros((1, 1))) is None
 
     def test_self_loop(self):
         """The diagonal is ignored: ms~ digraphs have no self-loops."""
         g = matrix_from_edges(
             [(0, 0, 7.0), (0, 1, 1.0), (1, 0, 1.0)]
         )
-        assert karp_max_cycle_mean_matrix(to_matrix(g)) == pytest.approx(1.0)
+        weights = to_matrix(g)
+        assert cycle_mean(weights, karp_cycle(weights)) == pytest.approx(1.0)
 
     def test_witness_achieves_mean(self):
         g = matrix_from_edges(
             [(0, 1, 2.0), (1, 0, 4.0), (1, 2, 1.0), (2, 0, 3.0)]
         )
         weights = to_matrix(g)
-        mean = karp_max_cycle_mean_matrix(weights)
+        mean = cycle_mean(weights, karp_cycle(weights))
         cycle = witness(weights, mean)
-        assert cycle_mean(g, cycle) == pytest.approx(mean)
+        assert list_cycle_mean(g, cycle) == pytest.approx(mean)
 
 
 class TestCrossValidation:
@@ -86,17 +91,18 @@ class TestCrossValidation:
         for _ in range(30):
             g = random_strong_graph(rng, rng.randrange(2, 10))
             weights = to_matrix(g)
-            mean = karp_max_cycle_mean_matrix(weights)
+            mean = cycle_mean(weights, karp_cycle(weights))
             assert mean == pytest.approx(
                 karp_max_cycle_mean(g), abs=1e-9
             )
             cycle = witness(weights, mean)
-            assert cycle_mean(g, cycle) == pytest.approx(mean, abs=1e-9)
+            assert list_cycle_mean(g, cycle) == pytest.approx(mean, abs=1e-9)
 
     def test_dense_large(self):
         rng = random.Random(9)
         g = random_strong_graph(rng, 30, density=1.0)
-        assert karp_max_cycle_mean_matrix(to_matrix(g)) == pytest.approx(
+        weights = to_matrix(g)
+        assert cycle_mean(weights, karp_cycle(weights)) == pytest.approx(
             karp_max_cycle_mean(g), abs=1e-9
         )
 
@@ -129,7 +135,8 @@ class TestWitnessProperty:
         mean = sum(matrix[u, v] for u, v in edges) / len(edges)
         off_diagonal = matrix[~np.eye(len(matrix), dtype=bool)]
         scale = max(1.0, float(np.abs(off_diagonal).max()))
-        assert abs(mean - karp_max_cycle_mean_matrix(matrix)) <= 1e-9 * scale
+        karp_mean = cycle_mean(matrix, karp_cycle(matrix))
+        assert abs(mean - karp_mean) <= 1e-9 * scale
         assert cycle[0] == min(cycle)
         assert outcome.a_max == mean
 
