@@ -38,7 +38,8 @@ from repro.core.estimates import local_shift_estimates
 from repro.core.synchronizer import ClockSynchronizer, SyncResult
 from repro.delays.system import System
 from repro.engine.index import ProcessorIndex
-from repro.engine.numpy_backend import cycle_mean, karp_cycle, min_plus_closure
+from repro.engine.numpy_backend import cycle_mean, howard_cycle
+from repro.engine.numpy_backend import min_plus_closure
 from repro.model.views import View
 
 
@@ -127,7 +128,7 @@ def _most_negative_cycle(
     Every cycle lies inside one strongly connected component, and those
     are the mutual-reachability classes of the finite entries (closed on
     a 0/inf copy, so negative cycles cannot blow values up).  In each
-    component of two or more rows, Karp on the negated submatrix locates
+    component of two or more rows, Howard on the negated submatrix locates
     a minimum-mean cycle and ``mu`` is its exact mean.  Returns
     ``(mu, rows)`` of the first component with the least ``mu``, or
     ``None`` when no cycle exists.
@@ -144,7 +145,7 @@ def _most_negative_cycle(
         if len(rows) < 2:
             continue
         negated = -mls[np.ix_(rows, rows)]
-        cycle = karp_cycle(negated)
+        cycle = howard_cycle(negated)
         mu = -cycle_mean(negated, cycle)
         if best is None or mu < best[0]:
             best = (mu, rows[cycle].tolist())

@@ -12,8 +12,9 @@ exactly once).  Coverage, top to bottom of the stack:
   ``BENCH_engine.json``), with a numpy-only ladder at n=128 and 256 in
   the full suite;
 * ``engine.closure`` / ``engine.karp`` -- the two matrix kernels
-  (min-plus Floyd--Warshall closure, Karp cycle mean + corrections) in
-  isolation, so a regression in either is attributable;
+  (min-plus Floyd--Warshall closure, SHIFTS cycle mean + corrections) in
+  isolation, so a regression in either is attributable, and in the full
+  suite ``engine.locate``: Howard's and Karp's cycle locators alone;
 * ``engine.incremental`` -- single-edge incremental closure repair
   (the online synchronizer's fast path; numpy backend only -- the
   python backend recomputes from scratch);
@@ -158,6 +159,25 @@ def engine_karp(backend: str, n: int):
         engine.shifts(ms_matrix)
 
     return run
+
+
+@benchmark(
+    "engine.locate",
+    grid={"locator": ("howard", "karp"), "n": (64, 128, 256)},
+    suites=("full",),
+)
+def engine_locate(locator: str, n: int):
+    """SHIFTS' cycle locator alone on the (one-component) ``ms~`` of a
+    heterogeneous sparse random graph, the e2e ``batch`` shape."""
+    from repro import ClockSynchronizer, random_connected
+    from repro.engine import numpy_backend
+    from repro.workloads import heterogeneous
+
+    scenario = heterogeneous(random_connected(n, 0.05, 0), seed=0, probes=2)
+    views = scenario.run().views()
+    ms = ClockSynchronizer(scenario.system).from_views(views).ms_tilde.matrix
+    locate = getattr(numpy_backend, f"{locator}_cycle")
+    return lambda: locate(ms)
 
 
 @benchmark(

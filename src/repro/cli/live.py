@@ -90,7 +90,8 @@ def _print_smoke(summary: dict) -> None:
     if transport["unreachable"]:
         print(f"unreachable:  {', '.join(transport['unreachable'])}")
     print(f"shifts:       {summary['shifts_warm_hits']} warm hits  "
-          f"{summary['shifts_warm_fallbacks']} warm fallbacks")
+          f"{summary['shifts_warm_fallbacks']} warm fallbacks  "
+          f"{summary['shifts_locator_fallbacks']} locator fallbacks")
     print(summary["replay"])
     if summary["realized_spread"] is not None:
         print(f"realized spread vs ground truth: "

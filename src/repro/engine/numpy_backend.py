@@ -6,8 +6,8 @@ weight matrices:
 * GLOBAL ESTIMATES -- min-plus Floyd--Warshall, one broadcasted
   ``minimum`` per pivot (:func:`min_plus_closure`);
 * components -- mutual-finiteness classes read directly off the closure;
-* SHIFTS step 1 -- Karp's recurrence as a level-by-level broadcast,
-  walked back to locate a candidate critical cycle (:func:`karp_cycle`);
+* SHIFTS step 1 -- Howard's policy iteration locates a candidate
+  critical cycle (:func:`howard_cycle`, Karp's past its cap);
 * SHIFTS step 2 -- batched Bellman--Ford relaxation from the root
   (:func:`shift_distances`) under ``w = A^max - ms~`` with the same
   epsilon-nudge retry loop as the reference implementation.  Those
@@ -16,12 +16,12 @@ weight matrices:
   (:func:`tight_cycle`): one relaxation pass serves both.
 
 Cold and warm solves share one rule (DESIGN.md section 6).  The
-candidate is the previous result's cycle when given, else Karp's; ``A^max``
-is its exact left-to-right mean from its smallest row
+candidate is the previous result's cycle when given, else Howard's;
+``A^max`` is its exact left-to-right mean from its smallest row
 (:func:`canonical_cycle`, :func:`cycle_mean`), and the pass under that
-mean is served when its canonical tight cycle is the candidate itself.  A
-hinted miss falls back to Karp; a located miss retries under the tight
-cycle.  Karp only locates: correctness never rests on its floats.
+mean is served when its canonical tight cycle is the candidate, or has a
+bit-equal mean.  A hinted miss locates; a located miss retries under the
+tight cycle.  Correctness never rests on the locators' floats.
 
 It also implements the incremental single-edge update used by
 :class:`repro.extensions.online.OnlineSynchronizer`: when one ``mls~``
@@ -44,11 +44,14 @@ import numpy as np
 
 from repro.core.errors import InconsistentViewsError
 from repro.engine.base import EngineShifts, SyncEngine
+from repro.engine.stats import EngineStats
 
 INF = float("inf")
 _TOL = 1e-9
 #: Bellman--Ford passes a cold SHIFTS solve makes before it serves the last.
 _LOCATED_PASSES = 3
+#: Howard iterations per row before :func:`howard_cycle` falls back to Karp.
+_HOWARD_ITERATIONS_PER_ROW = 2
 
 
 # ----------------------------------------------------------------------
@@ -106,11 +109,9 @@ def karp_cycle(weights: np.ndarray) -> Optional[List[int]]:
     matrix with ``n >= 2``.  Returns ``None`` for ``n < 2``.
 
     Karp's level recurrence picks the node whose best ``n``-edge walk
-    from row 0 realizes the maximum mean; walking that walk back, one
-    ``argmin`` over the previous level per step, the first node to repeat
-    closes a cycle.  In exact arithmetic every cycle on that walk is a
-    maximum-mean cycle (Karp 1978; Chaturvedi & McConnell 2017).  In
-    floats it is a candidate: SHIFTS proves it with its own pass.
+    from row 0 realizes the maximum mean; walking it back, the first
+    repeated node closes a maximum-mean cycle (Karp 1978; Chaturvedi &
+    McConnell 2017).  O(n^3): SHIFTS uses it only past Howard's cap.
     """
     n = len(weights)
     if n < 2:
@@ -142,6 +143,61 @@ def karp_cycle(weights: np.ndarray) -> Optional[List[int]]:
         if walk[-1] in walk[:-1]:
             break
     return walk[walk.index(walk[-1]):-1][::-1]
+
+
+def howard_cycle(
+    weights: np.ndarray, stats: Optional[EngineStats] = None
+) -> Optional[List[int]]:
+    """A maximum-mean cycle by Howard's policy iteration (Cochet-Terrasson
+    et al. 1998; DESIGN.md section 6), with :func:`karp_cycle`'s contract
+    (``-inf`` also marks an absent edge).  Its iterations have no
+    polynomial bound: past ``2n`` it returns Karp's cycle.  ``stats``
+    counts ``shifts.locator_iterations`` and ``shifts.locator_fallbacks``.
+    """
+    n = len(weights)
+    if n < 2:
+        return None
+    edges = np.isfinite(weights) & ~np.eye(n, dtype=bool)
+    w = np.where(edges, weights, -INF)
+    # Smaller gains never switch a policy, so ulp ties cannot cycle.
+    eps = 1e-12 * max(1.0, float(np.abs(weights[edges]).max()))
+    flat, offsets = w.ravel(), np.arange(0, n * n, n)
+    policy = (w + w.max(axis=1)).argmax(axis=1)
+    x, cycle, steps = [0.0] * n, None, 0
+    for steps in range(1, _HOWARD_ITERATIONS_PER_ROW * n + 1):
+        successor, cost = policy.tolist(), flat[offsets + policy].tolist()
+        eta, seen, cycles = [0.0] * n, [-1] * n, []
+        for start in range(n):
+            path, node = [], start
+            while seen[node] < 0:
+                seen[node] = start
+                path.append(node)
+                node = successor[node]
+            if seen[node] == start:  # the walk closed a new cycle
+                ring = path[path.index(node):]
+                eta[node] = sum(cost[u] for u in ring) / len(ring)
+                cycles.append((eta[node], ring))
+                path.remove(node)
+            for u in reversed(path):
+                eta[u] = eta[successor[u]]
+                x[u] = cost[u] - eta[u] + x[successor[u]]
+        x_now, eta_now = np.array(x), np.array(eta)
+        gain, better = w + x_now, False
+        if max(eta) - min(eta) > eps:  # policy cycles of different means
+            reach = np.where(edges, eta_now, -INF)
+            top = reach.max(axis=1)
+            gain[reach < top[:, None] - eps] = -INF
+            better = top > eta_now + eps
+        choice = gain.argmax(axis=1)
+        better |= gain.ravel()[offsets + choice] > x_now + eta_now + eps
+        if not better.any():
+            cycle = max(cycles, key=lambda found: found[0])[1]
+            break
+        np.copyto(policy, choice, where=better)
+    if stats is not None:
+        stats.count("shifts.locator_iterations", steps)
+        stats.count("shifts.locator_fallbacks", int(cycle is None))
+    return karp_cycle(weights) if cycle is None else cycle
 
 
 def shift_weights(weights: np.ndarray, a_max: float) -> np.ndarray:
@@ -269,10 +325,9 @@ class NumpyEngine(SyncEngine):
     ) -> EngineShifts:
         # One rule, cold or warm (DESIGN.md section 6): serve the pass
         # under a candidate's exact mean when its canonical tight cycle
-        # is the candidate.  A hint must pass unnudged; on a miss Karp
-        # locates, and a located miss retries under the tight cycle.
+        # is the candidate or, for a located one, has a bit-equal mean.
         warm = hint is not None
-        candidate = canonical_cycle(hint if warm else karp_cycle(sub))
+        candidate = canonical_cycle(hint or howard_cycle(sub, self.stats))
         passes = 0
         while True:
             dist, a_max, tight = self._pass(sub, root_local, candidate, warm)
@@ -286,11 +341,14 @@ class NumpyEngine(SyncEngine):
             if tight == candidate:
                 break
             if warm:
-                warm, candidate = False, canonical_cycle(karp_cycle(sub))
+                warm = False
+                candidate = canonical_cycle(howard_cycle(sub, self.stats))
             elif tight is None or passes == _LOCATED_PASSES:
                 break
             else:
                 candidate = tight
+                if cycle_mean(sub, tight) == a_max:
+                    break
         return EngineShifts(
             corrections=dist, a_max=a_max, cycle_rows=tuple(candidate)
         )
@@ -340,6 +398,7 @@ __all__ = [
     "has_negative_diagonal",
     "bellman_ford_matrix",
     "karp_cycle",
+    "howard_cycle",
     "shift_weights",
     "shift_distances",
     "tight_cycle",

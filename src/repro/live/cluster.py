@@ -357,17 +357,15 @@ class LiveCluster:
         )
 
     def warm_starts(self) -> Dict[str, int]:
-        """Warm-started SHIFTS calls of the server: hits and fallbacks.
+        """The server's SHIFTS warm hits/fallbacks and locator fallbacks.
 
         Served answers are replay-audited against cold batch solves, so a
         nonzero hit count next to ``replay_ok`` shows warm answers exact.
         """
         assert self.server is not None, "cluster not started"
         counters = self.server.online.synchronizer.engine.stats.counters
-        return {
-            "shifts_warm_hits": counters.get("shifts.warm_hits", 0),
-            "shifts_warm_fallbacks": counters.get("shifts.warm_fallbacks", 0),
-        }
+        names = ("warm_hits", "warm_fallbacks", "locator_fallbacks")
+        return {f"shifts_{n}": counters.get(f"shifts.{n}", 0) for n in names}
 
     def realized(self) -> Optional[float]:
         """Realized corrected-clock spread of the latest ``ok`` result."""

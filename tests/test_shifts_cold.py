@@ -1,10 +1,11 @@
 """SHIFTS on the numpy engine: one rule, checked exactly.
 
-A cold solve locates a candidate cycle with Karp and serves the one
-Bellman--Ford pass under that cycle's exact mean.  On integer-valued
-matrices every cycle sum is exact and the division is correctly rounded,
-so the served ``A^max`` must equal the brute-force maximum cycle mean bit
-for bit, whether the solve starts cold or from a stale hint.
+A cold solve locates a candidate cycle with Howard's policy iteration
+and serves the one Bellman--Ford pass under that cycle's exact mean.  On
+integer-valued matrices every cycle sum is exact and the division is
+correctly rounded, so the served ``A^max`` must equal the brute-force
+maximum cycle mean bit for bit, whether the solve starts cold or from a
+stale hint.
 """
 
 import hypothesis.strategies as st
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 import repro.engine.numpy_backend as numpy_backend
 from repro.core.synchronizer import ClockSynchronizer
 from repro.engine.numpy_backend import NumpyEngine, cycle_mean
-from repro.graphs.topology import random_connected
+from repro.graphs.topology import random_connected, ring
 from repro.workloads.scenarios import heterogeneous
 
 from oracles import enumerate_simple_cycle_means
@@ -39,6 +40,26 @@ def test_cold_solve_runs_one_bellman_ford_pass(seed, monkeypatch):
     solves = sum(len(c.processors) >= 2 for c in result.components)
     assert solves >= 1
     assert len(passes) == solves
+
+
+@pytest.mark.parametrize("n", [8, 16, 24, 32, 48, 64])
+@pytest.mark.parametrize("seed", range(6))
+def test_no_pass_repeats_under_the_same_mean(n, seed, monkeypatch):
+    """A located miss whose tight cycle has the pass's own mean is served:
+    a retry would run the identical pass."""
+    scenario = heterogeneous(ring(n), seed=seed, probes=2)
+    views = scenario.run().views()
+    means = []
+    kernel = numpy_backend.shift_distances
+
+    def spied(weights, a_max, root):
+        means.append(a_max)
+        return kernel(weights, a_max, root)
+
+    monkeypatch.setattr(numpy_backend, "shift_distances", spied)
+    ClockSynchronizer(scenario.system).from_views(views)
+    assert means
+    assert len(set(means)) == len(means)
 
 
 @st.composite
