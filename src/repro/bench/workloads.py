@@ -6,7 +6,9 @@ Importing this module populates :data:`repro.bench.registry.REGISTRY`
 exactly once).  Coverage, top to bottom of the stack:
 
 * ``core.estimates`` -- the views front end: Lemma 6.1 uid matching
-  and every link's Section 6 terms (named after the e2e layer);
+  and every link's Section 6 terms (named after the e2e layer), on
+  views built once; ``core.estimates.fresh`` builds the views inside
+  the timed call, as a campaign cell or a replay audit does;
 * ``engine.pipeline`` -- the full GLOBAL ESTIMATES -> SHIFTS pipeline
   per backend x ring size (the E9c ablation; regenerates
   ``BENCH_engine.json``), with a numpy-only ladder at n=128 and 256 in
@@ -79,6 +81,25 @@ def core_estimates(n: int):
 
     def run():
         local_shift_estimates(system, views)
+
+    return run
+
+
+@benchmark(
+    "core.estimates.fresh", grid={"n": (32, 128)}, suites=_smoke_sizes(32)
+)
+def core_estimates_fresh(n: int):
+    """:func:`core_estimates` with the views built inside the timed call:
+    each view's step walk (its message columns) is paid every time."""
+    from repro.core.estimates import local_shift_estimates
+    from repro.graphs import random_connected
+    from repro.workloads.scenarios import heterogeneous
+
+    scenario = heterogeneous(random_connected(n, 0.05, 0), seed=0, probes=2)
+    system, alpha = scenario.system, scenario.run()
+
+    def run():
+        local_shift_estimates(system, alpha.views())
 
     return run
 

@@ -18,13 +18,13 @@ GLOBAL ESTIMATES and SHIFTS need.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
 from repro._types import INF, NEG_INF, Edge, ProcessorId, Time
 from repro.delays.system import System
-from repro.model.events import MessageReceiveEvent
 from repro.model.views import View
 
 
@@ -49,45 +49,36 @@ class _Matched(NamedTuple):
 def _match(views: Mapping[ProcessorId, View], strict: bool) -> _Matched:
     """The one uid matcher behind every function of this module.
 
-    One pass over each view collects sends and receives; a uid sent
-    again overwrites the earlier send (sender included), and a uid
-    received twice by one view keeps its first receive (duplicate
+    It concatenates the views' message columns (:attr:`View.columns`);
+    a uid sent again overwrites the earlier send (sender included), and
+    a uid received twice by one view keeps its first receive (duplicate
     delivery, see :meth:`View.receive_clock_times`).  A receive whose
     uid no view sent is an orphan: ``strict`` raises
     :class:`IncompleteViewsError` for the first one, otherwise they are
     counted and skipped.
     """
     processors = list(views)
-    send_uids: List[int] = []
-    send_clocks: List[Time] = []
-    send_counts: List[int] = []
-    recv_uids: List[int] = []
-    recv_clocks: List[Time] = []
-    recv_counts: List[int] = []
-    for view in views.values():
-        sends_before, receives_before = len(send_uids), len(recv_uids)
-        for step in view.steps:
-            if step.sends:
-                clock = step.clock_time
-                for event in step.sends:
-                    send_uids.append(event.message.uid)
-                    send_clocks.append(clock)
-            interrupt = step.interrupt
-            if isinstance(interrupt, MessageReceiveEvent):
-                recv_uids.append(interrupt.message.uid)
-                recv_clocks.append(step.clock_time)
-        send_counts.append(len(send_uids) - sends_before)
-        recv_counts.append(len(recv_uids) - receives_before)
+    send_uids, send_clocks, recv_uids, recv_clocks = tuple(
+        zip(*[view.columns for view in views.values()])
+    ) or ((),) * 4
     positions = np.arange(len(processors))
-    send_view = np.repeat(positions, send_counts)
-    recv_view = np.repeat(positions, recv_counts)
-    send_uid = np.array(send_uids, dtype=np.int64)
-    recv_uid = np.array(recv_uids, dtype=np.int64)
+    send_view = np.repeat(positions, list(map(len, send_uids)))
+    recv_view = np.repeat(positions, list(map(len, recv_uids)))
+    send_uid, send_clock, recv_uid, recv_clock = (
+        np.fromiter(chain.from_iterable(column), dtype, len(owner))
+        for column, dtype, owner in (
+            (send_uids, np.int64, send_view),
+            (send_clocks, float, send_view),
+            (recv_uids, np.int64, recv_view),
+            (recv_clocks, float, recv_view),
+        )
+    )
 
     # The last send of each uid, as sorted unique uids.
     order = np.argsort(send_uid, kind="stable")
+    sorted_uids = send_uid[order]
     last = np.ones(len(order), dtype=bool)
-    last[:-1] = send_uid[order][1:] != send_uid[order][:-1]
+    last[:-1] = sorted_uids[1:] != sorted_uids[:-1]
     send_at = order[last]
     uids = send_uid[send_at]
 
@@ -113,7 +104,7 @@ def _match(views: Mapping[ProcessorId, View], strict: bool) -> _Matched:
         i = int(np.argmax(orphan))
         raise IncompleteViewsError(
             f"{processors[recv_view[i]]!r} received message "
-            f"{recv_uids[i]} but no view contains its send"
+            f"{int(recv_uid[i])} but no view contains its send"
         )
     matched = np.flatnonzero(sent >= 0)
     sends = sent[matched]
@@ -121,8 +112,7 @@ def _match(views: Mapping[ProcessorId, View], strict: bool) -> _Matched:
         processors,
         send_view[sends],
         recv_view[matched],
-        np.array(recv_clocks, dtype=float)[matched]
-        - np.array(send_clocks, dtype=float)[sends],
+        recv_clock[matched] - send_clock[sends],
         int(np.count_nonzero(orphan)),
     )
 

@@ -84,7 +84,9 @@ class LinkTerms:
         )
         # Each edge's flat cell of the (n, n) matrix.
         self._cells = senders * n + receivers
-        codes = senders * (n + 1) + receivers
+        # Receiver-major lookup codes: matched receives come grouped by
+        # receiving view, so their codes reach searchsorted nearly sorted.
+        codes = receivers * (n + 1) + senders
         self._code_edges = np.argsort(codes)
         self._codes = codes[self._code_edges]
         self._slots = max(
@@ -120,7 +122,7 @@ class LinkTerms:
         rows = np.array(
             [self._rows.get(p, outside) for p in processors], dtype=np.int64
         )
-        codes = rows[senders] * (outside + 1) + rows[receivers]
+        codes = rows[receivers] * (outside + 1) + rows[senders]
         at = np.searchsorted(self._codes, codes)
         at[at == len(self._codes)] = 0
         return np.where(self._codes[at] == codes, self._code_edges[at], -1)

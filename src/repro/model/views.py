@@ -14,8 +14,9 @@ real time without the processor noticing.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from repro._types import ProcessorId, Time
 from repro.model.events import (
@@ -25,27 +26,61 @@ from repro.model.events import (
 from repro.model.steps import History, Step
 
 
-@dataclass(frozen=True)
+#: ``(send uids, send clocks, receive uids, receive clocks)`` of one view.
+Columns = Tuple[List[int], List[Time], List[int], List[Time]]
+
+
+@dataclass(frozen=True, init=False)
 class View:
     """The observable part of one processor's history.
 
     ``steps`` preserves order but not real times; equality of two views is
     plain tuple equality of the steps (states, clock times, events).
+    The message columns (:attr:`columns`) are derived from ``steps`` once,
+    at construction; they take no part in equality, hashing or ``repr``.
     """
 
     processor: ProcessorId
     steps: Tuple[Step, ...]
 
+    def __init__(self, processor: ProcessorId, steps: Tuple[Step, ...]):
+        # The one step walk Lemma 6.1 needs, done once here so every
+        # match over this view reads plain lists.  Plain lists and a
+        # written-out __init__ (no __post_init__ call) keep a fresh view
+        # set -- a campaign cell, a replay-audit cut -- as cheap as the
+        # walk the matcher used to do itself.
+        send_uids, send_clocks, receive_uids, receive_clocks = [], [], [], []
+        for step in steps:
+            if step.sends:
+                clock = step.clock_time
+                for event in step.sends:
+                    send_uids.append(event.message.uid)
+                    send_clocks.append(clock)
+            interrupt = step.interrupt
+            if isinstance(interrupt, MessageReceiveEvent):
+                receive_uids.append(interrupt.message.uid)
+                receive_clocks.append(step.clock_time)
+        set_attribute = object.__setattr__  # frozen
+        set_attribute(self, "processor", processor)
+        set_attribute(self, "steps", steps)
+        set_attribute(
+            self, "_columns", (send_uids, send_clocks, receive_uids, receive_clocks)
+        )
+
     @staticmethod
     def of(history: History) -> "View":
         """Extract the view of ``history`` (drop real times, keep order)."""
-        return View(
-            processor=history.processor,
-            steps=tuple(ts.step for ts in history.steps),
-        )
+        return View(history.processor, tuple([ts.step for ts in history.steps]))
 
     def __len__(self) -> int:
         return len(self.steps)
+
+    @property
+    def columns(self) -> Columns:
+        """``(send uids, send clocks, receive uids, receive clocks)``: the
+        ``(uid, clock)`` of every send and every receive, in step order,
+        repeats kept.  Shared, not copied: read them, never mutate."""
+        return self._columns
 
     # ------------------------------------------------------------------
     # Observable message timing.  These are what Lemma 6.1 relies on: the
@@ -54,12 +89,12 @@ class View:
     # ------------------------------------------------------------------
 
     def send_clock_times(self) -> Dict[int, Time]:
-        """Map ``message uid -> clock time at which this processor sent it``."""
-        out: Dict[int, Time] = {}
-        for step in self.steps:
-            for ev in step.sends:
-                out[ev.message.uid] = step.clock_time
-        return out
+        """Map ``message uid -> clock time at which this processor sent it``.
+
+        A uid sent more than once keeps its *last* send time.
+        """
+        uids, clocks, _, _ = self._columns
+        return dict(zip(uids, clocks))
 
     def receive_clock_times(self) -> Dict[int, Time]:
         """Map ``message uid -> clock time at which this processor received it``.
@@ -71,21 +106,18 @@ class View:
         keeps the view-level statistic consistent with
         :meth:`repro.model.execution.Execution.message_records`.
         """
-        out: Dict[int, Time] = {}
-        for step in self.steps:
-            iv = step.interrupt
-            if isinstance(iv, MessageReceiveEvent):
-                out.setdefault(iv.message.uid, step.clock_time)
+        _, _, uids, clocks = self._columns
+        # Keys in first-receive order; filling them last-to-first leaves
+        # each uid's first clock.
+        out: Dict[int, Time] = dict.fromkeys(uids)
+        out.update(zip(reversed(uids), reversed(clocks)))
         return out
 
     def duplicate_receive_uids(self) -> Tuple[int, ...]:
         """Uids delivered to this processor more than once, in view order."""
-        seen: Dict[int, int] = {}
-        for step in self.steps:
-            iv = step.interrupt
-            if isinstance(iv, MessageReceiveEvent):
-                seen[iv.message.uid] = seen.get(iv.message.uid, 0) + 1
-        return tuple(uid for uid, n in seen.items() if n > 1)
+        _, _, uids, _ = self._columns
+        counts = Counter(uids)
+        return tuple(uid for uid, n in counts.items() if n > 1)
 
     def received_messages(self):
         """Messages received, in view order."""
@@ -118,4 +150,4 @@ def views_equal(a: View, b: View) -> bool:
     return a.processor == b.processor and a.steps == b.steps
 
 
-__all__ = ["View", "views_equal"]
+__all__ = ["Columns", "View", "views_equal"]

@@ -245,7 +245,7 @@ class TestRegistry:
             "engine.pipeline", "engine.closure", "engine.karp",
             "engine.incremental", "sim.run", "online.replay",
             "campaign.throughput", "obs.recording", "monitor.suite",
-            "core.estimates",
+            "core.estimates", "core.estimates.fresh",
         } <= names
         assert registry.cases(suite="smoke")
 
