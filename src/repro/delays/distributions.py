@@ -9,10 +9,14 @@ assumption's admissible set -- the simulator verifies this on every draw.
 Samplers for bias-bounded links need correlation across the two directions
 of a link, so the sampler interface receives the direction of each message
 (``FORWARD`` = canonical ``p -> q``).
+
+A simulated run draws from :func:`run_copy` of each sampler, so run state
+(a :class:`CorrelatedLoad` base) never leaks from one run into the next.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -208,6 +212,31 @@ class Constant(DelaySampler):
         return self.value
 
 
+#: Built-in samplers that keep no state between draws: a run may draw
+#: from the caller's instance.  Exact types only -- a subclass may add
+#: state.
+_STATELESS = frozenset(
+    {UniformDelay, AsymmetricUniform, ShiftedExponential, TruncatedNormal,
+     Constant}
+)
+
+
+def run_copy(sampler: DelaySampler) -> DelaySampler:
+    """The instance one simulated run draws from.
+
+    A stateless built-in is shared as it is; a :class:`CorrelatedLoad`
+    gets a shallow copy, whose base is drawn afresh by the run (its
+    fields are immutable numbers); any other sampler -- a user subclass,
+    or a :class:`Bimodal` whose modes may hold state -- gets a deep copy.
+    """
+    kind = type(sampler)
+    if kind in _STATELESS:
+        return sampler
+    if kind is CorrelatedLoad:
+        return copy.copy(sampler)
+    return copy.deepcopy(sampler)
+
+
 __all__ = [
     "Direction",
     "DelaySampler",
@@ -218,4 +247,5 @@ __all__ = [
     "CorrelatedLoad",
     "Bimodal",
     "Constant",
+    "run_copy",
 ]

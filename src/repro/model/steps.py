@@ -24,6 +24,7 @@ from typing import Any, Iterable, Iterator, List, Tuple
 from repro._types import ProcessorId, Time
 from repro.model.events import (
     Event,
+    InterruptEvent,
     MessageReceiveEvent,
     MessageSendEvent,
     StartEvent,
@@ -36,7 +37,7 @@ class ModelError(ValueError):
     """Raised when a history or execution violates the formal model."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Step:
     """One application of the transition function.
 
@@ -52,12 +53,29 @@ class Step:
     sends: Tuple[MessageSendEvent, ...] = ()
     timer_sets: Tuple[TimerSetEvent, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not self.interrupt.is_interrupt():
+    def __init__(
+        self,
+        old_state: Any,
+        clock_time: Time,
+        interrupt: Event,
+        new_state: Any,
+        sends: Tuple[MessageSendEvent, ...] = (),
+        timer_sets: Tuple[TimerSetEvent, ...] = (),
+    ) -> None:
+        if not isinstance(interrupt, InterruptEvent):
             raise ModelError(
                 f"step interrupt must be a start/receive/timer event, "
-                f"got {self.interrupt!r}"
+                f"got {interrupt!r}"
             )
+        # Written out (no __post_init__ call): the simulator builds one
+        # step per event.
+        set_attribute = object.__setattr__  # frozen
+        set_attribute(self, "old_state", old_state)
+        set_attribute(self, "clock_time", clock_time)
+        set_attribute(self, "interrupt", interrupt)
+        set_attribute(self, "new_state", new_state)
+        set_attribute(self, "sends", sends)
+        set_attribute(self, "timer_sets", timer_sets)
 
     def sent_messages(self):
         """Messages emitted by this step, in emission order."""
@@ -159,65 +177,83 @@ class History:
         """Check the six history conditions; raise :class:`ModelError` if violated.
 
         Condition 1 (local finiteness) holds trivially because ``steps`` is
-        a finite tuple.
+        a finite tuple.  One pass over the steps checks conditions 3-6.
+        When several are violated, the error raised is the one of the
+        lowest-numbered condition, and within it the first offending step
+        (condition 5: the first offending real time, in order of first
+        appearance).
         """
-        if not self.steps:
+        steps = self.steps
+        if not steps:
             raise ModelError(f"history of {self.processor!r} is empty")
 
         # Condition 2: first step is a start event from the initial state.
-        first = self.steps[0].step
-        if not isinstance(first.interrupt, StartEvent):
+        first = steps[0]
+        if not isinstance(first.step.interrupt, StartEvent):
             raise ModelError("first step must be a start event")
-        start = self.steps[0].real_time
+        start = first.real_time
 
-        # Condition 3: no other start events, states chain correctly.
-        prev_state = first.new_state
-        for ts in self.steps[1:]:
-            if isinstance(ts.step.interrupt, StartEvent):
-                raise ModelError("multiple start events in one history")
-            if ts.step.old_state != prev_state:
-                raise ModelError(
-                    f"state mismatch at real time {ts.real_time}: "
-                    f"{ts.step.old_state!r} != {prev_state!r}"
-                )
-            prev_state = ts.step.new_state
+        prev_state = first.step.new_state
+        chained = False
+        clock_error = None  # condition 4: the first mismatching step
+        # Condition 5, per real time in order of first appearance: how
+        # many timer events, and whether the last step is one.
+        instants: dict = {}
+        set_times = set()
+        fired = []
+        for ts in steps:
+            t = ts.real_time
+            step = ts.step
+            interrupt = step.interrupt
+            # Condition 3: no other start events, states chain correctly.
+            if chained:
+                if isinstance(interrupt, StartEvent):
+                    raise ModelError("multiple start events in one history")
+                if step.old_state != prev_state:
+                    raise ModelError(
+                        f"state mismatch at real time {t}: "
+                        f"{step.old_state!r} != {prev_state!r}"
+                    )
+                prev_state = step.new_state
+            chained = True
+            # Condition 4: clock time of every step equals real time minus S.
+            if clock_error is None and abs(step.clock_time - (t - start)) > 1e-9:
+                clock_error = ts
+            # Condition 5: at most one timer event per real time, ordered last.
+            is_timer = isinstance(interrupt, TimerEvent)
+            instant = instants.get(t)
+            if instant is None:
+                instants[t] = [int(is_timer), is_timer]
+            else:
+                instant[0] += is_timer
+                instant[1] = is_timer
+            # Condition 6 (checked below, once every set is known).
+            for ev in step.timer_sets:
+                set_times.add(round(ev.clock_time, 9))
+            if is_timer:
+                fired.append(interrupt)
 
-        # Condition 4: clock time of every step equals real time minus S.
-        for ts in self.steps:
-            expected = ts.real_time - start
-            if abs(ts.step.clock_time - expected) > 1e-9:
-                raise ModelError(
-                    f"clock time {ts.step.clock_time} != real {ts.real_time} - "
-                    f"start {start}"
-                )
-
-        # Condition 5: at most one timer event per real time, ordered last.
-        by_time: dict = {}
-        for ts in self.steps:
-            by_time.setdefault(ts.real_time, []).append(ts.step)
-        for real_time, seq in by_time.items():
-            timer_positions = [
-                i for i, st in enumerate(seq) if isinstance(st.interrupt, TimerEvent)
-            ]
-            if len(timer_positions) > 1:
-                raise ModelError(f"two timer events at real time {real_time}")
-            if timer_positions and timer_positions[0] != len(seq) - 1:
-                raise ModelError(
-                    f"timer event not last among steps at real time {real_time}"
-                )
+        if clock_error is not None:
+            raise ModelError(
+                f"clock time {clock_error.step.clock_time} != real "
+                f"{clock_error.real_time} - start {start}"
+            )
+        if fired:
+            for real_time, (timers, timer_last) in instants.items():
+                if timers > 1:
+                    raise ModelError(f"two timer events at real time {real_time}")
+                if timers and not timer_last:
+                    raise ModelError(
+                        f"timer event not last among steps at real time "
+                        f"{real_time}"
+                    )
 
         # Condition 6: a timer fires at clock T iff a timer was set for T.
-        set_times = set()
-        for ts in self.steps:
-            for ev in ts.step.timer_sets:
-                set_times.add(round(ev.clock_time, 9))
-        for ts in self.steps:
-            iv = ts.step.interrupt
-            if isinstance(iv, TimerEvent):
-                if round(iv.clock_time, 9) not in set_times:
-                    raise ModelError(
-                        f"timer for clock time {iv.clock_time} fired but was never set"
-                    )
+        for iv in fired:
+            if round(iv.clock_time, 9) not in set_times:
+                raise ModelError(
+                    f"timer for clock time {iv.clock_time} fired but was never set"
+                )
 
 
 def shift_history(history: History, s: Time) -> History:

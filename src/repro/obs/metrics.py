@@ -148,6 +148,26 @@ class Histogram:
             self._sum += value
             self._count += 1
 
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Record ``values`` in order under one lock.
+
+        The same buckets, count and ``sum`` (added left to right, so
+        bit-equal) as one :meth:`observe` per value.  A value that cannot
+        be bucketed raises before anything is recorded.
+        """
+        boundaries = self.boundaries
+        with self._lock:
+            counts = list(self._bucket_counts)
+            total = self._sum
+            n = 0
+            for value in values:
+                counts[bisect.bisect_left(boundaries, value)] += 1
+                total += value
+                n += 1
+            self._bucket_counts = counts
+            self._sum = total
+            self._count += n
+
     @property
     def bucket_counts(self) -> Tuple[int, ...]:
         """Per-bucket (non-cumulative) counts; the last entry is +Inf."""

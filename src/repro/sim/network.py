@@ -69,10 +69,12 @@ class NetworkSimulator:
     system:
         The ``(G, A)`` pair; delays are checked against ``A`` post-run.
     samplers:
-        One delay sampler per canonical link of the topology.  Samplers
-        are deep-copied per run, so stateful samplers (e.g.
-        :class:`~repro.delays.distributions.CorrelatedLoad`) never leak
-        state across runs.
+        One delay sampler per canonical link of the topology.  Each run
+        draws from :func:`~repro.delays.distributions.run_copy` of them:
+        the stateless built-ins are shared, a
+        :class:`~repro.delays.distributions.CorrelatedLoad` gets a fresh
+        copy (its base is redrawn per run), and any other sampler a deep
+        copy, so stateful samplers never leak state across runs.
     start_times:
         Real start time ``S_p`` per processor.
     seed:
@@ -277,14 +279,17 @@ class NetworkSimulator:
             p: set() for p in processors
         }
         # Sampled only on instrumented runs; the disabled path pays one
-        # `enabled` check per run, nothing per event.
+        # `enabled` check per run, nothing per event.  Samples are
+        # buffered and observed in order when the loop ends (by
+        # quiescence or by a raise), one locked batch per histogram.
+        sampling = recorder.enabled
         depth_histogram = (
             recorder.histogram(
                 "sim.scheduler.queue_depth",
                 boundaries=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
                 description="future-event-list depth sampled at each pop",
             )
-            if recorder.enabled
+            if sampling
             else None
         )
         delay_histogram = (
@@ -292,108 +297,119 @@ class NetworkSimulator:
                 "sim.message.delay",
                 description="real delay d(m) of each dispatched message",
             )
-            if recorder.enabled
+            if sampling
             else None
         )
+        depth_samples: List[int] = []
+        delay_samples: List[Time] = []
         # Flow records are built only when someone is listening (e.g. a
         # FlowLog observer); the disabled path pays one check per run.
         emit_flow = recorder.enabled and bool(recorder.observers)
+        max_events = self._config.max_events
+        events = 0
 
-        while True:
-            entry = scheduler.pop()
-            if entry is None:
-                return steps
-            if scheduler.processed > self._config.max_events:
-                raise SimulationError(
-                    f"event budget of {self._config.max_events} exceeded; "
-                    f"protocol does not quiesce"
-                )
-            if depth_histogram is not None:
-                depth_histogram.observe(scheduler.raw_depth)
-            now = entry.real_time
-            kind = entry.payload[0]
-            if kind == "start":
-                _, p = entry.payload
-                # Start events always fire: the model requires every
-                # history to begin with a start, and a crash window
-                # covering it silences the processor from its first
-                # interrupt onwards instead.
-                event = StartEvent()
-            elif kind == "recv":
-                _, p, message = entry.payload
-                if faulty and wire.suppressed(
-                    p, now, "recv", message_uid=message.uid
-                ):
-                    continue
-                summary.messages_delivered += 1
-                event = MessageReceiveEvent(message=message)
-            elif kind == "timer":
-                _, p, clock_t = entry.payload
-                pending_timers[p].discard(round(clock_t, 9))
-                # Timers due inside a crash window are lost, not
-                # deferred (condition 6 only requires fired timers to
-                # have been set, so the history stays valid).
-                if faulty and wire.suppressed(
-                    p, now, "timer", clock_time=clock_t
-                ):
-                    continue
-                event = TimerEvent(clock_time=clock_t)
-            else:  # pragma: no cover - internal invariant
-                raise SimulationError(f"unknown payload {entry.payload!r}")
-
-            clock = now - starts[p]
-            old_state = states[p]
-            transition = automata[p].on_interrupt(old_state, clock, event)
-            if not isinstance(transition, Transition):
-                raise SimulationError(
-                    f"automaton of {p!r} returned {transition!r}, "
-                    f"expected a Transition"
-                )
-
-            send_events = []
-            for send in transition.sends:
-                message = wire.message(p, send.to, send.payload)
-                send_events.append(MessageSendEvent(message=message))
-                delivery = wire.send(message, now, (p, send.to))
-                if delivery is not None and delay_histogram is not None:
-                    delay_histogram.observe(delivery[0] - now)
-                if emit_flow:
-                    recorder.emit(
-                        "message.flow",
-                        record=self._flow_record(message, now, delivery),
-                    )
-
-            timer_events = []
-            for timer in transition.timers:
-                if timer.clock_time <= clock + 1e-12:
+        try:
+            while True:
+                entry = scheduler.pop()
+                if entry is None:
+                    return steps
+                events += 1
+                if events > max_events:
                     raise SimulationError(
-                        f"{p!r} set a timer for clock {timer.clock_time} at "
-                        f"clock {clock}; timers must be strictly in the future"
+                        f"event budget of {max_events} exceeded; "
+                        f"protocol does not quiesce"
                     )
-                timer_events.append(TimerSetEvent(clock_time=timer.clock_time))
-                key = round(timer.clock_time, 9)
-                if key not in pending_timers[p]:
-                    pending_timers[p].add(key)
-                    scheduler.schedule(
-                        starts[p] + timer.clock_time,
-                        PRIORITY_TIMER,
-                        ("timer", p, timer.clock_time),
+                if sampling:
+                    depth_samples.append(scheduler.raw_depth)
+                now = entry.real_time
+                payload = entry.payload
+                kind = payload[0]
+                if kind == "start":
+                    p = payload[1]
+                    # Start events always fire: the model requires every
+                    # history to begin with a start, and a crash window
+                    # covering it silences the processor from its first
+                    # interrupt onwards instead.
+                    event = StartEvent()
+                elif kind == "recv":
+                    _, p, message = payload
+                    if faulty and wire.suppressed(
+                        p, now, "recv", message_uid=message.uid
+                    ):
+                        continue
+                    summary.messages_delivered += 1
+                    event = MessageReceiveEvent(message)
+                elif kind == "timer":
+                    _, p, clock_t = payload
+                    pending_timers[p].discard(round(clock_t, 9))
+                    # Timers due inside a crash window are lost, not
+                    # deferred (condition 6 only requires fired timers
+                    # to have been set, so the history stays valid).
+                    if faulty and wire.suppressed(
+                        p, now, "timer", clock_time=clock_t
+                    ):
+                        continue
+                    event = TimerEvent(clock_t)
+                else:  # pragma: no cover - internal invariant
+                    raise SimulationError(f"unknown payload {payload!r}")
+
+                clock = now - starts[p]
+                old_state = states[p]
+                transition = automata[p].on_interrupt(old_state, clock, event)
+                if not isinstance(transition, Transition):
+                    raise SimulationError(
+                        f"automaton of {p!r} returned {transition!r}, "
+                        f"expected a Transition"
                     )
 
-            states[p] = transition.new_state
-            steps[p].append(
-                TimedStep(
-                    real_time=now,
-                    step=Step(
-                        old_state=old_state,
-                        clock_time=clock,
-                        interrupt=event,
-                        new_state=transition.new_state,
-                        sends=tuple(send_events),
-                        timer_sets=tuple(timer_events),
-                    ),
+                send_events = []
+                for send in transition.sends:
+                    message = wire.message(p, send.to, send.payload)
+                    send_events.append(MessageSendEvent(message))
+                    delivery = wire.send(message, now, (p, send.to))
+                    if delivery is not None and sampling:
+                        delay_samples.append(delivery[0] - now)
+                    if emit_flow:
+                        recorder.emit(
+                            "message.flow",
+                            record=self._flow_record(message, now, delivery),
+                        )
+
+                timer_events = []
+                for timer in transition.timers:
+                    clock_time = timer.clock_time
+                    if clock_time <= clock + 1e-12:
+                        raise SimulationError(
+                            f"{p!r} set a timer for clock {clock_time} at "
+                            f"clock {clock}; timers must be strictly in the "
+                            f"future"
+                        )
+                    timer_events.append(TimerSetEvent(clock_time))
+                    key = round(clock_time, 9)
+                    pending = pending_timers[p]
+                    if key not in pending:
+                        pending.add(key)
+                        scheduler.schedule(
+                            starts[p] + clock_time,
+                            PRIORITY_TIMER,
+                            ("timer", p, clock_time),
+                        )
+
+                new_state = transition.new_state
+                states[p] = new_state
+                steps[p].append(
+                    TimedStep(
+                        now,
+                        Step(
+                            old_state, clock, event, new_state,
+                            tuple(send_events), tuple(timer_events),
+                        ),
+                    )
                 )
-            )
+        finally:
+            if sampling:
+                depth_histogram.observe_many(depth_samples)
+                delay_histogram.observe_many(delay_samples)
 
     # ------------------------------------------------------------------
 

@@ -54,10 +54,15 @@ class Transition:
         sends: Sequence[Send] = (),
         timers: Sequence[SetTimer] = (),
     ) -> "Transition":
-        """Build a transition from a new state plus optional sends/timers."""
-        return Transition(
-            new_state=new_state, sends=tuple(sends), timers=tuple(timers)
-        )
+        """Build a transition from a new state plus optional sends/timers.
+
+        Tuples are kept as given; any other sequence is copied into one.
+        """
+        if type(sends) is not tuple:
+            sends = tuple(sends)
+        if type(timers) is not tuple:
+            timers = tuple(timers)
+        return Transition(new_state, sends, timers)
 
 
 class Automaton(ABC):

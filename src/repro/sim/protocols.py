@@ -69,16 +69,17 @@ class ProbeAutomaton(Automaton):
     def on_interrupt(self, state: Any, clock_time: Time, event: Event) -> Transition:
         if isinstance(event, StartEvent):
             timers = tuple(SetTimer(t) for t in self._probe_times)
-            return Transition.to(state, timers=timers)
+            return Transition(state, (), timers)
         if isinstance(event, TimerEvent):
-            round_no = state
-            sends = tuple(
-                Send(to=n, payload=Probe(origin=self._me, round=round_no))
-                for n in self._neighbors
+            # One probe value per round, shared by its sends.  Built when
+            # the round fires: a campaign cell builds its automata for one
+            # run, and rounds built once per automaton measured slower.
+            probe = Probe(self._me, state)
+            return Transition(
+                state + 1, tuple(Send(n, probe) for n in self._neighbors)
             )
-            return Transition.to(state + 1, sends=sends)
         # Probes from neighbours carry no obligation; ignore.
-        return Transition.to(state)
+        return Transition(state)
 
 
 class EchoAutomaton(Automaton):

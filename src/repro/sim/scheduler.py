@@ -9,6 +9,12 @@ A classic heap-based future-event list.  Entries are ordered by
 * ``sequence`` is a monotone tiebreaker that keeps simultaneous
   same-priority events in schedule order and makes runs deterministic.
 
+The heap holds plain tuples ``(real_time, priority, sequence, entry)``,
+so ``heapq`` orders them with C tuple comparisons.  ``sequence`` is
+unique, so a comparison never reaches the fourth slot: the
+:class:`_Entry` handle (payload plus cancel/pop flags) is never compared
+and the payload may be any object, comparable or not.
+
 A ``clock_listener`` callback, when given, is invoked with the new
 simulated time every time :meth:`EventScheduler.pop` advances it -- the
 hook the simulator uses to keep the recorder's ``sim_time`` current so
@@ -19,8 +25,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro._types import Time
 
@@ -30,14 +35,16 @@ PRIORITY_RECEIVE = 1
 PRIORITY_TIMER = 2
 
 
-@dataclass(order=True)
 class _Entry:
-    real_time: Time
-    priority: int
-    sequence: int
-    payload: Any = field(compare=False)
-    cancelled: bool = field(compare=False, default=False)
-    popped: bool = field(compare=False, default=False)
+    """The cancellable handle of one scheduled event."""
+
+    __slots__ = ("real_time", "payload", "cancelled", "popped")
+
+    def __init__(self, real_time: Time, payload: Any) -> None:
+        self.real_time = real_time
+        self.payload = payload
+        self.cancelled = False
+        self.popped = False
 
 
 class EventScheduler:
@@ -46,7 +53,7 @@ class EventScheduler:
     def __init__(
         self, clock_listener: Optional[Callable[[Time], None]] = None
     ) -> None:
-        self._heap: List[_Entry] = []
+        self._heap: List[Tuple[Time, int, int, _Entry]] = []
         self._counter = itertools.count()
         self._now: Time = float("-inf")
         self._processed = 0
@@ -89,15 +96,11 @@ class EventScheduler:
             raise ValueError(
                 f"cannot schedule at {real_time} before current time {self._now}"
             )
-        entry = _Entry(
-            real_time=real_time,
-            priority=priority,
-            sequence=next(self._counter),
-            payload=payload,
-        )
-        heapq.heappush(self._heap, entry)
-        if len(self._heap) > self._peak_depth:
-            self._peak_depth = len(self._heap)
+        entry = _Entry(real_time, payload)
+        heap = self._heap
+        heapq.heappush(heap, (real_time, priority, next(self._counter), entry))
+        if len(heap) > self._peak_depth:
+            self._peak_depth = len(heap)
         return entry
 
     def cancel(self, entry: _Entry) -> bool:
@@ -118,8 +121,9 @@ class EventScheduler:
 
     def pop(self) -> Optional[_Entry]:
         """Remove and return the earliest live entry, or ``None`` if empty."""
-        while self._heap:
-            entry = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            entry = heapq.heappop(heap)[3]
             if entry.cancelled:
                 entry.popped = True
                 continue
@@ -132,10 +136,10 @@ class EventScheduler:
         return None
 
     def __bool__(self) -> bool:
-        return any(not e.cancelled for e in self._heap)
+        return any(not item[3].cancelled for item in self._heap)
 
     def __len__(self) -> int:
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for item in self._heap if not item[3].cancelled)
 
 
 __all__ = [

@@ -43,8 +43,9 @@ Unlike :class:`~repro.sim.network.NetworkSimulator` (one shared RNG per
 run), streams here are per *directed edge* and per frame class.  The
 price is that cross-direction sampler correlation (e.g.
 ``CorrelatedLoad``'s shared base load) does not survive -- each
-direction owns a deep copy.  The byte-equality and replay guarantees
-need exactly this isolation, so it is the documented trade.
+direction owns its own :func:`~repro.delays.distributions.run_copy` of
+the sampler.  The byte-equality and replay guarantees need exactly this
+isolation, so it is the documented trade.
 
 The trace's reports feed :class:`~repro.live.trace.ProbeLog` /
 :func:`~repro.live.trace.views_from_probes` -- the same artifact the
@@ -54,13 +55,12 @@ monitors, replay audit) covers both drivers.
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro._types import ProcessorId, Time
-from repro.delays.distributions import DelaySampler, Direction
+from repro.delays.distributions import DelaySampler, Direction, run_copy
 from repro.delays.system import System
 from repro.faults.injector import FaultInjector, FaultLog
 from repro.faults.plan import FaultPlan
@@ -183,7 +183,7 @@ def _delay_streams(
             (q, p, Direction.REVERSE),
         ):
             streams[(src, dst)] = DelayStream(
-                sampler=copy.deepcopy(sampler),
+                sampler=run_copy(sampler),
                 rng=random.Random(f"{seed}:{kind}:{src!r}->{dst!r}"),
                 direction=direction,
             )
@@ -394,8 +394,9 @@ def run_transport_probes(
     index); the run ends when every segment is delivered, given up on,
     or dropped -- the scheduler drains, there is no separate horizon.
     ``samplers`` are per canonical link, like
-    :class:`~repro.sim.network.NetworkSimulator` (deep-copied per
-    directed edge here; see the module docstring for the RNG contract).
+    :class:`~repro.sim.network.NetworkSimulator` (one
+    :func:`~repro.delays.distributions.run_copy` per directed edge here;
+    see the module docstring for the RNG contract).
     """
     return _TransportRun(
         system, samplers, start_times, probe_times, seed, plan,

@@ -32,14 +32,13 @@ run's scheduler; the caller owns the event loop that pops them.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Mapping, Optional, Tuple
 
 from repro._types import ProcessorId, Time
-from repro.delays.distributions import DelaySampler, Direction
+from repro.delays.distributions import DelaySampler, Direction, run_copy
 from repro.faults.injector import FaultInjector, FaultLog
 from repro.model.events import Message
 from repro.sim.scheduler import EventScheduler, PRIORITY_RECEIVE
@@ -114,12 +113,14 @@ def shared_streams(
     samplers: Mapping[Tuple[ProcessorId, ProcessorId], DelaySampler],
     rng: random.Random,
 ) -> Dict[Tuple[ProcessorId, ProcessorId], DelayStream]:
-    """Per directed edge: both directions of a link draw from one deep
-    copy of its sampler and from the run's one ``rng``, so stateful
-    samplers (e.g. ``CorrelatedLoad``) stay correlated across directions."""
+    """Per directed edge: both directions of a link draw from one
+    :func:`~repro.delays.distributions.run_copy` of its sampler and from
+    the run's one ``rng``.  Stateless built-ins are shared as they are, a
+    ``CorrelatedLoad`` gets a fresh copy (so its base is redrawn per run
+    and shared by both directions), and any other sampler a deep copy."""
     streams: Dict[Tuple[ProcessorId, ProcessorId], DelayStream] = {}
     for (p, q), sampler in samplers.items():
-        own = copy.deepcopy(sampler)
+        own = run_copy(sampler)
         streams[(p, q)] = DelayStream(own, rng, Direction.FORWARD)
         streams[(q, p)] = DelayStream(own, rng, Direction.REVERSE)
     return streams

@@ -7,7 +7,10 @@
   inside each one, and the witness read off the tight edges;
 * :func:`run_shifts` / :func:`run_closure` -- SHIFTS and GLOBAL
   ESTIMATES on pair mappings through a :class:`~repro.engine.SyncEngine`,
-  so semantics tests can run against both backends.
+  so semantics tests can run against both backends;
+* :func:`reference_validate` -- the six history conditions checked as
+  four separate passes, the reference for the one-pass
+  :meth:`~repro.model.steps.History.validate`.
 
 Graphs are weight matrices: ``weights[u][v]`` is the edge ``u -> v`` and
 ``inf`` marks an absent edge.
@@ -23,6 +26,8 @@ from repro.engine.python_backend import (
     strongly_connected_components,
     tight_cycle,
 )
+from repro.model.events import StartEvent, TimerEvent
+from repro.model.steps import ModelError
 
 INF = float("inf")
 
@@ -138,3 +143,69 @@ def run_closure(engine, processors, mls) -> Dict[Tuple, float]:
     """GLOBAL ESTIMATES: ``ms~`` for every ordered pair of ``processors``."""
     index = ProcessorIndex(processors)
     return dict(PairView(engine.global_estimates(index.matrix(mls)), index))
+
+
+def reference_validate(history) -> None:
+    """The six history conditions, one pass per condition (3, 4, 5, 6).
+
+    Raises the :class:`~repro.model.steps.ModelError` of the first
+    condition violated, in condition order; ``History.validate`` must
+    raise the same message on every history.
+    """
+    if not history.steps:
+        raise ModelError(f"history of {history.processor!r} is empty")
+
+    # Condition 2: first step is a start event from the initial state.
+    first = history.steps[0].step
+    if not isinstance(first.interrupt, StartEvent):
+        raise ModelError("first step must be a start event")
+    start = history.steps[0].real_time
+
+    # Condition 3: no other start events, states chain correctly.
+    prev_state = first.new_state
+    for ts in history.steps[1:]:
+        if isinstance(ts.step.interrupt, StartEvent):
+            raise ModelError("multiple start events in one history")
+        if ts.step.old_state != prev_state:
+            raise ModelError(
+                f"state mismatch at real time {ts.real_time}: "
+                f"{ts.step.old_state!r} != {prev_state!r}"
+            )
+        prev_state = ts.step.new_state
+
+    # Condition 4: clock time of every step equals real time minus S.
+    for ts in history.steps:
+        expected = ts.real_time - start
+        if abs(ts.step.clock_time - expected) > 1e-9:
+            raise ModelError(
+                f"clock time {ts.step.clock_time} != real {ts.real_time} - "
+                f"start {start}"
+            )
+
+    # Condition 5: at most one timer event per real time, ordered last.
+    by_time: dict = {}
+    for ts in history.steps:
+        by_time.setdefault(ts.real_time, []).append(ts.step)
+    for real_time, seq in by_time.items():
+        timer_positions = [
+            i for i, st in enumerate(seq) if isinstance(st.interrupt, TimerEvent)
+        ]
+        if len(timer_positions) > 1:
+            raise ModelError(f"two timer events at real time {real_time}")
+        if timer_positions and timer_positions[0] != len(seq) - 1:
+            raise ModelError(
+                f"timer event not last among steps at real time {real_time}"
+            )
+
+    # Condition 6: a timer fires at clock T iff a timer was set for T.
+    set_times = set()
+    for ts in history.steps:
+        for ev in ts.step.timer_sets:
+            set_times.add(round(ev.clock_time, 9))
+    for ts in history.steps:
+        iv = ts.step.interrupt
+        if isinstance(iv, TimerEvent):
+            if round(iv.clock_time, 9) not in set_times:
+                raise ModelError(
+                    f"timer for clock time {iv.clock_time} fired but was never set"
+                )

@@ -202,8 +202,9 @@ class TestHistoryConditions:
                 new_state=3,
             ),
         )
-        with pytest.raises(ModelError, match="timer"):
+        with pytest.raises(ModelError) as raised:
             History(processor=0, steps=(start, t1, t2)).validate()
+        assert str(raised.value) == "two timer events at real time 5.0"
 
     def test_condition5_timer_ordered_last_within_instant(self):
         m = Message(sender=1, receiver=0)
@@ -235,10 +236,13 @@ class TestHistoryConditions:
                 new_state=3,
             ),
         )
-        with pytest.raises(ModelError, match="timer"):
+        with pytest.raises(ModelError) as raised:
             History(
                 processor=0, steps=(start, timer_first, recv_after)
             ).validate()
+        assert str(raised.value) == (
+            "timer event not last among steps at real time 5.0"
+        )
 
     def test_condition6_timer_must_have_been_set(self):
         start = TimedStep(

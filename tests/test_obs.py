@@ -143,6 +143,23 @@ class TestHistogram:
         h = registry.histogram("h")
         assert h.boundaries == DEFAULT_BUCKETS
 
+    def test_observe_many_equals_one_observe_per_value(self):
+        values = [0.1, 3.0, 1e-17, 2.0, 0.7, 1e16, 0.3, 4.0]
+        one, batch = Histogram("a", (1.0, 2.0, 4.0)), Histogram("b", (1.0, 2.0, 4.0))
+        one.observe(0.2)
+        batch.observe(0.2)
+        for value in values:
+            one.observe(value)
+        batch.observe_many(values)
+        batch.observe_many([])
+        assert batch.bucket_counts == one.bucket_counts
+        assert batch.count == one.count == 9
+        # Added left to right, as the single observes add them.
+        assert float.hex(batch.sum) == float.hex(one.sum)
+        with pytest.raises(TypeError):
+            batch.observe_many([1.0, "oops"])
+        assert batch.count == 9 and batch.bucket_counts == one.bucket_counts
+
 
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
