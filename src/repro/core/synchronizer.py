@@ -17,7 +17,8 @@ still be synchronized optimally, and the result reports them separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from itertools import repeat
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -28,7 +29,12 @@ from repro.core.estimates import (
 )
 from repro.core.precision import rho_bar
 from repro.delays.system import System
-from repro.engine import DEFAULT_BACKEND, ProcessorIndex, create_engine
+from repro.engine import (
+    DEFAULT_BACKEND,
+    EngineShifts,
+    ProcessorIndex,
+    create_engine,
+)
 from repro.engine.index import PairView
 from repro.model.execution import Execution
 from repro.model.views import View
@@ -180,6 +186,67 @@ class SyncResult:
         return rho_bar(self.ms_tilde, self.corrections)
 
 
+class _Solved(NamedTuple):
+    """How one component of a result was last solved.
+
+    ``from_matrices`` attaches one per component to each result, as the
+    private attribute ``_solved``, so a later call with ``previous=``
+    can reuse the components and check the copy rule without re-deriving
+    rows or corrections.  Results built any other way (``replace``) have
+    none and take the general path.
+    """
+
+    rows: List[int]
+    #: The engine's solve in row space; ``None`` for a singleton.
+    shifts: Optional[EngineShifts]
+
+
+class _Delta:
+    """Where an ``ms~`` matrix differs from an earlier one, cell by cell."""
+
+    __slots__ = ("n", "rows", "cols", "before", "same_finiteness", "unchanged")
+
+    def __init__(self, ms_matrix: np.ndarray, earlier: np.ndarray):
+        self.n = len(earlier)
+        cells = np.flatnonzero(ms_matrix != earlier)
+        self.rows, self.cols = np.divmod(cells, self.n)
+        #: The earlier values of the changed cells.
+        self.before = earlier.ravel()[cells]
+        self.unchanged = not cells.size
+        self.same_finiteness = self.unchanged or np.array_equal(
+            np.isfinite(ms_matrix.ravel()[cells]), np.isfinite(self.before)
+        )
+
+    def within(
+        self, rows: List[int]
+    ) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """The changed cells inside the ``rows`` block, in the block's
+        local indices, and their earlier values."""
+        if len(rows) == self.n:
+            return (self.rows, self.cols), self.before
+        local = np.full(self.n, -1)
+        local[rows] = np.arange(len(rows))
+        i, j = local[self.rows], local[self.cols]
+        inside = (i >= 0) & (j >= 0)
+        return (i[inside], j[inside]), self.before[inside]
+
+
+def _hint_cycles(
+    previous: Optional[SyncResult], index: ProcessorIndex
+) -> List[Tuple[Time, List[int]]]:
+    """``previous``'s critical cycles as rows, highest precision first."""
+    if previous is None:
+        return []
+    return sorted(
+        (
+            (c.precision, [index.row(p) for p in c.critical_cycle])
+            for c in previous.components
+            if c.critical_cycle is not None
+        ),
+        key=lambda entry: -entry[0],
+    )
+
+
 class ClockSynchronizer:
     """Computes optimal corrections for a fixed system ``(G, A)``.
 
@@ -313,72 +380,114 @@ class ClockSynchronizer:
         degradation record through; this stage extends it with its own
         improvisations (root substitutions, isolated processors).
 
-        ``previous`` is an earlier result of this synchronizer.  A
-        component with the same processors, the same root and an
-        identical ``ms~`` submatrix in ``previous`` is copied instead of
-        re-solved: by Theorem 4.6 SHIFTS on a component reads only that
-        submatrix, so the copy is exactly what re-solving would return.
-        A component that must be re-solved gets, as a warm-start hint,
-        the critical cycle of the highest-precision ``previous``
-        component whose cycle lies inside it (also after a merge); the
-        hint changes how SHIFTS finds the result, never the result.
-        A ``previous`` from another synchronizer is ignored.
+        ``previous`` is an earlier result of this synchronizer (one from
+        another synchronizer is ignored).  When no ``ms~`` entry changed
+        finiteness since, its components are taken as they are.  A
+        component with the same processors and root in ``previous`` is
+        copied instead of re-solved when its ``ms~`` submatrix is
+        identical (by Theorem 4.6 SHIFTS on a component reads only that
+        submatrix), or when the submatrix only *decreased* in entries
+        that were slack under the previous corrections and the engine
+        proves the previous answer is still exactly what SHIFTS would
+        serve (:meth:`~repro.engine.SyncEngine.keeps`; the copy rule of
+        DESIGN.md section 6).  Either copy is bit-identical to a warm
+        re-solve.  A component that must be re-solved gets, as a
+        warm-start hint, the critical cycle of the highest-precision
+        ``previous`` component whose cycle lies inside it (also after a
+        merge); the hint changes how SHIFTS finds the result, never the
+        result.
         """
         index = self._index
         engine = self._engine
         recorder = get_recorder()
-        reusable = {}
-        cycles: List[Tuple[Time, List[int]]] = []
-        if previous is not None and (
-            getattr(previous.ms_tilde, "index", None) is index
-        ):
-            reusable = {c.processors: c for c in previous.components}
-            cycles = sorted(
-                (
-                    (c.precision, [index.row(p) for p in c.critical_cycle])
-                    for c in previous.components
-                    if c.critical_cycle is not None
-                ),
-                key=lambda entry: -entry[0],
-            )
-        corrections: Dict[ProcessorId, Time] = {}
-        component_results: List[ComponentResult] = []
-        root_substitutions: List[Tuple[ProcessorId, ProcessorId]] = []
-        isolated: List[ProcessorId] = []
-        reused = 0
-        with recorder.span("pipeline.shifts"):
+        n = len(index)
+        prior = previous
+        if getattr(getattr(prior, "ms_tilde", None), "index", None) is not index:
+            prior = None
+        # Per component of ``prior``, its rows and its last engine solve.
+        records = getattr(prior, "_solved", None)
+        layout = delta = None
+        if prior is not None:
+            delta = _Delta(ms_matrix, prior.ms_tilde.matrix)
+            if records is not None and delta.same_finiteness:
+                # Same finiteness, same components (mutual finiteness).
+                layout = [
+                    (record.rows, c.processors, (c, record))
+                    for c, record in zip(prior.components, records)
+                ]
+        if layout is None:
+            olds = {}
+            if prior is not None:
+                olds = {
+                    c.processors: (c, record) for c, record in zip(
+                        prior.components, records or repeat(None)
+                    )
+                }
+            layout = []
             for rows in engine.components(mls_matrix, ms_matrix):
                 component = tuple(index.processor(r) for r in rows)
+                layout.append((rows, component, olds.get(component)))
+        hints = None
+        corrections: Dict[ProcessorId, Time] = {}
+        component_results: List[ComponentResult] = []
+        solved: List[_Solved] = []
+        root_substitutions: List[Tuple[ProcessorId, ProcessorId]] = []
+        isolated: List[ProcessorId] = []
+        reused = reused_slack = 0
+        with recorder.span("pipeline.shifts"):
+            for rows, component, old in layout:
                 root = self._root if self._root in component else component[0]
                 if self._root is not None and root != self._root:
                     root_substitutions.append((self._root, root))
                 if len(component) == 1:
-                    if len(index) > 1:
+                    if n > 1:
                         isolated.append(root)
                     corrections[root] = 0.0
-                    component_results.append(
-                        ComponentResult(component, 0.0, None, root)
-                    )
+                    if old is None or old[1] is None:
+                        old = ComponentResult(component, 0.0, None, root), (
+                            _Solved(rows, None)
+                        )
+                    component_results.append(old[0])
+                    solved.append(old[1])
                     continue
-                old = reusable.get(component)
-                block = np.ix_(rows, rows)
-                if old is not None and old.root == root and np.array_equal(
-                    ms_matrix[block], previous.ms_tilde.matrix[block]
-                ):
-                    reused += 1
-                    for p in component:
-                        corrections[p] = previous.corrections[p]
-                    component_results.append(old)
-                    continue
+                root_local = component.index(root)
+                if old is not None and old[0].root == root:
+                    kept, record = old
+                    local, before = delta.within(rows)
+                    copy = not len(before)
+                    last = record.shifts if record is not None else None
+                    if not copy and last is not None:
+                        # The copy rule: decreases only, then the engine's
+                        # exact check (DESIGN.md section 6).
+                        sub = (
+                            ms_matrix if len(rows) == n
+                            else ms_matrix[np.ix_(rows, rows)]
+                        )
+                        copy = bool((sub[local] < before).all()) and (
+                            engine.keeps(sub, root_local, last, local, before)
+                        )
+                        reused_slack += copy
+                    if copy:
+                        reused += 1
+                        prior_corrections = prior.corrections
+                        for p in component:
+                            corrections[p] = prior_corrections[p]
+                        component_results.append(kept)
+                        solved.append(
+                            record if record is not None
+                            else _Solved(rows, None)
+                        )
+                        continue
+                if hints is None:
+                    hints = _hint_cycles(prior, index)
                 members = set(rows)
                 hint = next(
-                    (c for _, c in cycles if members.issuperset(c)), None
+                    (c for _, c in hints if members.issuperset(c)), None
                 )
                 outcome = engine.shifts(
-                    ms_matrix, rows=rows, root_row=index.row(root), hint=hint
+                    ms_matrix, rows=rows, root_row=rows[root_local], hint=hint
                 )
-                for p, value in zip(component, outcome.corrections):
-                    corrections[p] = float(value)
+                corrections.update(zip(component, outcome.corrections.tolist()))
                 cycle = (
                     tuple(index.processor(r) for r in outcome.cycle_rows)
                     if outcome.cycle_rows is not None
@@ -387,6 +496,7 @@ class ClockSynchronizer:
                 component_results.append(
                     ComponentResult(component, outcome.a_max, cycle, root)
                 )
+                solved.append(_Solved(rows, outcome))
 
         if degraded is not None or root_substitutions or isolated:
             base = degraded if degraded is not None else DegradedResult()
@@ -406,6 +516,8 @@ class ClockSynchronizer:
         recorder.count("pipeline.syncs")
         if reused:
             recorder.count("pipeline.components_reused", reused)
+        if reused_slack:
+            recorder.count("pipeline.components_reused_slack", reused_slack)
         if degraded is not None:
             recorder.count("pipeline.degraded")
         recorder.set_gauge("pipeline.components", len(component_results))
@@ -422,10 +534,15 @@ class ClockSynchronizer:
             corrections=corrections,
             precision=precision,
             components=tuple(component_results),
-            mls_tilde=PairView(mls_matrix, index),
-            ms_tilde=PairView(ms_matrix, index),
+            mls_tilde=PairView.sparse(mls_matrix, index),
+            ms_tilde=(
+                prior.ms_tilde if delta is not None and delta.unchanged
+                else PairView(ms_matrix, index)
+            ),
             degraded=degraded,
         )
+        # Not a field, so equality and repr ignore it (see _Solved).
+        object.__setattr__(result, "_solved", tuple(solved))
         if recorder.enabled and recorder.observers:
             # Every pipeline run -- batch or an online refresh -- passes
             # through here, so this one emit lets invariant monitors (see

@@ -49,7 +49,7 @@ class LinkTerms:
     """
 
     __slots__ = (
-        "edges", "numbers", "_rows", "_cells", "_codes",
+        "edges", "numbers", "cells", "_rows", "_codes",
         "_code_edges", "_slots", "_kinds",
     )
 
@@ -82,8 +82,8 @@ class LinkTerms:
             np.array([self._rows[edge[end]] for edge in edges], dtype=np.int64)
             for end in (0, 1)
         )
-        # Each edge's flat cell of the (n, n) matrix.
-        self._cells = senders * n + receivers
+        #: Flat cell of each directed edge in the ``(n, n)`` matrix.
+        self.cells: np.ndarray = senders * n + receivers
         # Receiver-major lookup codes: matched receives come grouped by
         # receiving view, so their codes reach searchsorted nearly sorted.
         codes = receivers * (n + 1) + senders
@@ -146,9 +146,14 @@ class LinkTerms:
     def matrix(self, dmin: np.ndarray, dmax: np.ndarray) -> np.ndarray:
         """:meth:`mls` as the ``(n, n)`` matrix over the processors:
         ``+inf`` off the links, 0 on the diagonal."""
+        return self.matrix_of(self.mls(dmin, dmax))
+
+    def matrix_of(self, mls: np.ndarray) -> np.ndarray:
+        """Per-edge values ``mls`` (as :meth:`mls` returns them) as the
+        ``(n, n)`` matrix: ``+inf`` off the links, 0 on the diagonal."""
         out = np.full((len(self._rows), len(self._rows)), INF)
         np.fill_diagonal(out, 0.0)
-        np.put(out, self._cells, self.mls(dmin, dmax))
+        np.put(out, self.cells, mls)
         return out
 
 

@@ -13,7 +13,12 @@ operations the synchronization pipeline is made of:
 * ``shifts`` -- SHIFTS (Theorems 4.4/4.6) on one component: the optimal
   precision ``A^max`` (maximum cycle mean), a critical cycle witness, and
   corrections as shortest-path distances under ``A^max - ms~``; a
-  previous result's cycle may be passed as a warm-start hint;
+  previous result's cycle may be passed as a warm-start hint, and the
+  result reports whether the solve *settled*;
+* ``keeps`` -- whether a settled solve is still exactly what SHIFTS
+  would serve after some ``ms~`` entries decreased (the copy rule of
+  :meth:`~repro.core.synchronizer.ClockSynchronizer.from_matrices`);
+  backends without the check answer ``False``;
 * ``incremental_update`` -- optional single-edge decrease relaxation of a
   cached closure (used by :mod:`repro.extensions.online`); backends that
   do not support it return ``None`` and callers fall back to a full
@@ -44,11 +49,18 @@ class EngineShifts:
     ``corrections[k]`` is the correction of the processor in ``rows[k]``
     (the row sequence handed to :meth:`SyncEngine.shifts`); ``cycle_rows``
     is the critical-cycle witness, also as global row indices.
+
+    ``settled`` is set when the engine served the canonical tight cycle
+    of an unnudged Bellman--Ford pass under that cycle's exact mean and
+    ``corrections`` are that pass's distances (DESIGN.md section 6): a
+    warm re-solve of the same block would serve exactly this result.
+    The python reference never sets it.
     """
 
     corrections: np.ndarray
     a_max: float
     cycle_rows: Optional[Tuple[int, ...]]
+    settled: bool = False
 
 
 class SyncEngine(ABC):
@@ -130,11 +142,13 @@ class SyncEngine(ABC):
             else:
                 hint = None
             result = self._shifts(sub, root_local, hint)
-            corrections = result.corrections
+            corrections, settled = result.corrections, result.settled
             if corrections[root_local] != 0.0:
                 # Pin x_root to exactly 0 (the nudged Bellman--Ford can
-                # leave an epsilon-sized residue at the root).
+                # leave an epsilon-sized residue at the root); pinned
+                # corrections are no longer the pass's distances.
                 corrections = corrections - corrections[root_local]
+                settled = False
             cycle_rows = (
                 tuple(row_list[i] for i in result.cycle_rows)
                 if result.cycle_rows is not None
@@ -144,7 +158,27 @@ class SyncEngine(ABC):
                 corrections=corrections,
                 a_max=result.a_max,
                 cycle_rows=cycle_rows,
+                settled=settled,
             )
+
+    def keeps(
+        self,
+        sub: np.ndarray,
+        root_local: int,
+        solve: EngineShifts,
+        cells: Tuple[np.ndarray, np.ndarray],
+        old: np.ndarray,
+    ) -> bool:
+        """Whether SHIFTS on ``sub`` would serve ``solve`` again, exactly.
+
+        ``sub`` is a component's current ``ms~`` block (local indices,
+        root at ``root_local``); ``solve`` is the settled solve of the
+        earlier block, which differs from ``sub`` only at ``cells``
+        (local ``(rows, cols)``), where it held the larger values
+        ``old``.  Backends without an exact check answer ``False``, so
+        the component is re-solved.
+        """
+        return solve.settled and self._keeps(sub, root_local, solve, cells, old)
 
     def incremental_update(
         self,
@@ -192,6 +226,17 @@ class SyncEngine(ABC):
     ) -> Optional[np.ndarray]:
         """Default: no incremental support."""
         return None
+
+    def _keeps(
+        self,
+        sub: np.ndarray,
+        root_local: int,
+        solve: EngineShifts,
+        cells: Tuple[np.ndarray, np.ndarray],
+        old: np.ndarray,
+    ) -> bool:
+        """Default: no exact check, so a changed block is re-solved."""
+        return False
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

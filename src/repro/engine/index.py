@@ -120,20 +120,47 @@ class PairView(Mapping):
     Holds a non-writeable copy of ``matrix``, so it never changes.  It
     iterates row-major over ``index.processors``: ``dict(view)`` equals
     :meth:`ProcessorIndex.pairs`, same key order and bit-equal floats.
-    A pair naming an unknown processor raises ``KeyError``.
+    A pair naming an unknown processor raises ``KeyError``.  A view
+    built with :meth:`sparse` holds only the entries that are not
+    ``+inf`` and expands them into :attr:`matrix` when it is first read.
     """
 
-    __slots__ = ("matrix", "index")
+    __slots__ = ("_matrix", "_cells", "_values", "index")
 
     def __init__(self, matrix: np.ndarray, index: ProcessorIndex):
-        if matrix.shape != (len(index), len(index)):
-            raise ValueError(
-                f"matrix shape {matrix.shape} does not match index size "
-                f"{len(index)}"
-            )
-        self.matrix = np.array(matrix, dtype=float)
-        self.matrix.setflags(write=False)
+        _check_shape(matrix, index)
+        self._matrix = np.array(matrix, dtype=float)
+        self._matrix.setflags(write=False)
+        self._cells = self._values = None
         self.index = index
+
+    @classmethod
+    def sparse(cls, matrix: np.ndarray, index: ProcessorIndex) -> "PairView":
+        """A view of a mostly-``inf`` matrix, such as ``mls~`` (finite on
+        the links and the diagonal only), that holds only its other
+        entries until :attr:`matrix` is read; a matrix with more than a
+        quarter of its entries off ``+inf`` is copied whole."""
+        _check_shape(matrix, index)
+        cells = np.flatnonzero(matrix != INF)
+        if 4 * len(cells) > matrix.size:
+            return cls(matrix, index)
+        view = cls.__new__(cls)
+        view._matrix = None
+        view._cells = cells
+        view._values = matrix.ravel()[cells].astype(float, copy=False)
+        view.index = index
+        return view
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The viewed ``(n, n)`` matrix, non-writeable."""
+        if self._matrix is None:
+            n = len(self.index)
+            dense = np.full((n, n), INF)
+            np.put(dense, self._cells, self._values)
+            dense.setflags(write=False)
+            self._matrix = dense
+        return self._matrix
 
     def __getitem__(self, pair: Edge) -> Time:
         try:
@@ -147,7 +174,7 @@ class PairView(Mapping):
         return ((p, q) for p in procs for q in procs)
 
     def __len__(self) -> int:
-        return self.matrix.size
+        return len(self.index) ** 2
 
     def items(self) -> _PairItems:
         return _PairItems(self)
@@ -157,6 +184,14 @@ class PairView(Mapping):
 
     def __repr__(self) -> str:
         return f"PairView(n={len(self.index)})"
+
+
+def _check_shape(matrix: np.ndarray, index: ProcessorIndex) -> None:
+    if matrix.shape != (len(index), len(index)):
+        raise ValueError(
+            f"matrix shape {matrix.shape} does not match index size "
+            f"{len(index)}"
+        )
 
 
 def pair_submatrix(

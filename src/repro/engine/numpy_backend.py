@@ -100,6 +100,38 @@ def bellman_ford_matrix(
     return dist
 
 
+def realized_fixpoint(
+    weights: np.ndarray, dist: np.ndarray, source: int
+) -> bool:
+    """Whether :func:`bellman_ford_matrix` on ``weights`` from ``source``
+    returns ``dist`` bit for bit.
+
+    It does when ``dist[source] == 0``, one relaxation round moves no
+    other entry and nothing into the source, and the rows attaining each
+    minimum (the argmin parents) lead back to the source.  Then every
+    entry is the float value of a walk from the source, and since
+    ``fl(a + w)`` is monotone in ``a`` no round ever drops below
+    ``dist``; after as many rounds as the parent tree is deep, the
+    distances are ``dist``.  A cycle of ties whose labels agree with one
+    another but with no walk from the source fails the parent test.
+    """
+    n = len(weights)
+    if dist[source] != 0.0:
+        return False
+    reach = dist[:, None] + weights
+    parent = reach.argmin(axis=0)
+    best = reach[parent, np.arange(n)]
+    if best[source] < 0.0:
+        return False
+    best[source] = 0.0
+    if not np.array_equal(best, dist):
+        return False
+    parent[source] = source
+    for _ in range((n - 1).bit_length()):
+        parent = parent[parent]
+    return bool((parent == source).all())
+
+
 def karp_cycle(weights: np.ndarray) -> Optional[List[int]]:
     """A maximum-mean cycle of a dense digraph given as a weight matrix.
 
@@ -326,11 +358,14 @@ class NumpyEngine(SyncEngine):
         # One rule, cold or warm (DESIGN.md section 6): serve the pass
         # under a candidate's exact mean when its canonical tight cycle
         # is the candidate or, for a located one, has a bit-equal mean.
+        # Served that way from an unnudged pass, the solve is settled.
         warm = hint is not None
         candidate = canonical_cycle(hint or howard_cycle(sub, self.stats))
-        passes = 0
+        passes, settled = 0, False
         while True:
-            dist, a_max, tight = self._pass(sub, root_local, candidate, warm)
+            dist, a_max, tight, nudges = self._pass(
+                sub, root_local, candidate, warm
+            )
             if warm:
                 self.stats.count(
                     "shifts.warm_hits" if tight == candidate
@@ -339,6 +374,7 @@ class NumpyEngine(SyncEngine):
             else:
                 passes += 1
             if tight == candidate:
+                settled = not nudges
                 break
             if warm:
                 warm = False
@@ -348,16 +384,21 @@ class NumpyEngine(SyncEngine):
             else:
                 candidate = tight
                 if cycle_mean(sub, tight) == a_max:
+                    settled = not nudges
                     break
         return EngineShifts(
-            corrections=dist, a_max=a_max, cycle_rows=tuple(candidate)
+            corrections=dist,
+            a_max=a_max,
+            cycle_rows=tuple(candidate),
+            settled=settled,
         )
 
     def _pass(
         self, sub: np.ndarray, root_local: int, cycle: List[int], warm: bool
-    ) -> Tuple[Optional[np.ndarray], float, Optional[List[int]]]:
-        """Distances under ``mean(cycle) - ms~``, that mean, and their
-        canonical tight cycle; a warm pass may not nudge, so may fail."""
+    ) -> Tuple[Optional[np.ndarray], float, Optional[List[int]], int]:
+        """Distances under ``mean(cycle) - ms~``, that mean, their
+        canonical tight cycle and the nudges the pass needed; a warm pass
+        may not nudge, so may fail."""
         a_max = cycle_mean(sub, cycle)
         if warm:
             dist = bellman_ford_matrix(shift_weights(sub, a_max), root_local)
@@ -367,7 +408,39 @@ class NumpyEngine(SyncEngine):
             if nudges:
                 self.stats.count("shifts.nudge_retries", nudges)
         tight = None if dist is None else tight_cycle(sub, a_max, dist, nudges)
-        return dist, a_max, canonical_cycle(tight) if tight else None
+        return dist, a_max, canonical_cycle(tight) if tight else None, nudges
+
+    def _keeps(
+        self,
+        sub: np.ndarray,
+        root_local: int,
+        solve: EngineShifts,
+        cells: Tuple[np.ndarray, np.ndarray],
+        old: np.ndarray,
+    ) -> bool:
+        # A warm re-solve hinted with the settled cycle C would serve
+        # (A, x, C) again (DESIGN.md section 6) when (1) tight_cycle's
+        # tolerance scale is unchanged, (2) no decreased entry was tight,
+        # so C's entries and A = mean(C) are untouched and the tight set
+        # stays the same, and (3) Bellman--Ford under the new weights
+        # returns x bit for bit.
+        rows, cols = cells
+        if (rows == cols).any():
+            return False  # a diagonal entry moved: not an edge, re-solve
+        magnitude = np.abs(sub)
+        np.fill_diagonal(magnitude, 0.0)
+        scale = max(1.0, float(magnitude.max()))
+        x, a_max = solve.corrections, solve.a_max
+        # tight_cycle's slack expression and unnudged tolerance, exactly.
+        if not (x[rows] + (a_max - old) - x[cols] > _TOL * scale).all():
+            return False
+        magnitude[rows, cols] = np.abs(old)
+        if max(1.0, float(magnitude.max())) != scale:
+            return False
+        # shift_weights(sub, a_max), as the block's scale is finite.
+        weights = a_max - sub
+        np.fill_diagonal(weights, INF)
+        return realized_fixpoint(weights, x, root_local)
 
     def _incremental(
         self, ms_matrix: np.ndarray, changes: List[Tuple[int, int, float]]
@@ -397,6 +470,7 @@ __all__ = [
     "min_plus_closure",
     "has_negative_diagonal",
     "bellman_ford_matrix",
+    "realized_fixpoint",
     "karp_cycle",
     "howard_cycle",
     "shift_weights",

@@ -23,7 +23,8 @@ Two useful consequences, both tested:
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+import math
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -52,8 +53,15 @@ class OnlineSynchronizer:
     repair is exact in real arithmetic (see
     :mod:`repro.engine.numpy_backend`); in floats it can differ from a
     batch recompute in the last bits on heterogeneous systems (DESIGN.md
-    section 14).  The ``"python"`` reference engine has no incremental
-    path and recomputes.
+    section 14).  Nor does a refresh redo work the observation cannot
+    change: it rewrites only the ``mls~`` cells of links whose value
+    changed, and hands its last good result to
+    :meth:`~repro.core.synchronizer.ClockSynchronizer.from_matrices` as
+    ``previous``, which keeps the components and copies every component
+    whose tight entries are untouched (the copy rule, DESIGN.md section
+    6), bit for bit what re-solving it would serve.  The ``"python"``
+    reference engine has no incremental path and recomputes, and copies
+    only components whose ``ms~`` block is unchanged.
 
     ``backend`` is validated eagerly at construction (via
     :class:`~repro.core.synchronizer.ClockSynchronizer`), so a typo fails
@@ -106,11 +114,20 @@ class OnlineSynchronizer:
 
         Returns ``True`` when the observation changed a sufficient
         statistic (i.e. the next :meth:`result` will actually recompute).
+        Raises :class:`UnknownLinkError` for an edge that is no link and
+        ``ValueError`` for a non-finite delay (no honest clock reads one,
+        and a ``nan`` extreme would poison every later result); either
+        way nothing is recorded.
         """
         edge = (sender, receiver)
         e = self._numbers.get(edge)
         if e is None:
             raise UnknownLinkError(f"no link between {sender!r} and {receiver!r}")
+        if not math.isfinite(estimated_delay):
+            raise ValueError(
+                f"estimated delay on {sender!r} -> {receiver!r} is not "
+                f"finite: {estimated_delay!r}"
+            )
         old_min, old_max = self._dmin[e], self._dmax[e]
         new_min = min(old_min, estimated_delay)
         new_max = max(old_max, estimated_delay)
@@ -280,6 +297,7 @@ class OnlineSynchronizer:
         if had:
             self._count[e], self._dmin[e], self._dmax[e] = 0, INF, NEG_INF
             self._cached = None
+            self._last_mls = None
             self._last_mls_matrix = None
             self._last_ms_matrix = None
             get_recorder().count("online.edge_drops")
@@ -322,15 +340,17 @@ class OnlineSynchronizer:
         sync = self._synchronizer
         recorder = get_recorder()
         with recorder.span("online.refresh"):
-            mls_matrix = self._terms.matrix(self._dmin, self._dmax)
-            ms_matrix = None
+            mls = self._terms.mls(self._dmin, self._dmax)
+            matrices = None
             if self._last_ms_matrix is not None:
-                ms_matrix = self._incremental_closure(mls_matrix)
-            if ms_matrix is None:
+                matrices = self._incremental_closure(mls)
+            if matrices is None:
                 recorder.count("online.full_recomputes")
+                mls_matrix = self._terms.matrix_of(mls)
                 ms_matrix = sync.engine.global_estimates(mls_matrix)
             else:
                 recorder.count("online.incremental_repairs")
+                mls_matrix, ms_matrix = matrices
             result = sync.from_matrices(
                 mls_matrix=mls_matrix,
                 ms_matrix=ms_matrix,
@@ -338,6 +358,7 @@ class OnlineSynchronizer:
             )
             # Commit only after success: a failed refresh leaves the
             # closure cache at the last good matrices.
+            self._last_mls = mls
             self._last_mls_matrix = mls_matrix
             self._last_ms_matrix = ms_matrix
             if recorder.enabled and recorder.observers:
@@ -354,31 +375,45 @@ class OnlineSynchronizer:
             return result
 
     def _incremental_closure(
-        self, mls_matrix: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """Repair the cached ``ms~`` closure from the new ``mls~`` matrix.
+        self, mls: np.ndarray
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The ``mls~`` and ``ms~`` matrices for per-edge values ``mls``,
+        updated from the cached ones.
 
-        Returns ``None`` whenever the batch path must run instead: the
-        engine has no incremental support, an estimate *loosened*
-        (impossible under monotone ingestion, but guarded), or the update
-        exposed an inconsistency (the batch path re-derives the error
-        authoritatively).
+        Only the cells of edges whose value changed are rewritten, and
+        the cached closure is repaired through the edges that tightened,
+        in row-major cell order.  Returns ``None`` whenever the batch
+        path must run instead: the engine has no incremental support, an
+        estimate *loosened* (impossible under monotone ingestion, but
+        guarded), or the update exposed an inconsistency (the batch path
+        re-derives the error authoritatively).
         """
-        old = self._last_mls_matrix
-        if old is None or (mls_matrix > old).any():
+        old = self._last_mls
+        # Bitwise, so the patched matrix equals a fresh matrix_of(mls).
+        edges = np.flatnonzero(mls.view(np.int64) != old.view(np.int64))
+        if not edges.size:
+            return self._last_mls_matrix, self._last_ms_matrix
+        new, was = mls[edges], old[edges]
+        if (new > was).any():
             return None
-        changed = np.argwhere(mls_matrix < old)
-        if changed.size == 0:
-            return self._last_ms_matrix
-        changes = [
-            (int(i), int(j), float(mls_matrix[i, j])) for i, j in changed
-        ]
+        cells = self._terms.cells[edges]
+        mls_matrix = self._last_mls_matrix.copy()
+        np.put(mls_matrix, cells, new)
+        tighter = new < was
+        order = np.argsort(cells[tighter])
+        rows, cols = np.divmod(cells[tighter][order], len(mls_matrix))
+        changes = list(zip(
+            rows.tolist(), cols.tolist(), new[tighter][order].tolist()
+        ))
+        if not changes:
+            return mls_matrix, self._last_ms_matrix
         try:
-            return self._synchronizer.engine.incremental_update(
+            ms_matrix = self._synchronizer.engine.incremental_update(
                 self._last_ms_matrix, changes
             )
         except InconsistentViewsError:
             return None
+        return None if ms_matrix is None else (mls_matrix, ms_matrix)
 
     def precision(self) -> Time:
         """Current guaranteed precision (``inf`` until enough traffic)."""
@@ -395,6 +430,8 @@ class OnlineSynchronizer:
         self._dmax = np.full(edges, NEG_INF)
         self._observations = 0
         self._cached: Optional[SyncResult] = None
+        # The last refresh's per-edge mls~ values and both its matrices.
+        self._last_mls: Optional[np.ndarray] = None
         self._last_mls_matrix: Optional[np.ndarray] = None
         self._last_ms_matrix: Optional[np.ndarray] = None
         self._last_good: Optional[SyncResult] = None

@@ -214,6 +214,11 @@ class CorrectionServer(asyncio.DatagramProtocol):
         except UnknownLinkError:
             recorder.count("live.server.reports_unknown_edge")
             return
+        except ValueError:
+            # A non-finite clock reading (the wire decodes Infinity and
+            # NaN): never admitted, so it never reaches the probe log.
+            recorder.count("live.server.reports_invalid")
+            return
         self._seen.add(key)
         self.reports_ingested += 1
         recorder.count("live.server.reports")

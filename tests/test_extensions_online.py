@@ -265,3 +265,43 @@ class TestRobustness:
         assert online.fallbacks_served == 0
         assert not online.in_fallback
         assert online.stale_edges(1) == {}
+
+
+class TestNonFiniteObservations:
+    """A non-finite delay is refused before it touches any statistic."""
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+    )
+    @pytest.mark.parametrize("reject_outliers", [False, True])
+    def test_refused_and_nothing_recorded(
+        self, scenario, value, reject_outliers
+    ):
+        alpha = scenario.run()
+        online = OnlineSynchronizer(
+            scenario.system, reject_outliers=reject_outliers
+        )
+        online.ingest_views(alpha.views())
+        before = online.result()
+        online.observe(1, 2, online.edge_stats(1, 2).min_delay)
+        state = (
+            online.observation_count,
+            online.edge_stats(0, 1),
+            online.edge_staleness(0, 1),
+            online.outliers_rejected,
+            online.last_observation_admitted,
+        )
+        with pytest.raises(ValueError, match="not finite"):
+            online.observe(0, 1, value)
+        with pytest.raises(ValueError, match="not finite"):
+            online.observe_timestamps(0, 1, 5.0, 5.0 + value)
+        assert state == (
+            online.observation_count,
+            online.edge_stats(0, 1),
+            online.edge_staleness(0, 1),
+            online.outliers_rejected,
+            online.last_observation_admitted,
+        )
+        after = online.result()
+        assert after is before  # the cache was never invalidated
+        assert after.corrections == before.corrections

@@ -23,11 +23,12 @@ from repro.live.cluster import ClusterConfig, LiveCluster, live_system
 from repro.live.replay import replay_cut, verify_replay_equality
 from repro.live.trace import ProbeLog
 from repro.live.server import (
+    SERVER_ID,
     CorrectionServer,
     start_client,
     start_correction_server,
 )
-from repro.live.wire import Query, Report, encode
+from repro.live.wire import Query, Report, Seg, encode
 from repro.model.events import MessageReceiveEvent
 from repro.obs.recorder import Recorder, recording
 from repro.workloads.scenarios import lower_bound_only
@@ -303,6 +304,48 @@ class TestReplayEquality:
         )
         assert report.ok, report.describe()
         assert report.checked == 9
+        assert report.cuts == (18, 30, 36)
+
+    def test_non_finite_report_dropped_answers_stay_ok(self):
+        """A framed report whose clock reads Infinity never reaches the
+        statistics or the log: later answers stay "ok" and replay."""
+        async def scenario():
+            clock = FakeClock()
+            server = await start_correction_server(
+                live_system(complete(3)), freshness=0.01, time_fn=clock
+            )
+            reports = make_reports(rounds=6)
+            bad = Report(sender=0, receiver=1, seq=99, send_clock=1.0,
+                         recv_clock=float("inf"))
+            data = encode(Seg(src=1, dst=SERVER_ID, seq=0, inner=bad))
+            assert b"Infinity" in data
+            client = await start_client(server.address, 0)
+            answers = []
+            try:
+                with recording(Recorder()) as rec:
+                    await ingest(server, reports[:18])
+                    answers.append(await client.query(timeout=2.0))
+                    server.datagram_received(data, ("127.0.0.1", 1))
+                    for cut in (30, len(reports)):
+                        await ingest(server, reports[len(server.probe_log):cut])
+                        clock.now += 1.0  # expire the freshness window
+                        answers.append(await client.query(timeout=2.0))
+                invalid = rec.registry.counter(
+                    "live.server.reports_invalid"
+                ).value
+            finally:
+                client.close()
+                server.close()
+            return server, answers, invalid
+
+        server, answers, invalid = asyncio.run(scenario())
+        assert invalid == 1
+        assert list(server.probe_log) == make_reports(rounds=6)
+        assert [a.status for a in answers] == ["ok"] * 3
+        report = verify_replay_equality(
+            server.probe_log, server.answers, server.system
+        )
+        assert report.ok, report.describe()
         assert report.cuts == (18, 30, 36)
 
     def test_replay_detects_a_forged_answer(self):

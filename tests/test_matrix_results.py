@@ -6,6 +6,7 @@ the array paths must reproduce the scalar ones exactly.
 """
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -99,6 +100,33 @@ class TestPairViewContract:
         assert view[("a", "b")] == 1.0
         with pytest.raises(ValueError):
             PairView(np.zeros((3, 3)), index)
+
+    def test_sparse_view_expands_bit_for_bit(self):
+        index = ProcessorIndex(list(range(8)))
+        rng = np.random.default_rng(4)
+        matrix = np.full((8, 8), INF)
+        np.fill_diagonal(matrix, 0.0)
+        matrix[rng.integers(8, size=6), rng.integers(8, size=6)] = [
+            -0.0, 1.5, -INF, np.nan, 2.0 ** -1074, 3.25
+        ]
+        view = PairView.sparse(matrix, index)
+        assert len(view) == 64 and view._matrix is None  # not expanded
+        matrix[0, 1] = 99.0  # the view holds its own copy
+        matrix[0, 1] = view.matrix[0, 1]
+        assert view.matrix.tobytes() == matrix.tobytes()
+        assert view.matrix.flags.writeable is False
+        assert bits(dict(view)) == bits(dict(PairView(matrix, index)))
+        restored = pickle.loads(pickle.dumps(view))
+        assert restored.matrix.tobytes() == matrix.tobytes()
+
+    def test_sparse_view_copies_a_dense_matrix_whole(self):
+        index = ProcessorIndex(["a", "b"])
+        matrix = np.array([[0.0, 1.0], [INF, 0.0]])
+        view = PairView.sparse(matrix, index)
+        assert view._matrix is not None
+        assert view.matrix.tobytes() == matrix.tobytes()
+        with pytest.raises(ValueError):
+            PairView.sparse(np.zeros((3, 3)), index)
 
     def test_online_result_is_stable_across_observations(self, hetero32):
         system, alpha = hetero32

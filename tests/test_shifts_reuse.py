@@ -3,11 +3,16 @@
 An online refresh passes its last good result as ``previous``; a
 component whose processors, root and ``ms~`` submatrix are unchanged is
 copied instead of re-solved (Theorem 4.6: SHIFTS on a component reads
-only that submatrix).  Every result here is held to a from-scratch
+only that submatrix).  So is one whose submatrix only decreased in
+entries that were slack under the previous answer, when the engine
+proves that answer is still what SHIFTS serves (the copy rule, DESIGN.md
+section 6).  Every result here is held to a from-scratch
 ``from_matrices`` on the same matrices: corrections, precision, and each
 component's precision, root and critical cycle must be ``==``.  Re-solved
 components are warm-started from the previous critical cycle, so the
-streams also prove warm answers equal cold ones.
+streams also prove warm answers equal cold ones.  Each condition of the
+copy rule has a small instance below on which dropping it would copy a
+wrong answer.
 """
 
 import dataclasses
@@ -21,15 +26,26 @@ from repro.core.optimality import verify_certificate
 from repro.core.synchronizer import ClockSynchronizer
 from repro.delays.bounds import BoundedDelay
 from repro.delays.system import System
+from repro.engine.numpy_backend import (
+    NumpyEngine,
+    bellman_ford_matrix,
+    realized_fixpoint,
+    shift_weights,
+)
 from repro.extensions.online import OnlineSynchronizer
-from repro.graphs.topology import random_connected, ring
+from repro.graphs.topology import complete, random_connected, ring
 from repro.obs.export import prometheus_text
 from repro.obs.recorder import recording
 from repro.obs.timeline import replay_online
-from repro.workloads.scenarios import bounded_uniform, heterogeneous
+from repro.workloads.scenarios import (
+    bounded_uniform,
+    heterogeneous,
+    round_trip_bias,
+)
 
 INF = float("inf")
 REUSED = "pipeline.components_reused"
+SLACK = "pipeline.components_reused_slack"
 WARM_HITS = "engine.shifts.warm_hits"
 
 
@@ -72,6 +88,10 @@ class RefreshCheck:
 
 def reused(recorder):
     return recorder.registry.counters().get(REUSED, 0.0)
+
+
+def slack_copies(recorder):
+    return recorder.registry.counters().get(SLACK, 0.0)
 
 
 def warm_hits(recorder):
@@ -201,8 +221,15 @@ class TestInvalidation:
             online.observe(*message)
         before = online.result()
         assert online.drop_edge_stats(0, 1)
-        after = online.result()
+        calls = online.synchronizer.engine.stats.counters["shifts.calls"]
+        with recording() as recorder:
+            after = online.result()
         assert after is not before
+        # A loosening: the component is re-solved, never copied.
+        assert online.synchronizer.engine.stats.counters["shifts.calls"] > (
+            calls
+        )
+        assert reused(recorder) == slack_copies(recorder) == 0
         assert_exact(online.synchronizer, after)
 
     def test_poison_fallback_recovery(self, ring_scenario):
@@ -218,3 +245,242 @@ class TestInvalidation:
         assert not online.in_fallback
         assert not math.isinf(recovered.precision)
         assert_exact(online.synchronizer, recovered)
+
+
+SCENARIOS = {
+    "heterogeneous": lambda topology, seed: heterogeneous(
+        topology, seed=seed, probes=2
+    ),
+    "bounded_uniform": lambda topology, seed: bounded_uniform(
+        topology, lb=1.0, ub=3.0, probes=2, seed=seed
+    ),
+    "round_trip_bias": lambda topology, seed: round_trip_bias(
+        topology, bias=2.0, probes=2, seed=seed
+    ),
+}
+
+
+class TestSlackCopyStreams:
+    @pytest.mark.parametrize("kind", sorted(SCENARIOS))
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_every_refresh_equals_a_fresh_solve(self, kind, n):
+        copies = 0
+        for seed in (21, 22, 23):
+            scenario = SCENARIOS[kind](random_connected(n, 0.08, seed), seed)
+            check = RefreshCheck(ClockSynchronizer(scenario.system))
+            with recording() as recorder:
+                recorder.add_observer(check)
+                replay_online(scenario.system, scenario.run())
+                assert check.refreshes
+                copies += slack_copies(recorder)
+                if slack_copies(recorder):
+                    exposition = prometheus_text(recorder.registry)
+                    assert "pipeline_components_reused " in exposition
+                    assert "pipeline_components_reused_slack " in exposition
+        assert copies > 0  # the slack-only copy fires
+
+
+def two_cycles(**entries):
+    """``ms~`` over 5 processors (root 1) with two tied critical 2-cycles.
+
+    Both ``(1, 2)`` and ``(3, 4)`` have mean 1, and ``(1, 2)`` is served:
+    ``tight_cycle`` starts its walk at row 1, because row 0's only near
+    tight out-edge, ``0 -> 3`` (slack 0.5), is outside the tolerance
+    ``1e-9 * 1e8`` that the large slack entry ``(4, 2)`` sets.  Once that
+    edge counts as tight, row 0 survives the pruning and the walk from it
+    reaches ``(3, 4)`` instead.  ``entries`` overrides ``(row, col)``
+    cells, e.g. ``two_cycles(**{"4,2": -1e9})``.
+    """
+    ms = np.full((5, 5), -5.0)
+    np.fill_diagonal(ms, 0.0)
+    ms[1, 2] = ms[2, 1] = ms[3, 4] = ms[4, 3] = 1.0
+    ms[1, 3] = ms[1, 0] = 0.0
+    ms[0, 3] = 0.5
+    ms[4, 2] = -1e8
+    for cell, value in entries.items():
+        ms[tuple(int(i) for i in cell.split(","))] = value
+    return ms
+
+
+@pytest.fixture
+def rooted():
+    return ClockSynchronizer(
+        System.uniform(complete(5), BoundedDelay(0.0, 1.0)), root=1
+    )
+
+
+def shifts_calls(sync):
+    return sync.engine.stats.counters.get("shifts.calls", 0)
+
+
+class TestCopyRule:
+    """Each case breaks one condition; the rule must re-solve."""
+
+    def test_slack_decrease_is_copied(self, rooted):
+        first = solve(rooted, two_cycles())
+        assert first.components[0].critical_cycle == (1, 2)
+        calls = shifts_calls(rooted)
+        with recording() as recorder:
+            second = solve(
+                rooted, two_cycles(**{"0,2": -6.0, "3,1": -7.0}),
+                previous=first,
+            )
+        assert (reused(recorder), slack_copies(recorder)) == (1, 1)
+        assert shifts_calls(rooted) == calls
+        assert second.components[0] is first.components[0]
+        assert_exact(rooted, second)
+
+    @pytest.mark.parametrize("change", [
+        {"4,2": -1e9},  # (1): the tolerance scale grows tenfold
+        {"2,1": 0.75},  # (2): a tight entry of the served cycle decreased
+        {"0,3": 1.0},   # an increase, which makes 0 -> 3 tight
+    ], ids=["scale", "tight", "increase"])
+    def test_broken_condition_is_resolved(self, rooted, change):
+        first = solve(rooted, two_cycles())
+        calls = shifts_calls(rooted)
+        with recording() as recorder:
+            second = solve(rooted, two_cycles(**change), previous=first)
+        assert slack_copies(recorder) == reused(recorder) == 0
+        assert shifts_calls(rooted) == calls + 1
+        # A copy would have served (1, 2).
+        assert second.components[0].critical_cycle == (3, 4)
+        assert_exact(rooted, second)
+
+    def test_unsettled_solve_is_resolved(self, rooted, monkeypatch):
+        class Unsettled(NumpyEngine):
+            def _shifts(self, sub, root_local, hint=None):
+                outcome = super()._shifts(sub, root_local, hint)
+                return dataclasses.replace(outcome, settled=False)
+
+        monkeypatch.setattr(
+            "repro.core.synchronizer.create_engine", lambda backend: Unsettled()
+        )
+        sync = ClockSynchronizer(rooted.system, root=1)
+        first = solve(sync, two_cycles())
+        calls = shifts_calls(sync)
+        with recording() as recorder:
+            second = solve(sync, two_cycles(**{"0,2": -6.0}), previous=first)
+        assert slack_copies(recorder) == reused(recorder) == 0
+        assert shifts_calls(sync) == calls + 1
+        assert_exact(rooted, second)
+
+    def test_python_backend_never_copies_slack(self):
+        sync = ClockSynchronizer(
+            System.uniform(complete(5), BoundedDelay(0.0, 1.0)),
+            root=1, backend="python",
+        )
+        first = solve(sync, two_cycles())
+        with recording() as recorder:
+            again = solve(sync, two_cycles(), previous=first)
+            second = solve(sync, two_cycles(**{"0,2": -6.0}), previous=again)
+        assert reused(recorder) == 1  # only the identical block
+        assert slack_copies(recorder) == 0
+        assert not first._solved[0].shifts.settled
+        assert_exact(sync, second)
+
+
+class TestKeeps:
+    """``SyncEngine.keeps`` claims a solve only when a warm re-solve
+    would serve it bit for bit."""
+
+    def setup_method(self):
+        self.engine = NumpyEngine()
+        self.old = two_cycles()
+        self.new = two_cycles(**{"0,2": -6.0})
+        self.solve = self.engine.shifts(self.old, root_row=1)
+        self.cells = (np.array([0]), np.array([2]))
+        self.before = np.array([-5.0])
+
+    def keeps(self, solve):
+        return self.engine.keeps(self.new, 1, solve, self.cells, self.before)
+
+    def test_settled_solve_is_kept_and_is_the_warm_answer(self):
+        assert self.solve.settled
+        assert self.keeps(self.solve)
+        warm = self.engine.shifts(
+            self.new, root_row=1, hint=list(self.solve.cycle_rows)
+        )
+        assert warm.corrections.tobytes() == self.solve.corrections.tobytes()
+        assert (warm.a_max, warm.cycle_rows) == (
+            self.solve.a_max, self.solve.cycle_rows
+        )
+
+    @pytest.mark.parametrize("labels", [
+        [1.0, 0.0, 0.0, 0.5, 0.5],  # (3, 4) a zero-weight tie cycle
+        [1.0, 0.0, 0.0, 1.0, 1.0 + 2.0 ** -52],  # nudged
+    ], ids=["tie-cycle", "nudged"])
+    def test_labels_bellman_ford_does_not_return_are_refused(self, labels):
+        forged = dataclasses.replace(self.solve, corrections=np.array(labels))
+        weights = shift_weights(self.new, self.solve.a_max)
+        assert not np.array_equal(bellman_ford_matrix(weights, 1), labels)
+        assert not self.keeps(forged)
+
+    def test_unsettled_solve_is_refused(self):
+        assert not self.keeps(dataclasses.replace(self.solve, settled=False))
+
+    def test_python_reference_never_keeps(self):
+        python = ClockSynchronizer(
+            System.uniform(complete(5), BoundedDelay(0.0, 1.0)),
+            backend="python",
+        ).engine
+        solve = python.shifts(self.old, root_row=1)
+        assert not solve.settled
+        assert not python.keeps(
+            self.new, 1, dataclasses.replace(solve, settled=True),
+            self.cells, self.before,
+        )
+
+
+class TestRealizedFixpoint:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_accepts_only_what_bellman_ford_returns(self, seed):
+        rng = np.random.default_rng(seed)
+        accepted = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 12))
+            ms = rng.uniform(-5.0, 5.0, (n, n))
+            a_max = NumpyEngine().shifts(ms).a_max
+            weights = shift_weights(ms, a_max + rng.choice([0.0, 0.5]))
+            root = int(rng.integers(n))
+            dist = bellman_ford_matrix(weights, root)
+            nudged = dist.copy()
+            nudged[(root + 1) % n] = np.nextafter(nudged[(root + 1) % n], 0)
+            candidates = [dist, nudged, rng.uniform(-1.0, 1.0, n)]
+            for labels in candidates:
+                if realized_fixpoint(weights, labels, root):
+                    accepted += 1
+                    assert dist.tobytes() == labels.tobytes()
+            # Strictly positive, distinct weights: no ties, so Bellman--
+            # Ford's own answer is a realized fixpoint.
+            positive = shift_weights(-rng.uniform(0.0, 1.0, (n, n)), 0.0)
+            assert realized_fixpoint(
+                positive, bellman_ford_matrix(positive, root), root
+            )
+        assert accepted
+
+    def test_zero_weight_tie_cycle_is_refused(self):
+        weights = np.array([
+            [INF, 5.0, 5.0],
+            [10.0, INF, 0.0],
+            [10.0, 0.0, INF],
+        ])
+        labels = np.array([0.0, 3.0, 3.0])  # consistent, but no walk
+        reach = (labels[:, None] + weights).min(axis=0)
+        assert reach[1:].tolist() == labels[1:].tolist()
+        assert bellman_ford_matrix(weights, 0).tolist() == [0.0, 5.0, 5.0]
+        assert not realized_fixpoint(weights, labels, 0)
+
+    def test_labels_after_non_converging_rounds_are_refused(self):
+        # The cycle 1 -> 2 -> 1 weighs -2**-52: Bellman--Ford never
+        # settles, stops after n - 1 rounds and returns (within tolerance).
+        weights = np.full((4, 4), INF)
+        weights[0, 1] = weights[1, 2] = weights[2, 3] = 1.0
+        weights[2, 1] = -(1.0 + 2.0 ** -52)
+        dist = bellman_ford_matrix(weights, 0)
+        assert dist is not None
+        assert ((dist[:, None] + weights).min(axis=0) < dist).any()
+        assert not realized_fixpoint(weights, dist, 0)
+
+    def test_root_that_relaxes_is_refused(self):
+        weights = np.array([[INF, 1.0], [-2.0, INF]])
+        assert not realized_fixpoint(weights, np.array([0.0, 1.0]), 0)
