@@ -35,6 +35,7 @@ from repro.engine import (
     ProcessorIndex,
     create_engine,
 )
+from repro.engine.base import KeepProof
 from repro.engine.index import PairView
 from repro.model.execution import Execution
 from repro.model.views import View
@@ -199,36 +200,80 @@ class _Solved(NamedTuple):
     rows: List[int]
     #: The engine's solve in row space; ``None`` for a singleton.
     shifts: Optional[EngineShifts]
+    #: What the copy rule last proved about ``shifts`` on this block
+    #: (its tolerance scale and a realizing parent tree), so the next
+    #: check reads only the changed entries; ``None`` when nothing was
+    #: proved (a solve without ``previous``, or an unsettled one).
+    proof: Optional[KeepProof] = None
+
+
+_NO_VALUES = np.empty(0)
+_NO_CELLS = (np.empty(0, dtype=np.intp),) * 2
+
+
+class _Changes(NamedTuple):
+    """What an online refresh already knows changed since ``previous``.
+
+    Handed to ``from_matrices`` as the private ``_changes`` keyword, so
+    it need not compare whole matrices to find out.
+    """
+
+    #: Flat cells where ``ms~`` is below ``previous``'s, ascending.
+    ms_cells: np.ndarray
+    #: Whether ``mls~`` is ``+inf`` exactly where ``previous``'s was.
+    mls_layout: bool
 
 
 class _Delta:
     """Where an ``ms~`` matrix differs from an earlier one, cell by cell."""
 
-    __slots__ = ("n", "rows", "cols", "before", "same_finiteness", "unchanged")
+    __slots__ = (
+        "n", "rows", "cols", "before", "after", "same_finiteness",
+        "unchanged",
+    )
 
-    def __init__(self, ms_matrix: np.ndarray, earlier: np.ndarray):
+    def __init__(
+        self,
+        ms_matrix: np.ndarray,
+        earlier: np.ndarray,
+        cells: Optional[np.ndarray] = None,
+    ):
+        """``cells``, when known, are the changed flat cells; else the
+        two matrices are compared."""
         self.n = len(earlier)
-        cells = np.flatnonzero(ms_matrix != earlier)
+        if cells is None:
+            cells = np.flatnonzero(ms_matrix != earlier)
         self.rows, self.cols = np.divmod(cells, self.n)
-        #: The earlier values of the changed cells.
+        #: The earlier and the current values of the changed cells.
         self.before = earlier.ravel()[cells]
+        self.after = ms_matrix.ravel()[cells]
         self.unchanged = not cells.size
-        self.same_finiteness = self.unchanged or np.array_equal(
-            np.isfinite(ms_matrix.ravel()[cells]), np.isfinite(self.before)
+        self.same_finiteness = self.unchanged or not np.count_nonzero(
+            np.isfinite(self.after) != np.isfinite(self.before)
         )
 
     def within(
         self, rows: List[int]
-    ) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray]:
+    ) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
         """The changed cells inside the ``rows`` block, in the block's
-        local indices, and their earlier values."""
+        local indices, and their earlier and current values."""
         if len(rows) == self.n:
-            return (self.rows, self.cols), self.before
+            return (self.rows, self.cols), self.before, self.after
         local = np.full(self.n, -1)
         local[rows] = np.arange(len(rows))
         i, j = local[self.rows], local[self.cols]
         inside = (i >= 0) & (j >= 0)
-        return (i[inside], j[inside]), self.before[inside]
+        return (
+            (i[inside], j[inside]), self.before[inside], self.after[inside]
+        )
+
+
+def _block(ms_matrix: np.ndarray, rows: List[int]) -> np.ndarray:
+    """The ``rows`` block of ``ms_matrix`` (the matrix itself when the
+    block is all of it)."""
+    if len(rows) == len(ms_matrix):
+        return ms_matrix
+    return ms_matrix[np.ix_(rows, rows)]
 
 
 def _hint_cycles(
@@ -369,6 +414,7 @@ class ClockSynchronizer:
         ms_matrix,
         degraded: Optional[DegradedResult] = None,
         previous: Optional[SyncResult] = None,
+        _changes: Optional[_Changes] = None,
     ) -> SyncResult:
         """SHIFTS-only entry for callers that already hold the closure.
 
@@ -395,7 +441,8 @@ class ClockSynchronizer:
         warm-start hint, the critical cycle of the highest-precision
         ``previous`` component whose cycle lies inside it (also after a
         merge); the hint changes how SHIFTS finds the result, never the
-        result.
+        result.  (``_changes`` is private to online refreshes: what they
+        already know changed since ``previous``.)
         """
         index = self._index
         engine = self._engine
@@ -408,7 +455,10 @@ class ClockSynchronizer:
         records = getattr(prior, "_solved", None)
         layout = delta = None
         if prior is not None:
-            delta = _Delta(ms_matrix, prior.ms_tilde.matrix)
+            delta = _Delta(
+                ms_matrix, prior.ms_tilde.matrix,
+                None if _changes is None else _changes.ms_cells,
+            )
             if records is not None and delta.same_finiteness:
                 # Same finiteness, same components (mutual finiteness).
                 layout = [
@@ -436,9 +486,12 @@ class ClockSynchronizer:
         reused = reused_slack = 0
         with recorder.span("pipeline.shifts"):
             for rows, component, old in layout:
-                root = self._root if self._root in component else component[0]
-                if self._root is not None and root != self._root:
-                    root_substitutions.append((self._root, root))
+                root = component[0]
+                if self._root is not None:
+                    if self._root in component:
+                        root = self._root
+                    else:
+                        root_substitutions.append((self._root, root))
                 if len(component) == 1:
                     if n > 1:
                         isolated.append(root)
@@ -450,28 +503,32 @@ class ClockSynchronizer:
                     component_results.append(old[0])
                     solved.append(old[1])
                     continue
-                root_local = component.index(root)
+                root_local = 0 if root is component[0] else (
+                    component.index(root)
+                )
                 if old is not None and old[0].root == root:
                     kept, record = old
-                    local, before = delta.within(rows)
+                    local, before, after = delta.within(rows)
                     copy = not len(before)
                     last = record.shifts if record is not None else None
-                    if not copy and last is not None:
+                    if not copy and last is not None and (after < before).all():
                         # The copy rule: decreases only, then the engine's
                         # exact check (DESIGN.md section 6).
-                        sub = (
-                            ms_matrix if len(rows) == n
-                            else ms_matrix[np.ix_(rows, rows)]
+                        proof = engine.keeps(
+                            _block(ms_matrix, rows), root_local, last, local,
+                            before, record.proof,
                         )
-                        copy = bool((sub[local] < before).all()) and (
-                            engine.keeps(sub, root_local, last, local, before)
-                        )
-                        reused_slack += copy
+                        if proof is not None:
+                            copy, reused_slack = True, reused_slack + 1
+                            record = record._replace(proof=proof)
                     if copy:
                         reused += 1
-                        prior_corrections = prior.corrections
-                        for p in component:
-                            corrections[p] = prior_corrections[p]
+                        if len(layout) == 1:
+                            corrections = dict(prior.corrections)
+                        else:
+                            prior_corrections = prior.corrections
+                            for p in component:
+                                corrections[p] = prior_corrections[p]
                         component_results.append(kept)
                         solved.append(
                             record if record is not None
@@ -496,7 +553,15 @@ class ClockSynchronizer:
                 component_results.append(
                     ComponentResult(component, outcome.a_max, cycle, root)
                 )
-                solved.append(_Solved(rows, outcome))
+                proof = None
+                if prior is not None:
+                    # A stream will check the copy rule on this block
+                    # next: prove the solve now, off the copy's path.
+                    proof = engine.keeps(
+                        _block(ms_matrix, rows), root_local, outcome,
+                        _NO_CELLS, _NO_VALUES,
+                    )
+                solved.append(_Solved(rows, outcome, proof))
 
         if degraded is not None or root_substitutions or isolated:
             base = degraded if degraded is not None else DegradedResult()
@@ -521,7 +586,7 @@ class ClockSynchronizer:
         if degraded is not None:
             recorder.count("pipeline.degraded")
         recorder.set_gauge("pipeline.components", len(component_results))
-        if corrections:
+        if recorder.enabled and corrections:
             recorder.set_gauge(
                 "pipeline.correction_spread",
                 max(corrections.values()) - min(corrections.values()),
@@ -530,13 +595,21 @@ class ClockSynchronizer:
             # A^max of the last fully-synchronized instance; inf (multiple
             # components) is left out so the gauge stays JSON-clean.
             recorder.set_gauge("pipeline.precision", precision)
+        mls_tilde = None
+        if _changes is not None and _changes.mls_layout and prior is not None:
+            mls_tilde = prior.mls_tilde.regathered(mls_matrix)
         result = SyncResult(
             corrections=corrections,
             precision=precision,
             components=tuple(component_results),
-            mls_tilde=PairView.sparse(mls_matrix, index),
+            mls_tilde=(
+                PairView.sparse(mls_matrix, index) if mls_tilde is None
+                else mls_tilde
+            ),
             ms_tilde=(
                 prior.ms_tilde if delta is not None and delta.unchanged
+                # An online refresh hands over a matrix nobody else holds.
+                else PairView.adopt(ms_matrix, index) if _changes is not None
                 else PairView(ms_matrix, index)
             ),
             degraded=degraded,

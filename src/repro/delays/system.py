@@ -18,7 +18,7 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,12 +45,13 @@ class LinkTerms:
     ``e ^ 1`` is the reverse of edge ``e``.  Each term kind holds the
     edges, term slots and constants of all its terms; :meth:`mls`
     evaluates one formula of :data:`~repro.delays.base.FORMULAS` per
-    kind over all of them and takes the per-edge min over the slots.
+    kind over all of them and takes the per-edge min over the slots;
+    :meth:`mls_of` evaluates a few edges the same way on Python floats.
     """
 
     __slots__ = (
         "edges", "numbers", "cells", "_rows", "_codes",
-        "_code_edges", "_slots", "_kinds",
+        "_code_edges", "_slots", "_kinds", "_by_edge", "_edge_terms",
     )
 
     def __init__(
@@ -72,6 +73,10 @@ class LinkTerms:
                 edge_ids.append(edge)
                 slots.append(slot)
                 constants.append(constant)
+        self._by_edge = tuple(by_edge)
+        # Filled by mls_of as it meets edges: their terms in slot order
+        # as (formula, constant), the constant as the arrays hold it.
+        self._edge_terms: Dict[int, Tuple[Tuple[Callable, float], ...]] = {}
         #: Directed edges, indexed by edge number.
         self.edges: Tuple[Edge, ...] = tuple(edges)
         #: Edge number of each directed edge.
@@ -142,6 +147,31 @@ class LinkTerms:
             # A tie keeps the earlier term's value, as Python's min() does.
             mls = np.minimum(slot, mls)
         return mls
+
+    def mls_of(
+        self, edges: Sequence[int], dmin: np.ndarray, dmax: np.ndarray
+    ) -> List[float]:
+        """:meth:`mls` of the edges ``edges`` only, evaluated on Python
+        floats with the same formulas and tie rule: bit for bit the
+        values :meth:`mls` returns for them."""
+        out = []
+        for e in edges:
+            terms = self._edge_terms.get(e)
+            if terms is None:
+                terms = self._edge_terms[e] = tuple(
+                    (FORMULAS[kind], float(constant))
+                    for kind, constant in self._by_edge[e].terms()
+                )
+            forward, reverse = float(dmin[e]), float(dmax[e ^ 1])
+            value = INF  # an edge without terms: no constraint
+            for slot, (formula, constant) in enumerate(terms):
+                bound = formula(constant, forward, reverse)
+                # np.minimum(bound, value): a tie keeps the earlier
+                # slot's value, a nan propagates.
+                if not slot or bound < value or bound != bound:
+                    value = bound
+            out.append(value)
+        return out
 
     def matrix(self, dmin: np.ndarray, dmax: np.ndarray) -> np.ndarray:
         """:meth:`mls` as the ``(n, n)`` matrix over the processors:

@@ -17,12 +17,13 @@ operations the synchronization pipeline is made of:
   result reports whether the solve *settled*;
 * ``keeps`` -- whether a settled solve is still exactly what SHIFTS
   would serve after some ``ms~`` entries decreased (the copy rule of
-  :meth:`~repro.core.synchronizer.ClockSynchronizer.from_matrices`);
-  backends without the check answer ``False``;
+  :meth:`~repro.core.synchronizer.ClockSynchronizer.from_matrices`),
+  answered with a :class:`KeepProof` that makes the next check
+  O(changed entries); backends without the check answer ``None``;
 * ``incremental_update`` -- optional single-edge decrease relaxation of a
-  cached closure (used by :mod:`repro.extensions.online`); backends that
-  do not support it return ``None`` and callers fall back to a full
-  recompute.
+  cached closure (used by :mod:`repro.extensions.online`), which also
+  reports the cells it lowered; backends that do not support it return
+  ``None`` and callers fall back to a full recompute.
 
 Concrete backends implement the underscore hooks; the base class owns
 argument validation and the per-stage timing in :attr:`SyncEngine.stats`.
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Sequence, Tuple
+from typing import ClassVar, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +62,21 @@ class EngineShifts:
     a_max: float
     cycle_rows: Optional[Tuple[int, ...]]
     settled: bool = False
+
+
+class KeepProof(NamedTuple):
+    """What a passed :meth:`SyncEngine.keeps` check established about a
+    kept solve's block, so the next check reads only the changed entries
+    (DESIGN.md section 6).
+
+    ``scale`` is the block's tolerance scale ``max(1, max|ms~|)``;
+    ``tree`` is a parent tree (``tree[root] == root``) along which every
+    correction is the float sum of its path's weights from the root, or
+    ``None`` when the check proved the corrections another way.
+    """
+
+    scale: float
+    tree: Optional[np.ndarray]
 
 
 class SyncEngine(ABC):
@@ -168,27 +184,34 @@ class SyncEngine(ABC):
         solve: EngineShifts,
         cells: Tuple[np.ndarray, np.ndarray],
         old: np.ndarray,
-    ) -> bool:
-        """Whether SHIFTS on ``sub`` would serve ``solve`` again, exactly.
+        proof: Optional[KeepProof] = None,
+    ) -> Optional[KeepProof]:
+        """Whether SHIFTS on ``sub`` would serve ``solve`` again, exactly:
+        a :class:`KeepProof` when it would, else ``None``.
 
         ``sub`` is a component's current ``ms~`` block (local indices,
         root at ``root_local``); ``solve`` is the settled solve of the
         earlier block, which differs from ``sub`` only at ``cells``
         (local ``(rows, cols)``), where it held the larger values
-        ``old``.  Backends without an exact check answer ``False``, so
-        the component is re-solved.
+        ``old``.  ``proof`` is what the check returned for the earlier
+        block, if there was one; with no changed cells the check proves
+        ``solve`` on its own block.  Backends without an exact check
+        answer ``None``, so the component is re-solved.
         """
-        return solve.settled and self._keeps(sub, root_local, solve, cells, old)
+        if not solve.settled:
+            return None
+        return self._keeps(sub, root_local, solve, cells, old, proof)
 
     def incremental_update(
         self,
         ms_matrix: np.ndarray,
         changes: Sequence[Tuple[int, int, float]],
-    ) -> Optional[np.ndarray]:
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Closure after decreasing ``mls~`` entries ``(i, j, new_weight)``.
 
-        Returns a *new* matrix (the input is never mutated), or ``None``
-        when the backend has no incremental path and the caller should
+        Returns a *new* matrix (the input is never mutated) and the flat
+        cells where it is below the input, ascending; or ``None`` when
+        the backend has no incremental path and the caller should
         recompute from scratch.  Only weight *decreases* are supported --
         the online monotonicity guarantee (new observations only tighten
         estimates) makes that the only case that occurs.
@@ -223,7 +246,7 @@ class SyncEngine(ABC):
 
     def _incremental(
         self, ms_matrix: np.ndarray, changes: List[Tuple[int, int, float]]
-    ) -> Optional[np.ndarray]:
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Default: no incremental support."""
         return None
 
@@ -234,9 +257,10 @@ class SyncEngine(ABC):
         solve: EngineShifts,
         cells: Tuple[np.ndarray, np.ndarray],
         old: np.ndarray,
-    ) -> bool:
+        proof: Optional[KeepProof],
+    ) -> Optional[KeepProof]:
         """Default: no exact check, so a changed block is re-solved."""
-        return False
+        return None
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -247,4 +271,4 @@ def _check_square(matrix: np.ndarray) -> None:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
 
 
-__all__ = ["EngineShifts", "SyncEngine"]
+__all__ = ["EngineShifts", "KeepProof", "SyncEngine"]

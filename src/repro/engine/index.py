@@ -12,7 +12,7 @@ into a dict.
 from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -135,6 +135,19 @@ class PairView(Mapping):
         self.index = index
 
     @classmethod
+    def adopt(cls, matrix: np.ndarray, index: ProcessorIndex) -> "PairView":
+        """A view that takes ownership of the float ``matrix`` instead of
+        copying it: ``matrix`` becomes non-writeable, so the caller must
+        hold no other writer."""
+        _check_shape(matrix, index)
+        view = cls.__new__(cls)
+        matrix.setflags(write=False)
+        view._matrix = matrix
+        view._cells = view._values = None
+        view.index = index
+        return view
+
+    @classmethod
     def sparse(cls, matrix: np.ndarray, index: ProcessorIndex) -> "PairView":
         """A view of a mostly-``inf`` matrix, such as ``mls~`` (finite on
         the links and the diagonal only), that holds only its other
@@ -149,6 +162,19 @@ class PairView(Mapping):
         view._cells = cells
         view._values = matrix.ravel()[cells].astype(float, copy=False)
         view.index = index
+        return view
+
+    def regathered(self, matrix: np.ndarray) -> Optional["PairView"]:
+        """A :meth:`sparse` view of ``matrix``, which the caller knows is
+        ``+inf`` exactly where this view's matrix is: only the values are
+        gathered.  ``None`` when this view is not sparse."""
+        if self._cells is None:
+            return None
+        view = type(self).__new__(type(self))
+        view._matrix = None
+        view._cells = self._cells
+        view._values = matrix.ravel()[self._cells].astype(float, copy=False)
+        view.index = self.index
         return view
 
     @property

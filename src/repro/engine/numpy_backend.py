@@ -43,7 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.errors import InconsistentViewsError
-from repro.engine.base import EngineShifts, SyncEngine
+from repro.engine.base import EngineShifts, KeepProof, SyncEngine
 from repro.engine.stats import EngineStats
 
 INF = float("inf")
@@ -100,36 +100,41 @@ def bellman_ford_matrix(
     return dist
 
 
-def realized_fixpoint(
+def realizing_tree(
     weights: np.ndarray, dist: np.ndarray, source: int
-) -> bool:
-    """Whether :func:`bellman_ford_matrix` on ``weights`` from ``source``
-    returns ``dist`` bit for bit.
+) -> Optional[np.ndarray]:
+    """A parent tree proving that :func:`bellman_ford_matrix` on
+    ``weights`` from ``source`` returns ``dist`` bit for bit, or ``None``.
 
-    It does when ``dist[source] == 0``, one relaxation round moves no
-    other entry and nothing into the source, and the rows attaining each
-    minimum (the argmin parents) lead back to the source.  Then every
-    entry is the float value of a walk from the source, and since
-    ``fl(a + w)`` is monotone in ``a`` no round ever drops below
-    ``dist``; after as many rounds as the parent tree is deep, the
-    distances are ``dist``.  A cycle of ties whose labels agree with one
-    another but with no walk from the source fails the parent test.
+    The tree (``tree[source] == source``) is the rows attaining each
+    minimum of one relaxation round, the argmin parents.  It proves
+    ``dist`` when ``dist[source] == 0``, the round moves no other entry
+    and nothing into the source, and the parents lead back to the
+    source.  Then every entry is the float value of a walk from the
+    source along the tree, and since ``fl(a + w)`` is monotone in ``a``
+    no round ever drops below ``dist``; after as many rounds as the tree
+    is deep, the distances are ``dist``.  A cycle of ties whose labels
+    agree with one another but with no walk from the source fails the
+    parent test; so do labels Bellman--Ford reaches only along a walk
+    that goes round a cycle whose float sum absorbed a rounding, which
+    only Bellman--Ford itself can confirm.
     """
     n = len(weights)
     if dist[source] != 0.0:
-        return False
+        return None
     reach = dist[:, None] + weights
     parent = reach.argmin(axis=0)
     best = reach[parent, np.arange(n)]
     if best[source] < 0.0:
-        return False
+        return None
     best[source] = 0.0
     if not np.array_equal(best, dist):
-        return False
+        return None
     parent[source] = source
+    root = parent
     for _ in range((n - 1).bit_length()):
-        parent = parent[parent]
-    return bool((parent == source).all())
+        root = root[root]
+    return parent if (root == source).all() else None
 
 
 def karp_cycle(weights: np.ndarray) -> Optional[List[int]]:
@@ -417,34 +422,59 @@ class NumpyEngine(SyncEngine):
         solve: EngineShifts,
         cells: Tuple[np.ndarray, np.ndarray],
         old: np.ndarray,
-    ) -> bool:
+        proof: Optional[KeepProof],
+    ) -> Optional[KeepProof]:
         # A warm re-solve hinted with the settled cycle C would serve
         # (A, x, C) again (DESIGN.md section 6) when (1) tight_cycle's
         # tolerance scale is unchanged, (2) no decreased entry was tight,
         # so C's entries and A = mean(C) are untouched and the tight set
         # stays the same, and (3) Bellman--Ford under the new weights
-        # returns x bit for bit.
+        # returns x bit for bit.  With an earlier proof, (1) reads the
+        # changed entries and (3) follows from (2): no tree edge moved.
         rows, cols = cells
-        if (rows == cols).any():
-            return False  # a diagonal entry moved: not an edge, re-solve
-        magnitude = np.abs(sub)
-        np.fill_diagonal(magnitude, 0.0)
-        scale = max(1.0, float(magnitude.max()))
+        if np.count_nonzero(rows == cols):
+            return None  # a diagonal entry moved: not an edge, re-solve
         x, a_max = solve.corrections, solve.a_max
+        if proof is None or (
+            # Entries only decrease; one at the scale itself may have
+            # been the maximum, so only the full max tells.
+            proof.scale > 1.0 and len(old)
+            and np.abs(old).max() == proof.scale
+        ):
+            magnitude = np.abs(sub)
+            np.fill_diagonal(magnitude, 0.0)
+            scale = max(1.0, float(magnitude.max()))
+            if len(old):
+                magnitude[rows, cols] = np.abs(old)
+                if max(1.0, float(magnitude.max())) != scale:
+                    return None
+        else:
+            scale = proof.scale
+            if len(rows) and np.abs(sub[rows, cols]).max() > scale:
+                return None
         # tight_cycle's slack expression and unnudged tolerance, exactly.
-        if not (x[rows] + (a_max - old) - x[cols] > _TOL * scale).all():
-            return False
-        magnitude[rows, cols] = np.abs(old)
-        if max(1.0, float(magnitude.max())) != scale:
-            return False
+        slack = x[rows] + (a_max - old) - x[cols]
+        if np.count_nonzero(slack > _TOL * scale) != len(slack):
+            return None
+        if proof is not None and proof.tree is not None:
+            # Slack entries are no tree edges (fl(x_u + w) > x_v there),
+            # which this restates at O(changed) cost.
+            if np.count_nonzero(proof.tree[cols] == rows):
+                return None
+            return KeepProof(scale, proof.tree)
         # shift_weights(sub, a_max), as the block's scale is finite.
         weights = a_max - sub
         np.fill_diagonal(weights, INF)
-        return realized_fixpoint(weights, x, root_local)
+        tree = realizing_tree(weights, x, root_local)
+        if tree is None and len(old):
+            dist = bellman_ford_matrix(weights, root_local)
+            if dist is None or dist.tobytes() != x.tobytes():
+                return None
+        return KeepProof(scale, tree)
 
     def _incremental(
         self, ms_matrix: np.ndarray, changes: List[Tuple[int, int, float]]
-    ) -> Optional[np.ndarray]:
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         closure = ms_matrix.astype(float, copy=True)
         for i, j, weight in changes:
             if i == j:
@@ -462,7 +492,7 @@ class NumpyEngine(SyncEngine):
                 "negative cycle; the observed delays are inconsistent with "
                 "the declared delay assumptions"
             )
-        return closure
+        return closure, np.flatnonzero(closure < ms_matrix)
 
 
 __all__ = [
@@ -470,7 +500,7 @@ __all__ = [
     "min_plus_closure",
     "has_negative_diagonal",
     "bellman_ford_matrix",
-    "realized_fixpoint",
+    "realizing_tree",
     "karp_cycle",
     "howard_cycle",
     "shift_weights",

@@ -24,19 +24,29 @@ Two useful consequences, both tested:
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
 from repro._types import INF, NEG_INF, Edge, ProcessorId, Time
 from repro.core.errors import InconsistentViewsError
 from repro.core.estimates import estimated_delays
-from repro.core.synchronizer import ClockSynchronizer, SyncResult
+from repro.core.synchronizer import ClockSynchronizer, SyncResult, _Changes
 from repro.delays.base import DirectionStats, PairTiming
 from repro.delays.system import System, UnknownLinkError
 from repro.engine import DEFAULT_BACKEND
 from repro.model.views import View
 from repro.obs.recorder import get_recorder
+
+
+_NONE_LOWERED = np.empty(0, dtype=np.intp)
+
+
+def _same_bits(a: float, b: float) -> bool:
+    """Whether two floats are the same bits (up to a nan's payload)."""
+    if a != a:
+        return b != b
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 class OnlineSynchronizer:
@@ -54,14 +64,16 @@ class OnlineSynchronizer:
     :mod:`repro.engine.numpy_backend`); in floats it can differ from a
     batch recompute in the last bits on heterogeneous systems (DESIGN.md
     section 14).  Nor does a refresh redo work the observation cannot
-    change: it rewrites only the ``mls~`` cells of links whose value
-    changed, and hands its last good result to
+    change: it re-evaluates only the ``mls~`` values of links whose
+    statistics moved, rewrites only the cells whose value changed, and
+    hands its last good result to
     :meth:`~repro.core.synchronizer.ClockSynchronizer.from_matrices` as
-    ``previous``, which keeps the components and copies every component
-    whose tight entries are untouched (the copy rule, DESIGN.md section
-    6), bit for bit what re-solving it would serve.  The ``"python"``
-    reference engine has no incremental path and recomputes, and copies
-    only components whose ``ms~`` block is unchanged.
+    ``previous``, together with the ``ms~`` cells the repair lowered;
+    that keeps the components and copies every component whose tight
+    entries are untouched (the copy rule, DESIGN.md section 6), bit for
+    bit what re-solving it would serve.  The ``"python"`` reference
+    engine has no incremental path and recomputes, and copies only
+    components whose ``ms~`` block is unchanged.
 
     ``backend`` is validated eagerly at construction (via
     :class:`~repro.core.synchronizer.ClockSynchronizer`), so a typo fails
@@ -99,6 +111,7 @@ class OnlineSynchronizer:
         )
         self._terms = system.link_terms
         self._numbers = self._terms.numbers
+        self._cells = self._terms.cells.tolist()
         self._reject_outliers = reject_outliers
         self._fallback = fallback
         self.reset()
@@ -149,6 +162,8 @@ class OnlineSynchronizer:
         changed = bool(new_min != old_min or new_max != old_max)
         if changed:
             self._cached = None
+            # Edge e's statistics feed its link's two mls~ values only.
+            self._dirty.add(e & ~1)
         if recorder.enabled:
             recorder.count("online.observations")
             if changed:
@@ -297,7 +312,6 @@ class OnlineSynchronizer:
         if had:
             self._count[e], self._dmin[e], self._dmax[e] = 0, INF, NEG_INF
             self._cached = None
-            self._last_mls = None
             self._last_mls_matrix = None
             self._last_ms_matrix = None
             get_recorder().count("online.edge_drops")
@@ -340,27 +354,36 @@ class OnlineSynchronizer:
         sync = self._synchronizer
         recorder = get_recorder()
         with recorder.span("online.refresh"):
-            mls = self._terms.mls(self._dmin, self._dmax)
-            matrices = None
+            update = None
             if self._last_ms_matrix is not None:
-                matrices = self._incremental_closure(mls)
-            if matrices is None:
+                update = self._incremental_update()
+            if update is None:
                 recorder.count("online.full_recomputes")
-                mls_matrix = self._terms.matrix_of(mls)
+                mls_matrix = self._terms.matrix_of(
+                    self._terms.mls(self._dmin, self._dmax)
+                )
                 ms_matrix = sync.engine.global_estimates(mls_matrix)
+                changes = patched = None
             else:
                 recorder.count("online.incremental_repairs")
-                mls_matrix, ms_matrix = matrices
-            result = sync.from_matrices(
-                mls_matrix=mls_matrix,
-                ms_matrix=ms_matrix,
-                previous=self._last_good,
-            )
+                mls_matrix, ms_matrix, changes, patched = update
+            try:
+                result = sync.from_matrices(
+                    mls_matrix=mls_matrix,
+                    ms_matrix=ms_matrix,
+                    previous=self._last_good,
+                    _changes=changes,
+                )
+            except BaseException:
+                if patched:
+                    self._unpatch(patched)
+                raise
             # Commit only after success: a failed refresh leaves the
-            # closure cache at the last good matrices.
-            self._last_mls = mls
+            # closure cache at the last good matrices and keeps its links
+            # dirty for the next one.
             self._last_mls_matrix = mls_matrix
             self._last_ms_matrix = ms_matrix
+            self._dirty.clear()
             if recorder.enabled and recorder.observers:
                 # from_matrices already emitted pipeline.result for the
                 # monitors; this adds the streaming context (observation
@@ -374,46 +397,66 @@ class OnlineSynchronizer:
                 )
             return result
 
-    def _incremental_closure(
-        self, mls: np.ndarray
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """The ``mls~`` and ``ms~`` matrices for per-edge values ``mls``,
-        updated from the cached ones.
+    def _incremental_update(self) -> Optional[
+        Tuple[np.ndarray, np.ndarray, _Changes, List[Tuple[int, float]]]
+    ]:
+        """The ``mls~`` and ``ms~`` matrices after the dirty links'
+        observations, updated from the cached ones; what changed; and the
+        ``mls~`` cells patched in place with their earlier values.
 
-        Only the cells of edges whose value changed are rewritten, and
-        the cached closure is repaired through the edges that tightened,
-        in row-major cell order.  Returns ``None`` whenever the batch
-        path must run instead: the engine has no incremental support, an
+        Only the dirty links' two edges are re-evaluated, and only the
+        cells of edges whose value changed bitwise are rewritten, so the
+        matrix equals a fresh ``LinkTerms.matrix`` bit for bit.  The
+        cached closure is repaired through the edges that tightened, in
+        row-major cell order.  Returns ``None`` whenever the batch path
+        must run instead: the engine has no incremental support, an
         estimate *loosened* (impossible under monotone ingestion, but
         guarded), or the update exposed an inconsistency (the batch path
         re-derives the error authoritatively).
         """
-        old = self._last_mls
-        # Bitwise, so the patched matrix equals a fresh matrix_of(mls).
-        edges = np.flatnonzero(mls.view(np.int64) != old.view(np.int64))
-        if not edges.size:
-            return self._last_mls_matrix, self._last_ms_matrix
-        new, was = mls[edges], old[edges]
-        if (new > was).any():
-            return None
-        cells = self._terms.cells[edges]
-        mls_matrix = self._last_mls_matrix.copy()
-        np.put(mls_matrix, cells, new)
-        tighter = new < was
-        order = np.argsort(cells[tighter])
-        rows, cols = np.divmod(cells[tighter][order], len(mls_matrix))
-        changes = list(zip(
-            rows.tolist(), cols.tolist(), new[tighter][order].tolist()
-        ))
-        if not changes:
-            return mls_matrix, self._last_ms_matrix
-        try:
-            ms_matrix = self._synchronizer.engine.incremental_update(
-                self._last_ms_matrix, changes
-            )
-        except InconsistentViewsError:
-            return None
-        return None if ms_matrix is None else (mls_matrix, ms_matrix)
+        edges = sorted(e for link in self._dirty for e in (link, link | 1))
+        values = self._terms.mls_of(edges, self._dmin, self._dmax)
+        mls_matrix = self._last_mls_matrix
+        flat = mls_matrix.reshape(-1)
+        patched: List[Tuple[int, float]] = []
+        tighter: List[Tuple[int, float]] = []
+        grew = False
+        for e, new in zip(edges, values):
+            cell = self._cells[e]
+            was = flat.item(cell)
+            if _same_bits(new, was):
+                continue
+            if new > was:
+                self._unpatch(patched)
+                return None
+            patched.append((cell, was))
+            flat[cell] = new
+            grew = grew or was == INF
+            if new < was:
+                tighter.append((cell, new))
+        ms_matrix, lowered = self._last_ms_matrix, _NONE_LOWERED
+        if tighter:
+            n = len(mls_matrix)
+            changes = [
+                (*divmod(cell, n), new) for cell, new in sorted(tighter)
+            ]
+            try:
+                repair = self._synchronizer.engine.incremental_update(
+                    ms_matrix, changes
+                )
+            except InconsistentViewsError:
+                repair = None
+            if repair is None:
+                self._unpatch(patched)
+                return None
+            ms_matrix, lowered = repair
+        return mls_matrix, ms_matrix, _Changes(lowered, not grew), patched
+
+    def _unpatch(self, patched: List[Tuple[int, float]]) -> None:
+        """Restore the cached ``mls~`` cells a failed refresh rewrote."""
+        flat = self._last_mls_matrix.reshape(-1)
+        for cell, was in patched:
+            flat[cell] = was
 
     def precision(self) -> Time:
         """Current guaranteed precision (``inf`` until enough traffic)."""
@@ -430,8 +473,10 @@ class OnlineSynchronizer:
         self._dmax = np.full(edges, NEG_INF)
         self._observations = 0
         self._cached: Optional[SyncResult] = None
-        # The last refresh's per-edge mls~ values and both its matrices.
-        self._last_mls: Optional[np.ndarray] = None
+        # Links (numbered by their canonical edge) whose statistics
+        # changed since the last committed refresh.
+        self._dirty: Set[int] = set()
+        # The last refresh's two matrices.
         self._last_mls_matrix: Optional[np.ndarray] = None
         self._last_ms_matrix: Optional[np.ndarray] = None
         self._last_good: Optional[SyncResult] = None

@@ -10,15 +10,22 @@
   so semantics tests can run against both backends;
 * :func:`reference_validate` -- the six history conditions checked as
   four separate passes, the reference for the one-pass
-  :meth:`~repro.model.steps.History.validate`.
+  :meth:`~repro.model.steps.History.validate`;
+* :func:`reference_refresh` -- one online refresh the long way (every
+  ``mls~`` term, whole-matrix compares, every copy-rule check in full),
+  the reference for :class:`~repro.extensions.online.OnlineSynchronizer`.
 
 Graphs are weight matrices: ``weights[u][v]`` is the edge ``u -> v`` and
 ``inf`` marks an absent edge.
 """
 
+import dataclasses
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.core.errors import InconsistentViewsError
 from repro.engine import NumpyEngine, PairView, ProcessorIndex, PythonEngine
 from repro.engine.python_backend import (
     bellman_ford,
@@ -209,3 +216,50 @@ def reference_validate(history) -> None:
                 raise ModelError(
                     f"timer for clock time {iv.clock_time} fired but was never set"
                 )
+
+
+def reference_refresh(sync, dmin, dmax, last=None):
+    """What an online refresh serves for the per-edge extremes ``dmin``,
+    ``dmax`` (``LinkTerms`` edge order, silent: ``+inf``/``-inf``) after
+    the refresh that served ``last`` (``None``: the first, or the first
+    after a reset).
+
+    Every edge's ``mls~`` is evaluated (``LinkTerms.mls``) and the matrix
+    rebuilt (``LinkTerms.matrix_of``).  ``last``'s closure is repaired
+    through the cells that tightened, in row-major order, and recomputed
+    when one loosened, the repair failed or there is no ``last``.
+    ``from_matrices`` then gets ``last`` as ``previous`` without what
+    its copy-rule checks proved, so it compares whole matrices and runs
+    every check in full.  Raises what the refresh raises.
+    """
+    terms = sync.system.link_terms
+    mls_matrix = terms.matrix_of(terms.mls(dmin, dmax))
+    ms_matrix = previous = None
+    if last is not None:
+        earlier = last.mls_tilde.matrix
+        cells = np.flatnonzero(
+            mls_matrix.view(np.int64) != earlier.view(np.int64)
+        )
+        new, was = mls_matrix.ravel()[cells], earlier.ravel()[cells]
+        if not (new > was).any():
+            n = len(mls_matrix)
+            changes = [
+                (int(cell) // n, int(cell) % n, float(value))
+                for cell, value in zip(cells[new < was], new[new < was])
+            ]
+            ms_matrix = last.ms_tilde.matrix
+            if changes:
+                try:
+                    repair = sync.engine.incremental_update(ms_matrix, changes)
+                except InconsistentViewsError:
+                    repair = None
+                ms_matrix = None if repair is None else repair[0]
+        previous = dataclasses.replace(last)
+        object.__setattr__(previous, "_solved", tuple(
+            record._replace(proof=None) for record in last._solved
+        ))
+    if ms_matrix is None:
+        ms_matrix = sync.engine.global_estimates(mls_matrix)
+    return sync.from_matrices(
+        mls_matrix=mls_matrix, ms_matrix=ms_matrix, previous=previous
+    )

@@ -300,10 +300,13 @@ class TestIncrementalUpdate:
             new_mls[i, j] -= rng.uniform(0.0, slack[i, j])
             changes.append((i, j, float(new_mls[i, j])))
 
-        repaired = engine.incremental_update(ms, changes)
+        repair = engine.incremental_update(ms, changes)
         expected = engine.global_estimates(new_mls)
-        assert repaired is not None
+        assert repair is not None
+        repaired, lowered = repair
         assert np.allclose(repaired, expected, atol=1e-9)
+        # The reported cells are exactly those the repair lowered.
+        assert lowered.tolist() == np.flatnonzero(repaired < ms).tolist()
         # The cached input must not have been mutated.
         assert np.array_equal(ms, engine.global_estimates(mls))
 

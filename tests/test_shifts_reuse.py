@@ -29,7 +29,7 @@ from repro.delays.system import System
 from repro.engine.numpy_backend import (
     NumpyEngine,
     bellman_ford_matrix,
-    realized_fixpoint,
+    realizing_tree,
     shift_weights,
 )
 from repro.extensions.online import OnlineSynchronizer
@@ -447,15 +447,15 @@ class TestRealizedFixpoint:
             nudged[(root + 1) % n] = np.nextafter(nudged[(root + 1) % n], 0)
             candidates = [dist, nudged, rng.uniform(-1.0, 1.0, n)]
             for labels in candidates:
-                if realized_fixpoint(weights, labels, root):
+                if realizing_tree(weights, labels, root) is not None:
                     accepted += 1
                     assert dist.tobytes() == labels.tobytes()
             # Strictly positive, distinct weights: no ties, so Bellman--
             # Ford's own answer is a realized fixpoint.
             positive = shift_weights(-rng.uniform(0.0, 1.0, (n, n)), 0.0)
-            assert realized_fixpoint(
+            assert realizing_tree(
                 positive, bellman_ford_matrix(positive, root), root
-            )
+            ) is not None
         assert accepted
 
     def test_zero_weight_tie_cycle_is_refused(self):
@@ -468,7 +468,7 @@ class TestRealizedFixpoint:
         reach = (labels[:, None] + weights).min(axis=0)
         assert reach[1:].tolist() == labels[1:].tolist()
         assert bellman_ford_matrix(weights, 0).tolist() == [0.0, 5.0, 5.0]
-        assert not realized_fixpoint(weights, labels, 0)
+        assert realizing_tree(weights, labels, 0) is None
 
     def test_labels_after_non_converging_rounds_are_refused(self):
         # The cycle 1 -> 2 -> 1 weighs -2**-52: Bellman--Ford never
@@ -479,8 +479,145 @@ class TestRealizedFixpoint:
         dist = bellman_ford_matrix(weights, 0)
         assert dist is not None
         assert ((dist[:, None] + weights).min(axis=0) < dist).any()
-        assert not realized_fixpoint(weights, dist, 0)
+        assert realizing_tree(weights, dist, 0) is None
 
     def test_root_that_relaxes_is_refused(self):
         weights = np.array([[INF, 1.0], [-2.0, INF]])
-        assert not realized_fixpoint(weights, np.array([0.0, 1.0]), 0)
+        assert realizing_tree(weights, np.array([0.0, 1.0]), 0) is None
+
+
+def tied_parents():
+    """``ms~`` over 4 processors (root 3) whose settled corrections
+    ``(1, 1, 1.5, 0)`` are what Bellman--Ford returns, although their
+    argmin parents cycle: rows 0 and 1 reach each other over the
+    critical 2-cycle at weight 0, and row 3 reaches both at weight 1."""
+    return np.array([
+        [0.0, 2.0, 1.0, 2.0],
+        [2.0, 0.0, 1.0, 2.0],
+        [1.0, 1.0, 0.0, 1.0],
+        [1.0, 1.0, 0.5, 0.0],
+    ])
+
+
+class TestBellmanFordFallback:
+    """Labels the argmin-parent test cannot prove are compared with
+    Bellman--Ford itself before the block is re-solved."""
+
+    def setup_method(self):
+        self.sync = ClockSynchronizer(
+            System.uniform(complete(4), BoundedDelay(0.0, 1.0)), root=3
+        )
+
+    def test_tied_parents_are_copied_as_the_warm_answer(self):
+        first = solve(self.sync, tied_parents())
+        solved = first._solved[0].shifts
+        weights = shift_weights(tied_parents(), solved.a_max)
+        assert solved.settled
+        assert realizing_tree(weights, solved.corrections, 3) is None
+        assert bellman_ford_matrix(weights, 3).tobytes() == (
+            solved.corrections.tobytes()
+        )
+        changed = tied_parents()
+        changed[2, 0] = 0.5  # slack: 1.5 + (2 - 1) - 1 = 1.5
+        calls = shifts_calls(self.sync)
+        with recording() as recorder:
+            second = solve(self.sync, changed, previous=first)
+        assert (reused(recorder), slack_copies(recorder)) == (1, 1)
+        assert shifts_calls(self.sync) == calls
+        warm = self.sync.engine.shifts(
+            changed, root_row=3, hint=list(solved.cycle_rows)
+        )
+        assert [float(x).hex() for x in second.corrections.values()] == [
+            float(x).hex() for x in warm.corrections
+        ]
+        assert second.precision == warm.a_max
+        assert_exact(self.sync, second)
+
+    def test_unrealized_tie_cycle_is_resolved(self, rooted):
+        # (3, 4) is a zero-weight tie cycle: these labels are a fixpoint
+        # that no walk from the root realizes (see TestKeeps).
+        first = solve(rooted, two_cycles())
+        labels = np.array([1.0, 0.0, 0.0, 0.5, 0.5])
+        record = first._solved[0]
+        forged = dataclasses.replace(
+            first, corrections=dict(zip(first.corrections, labels.tolist()))
+        )
+        object.__setattr__(forged, "_solved", (record._replace(
+            shifts=dataclasses.replace(record.shifts, corrections=labels),
+            proof=None,
+        ),))
+        calls = shifts_calls(rooted)
+        with recording() as recorder:
+            second = solve(
+                rooted, two_cycles(**{"0,2": -6.0}), previous=forged
+            )
+        assert slack_copies(recorder) == reused(recorder) == 0
+        assert shifts_calls(rooted) == calls + 1
+        assert_exact(rooted, second)
+
+
+class TestKeepProof:
+    """With what the last check proved, the next one reads only the
+    changed entries; it re-reads the block when a maximal entry moved."""
+
+    def setup_method(self):
+        self.engine = NumpyEngine()
+        self.old = two_cycles()
+        self.solve = self.engine.shifts(self.old, root_row=1)
+        self.cells = (np.array([0]), np.array([2]))
+        self.before = np.array([-5.0])
+        self.new = two_cycles(**{"0,2": -6.0})
+        self.proof = self.engine.keeps(
+            self.new, 1, self.solve, self.cells, self.before
+        )
+
+    def keeps(self, sub, proof):
+        return self.engine.keeps(
+            sub, 1, self.solve, self.cells, self.before, proof
+        )
+
+    def test_a_kept_solve_carries_its_scale_and_tree(self):
+        assert self.proof.scale == 1e8
+        assert self.proof.tree.tolist() == realizing_tree(
+            shift_weights(self.new, self.solve.a_max),
+            self.solve.corrections, 1,
+        ).tolist()
+        assert self.proof.tree[1] == 1
+
+    def test_only_the_changed_entries_are_read(self):
+        # An unchanged entry the check must not read: with the proof it
+        # is kept, the full check sees the scale grow and refuses.
+        poisoned = self.new.copy()
+        poisoned[4, 0] = -1e12
+        assert self.keeps(poisoned, self.proof) == self.proof
+        assert self.keeps(poisoned, None) is None
+
+    def test_entry_beyond_the_scale_is_refused(self):
+        smaller = self.proof._replace(scale=5.5)  # |-6| grows the scale
+        assert self.keeps(self.new, smaller) is None
+
+    def test_moved_maximal_entry_rereads_the_block(self):
+        # A recorded scale that the changed entry attained: only the
+        # full max can tell whether it still holds, and here it is 1e8.
+        attained = self.proof._replace(scale=5.0)
+        assert self.keeps(self.new, attained) == self.proof
+
+    def test_changed_tree_edge_is_refused(self):
+        tree = self.proof.tree.copy()
+        tree[2] = 0  # pretend 0 -> 2 carried a label
+        assert self.keeps(self.new, self.proof._replace(tree=tree)) is None
+
+    def test_streams_copy_with_recorded_trees(self):
+        scenario = heterogeneous(random_connected(32, 0.08, 21), seed=21)
+        online = OnlineSynchronizer(scenario.system)
+        check = RefreshCheck(online.synchronizer)
+        proved = 0
+        with recording() as recorder:
+            recorder.add_observer(check)
+            for message in messages(scenario.run()):
+                if online.observe(*message):
+                    proved += any(
+                        r.proof is not None and r.proof.tree is not None
+                        for r in online.result()._solved
+                    )
+        assert check.refreshes and proved
